@@ -9,7 +9,7 @@ small wire protocol plus CLI for running the whole thing end to end.
 """
 
 from .errors import AuditSizeError, ParameterError, ProtocolError, WireParseError
-from .field import FieldElement, FieldParams, sample_coefficient, smallest_irreducible
+from .field import FieldElement, FieldParams, sample_coefficient
 from .model import (
     MODEL_I,
     MODEL_II,
@@ -116,6 +116,5 @@ __all__ = [
     "sample_from_pmf",
     "sample_scenario",
     "side_information",
-    "smallest_irreducible",
     "wire",
 ]

@@ -22,7 +22,7 @@ from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database, sample_scenario
 from .pmf import capacity, case2_pmf, case3_pmf, rp_distribution
-from . import protocol_csi2, protocol_rp
+from .protocols import PROTOCOLS
 from .protocol_csi2 import (
     CASE_DISJOINT,
     CASE_FULL,
@@ -263,24 +263,6 @@ def _enumerate_csi2(K: int, M: int) -> dict:
     return dict(joint)
 
 
-def _build_for(model, scenario, K, rng, build_kwargs):
-    if model == MODEL_I:
-        return protocol_rp.build_query(scenario, K, rng, **build_kwargs)
-    return protocol_csi2.build_query(scenario, K, rng)
-
-
-def _answer_for(model, db, query):
-    if model == MODEL_I:
-        return protocol_rp.answer_query(db, query)
-    return protocol_csi2.answer_query(db, query)
-
-
-def _decode_for(model, answer, state):
-    if model == MODEL_I:
-        return protocol_rp.decode_answer(answer, state)
-    return protocol_csi2.decode_answer(answer, state)
-
-
 def audit_montecarlo(
     model: str,
     K: int,
@@ -316,7 +298,7 @@ def audit_montecarlo(
     slot_bins: dict = defaultdict(lambda: [0] * K)
     for _ in range(trials):
         scenario = sample_scenario(db, M, model, rng)
-        query, _ = _build_for(model, scenario, K, rng, build_kwargs)
+        query, _ = PROTOCOLS[scenario.model].build_query(scenario, K, rng, **build_kwargs)
         w = scenario.W - 1
         fp_bins[canonical_fingerprint(query)][w] += 1
         slot_of = {}
@@ -357,9 +339,10 @@ def audit_recoverability(
     successes = 0
     for _ in range(trials):
         scenario = sample_scenario(db, M, model, rng)
-        query, state = _build_for(model, scenario, K, rng, {})
-        answer = _answer_for(model, db, query)
-        if _decode_for(model, answer, state) == db[scenario.W]:
+        protocol = PROTOCOLS[scenario.model]
+        query, state = protocol.build_query(scenario, K, rng)
+        answer = protocol.answer_query(db, query)
+        if protocol.decode_answer(answer, state) == db[scenario.W]:
             successes += 1
     return RecoverabilityReport(model, K, M, trials, successes, successes == trials)
 
@@ -375,8 +358,9 @@ def measure_rate(
     rng = Random(seed)
     db = Database.random(params, K, rng)
     scenario = sample_scenario(db, M, model, rng)
-    query, _ = _build_for(model, scenario, K, rng, {})
-    answer = _answer_for(model, db, query)
+    protocol = PROTOCOLS[model]
+    query, _ = protocol.build_query(scenario, K, rng)
+    answer = protocol.answer_query(db, query)
     elements = len(answer.values)
     measured = inf if elements == 0 else Fraction(1, elements)
     cap = capacity(model, K, M)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from . import __version__, protocol_csi2, protocol_rp, wire
+from . import __version__, protocol_csi2, wire
 from .audit import (
     DEFAULT_ROW_GUARD,
     MUTATIONS,
@@ -27,6 +27,7 @@ from .errors import AuditSizeError, ParameterError, ProtocolError
 from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database, sample_scenario
 from .pmf import case2_pmf, case3_pmf, partition_rounds, rp_distribution
+from .protocols import PROTOCOLS
 
 _CASE_NAMES = {
     protocol_csi2.CASE_TRIVIAL: "no-query",
@@ -145,19 +146,13 @@ def _print_reveal(state, fh) -> None:
 
 
 def _run_round(db: Database, scenario, K: int, rng: Random):
-    if scenario.model == MODEL_I:
-        query, state = protocol_rp.build_query(scenario, K, rng)
-        answer = protocol_rp.answer_query(db, query)
-    else:
-        query, state = protocol_csi2.build_query(scenario, K, rng)
-        answer = protocol_csi2.answer_query(db, query)
-    return query, state, answer
+    protocol = PROTOCOLS[scenario.model]
+    query, state = protocol.build_query(scenario, K, rng)
+    return query, state, protocol.answer_query(db, query)
 
 
 def _decode(answer, state):
-    if state.scenario.model == MODEL_I:
-        return protocol_rp.decode_answer(answer, state)
-    return protocol_csi2.decode_answer(answer, state)
+    return PROTOCOLS[state.scenario.model].decode_answer(answer, state)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -371,10 +366,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         return 2
     rng = Random(cfg.seed)
     scenario = sample_scenario(db, cfg.M, cfg.model, rng)
-    if scenario.model == MODEL_I:
-        query, state = protocol_rp.build_query(scenario, db.K, rng)
-    else:
-        query, state = protocol_csi2.build_query(scenario, db.K, rng)
+    query, state = PROTOCOLS[scenario.model].build_query(scenario, db.K, rng)
     answer = wire.fetch((host, port), query, db.params)
     decoded = _decode(answer, state)
 

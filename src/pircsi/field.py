@@ -1,12 +1,13 @@
-"""Exact arithmetic in GF(q) and GF(q^m) for odd prime q.
+"""Messages as vectors over GF(q) for odd prime q.
 
-Elements are polynomials over GF(q) reduced modulo a fixed monic irreducible
-of degree m.  The modulus is chosen deterministically from (q, m), so two
-parties that agree on (q, m) agree on the whole field without exchanging
-anything else.
+A message of GF(q^m) is held as its m coordinates over the base field GF(q).
+The protocols only add messages and scale them by base-field coefficients,
+so nothing ever multiplies two messages: (q, m) alone pins down every
+operation, and two parties that agree on (q, m) agree on everything.
 """
 
 import struct
+from dataclasses import dataclass
 from random import Random
 
 from .errors import ParameterError
@@ -28,100 +29,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: list[int], den: list[int], q: int) -> list[int]:
-    """Remainder of num / den over GF(q).  den must be monic, non-constant."""
-    rem = list(num)
-    dd = len(den) - 1
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(den):
-            rem[shift + i] = (rem[shift + i] - lead * c) % q
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
-def _monic_polys(q: int, degree: int):
-    """All monic polynomials of the given degree, low coefficients counting up."""
-    total = q ** degree
-    for t in range(total):
-        coeffs, v = [], t
-        for _ in range(degree):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        yield coeffs
-
-
-def _is_irreducible(poly: list[int], q: int) -> bool:
-    degree = len(poly) - 1
-    if degree < 1:
-        return False
-    if poly[0] == 0:  # divisible by x
-        return degree == 1
-    for d in range(1, degree // 2 + 1):
-        for cand in _monic_polys(q, d):
-            if not _poly_mod(poly, cand, q):
-                return False
-    return True
-
-
-def smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
-    """Deterministic modulus choice: the first monic irreducible of degree m.
-
-    Candidates are ordered by the non-leading coefficients read as a base-q
-    integer (constant term least significant), so the result depends only on
-    (q, m).
-    """
-    for cand in _monic_polys(q, m):
-        if _is_irreducible(cand, q):
-            return tuple(cand)
-    raise ParameterError(f"no irreducible of degree {m} over GF({q})")  # pragma: no cover
-
-
+@dataclass(frozen=True, slots=True)
 class FieldParams:
-    """Immutable description of GF(q^m): q an odd prime >= 3, m >= 1.
+    """Immutable description of GF(q)^m: q an odd prime >= 3, m >= 1."""
 
-    For m > 1 a reduction modulus may be supplied as a coefficient tuple of
-    length m + 1 (constant term first, leading coefficient 1); when omitted
-    the deterministic default is used.
-    """
+    q: int
+    m: int = 1
 
-    __slots__ = ("q", "m", "modulus", "_zero", "_one")
-
-    def __init__(self, q: int, m: int = 1, modulus: tuple[int, ...] | None = None):
+    def __post_init__(self):
+        q, m = self.q, self.m
         if not isinstance(q, int) or not _is_prime(q) or q < 3:
             raise ParameterError(f"q must be an odd prime >= 3, got {q!r}")
         if q >= MAX_Q:
             raise ParameterError(f"q must fit in 16 bits, got {q}")
         if not isinstance(m, int) or m < 1:
             raise ParameterError(f"extension degree must be a positive integer, got {m!r}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-        if m == 1:
-            if modulus is not None:
-                raise ParameterError("modulus is only meaningful for m > 1")
-            object.__setattr__(self, "modulus", None)
-        else:
-            if modulus is None:
-                modulus = smallest_irreducible(q, m)
-            else:
-                modulus = tuple(int(c) % q for c in modulus)
-                if len(modulus) != m + 1 or modulus[-1] != 1:
-                    raise ParameterError("modulus must be monic of degree m")
-                if not _is_irreducible(list(modulus), q):
-                    raise ParameterError("modulus is reducible")
-            object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_one", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldParams is immutable")
 
     @property
     def order(self) -> int:
@@ -132,22 +54,6 @@ class FieldParams:
         """Size of the canonical element encoding: m unsigned 16-bit words."""
         return 2 * self.m
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldParams)
-            and self.q == other.q
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.m, self.modulus))
-
-    def __repr__(self):
-        if self.m == 1:
-            return f"FieldParams(q={self.q})"
-        return f"FieldParams(q={self.q}, m={self.m}, modulus={self.modulus})"
-
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
@@ -157,11 +63,11 @@ class FieldParams:
         return FieldElement(self, coeffs)
 
     def scalar(self, c: int) -> "FieldElement":
-        """Embed a base-field value as a constant polynomial."""
+        """Embed a base-field value as the first coordinate."""
         return FieldElement(self, (int(c) % self.q,) + (0,) * (self.m - 1))
 
     def from_int(self, value: int) -> "FieldElement":
-        """Inverse of FieldElement.as_int: base-q digits, constant term first."""
+        """Inverse of FieldElement.as_int: base-q digits, first coordinate lowest."""
         if not 0 <= value < self.order:
             raise ParameterError(f"value {value} outside [0, {self.order})")
         coeffs = []
@@ -171,18 +77,7 @@ class FieldParams:
         return FieldElement(self, tuple(coeffs))
 
     def zero(self) -> "FieldElement":
-        z = self._zero
-        if z is None:
-            z = FieldElement(self, (0,) * self.m)
-            object.__setattr__(self, "_zero", z)
-        return z
-
-    def one(self) -> "FieldElement":
-        o = self._one
-        if o is None:
-            o = self.scalar(1)
-            object.__setattr__(self, "_one", o)
-        return o
+        return FieldElement(self, (0,) * self.m)
 
     def from_bytes(self, data: bytes) -> "FieldElement":
         if len(data) != self.element_bytes:
@@ -194,10 +89,9 @@ class FieldParams:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self, rng: Random, nonzero: bool = False) -> "FieldElement":
-        """Uniform element of the field; with nonzero=True, uniform over the units."""
-        lo = 1 if nonzero else 0
-        return self.from_int(rng.randrange(lo, self.order))
+    def sample(self, rng: Random) -> "FieldElement":
+        """Uniform element: one draw below q^m, split into base-q digits."""
+        return self.from_int(rng.randrange(self.order))
 
 
 def sample_coefficient(params: FieldParams, rng: Random) -> int:
@@ -206,7 +100,7 @@ def sample_coefficient(params: FieldParams, rng: Random) -> int:
 
 
 class FieldElement:
-    """A single value of GF(q^m), stored as its coefficient tuple."""
+    """A single vector of GF(q)^m, stored as its coordinate tuple."""
 
     __slots__ = ("params", "coeffs")
 
@@ -246,62 +140,26 @@ class FieldElement:
         c = int(c) % q
         return FieldElement(self.params, tuple((c * a) % q for a in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, FieldElement):
+    def __mul__(self, c):
+        # Only base-field scalars act on a vector; element * element is a TypeError.
+        if not isinstance(c, int):
             return NotImplemented
-        self._require_same(other)
-        p = self.params
-        q, m = p.q, p.m
-        if m == 1:
-            return FieldElement(p, ((self.coeffs[0] * other.coeffs[0]) % q,))
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % q
-        rem = _poly_mod(prod, list(p.modulus), q)
-        rem += [0] * (m - len(rem))
-        return FieldElement(p, tuple(rem))
+        return self.scale(c)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        p = self.params
-        q, m = p.q, p.m
-        if all(c == 0 for c in self.coeffs):
-            raise ParameterError("zero has no inverse")
-        if m == 1:
-            return FieldElement(p, (pow(self.coeffs[0], -1, q),))
-        # Extended Euclid on polynomials: r0 = modulus, r1 = self.
-        r0, r1 = list(p.modulus), [c for c in self.coeffs]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [0], [1]
-        while r1:
-            qt, rem = _poly_divmod(r0, r1, q)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(qt, t1, q), q)
-        # r0 is now a nonzero constant gcd; scale t0 by its inverse.
-        scale = pow(r0[0], -1, q)
-        inv = [(scale * c) % q for c in t0]
-        inv = _poly_mod(inv, list(p.modulus), q)
-        inv += [0] * (m - len(inv))
-        return FieldElement(p, tuple(inv))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def as_int(self) -> int:
-        """Base-q integer encoding, constant term least significant."""
+        """Base-q integer encoding, first coordinate least significant."""
         v = 0
         for c in reversed(self.coeffs):
             v = v * self.params.q + c
         return v
 
     def to_bytes(self) -> bytes:
-        """Canonical encoding: m little-endian u16 words, lowest degree first."""
+        """Canonical encoding: m little-endian u16 words, first coordinate first."""
         return struct.pack(f"<{self.params.m}H", *self.coeffs)
 
     def __eq__(self, other):
@@ -318,39 +176,3 @@ class FieldElement:
         if self.params.m == 1:
             return f"gf({self.coeffs[0]} mod {self.params.q})"
         return f"gf({list(self.coeffs)} mod {self.params.q}^{self.params.m})"
-
-
-def _poly_divmod(num: list[int], den: list[int], q: int):
-    """Quotient and remainder over GF(q); den nonzero, not necessarily monic."""
-    rem = list(num)
-    quot = [0] * max(1, len(num) - len(den) + 1)
-    inv_lead = pow(den[-1], -1, q)
-    while len(rem) >= len(den) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(den):
-            break
-        coef = (rem[-1] * inv_lead) % q
-        shift = len(rem) - len(den)
-        quot[shift] = coef
-        for i, c in enumerate(den):
-            rem[shift + i] = (rem[shift + i] - coef * c) % q
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
-def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % q for x, y in zip(a, b)]

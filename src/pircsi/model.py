@@ -149,7 +149,8 @@ def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
     S = tuple(sorted(rng.sample(range(1, K + 1), M)))
     C = tuple(sample_coefficient(db.params, rng) for _ in range(M))
     if model == MODEL_I:
-        outside = [i for i in range(1, K + 1) if i not in set(S)]
+        support = set(S)
+        outside = [i for i in range(1, K + 1) if i not in support]
         W = outside[rng.randrange(len(outside))]
     else:
         W = S[rng.randrange(M)]

@@ -34,6 +34,18 @@ CASE_FULL = 4
 CASE_TAGS = (CASE_TRIVIAL, CASE_SINGLE, CASE_DISJOINT, CASE_OVERLAP, CASE_FULL)
 
 
+def case_shape(case: int, K: int) -> tuple[int, int | None]:
+    """Set count and fixed set size of a case's query against K messages.
+    The size is None where it varies with M; paired sets share one size."""
+    return {
+        CASE_TRIVIAL: (0, None),
+        CASE_SINGLE: (1, 1),
+        CASE_DISJOINT: (2, None),
+        CASE_OVERLAP: (2, None),
+        CASE_FULL: (1, K),
+    }[case]
+
+
 @dataclass(frozen=True)
 class Csi2Query:
     """A second-model query: up to two sets plus the case tag that tells the
@@ -41,6 +53,7 @@ class Csi2Query:
 
     sets: tuple[QuerySet, ...]
     case_tag: int
+    model: str = MODEL_II
 
 
 def case_for(K: int, M: int) -> int:
@@ -74,7 +87,8 @@ def build_query(
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
     M = len(scenario.S)
-    if scenario.W not in scenario.S:
+    support = set(scenario.S)
+    if scenario.W not in support:
         raise ParameterError("demand must lie inside the support")
     if not all(1 <= i <= K for i in scenario.S):
         raise ParameterError("scenario indices exceed the database size")
@@ -94,7 +108,8 @@ def build_query(
         state = DecoderState(scenario, 0, c, case_tag=CASE_SINGLE, probe_index=probe)
         return query, state
 
-    outside = [i for i in range(1, K + 1) if i not in set(scenario.S)]
+    coeff_of = dict(zip(scenario.S, scenario.C))
+    outside = [i for i in range(1, K + 1) if i not in support]
     if case == CASE_DISJOINT:
         r = sample_from_pmf(case2_pmf(K, M), rng)
         if r == M - 2:
@@ -102,7 +117,7 @@ def build_query(
         else:
             cover = sorted(rng.sample(outside, M - 1))
         keep = tuple(i for i in scenario.S if i != W)
-        known = QuerySet(keep, tuple(scenario.coeff_of(i) for i in keep))
+        known = QuerySet(keep, tuple(coeff_of[i] for i in keep))
         state_coeff = None  # decoder divides by the true coefficient on W
         pair = [known, _fresh(cover, params, rng)]
     elif case == CASE_OVERLAP:
@@ -112,18 +127,18 @@ def build_query(
             repeats = sorted([W] + rng.sample(others, s))
         else:
             repeats = sorted(rng.sample(others, s))
-        c = _fresh_coeff_excluding(params, rng, scenario.coeff_of(W))
+        c = _fresh_coeff_excluding(params, rng, coeff_of[W])
         known = QuerySet(
             scenario.S,
-            tuple(c if i == W else scenario.coeff_of(i) for i in scenario.S),
+            tuple(c if i == W else coeff_of[i] for i in scenario.S),
         )
         state_coeff = c
         pair = [known, _fresh(sorted(set(repeats) | set(outside)), params, rng)]
     else:  # CASE_FULL
-        c = _fresh_coeff_excluding(params, rng, scenario.coeff_of(W))
+        c = _fresh_coeff_excluding(params, rng, coeff_of[W])
         known = QuerySet(
             scenario.S,
-            tuple(c if i == W else scenario.coeff_of(i) for i in scenario.S),
+            tuple(c if i == W else coeff_of[i] for i in scenario.S),
         )
         query_sets = (_shuffle_within(known, rng),)
         state = DecoderState(scenario, 0, c, case_tag=CASE_FULL)
@@ -154,14 +169,7 @@ def answer_query(db: Database, query: Csi2Query) -> Answer:
     """Evaluate a second-model query with the same strictness as the first."""
     if query.case_tag not in CASE_TAGS:
         raise ProtocolError(f"unknown case tag {query.case_tag!r}")
-    shapes = {
-        CASE_TRIVIAL: (0, None),
-        CASE_SINGLE: (1, 1),
-        CASE_DISJOINT: (2, None),
-        CASE_OVERLAP: (2, None),
-        CASE_FULL: (1, db.K),
-    }
-    n_sets, size = shapes[query.case_tag]
+    n_sets, size = case_shape(query.case_tag, db.K)
     if len(query.sets) != n_sets:
         raise ProtocolError(
             f"case {query.case_tag} carries {n_sets} sets, got {len(query.sets)}"

@@ -7,9 +7,8 @@ per set a u16 size, the 1-based indices as u32 words, then the coefficients
 in the canonical field-element encoding.  Answer payloads carry a u16 count
 followed by that many canonical element encodings.
 
-Servers greet with (q, m, K) on request, so a client can reconstruct the
-field parameters: the reduction modulus is derived deterministically from
-(q, m) on both sides.
+Servers greet with (q, m, K) on request.  Messages are vectors over GF(q),
+so (q, m) is all a client needs to parse and combine them.
 """
 
 import os
@@ -21,9 +20,9 @@ import threading
 from .errors import ParameterError, ProtocolError, WireParseError
 from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from . import protocol_csi2, protocol_rp
-from .protocol_csi2 import CASE_TAGS, Csi2Query
+from .protocol_csi2 import CASE_FULL, CASE_SINGLE, CASE_TAGS, Csi2Query, case_shape
 from .protocol_rp import Answer, Query, QuerySet
+from .protocols import PROTOCOLS
 
 MSG_QUERY = 0x01
 MSG_ANSWER = 0x02
@@ -35,6 +34,12 @@ _HELLO_BODY = struct.Struct("<III")
 MAX_FRAME_BYTES = 1 << 20
 
 _MODEL_BYTES = {MODEL_I: 1, MODEL_II: 2}
+
+# Why a second-model set of the wrong fixed size was refused, by case.
+_SIZE_ERRORS = {
+    CASE_SINGLE: "single-probe case takes exactly one index",
+    CASE_FULL: "full case must cover the whole database",
+}
 
 
 def default_port() -> int:
@@ -96,6 +101,14 @@ class _Cursor:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def run(self, width: int, count: int) -> tuple[int, int]:
+        """Skip past as many of count width-byte items as are present; returns
+        their start offset and how many there were."""
+        start = self.pos
+        present = min(count, (len(self.data) - start) // width)
+        self.pos = start + present * width
+        return start, present
+
 
 def _encode_sets(sets, params: FieldParams) -> bytes:
     parts = [struct.pack("<H", len(sets))]
@@ -131,33 +144,36 @@ def decode_query(data: bytes, params: FieldParams, K: int):
     if model_byte == 2 and case_byte not in CASE_TAGS:
         raise WireParseError(f"unknown case byte {case_byte}", 1)
     n_sets = cur.u16("set count")
+    q, m, width = params.q, params.m, params.element_bytes
     sets = []
     for _ in range(n_sets):
         size = cur.u16("set size")
         if size == 0:
             raise WireParseError("empty query set", cur.pos - 2)
-        indices = []
-        for _ in range(size):
-            at = cur.pos
-            idx = cur.u32("index")
+        # Each run is unpacked at once; the items present are checked in order
+        # before a short run is reported as truncated.
+        at, present = cur.run(4, size)
+        indices = struct.unpack_from(f"<{present}I", data, at)
+        seen = set()
+        for j, idx in enumerate(indices):
             if not 1 <= idx <= K:
-                raise WireParseError(f"index {idx} outside [1, {K}]", at)
-            if idx in indices:
-                raise WireParseError(f"repeated index {idx} inside a set", at)
-            indices.append(idx)
-        coeffs = []
-        for _ in range(size):
-            at = cur.pos
-            words = struct.unpack(
-                f"<{params.m}H", cur.take(params.element_bytes, "coefficient")
-            )
-            if any(words[1:]):
-                raise WireParseError("coefficient is not a base-field scalar", at)
-            c = words[0]
-            if not 1 <= c <= params.q - 1:
-                raise WireParseError(f"coefficient {c} outside [1, {params.q - 1}]", at)
-            coeffs.append(c)
-        sets.append(QuerySet(tuple(indices), tuple(coeffs)))
+                raise WireParseError(f"index {idx} outside [1, {K}]", at + 4 * j)
+            if idx in seen:
+                raise WireParseError(f"repeated index {idx} inside a set", at + 4 * j)
+            seen.add(idx)
+        if present < size:
+            raise WireParseError("truncated index", cur.pos)
+        at, present = cur.run(width, size)
+        words = struct.unpack_from(f"<{present * m}H", data, at)
+        coeffs = words[::m]
+        for j, c in enumerate(coeffs):
+            if any(words[j * m + 1 : (j + 1) * m]):
+                raise WireParseError("coefficient is not a base-field scalar", at + width * j)
+            if not 1 <= c <= q - 1:
+                raise WireParseError(f"coefficient {c} outside [1, {q - 1}]", at + width * j)
+        if present < size:
+            raise WireParseError("truncated coefficient", cur.pos)
+        sets.append(QuerySet(indices, coeffs))
     if cur.pos != len(data):
         raise WireParseError("trailing bytes after the query", cur.pos)
 
@@ -172,21 +188,13 @@ def decode_query(data: bytes, params: FieldParams, K: int):
             raise WireParseError(f"set size {size} exceeds the database", 4)
         return Query(sets=tuple(sets), K=K, M=size - 1)
 
-    arity = {
-        protocol_csi2.CASE_TRIVIAL: 0,
-        protocol_csi2.CASE_SINGLE: 1,
-        protocol_csi2.CASE_DISJOINT: 2,
-        protocol_csi2.CASE_OVERLAP: 2,
-        protocol_csi2.CASE_FULL: 1,
-    }[case_byte]
+    arity, size = case_shape(case_byte, K)
     if len(sets) != arity:
         raise WireParseError(
             f"case {case_byte} carries {arity} sets, payload has {len(sets)}", 2
         )
-    if case_byte == protocol_csi2.CASE_SINGLE and len(sets[0].indices) != 1:
-        raise WireParseError("single-probe case takes exactly one index", 4)
-    if case_byte == protocol_csi2.CASE_FULL and len(sets[0].indices) != K:
-        raise WireParseError("full case must cover the whole database", 4)
+    if size is not None and len(sets[0].indices) != size:
+        raise WireParseError(_SIZE_ERRORS[case_byte], 4)
     if arity == 2 and len(sets[0].indices) != len(sets[1].indices):
         raise WireParseError("paired sets must have equal sizes", 4)
     return Csi2Query(sets=tuple(sets), case_tag=case_byte)
@@ -229,9 +237,14 @@ def decode_hello(data: bytes) -> tuple[FieldParams, int]:
         raise WireParseError("hello payload must be 12 bytes", len(data))
     q, m, K = _HELLO_BODY.unpack(data)
     try:
-        return FieldParams(q, m), K
+        params = FieldParams(q, m)
     except ParameterError as exc:
         raise WireParseError(str(exc), 0) from None
+    # An answer frame must hold at least one message; a larger announced m
+    # would only have the client allocate vectors no server can send.
+    if 2 + params.element_bytes > MAX_FRAME_BYTES:
+        raise WireParseError(f"messages of {m} words do not fit in a frame", 4)
+    return params, K
 
 
 # -- sockets ----------------------------------------------------------------
@@ -268,10 +281,7 @@ class _Handler(socketserver.StreamRequestHandler):
             elif msg_type == MSG_QUERY:
                 try:
                     query = decode_query(payload, db.params, db.K)
-                    if isinstance(query, Query):
-                        answer = protocol_rp.answer_query(db, query)
-                    else:
-                        answer = protocol_csi2.answer_query(db, query)
+                    answer = PROTOCOLS[query.model].answer_query(db, query)
                 except (WireParseError, ProtocolError, ParameterError) as exc:
                     self._send(MSG_ERROR, str(exc).encode("utf-8"))
                 else:

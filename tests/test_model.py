@@ -54,6 +54,16 @@ def test_database_bytes_round_trip_extension_field():
     assert again == db and again.params == params
 
 
+def test_database_bytes_round_trip_long_messages():
+    # GF(257^6) announced by a file header builds at once, like any (q, m).
+    params = FieldParams(257, 6)
+    db = Database.random(params, 5, Random(4))
+    blob = db.to_bytes()
+    assert len(blob) == 12 + 5 * 12
+    again = Database.from_bytes(blob)
+    assert again == db and again.params == params
+
+
 def test_database_from_bytes_rejects_bad_lengths(gf3):
     db = Database(gf3, [gf3.scalar(1)])
     blob = db.to_bytes()

@@ -212,13 +212,13 @@ def test_corrupted_demand_answer_changes_the_decode(gf9):
     answer = answer_query(db, query)
     good = decode_answer(answer, state)
     values = list(answer.values)
-    values[state.demand_slot] = values[state.demand_slot] + gf9.one()
+    values[state.demand_slot] = values[state.demand_slot] + gf9.scalar(1)
     assert decode_answer(Answer(tuple(values)), state) != good
     # other slots never feed the decoder
     values = list(answer.values)
     other = (state.demand_slot + 1) % len(values)
     if other != state.demand_slot:
-        values[other] = values[other] + gf9.one()
+        values[other] = values[other] + gf9.scalar(1)
         assert decode_answer(Answer(tuple(values)), state) == good
 
 

@@ -2,6 +2,7 @@
 import socket
 import struct
 import threading
+import time
 from random import Random
 
 import pytest
@@ -70,6 +71,17 @@ def test_hello_golden(gf9):
     assert blob == struct.pack("<III", 3, 2, 6)
     params, K = wire.decode_hello(blob)
     assert params == gf9 and K == 6
+
+
+def test_hello_for_long_messages_returns_at_once():
+    params, K = wire.decode_hello(struct.pack("<III", 257, 6, 40))
+    assert (params.q, params.m, params.element_bytes, K) == (257, 6, 12, 40)
+    # the longest message one answer frame can carry, and one word more
+    widest = (wire.MAX_FRAME_BYTES - 2) // 2
+    assert wire.decode_hello(struct.pack("<III", 3, widest, 1))[0].m == widest
+    with pytest.raises(WireParseError) as info:
+        wire.decode_hello(struct.pack("<III", 3, widest + 1, 1))
+    assert info.value.offset == 4
 
 
 # ---------------------------------------------------------------- frame edge
@@ -147,6 +159,27 @@ def test_decode_query_rejects_bad_shapes(gf3):
     # empty first-model query
     with pytest.raises(WireParseError):
         wire.decode_query(bytes.fromhex("01000000"), gf3, 3)
+
+
+def test_widest_set_parses_in_linear_time(gf3):
+    # The u16 size field allows 65,535 distinct indices in one set: a
+    # 393,222-byte payload, under the frame cap.
+    K = 65_535
+    indices = list(range(K, 0, -1))
+    blob = wire.encode_query(Query(sets=(QuerySet(tuple(indices), (1,) * K),), K=K, M=K - 1), gf3)
+    assert len(blob) == 6 + 6 * K
+    t0 = time.perf_counter()
+    query = wire.decode_query(blob, gf3, K)
+    elapsed = time.perf_counter() - t0
+    assert query.sets[0].indices == tuple(indices) and query.M == K - 1
+    assert elapsed < 1.0  # a quadratic scan takes tens of seconds here
+    # a repeat in the last slot is still found, at that slot's offset
+    last = 6 + 4 * (K - 1)
+    repeated = blob[:last] + struct.pack("<I", indices[0]) + blob[last + 4 :]
+    with pytest.raises(WireParseError) as info:
+        wire.decode_query(repeated, gf3, K)
+    assert info.value.offset == last
+    assert f"repeated index {K} inside a set" in str(info.value)
 
 
 def test_random_bytes_never_crash_the_decoder(gf3):
