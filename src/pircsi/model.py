@@ -11,6 +11,8 @@ import struct
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from .errors import ParameterError
 from .field import FieldElement, FieldParams, sample_coefficient
 
@@ -18,38 +20,46 @@ MODEL_I = "I"
 MODEL_II = "II"
 
 _DB_HEADER = struct.Struct("<III")  # q, m, K
+_WORD = np.dtype("<u2")  # one coordinate, as in the canonical element encoding
 
 
 class Database:
-    """K messages over a fixed field.  Immutable once constructed."""
+    """K messages over a fixed field, held as one read-only K×m array of
+    canonical u16 words (row i-1 is X_i).  Immutable once constructed."""
 
-    __slots__ = ("params", "messages")
+    __slots__ = ("params", "words")
 
     def __init__(self, params: FieldParams, messages):
-        messages = tuple(messages)
-        if not messages:
-            raise ParameterError("a database holds at least one message")
+        encodings = []
         for x in messages:
             if not isinstance(x, FieldElement) or x.params != params:
                 raise ParameterError("all messages must be elements of the given field")
+            encodings.append(x.to_bytes())
+        self._hold(params, b"".join(encodings))
+
+    def _hold(self, params: FieldParams, body: bytes) -> None:
+        # An array over immutable bytes can never be made writeable.
+        words = np.frombuffer(body, dtype=_WORD).reshape(-1, params.m)
+        if not len(words):
+            raise ParameterError("a database holds at least one message")
         self.params = params
-        self.messages = messages
+        self.words = words
 
     @property
     def K(self) -> int:
-        return len(self.messages)
+        return len(self.words)
 
     def __getitem__(self, index: int) -> FieldElement:
         """Message X_index, 1-based."""
         if not 1 <= index <= self.K:
             raise ParameterError(f"index {index} outside [1, {self.K}]")
-        return self.messages[index - 1]
+        return FieldElement(self.params, tuple(self.words[index - 1].tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, Database)
             and self.params == other.params
-            and self.messages == other.messages
+            and np.array_equal(self.words, other.words)
         )
 
     @classmethod
@@ -62,9 +72,7 @@ class Database:
     # header: q, m, K as u32 little-endian, then K canonical element encodings.
 
     def to_bytes(self) -> bytes:
-        parts = [_DB_HEADER.pack(self.params.q, self.params.m, self.K)]
-        parts.extend(x.to_bytes() for x in self.messages)
-        return b"".join(parts)
+        return _DB_HEADER.pack(self.params.q, self.params.m, self.K) + self.words.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Database":
@@ -72,15 +80,14 @@ class Database:
             raise ParameterError("database blob shorter than its header")
         q, m, K = _DB_HEADER.unpack_from(data, 0)
         params = FieldParams(q, m)
-        step = params.element_bytes
-        expect = _DB_HEADER.size + K * step
+        expect = _DB_HEADER.size + K * params.element_bytes
         if len(data) != expect:
             raise ParameterError(f"database blob has {len(data)} bytes, expected {expect}")
-        messages = []
-        for i in range(K):
-            off = _DB_HEADER.size + i * step
-            messages.append(params.from_bytes(data[off : off + step]))
-        return cls(params, tuple(messages))
+        db = cls.__new__(cls)
+        db._hold(params, bytes(data[_DB_HEADER.size :]))
+        if int(db.words.max()) >= q:
+            raise ParameterError("coefficient word out of range for this field")
+        return db
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -123,15 +130,15 @@ def side_information(db: Database, S, C) -> FieldElement:
         raise ParameterError(f"support size {len(S)} != coefficient count {len(C)}")
     if len(set(S)) != len(S):
         raise ParameterError("support indices must be distinct")
-    q = db.params.q
-    total = db.params.zero()
+    q, K = db.params.q, db.K
+    total = [0] * db.params.m
     for i, c in zip(S, C):
-        if not 1 <= i <= db.K:
-            raise ParameterError(f"support index {i} outside [1, {db.K}]")
+        if not 1 <= i <= K:
+            raise ParameterError(f"support index {i} outside [1, {K}]")
         if not isinstance(c, int) or not 1 <= c % q == c:
             raise ParameterError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
-        total = total + db[i].scale(c)
-    return total
+        total = [t + c * x for t, x in zip(total, db.words[i - 1].tolist())]
+    return FieldElement(db.params, tuple(t % q for t in total))
 
 
 def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:

@@ -23,7 +23,7 @@ from .errors import ParameterError, ProtocolError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_II, Database, Scenario
 from .pmf import case2_pmf, case3_pmf, sample_from_pmf
-from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, evaluate_set
+from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, answer_sets
 
 CASE_TRIVIAL = 0
 CASE_SINGLE = 1
@@ -178,7 +178,7 @@ def answer_query(db: Database, query: Csi2Query) -> Answer:
         raise ProtocolError(f"case {query.case_tag} sets must have size {size}")
     if n_sets == 2 and len(query.sets[0].indices) != len(query.sets[1].indices):
         raise ProtocolError("paired query sets must have equal sizes")
-    return Answer(tuple(evaluate_set(db, qs) for qs in query.sets))
+    return answer_sets(db, query.sets)
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

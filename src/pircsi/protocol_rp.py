@@ -10,7 +10,10 @@ client strips Y off the demand set's element.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
+
+import numpy as np
 
 from .errors import ParameterError, ProtocolError
 from .field import FieldElement, sample_coefficient
@@ -180,22 +183,69 @@ def answer_query(db: Database, query: Query) -> Answer:
     for qs in query.sets:
         if len(qs.indices) != query.M + 1:
             raise ProtocolError("query set size does not match its metadata")
-    return Answer(tuple(evaluate_set(db, qs) for qs in query.sets))
+    return answer_sets(db, query.sets)
 
 
-def evaluate_set(db: Database, qs: QuerySet) -> FieldElement:
-    """Linear combination sum(c_j * X_{i_j}) for one set, with strict checks."""
-    if len(set(qs.indices)) != len(qs.indices):
-        raise ProtocolError("repeated index inside a query set")
-    q = db.params.q
-    total = db.params.zero()
-    for i, c in zip(qs.indices, qs.coeffs):
-        if not (isinstance(i, int) and 1 <= i <= db.K):
-            raise ProtocolError(f"index {i!r} outside [1, {db.K}]")
-        if not (isinstance(c, int) and 1 <= c <= q - 1):
-            raise ProtocolError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
-        total = total + db.messages[i - 1].scale(c)
-    return total
+def answer_sets(db: Database, sets) -> Answer:
+    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for every
+    set, as one gather over the database words.  The sets share one size.
+
+    Every set is checked first: no repeated index, int indices in [1, K], int
+    coefficients in [1, q-1].  A fault is named by a scan in set order.
+    """
+    if not sets:
+        return Answer(())
+    K, q = db.K, db.params.q
+    idx = _int_matrix([qs.indices for qs in sets])
+    coef = _int_matrix([qs.coeffs for qs in sets])
+    if idx is None or coef is None or _breaks_a_rule(idx, coef, K, q):
+        _raise_first_fault(sets, K, q)
+        # The scan passed entries the matrix refuses: int subclasses such as bool.
+        idx = np.array([qs.indices for qs in sets], dtype=np.int64)
+        coef = np.array([qs.coeffs for qs in sets], dtype=np.int64)
+    # Words are below q and coefficients at most q - 1, with q < 2^16, so a
+    # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
+    # sum exactly, and one reduction mod q at the end suffices.
+    sums = np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % q
+    params = db.params
+    return Answer(tuple(FieldElement(params, tuple(row)) for row in sums.tolist()))
+
+
+def _int_matrix(rows) -> np.ndarray | None:
+    """Equal-length rows as an int64 matrix, or None unless every entry is a
+    plain int that fits."""
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        return np.array(flat, dtype=np.int64).reshape(len(rows), -1)
+    except OverflowError:
+        return None
+
+
+def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> bool:
+    if not idx.size:
+        return False
+    ordered = np.sort(idx, axis=1)
+    return bool(
+        idx.min() < 1
+        or idx.max() > K
+        or coef.min() < 1
+        or coef.max() > q - 1
+        or (ordered[:, 1:] == ordered[:, :-1]).any()
+    )
+
+
+def _raise_first_fault(sets, K: int, q: int) -> None:
+    """Raise for the first fault in set order, term by term; return if none."""
+    for qs in sets:
+        if len(set(qs.indices)) != len(qs.indices):
+            raise ProtocolError("repeated index inside a query set")
+        for i, c in zip(qs.indices, qs.coeffs):
+            if not (isinstance(i, int) and 1 <= i <= K):
+                raise ProtocolError(f"index {i!r} outside [1, {K}]")
+            if not (isinstance(c, int) and 1 <= c <= q - 1):
+                raise ProtocolError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

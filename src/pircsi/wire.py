@@ -11,14 +11,16 @@ Servers greet with (q, m, K) on request.  Messages are vectors over GF(q),
 so (q, m) is all a client needs to parse and combine them.
 """
 
+import operator
 import os
 import socket
 import socketserver
 import struct
 import threading
+from itertools import chain
 
 from .errors import ParameterError, ProtocolError, WireParseError
-from .field import FieldParams
+from .field import FieldElement, FieldParams
 from .model import MODEL_I, MODEL_II, Database
 from .protocol_csi2 import CASE_FULL, CASE_SINGLE, CASE_TAGS, Csi2Query, case_shape
 from .protocol_rp import Answer, Query, QuerySet
@@ -111,13 +113,44 @@ class _Cursor:
 
 
 def _encode_sets(sets, params: FieldParams) -> bytes:
-    parts = [struct.pack("<H", len(sets))]
+    q, m = params.q, params.m
+    coeffs = list(chain.from_iterable(qs.coeffs for qs in sets))
+    try:
+        in_range = not coeffs or (1 <= min(coeffs) and max(coeffs) <= q - 1)
+    except TypeError:
+        in_range = False
+    if not in_range:
+        _refuse_coefficient(sets, q)
+    # One pack for the whole run of sets.  A coefficient travels as its
+    # element's encoding: the value in the first word, zeros in the rest.
+    layout, values = ["<H"], [len(sets)]
     for qs in sets:
-        parts.append(struct.pack("<H", len(qs.indices)))
-        parts.append(struct.pack(f"<{len(qs.indices)}I", *qs.indices))
-        for c in qs.coeffs:
-            parts.append(params.scalar(c).to_bytes())
-    return b"".join(parts)
+        size = len(qs.indices)
+        words = [0] * (size * m)
+        words[::m] = qs.coeffs
+        layout.append(f"H{size}I{size * m}H")
+        values.append(size)
+        values.extend(qs.indices)
+        values.extend(words)
+    try:
+        return struct.pack("".join(layout), *values)
+    except struct.error:
+        _refuse_coefficient(sets, q)
+        raise
+
+
+def _refuse_coefficient(sets, q: int) -> None:
+    """Name the first coefficient that is not an integer in [1, q-1], if any."""
+    for k, qs in enumerate(sets):
+        for j, c in enumerate(qs.coeffs):
+            try:
+                ok = 1 <= operator.index(c) <= q - 1
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ParameterError(
+                    f"coefficient {c!r} in set {k}, slot {j} is not an integer in [1, {q - 1}]"
+                )
 
 
 def encode_query(query, params: FieldParams) -> bytes:
@@ -204,25 +237,26 @@ def decode_query(data: bytes, params: FieldParams, K: int):
 
 
 def encode_answer(answer: Answer) -> bytes:
-    parts = [struct.pack("<H", len(answer.values))]
-    parts.extend(x.to_bytes() for x in answer.values)
-    return b"".join(parts)
+    words = list(chain.from_iterable(x.coeffs for x in answer.values))
+    return struct.pack(f"<H{len(words)}H", len(answer.values), *words)
 
 
 def decode_answer(data: bytes, params: FieldParams) -> Answer:
     cur = _Cursor(data)
     count = cur.u16("element count")
-    values = []
-    for _ in range(count):
-        at = cur.pos
-        raw = cur.take(params.element_bytes, "element")
-        try:
-            values.append(params.from_bytes(raw))
-        except ParameterError as exc:
-            raise WireParseError(str(exc), at) from None
+    q, m, width = params.q, params.m, params.element_bytes
+    # The whole run is unpacked at once; the elements present are checked in
+    # order before a short run is reported as truncated.
+    at, present = cur.run(width, count)
+    words = struct.unpack_from(f"<{present * m}H", data, at)
+    if words and max(words) >= q:
+        bad = next(j for j in range(present) if max(words[j * m : (j + 1) * m]) >= q)
+        raise WireParseError("coefficient word out of range for this field", at + width * bad)
+    if present < count:
+        raise WireParseError("truncated element", cur.pos)
     if cur.pos != len(data):
         raise WireParseError("trailing bytes after the answer", cur.pos)
-    return Answer(tuple(values))
+    return Answer(tuple(FieldElement(params, x) for x in zip(*[iter(words)] * m)))
 
 
 # -- hello payloads ---------------------------------------------------------
@@ -263,7 +297,17 @@ def _read_exact(rfile, n: int) -> bytes | None:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # Seconds a read or write on a connection may wait before the server
+    # hangs up; socketserver applies it to the connection's socket.
+    timeout = 30.0
+
     def handle(self):
+        try:
+            self._serve()
+        except TimeoutError:
+            return  # an idle client: close without a traceback
+
+    def _serve(self):
         db: Database = self.server.db  # type: ignore[attr-defined]
         while True:
             header = _read_exact(self.rfile, _FRAME_HEADER.size)

@@ -15,6 +15,7 @@ from pircsi import (
     FieldParams,
     MODEL_I,
     MODEL_II,
+    ParameterError,
     ProtocolError,
     Query,
     QuerySet,
@@ -138,6 +139,67 @@ def test_decode_query_rejects_nonscalar_coefficients(gf9):
     with pytest.raises(WireParseError) as info:
         wire.decode_query(bad, gf9, 2)
     assert "scalar" in str(info.value)
+
+
+def _three_set_gf25_query():
+    # GF(5^2): every coefficient takes two u16 words.  Each set is 18 bytes
+    # (size, two u32 indices, two 4-byte coefficients) after a 4-byte head,
+    # so the third set's size sits at 40, its indices at 42 and 46, and its
+    # coefficients at 50 and 54.
+    params = FieldParams(5, 2)
+    sets = (QuerySet((1, 2), (1, 2)), QuerySet((3, 4), (3, 4)), QuerySet((5, 6), (1, 2)))
+    return params, wire.encode_query(Query(sets=sets, K=6, M=1), params)
+
+
+@pytest.mark.parametrize(
+    "at,patch,offset,text",
+    [
+        pytest.param(42, struct.pack("<I", 7), 42, "index 7 outside [1, 6]", id="bad-index"),
+        pytest.param(46, struct.pack("<I", 5), 46, "repeated index 5", id="repeat"),
+        pytest.param(50, struct.pack("<H", 0), 50, "coefficient 0 outside", id="zero-coeff"),
+        pytest.param(56, struct.pack("<H", 1), 54, "not a base-field scalar", id="high-word"),
+    ],
+)
+def test_decode_query_reports_the_slot_in_the_third_set(at, patch, offset, text):
+    params, blob = _three_set_gf25_query()
+    assert len(blob) == 58
+    with pytest.raises(WireParseError) as info:
+        wire.decode_query(blob[:at] + patch + blob[at + len(patch) :], params, 6)
+    assert info.value.offset == offset
+    assert text in str(info.value)
+
+
+def test_decode_answer_reports_the_bad_element_offset():
+    params = FieldParams(5, 2)
+    answer = Answer(tuple(params.element((j, j + 1)) for j in range(3)))
+    blob = wire.encode_answer(answer)
+    assert wire.decode_answer(blob, params) == answer
+    # the last element starts at 2 + 2 * 4 = 10; plant 5 in its high word
+    bad = blob[:12] + struct.pack("<H", 5)
+    with pytest.raises(WireParseError) as info:
+        wire.decode_answer(bad, params)
+    assert info.value.offset == 10
+    assert "out of range" in str(info.value)
+    # a bad element is named before a short run is reported as truncated
+    with pytest.raises(WireParseError) as info:
+        wire.decode_answer(b"\x04\x00" + bad[2:], params)
+    assert info.value.offset == 10
+    with pytest.raises(WireParseError) as info:
+        wire.decode_answer(b"\x04\x00" + blob[2:], params)
+    assert info.value.offset == 14 and "truncated" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "coeffs,slot",
+    [((4, 1), 0), ((1, -2), 1), ((3, 1), 0), ((1, 0), 1), ((1, 1.0), 1), ((1, "2"), 1)],
+)
+def test_encode_query_refuses_coefficients_outside_the_field(gf3, coeffs, slot):
+    # They were once reduced mod q, so the server answered another query.
+    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet((3, 4), coeffs)), K=4, M=1)
+    with pytest.raises(ParameterError) as info:
+        wire.encode_query(query, gf3)
+    assert f"coefficient {coeffs[slot]!r} in set 1, slot {slot} " in str(info.value)
+    assert "[1, 2]" in str(info.value)
 
 
 def test_decode_query_rejects_bad_shapes(gf3):
@@ -361,3 +423,16 @@ def test_concurrent_clients(gf9):
         for t in threads:
             t.join()
     assert not failures
+
+
+def test_idle_client_is_disconnected(gf3, monkeypatch, capfd):
+    monkeypatch.setattr(wire._Handler, "timeout", 0.3)
+    db = Database.random(gf3, 4, Random(17))
+    with wire.PirServer(db, port=0) as server:
+        with socket.create_connection(server.address, timeout=5) as silent:
+            start = time.perf_counter()
+            assert silent.recv(1) == b""  # the server hung up
+            assert time.perf_counter() - start < 3
+            # the server still answers the next client
+            assert wire.hello(server.address) == (gf3, 4)
+    assert "Traceback" not in capfd.readouterr().err
