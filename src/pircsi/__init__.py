@@ -8,7 +8,14 @@ make them private, auditors that verify privacy and recoverability, and a
 small wire protocol plus CLI for running the whole thing end to end.
 """
 
-from .errors import AuditSizeError, ParameterError, ProtocolError, WireParseError
+from .errors import (
+    AuditSizeError,
+    ParameterError,
+    ProtocolError,
+    SetRuleError,
+    ShapeError,
+    WireParseError,
+)
 from .field import FieldElement, FieldParams, sample_coefficient
 from .model import (
     MODEL_I,
@@ -92,6 +99,8 @@ __all__ = [
     "RecoverabilityReport",
     "RpDistribution",
     "Scenario",
+    "SetRuleError",
+    "ShapeError",
     "WireParseError",
     "audit_exact",
     "audit_montecarlo",

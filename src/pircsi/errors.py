@@ -23,3 +23,28 @@ class AuditSizeError(Exception):
     The message points the caller at the Monte-Carlo auditor, which has no
     size limit.
     """
+
+
+class ShapeError(ProtocolError):
+    """Raised when a query's case, set count or set sizes do not fit its model.
+
+    part names what is wrong: "case", "count" or "size".
+    """
+
+    def __init__(self, message: str, part: str):
+        super().__init__(message)
+        self.part = part
+
+
+class SetRuleError(ProtocolError, ParameterError):
+    """Raised for the first set-rule fault of a query, in wire byte order.
+    It is a ParameterError too, since the caller passed the faulty set.
+
+    Slot `slot` of set `set_no` (both from 0) holds `value`, and what is
+    wrong with it is one of "index" (not an int in range), "repeat" (an index
+    already in that set) or "coefficient" (not an int in [1, q-1]).
+    """
+
+    def __init__(self, message: str, set_no: int, slot: int, what: str, value):
+        super().__init__(message)
+        self.set_no, self.slot, self.what, self.value = set_no, slot, what, value

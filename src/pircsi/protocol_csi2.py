@@ -19,11 +19,11 @@ Each case downloads 0, 1, or 2 elements, matching the second-model capacity.
 from dataclasses import dataclass
 from random import Random
 
-from .errors import ParameterError, ProtocolError
+from .errors import ParameterError, ProtocolError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_II, Database, Scenario
 from .pmf import case2_pmf, case3_pmf, sample_from_pmf
-from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, answer_sets
+from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, answer_sets, check_sets
 
 CASE_TRIVIAL = 0
 CASE_SINGLE = 1
@@ -44,6 +44,13 @@ def case_shape(case: int, K: int) -> tuple[int, int | None]:
         CASE_OVERLAP: (2, None),
         CASE_FULL: (1, K),
     }[case]
+
+
+# Why a set of the wrong fixed size was refused, by case.
+_SIZE_ERRORS = {
+    CASE_SINGLE: "single-probe case takes exactly one index",
+    CASE_FULL: "full case must cover the whole database",
+}
 
 
 @dataclass(frozen=True)
@@ -73,12 +80,7 @@ def case_for(K: int, M: int) -> int:
 
 def download_cost(K: int, M: int) -> int:
     """Field elements downloaded per retrieval: 0, 1, or 2."""
-    case = case_for(K, M)
-    if case == CASE_TRIVIAL:
-        return 0
-    if case in (CASE_SINGLE, CASE_FULL):
-        return 1
-    return 2
+    return case_shape(case_for(K, M), K)[0]
 
 
 def build_query(
@@ -165,20 +167,27 @@ def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
             return c
 
 
-def answer_query(db: Database, query: Csi2Query) -> Answer:
-    """Evaluate a second-model query with the same strictness as the first."""
-    if query.case_tag not in CASE_TAGS:
-        raise ProtocolError(f"unknown case tag {query.case_tag!r}")
-    n_sets, size = case_shape(query.case_tag, db.K)
+def check_shape(query: Csi2Query, K: int) -> None:
+    """Raise ShapeError unless the query has its case's shape against K: a
+    known case tag, case_shape's set count and size, equal paired sizes."""
+    case = query.case_tag
+    if case not in CASE_TAGS:
+        raise ShapeError(f"unknown case tag {case!r}", "case")
+    n_sets, size = case_shape(case, K)
     if len(query.sets) != n_sets:
-        raise ProtocolError(
-            f"case {query.case_tag} carries {n_sets} sets, got {len(query.sets)}"
+        raise ShapeError(
+            f"case {case} carries {n_sets} sets, payload has {len(query.sets)}", "count"
         )
     if size is not None and any(len(qs.indices) != size for qs in query.sets):
-        raise ProtocolError(f"case {query.case_tag} sets must have size {size}")
+        raise ShapeError(_SIZE_ERRORS[case], "size")
     if n_sets == 2 and len(query.sets[0].indices) != len(query.sets[1].indices):
-        raise ProtocolError("paired query sets must have equal sizes")
-    return answer_sets(db, query.sets)
+        raise ShapeError("paired sets must have equal sizes", "size")
+
+
+def answer_query(db: Database, query: Csi2Query) -> Answer:
+    """Check the query, then evaluate each set against the database."""
+    check_shape(query, db.K)
+    return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

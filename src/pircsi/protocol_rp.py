@@ -9,13 +9,15 @@ query equally well.  The server returns one field element per set, and the
 client strips Y off the demand set's element.
 """
 
+import operator
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
 
 import numpy as np
 
-from .errors import ParameterError, ProtocolError
+from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_I, Database, Scenario
 from .pmf import rp_distribution, sample_from_pmf
@@ -170,82 +172,93 @@ def _validate_partition(query: Query, l: int) -> None:
         raise ProtocolError("built sets with the wrong repeat budget")
 
 
-def answer_query(db: Database, query: Query) -> Answer:
-    """Evaluate each query set against the database.
+def check_shape(query: Query, K: int) -> None:
+    """Raise ShapeError unless the query has the first model's shape against
+    K messages: at least one set, and every set of one size M+1 <= K."""
+    if not query.sets:
+        raise ShapeError("first-model query carries no sets", "count")
+    size = len(query.sets[0].indices)
+    if any(len(qs.indices) != size for qs in query.sets):
+        raise ShapeError("first-model sets must share one size", "size")
+    if size != query.M + 1:
+        raise ShapeError("query set size does not match its metadata", "size")
+    if size > K:
+        raise ShapeError(f"set size {size} exceeds the database", "size")
 
-    Structural faults (bad sizes, out-of-range or repeated indices, zero or
-    out-of-range coefficients) are rejected, never guessed around.
-    """
+
+def answer_query(db: Database, query: Query) -> Answer:
+    """Check the query, then evaluate each set against the database."""
     if query.K != db.K:
         raise ProtocolError(f"query addresses {query.K} messages, database has {db.K}")
-    if not query.sets:
-        raise ProtocolError("a first-model query carries at least one set")
-    for qs in query.sets:
-        if len(qs.indices) != query.M + 1:
-            raise ProtocolError("query set size does not match its metadata")
-    return answer_sets(db, query.sets)
+    check_shape(query, db.K)
+    return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
 
 
-def answer_sets(db: Database, sets) -> Answer:
-    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for every
-    set, as one gather over the database words.  The sets share one size.
+def set_arrays(sets) -> tuple[np.ndarray, np.ndarray]:
+    """The sets' indices and coefficients as two flat int64 arrays, in wire order.
+    Raises TypeError for an entry that is no int, OverflowError beyond int64."""
+    idx = array("q", list(chain.from_iterable(qs.indices for qs in sets)))
+    coef = array("q", list(chain.from_iterable(qs.coeffs for qs in sets)))
+    return np.frombuffer(idx, dtype=np.int64), np.frombuffer(coef, dtype=np.int64)
 
-    Every set is checked first: no repeated index, int indices in [1, K], int
-    coefficients in [1, q-1].  A fault is named by a scan in set order.
-    """
-    if not sets:
+
+def check_sets(sets, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The set rules of both models, checked once; returns set_arrays(sets).
+    Every index is an int in [1, K], no index comes twice in one set, and every
+    coefficient is an int in [1, q-1].  Only if a vectorised test finds a fault
+    does a scan raise SetRuleError for the first in wire order: set by set, the
+    indices (range, then a repeat at its second slot), then the coefficients."""
+    try:
+        idx, coef = set_arrays(sets)
+        if not _breaks_a_rule(sets, idx, coef, K, q):
+            return idx, coef
+    except (TypeError, OverflowError):
+        pass  # an entry that is not an int, or beyond int64: the scan names it
+    for k, qs in enumerate(sets):
+        seen = set()
+        for j, i in enumerate(qs.indices):
+            if not _int_in_range(i, K):
+                raise SetRuleError(f"index {i!r} outside [1, {K}]", k, j, "index", i)
+            if i in seen:
+                raise SetRuleError("repeated index inside a query set", k, j, "repeat", i)
+            seen.add(i)
+        for j, c in enumerate(qs.coeffs):
+            if not _int_in_range(c, q - 1):
+                text = f"coefficient {c!r} is not a nonzero scalar mod {q}"
+                raise SetRuleError(text, k, j, "coefficient", c)
+    raise AssertionError("the vectorised test found a fault the scan did not")
+
+
+def _breaks_a_rule(sets, idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> bool:
+    if idx.size and (idx.min() < 1 or idx.max() > K or coef.min() < 1 or coef.max() >= q):
+        return True
+    # An index repeats inside its set exactly when its (set, index) key repeats.
+    offsets = np.arange(0, len(sets) * (K + 1), K + 1, dtype=np.int64)
+    keys = np.repeat(offsets, [len(qs.indices) for qs in sets]) + idx
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
+
+
+def _int_in_range(x, top: int) -> bool:
+    try:
+        return 1 <= operator.index(x) <= top
+    except TypeError:
+        return False
+
+
+def answer_sets(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> Answer:
+    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each of
+    n sets, as one gather over the database words.  idx and coef come from
+    set_arrays, for sets that passed check_sets and their model's check_shape
+    (so they share one size); the kernel itself checks nothing."""
+    if not n:
         return Answer(())
-    K, q = db.K, db.params.q
-    idx = _int_matrix([qs.indices for qs in sets])
-    coef = _int_matrix([qs.coeffs for qs in sets])
-    if idx is None or coef is None or _breaks_a_rule(idx, coef, K, q):
-        _raise_first_fault(sets, K, q)
-        # The scan passed entries the matrix refuses: int subclasses such as bool.
-        idx = np.array([qs.indices for qs in sets], dtype=np.int64)
-        coef = np.array([qs.coeffs for qs in sets], dtype=np.int64)
     # Words are below q and coefficients at most q - 1, with q < 2^16, so a
     # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
     # sum exactly, and one reduction mod q at the end suffices.
-    sums = np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % q
-    params = db.params
-    return Answer(tuple(FieldElement(params, tuple(row)) for row in sums.tolist()))
-
-
-def _int_matrix(rows) -> np.ndarray | None:
-    """Equal-length rows as an int64 matrix, or None unless every entry is a
-    plain int that fits."""
-    flat = list(chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {int}:
-        return None
-    try:
-        return np.array(flat, dtype=np.int64).reshape(len(rows), -1)
-    except OverflowError:
-        return None
-
-
-def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> bool:
-    if not idx.size:
-        return False
-    ordered = np.sort(idx, axis=1)
-    return bool(
-        idx.min() < 1
-        or idx.max() > K
-        or coef.min() < 1
-        or coef.max() > q - 1
-        or (ordered[:, 1:] == ordered[:, :-1]).any()
-    )
-
-
-def _raise_first_fault(sets, K: int, q: int) -> None:
-    """Raise for the first fault in set order, term by term; return if none."""
-    for qs in sets:
-        if len(set(qs.indices)) != len(qs.indices):
-            raise ProtocolError("repeated index inside a query set")
-        for i, c in zip(qs.indices, qs.coeffs):
-            if not (isinstance(i, int) and 1 <= i <= K):
-                raise ProtocolError(f"index {i!r} outside [1, {K}]")
-            if not (isinstance(c, int) and 1 <= c <= q - 1):
-                raise ProtocolError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
+    terms = db.words[idx.reshape(n, -1) - 1]
+    sums = np.einsum("nsm,ns->nm", terms, coef.reshape(n, -1)) % db.params.q
+    return Answer(tuple(FieldElement(db.params, tuple(row)) for row in sums.tolist()))
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

@@ -11,7 +11,6 @@ Servers greet with (q, m, K) on request.  Messages are vectors over GF(q),
 so (q, m) is all a client needs to parse and combine them.
 """
 
-import operator
 import os
 import socket
 import socketserver
@@ -19,11 +18,11 @@ import struct
 import threading
 from itertools import chain
 
-from .errors import ParameterError, ProtocolError, WireParseError
+from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldElement, FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from .protocol_csi2 import CASE_FULL, CASE_SINGLE, CASE_TAGS, Csi2Query, case_shape
-from .protocol_rp import Answer, Query, QuerySet
+from .protocol_csi2 import CASE_TAGS, Csi2Query
+from .protocol_rp import Answer, Query, QuerySet, answer_sets, check_sets, set_arrays
 from .protocols import PROTOCOLS
 
 MSG_QUERY = 0x01
@@ -37,10 +36,19 @@ MAX_FRAME_BYTES = 1 << 20
 
 _MODEL_BYTES = {MODEL_I: 1, MODEL_II: 2}
 
-# Why a second-model set of the wrong fixed size was refused, by case.
-_SIZE_ERRORS = {
-    CASE_SINGLE: "single-probe case takes exactly one index",
-    CASE_FULL: "full case must cover the whole database",
+# The encoder checks indices against the u32 limit; K is the server's to check.
+_INDEX_LIMIT = 2**32 - 1
+
+# What encode_query and decode_query say about a set-rule fault, by kind.
+_REFUSALS = {
+    "index": "index {v!r} in set {k}, slot {j} is not an integer in [1, {limit}]",
+    "repeat": "index {v!r} in set {k}, slot {j} repeats an earlier index of its set",
+    "coefficient": "coefficient {v!r} in set {k}, slot {j} is not an integer in [1, {top}]",
+}
+_PARSE_ERRORS = {
+    "index": "index {v} outside [1, {K}]",
+    "repeat": "repeated index {v} inside a set",
+    "coefficient": "coefficient {v} outside [1, {top}]",
 }
 
 
@@ -100,9 +108,6 @@ class _Cursor:
     def u16(self, what: str) -> int:
         return struct.unpack("<H", self.take(2, what))[0]
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
     def run(self, width: int, count: int) -> tuple[int, int]:
         """Skip past as many of count width-byte items as are present; returns
         their start offset and how many there were."""
@@ -114,13 +119,14 @@ class _Cursor:
 
 def _encode_sets(sets, params: FieldParams) -> bytes:
     q, m = params.q, params.m
-    coeffs = list(chain.from_iterable(qs.coeffs for qs in sets))
     try:
-        in_range = not coeffs or (1 <= min(coeffs) and max(coeffs) <= q - 1)
-    except TypeError:
-        in_range = False
-    if not in_range:
-        _refuse_coefficient(sets, q)
+        check_sets(sets, _INDEX_LIMIT, q)
+    except SetRuleError as fault:
+        k, j, v = fault.set_no, fault.slot, fault.value
+        text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
+        raise SetRuleError(text, k, j, fault.what, v) from None
+    if len(sets) > 0xFFFF or any(len(qs.indices) > 0xFFFF for qs in sets):
+        raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
     # One pack for the whole run of sets.  A coefficient travels as its
     # element's encoding: the value in the first word, zeros in the rest.
     layout, values = ["<H"], [len(sets)]
@@ -132,25 +138,7 @@ def _encode_sets(sets, params: FieldParams) -> bytes:
         values.append(size)
         values.extend(qs.indices)
         values.extend(words)
-    try:
-        return struct.pack("".join(layout), *values)
-    except struct.error:
-        _refuse_coefficient(sets, q)
-        raise
-
-
-def _refuse_coefficient(sets, q: int) -> None:
-    """Name the first coefficient that is not an integer in [1, q-1], if any."""
-    for k, qs in enumerate(sets):
-        for j, c in enumerate(qs.coeffs):
-            try:
-                ok = 1 <= operator.index(c) <= q - 1
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ParameterError(
-                    f"coefficient {c!r} in set {k}, slot {j} is not an integer in [1, {q - 1}]"
-                )
+    return struct.pack("".join(layout), *values)
 
 
 def encode_query(query, params: FieldParams) -> bytes:
@@ -166,7 +154,9 @@ def encode_query(query, params: FieldParams) -> bytes:
 
 def decode_query(data: bytes, params: FieldParams, K: int):
     """Parse a query payload.  Total on arbitrary bytes: every failure is a
-    WireParseError carrying the byte offset, never a crash."""
+    WireParseError carrying the byte offset, never a crash.  Framing faults
+    come first, then the model's shape, then the first set-rule fault in byte
+    order; a query this returns is well formed and needs no second check."""
     cur = _Cursor(data)
     model_byte = cur.u8("model byte")
     if model_byte not in (1, 2):
@@ -177,60 +167,44 @@ def decode_query(data: bytes, params: FieldParams, K: int):
     if model_byte == 2 and case_byte not in CASE_TAGS:
         raise WireParseError(f"unknown case byte {case_byte}", 1)
     n_sets = cur.u16("set count")
-    q, m, width = params.q, params.m, params.element_bytes
-    sets = []
+    m, width = params.m, params.element_bytes
+    sets, runs = [], []
     for _ in range(n_sets):
         size = cur.u16("set size")
         if size == 0:
             raise WireParseError("empty query set", cur.pos - 2)
-        # Each run is unpacked at once; the items present are checked in order
-        # before a short run is reported as truncated.
-        at, present = cur.run(4, size)
-        indices = struct.unpack_from(f"<{present}I", data, at)
-        seen = set()
-        for j, idx in enumerate(indices):
-            if not 1 <= idx <= K:
-                raise WireParseError(f"index {idx} outside [1, {K}]", at + 4 * j)
-            if idx in seen:
-                raise WireParseError(f"repeated index {idx} inside a set", at + 4 * j)
-            seen.add(idx)
+        idx_at, present = cur.run(4, size)
         if present < size:
             raise WireParseError("truncated index", cur.pos)
+        indices = struct.unpack_from(f"<{size}I", data, idx_at)
         at, present = cur.run(width, size)
-        words = struct.unpack_from(f"<{present * m}H", data, at)
-        coeffs = words[::m]
-        for j, c in enumerate(coeffs):
-            if any(words[j * m + 1 : (j + 1) * m]):
-                raise WireParseError("coefficient is not a base-field scalar", at + width * j)
-            if not 1 <= c <= q - 1:
-                raise WireParseError(f"coefficient {c} outside [1, {q - 1}]", at + width * j)
         if present < size:
             raise WireParseError("truncated coefficient", cur.pos)
-        sets.append(QuerySet(indices, coeffs))
+        words = struct.unpack_from(f"<{size * m}H", data, at)
+        if any(any(words[k::m]) for k in range(1, m)):
+            j = next(j for j in range(size) if any(words[j * m + 1 : (j + 1) * m]))
+            raise WireParseError("coefficient is not a base-field scalar", at + width * j)
+        sets.append(QuerySet(indices, words[::m]))
+        runs.append((idx_at, at))
     if cur.pos != len(data):
         raise WireParseError("trailing bytes after the query", cur.pos)
 
     if model_byte == 1:
-        if not sets:
-            raise WireParseError("first-model query carries no sets", 2)
-        sizes = {len(qs.indices) for qs in sets}
-        if len(sizes) != 1:
-            raise WireParseError("first-model sets must share one size", 4)
-        size = sizes.pop()
-        if size > K:
-            raise WireParseError(f"set size {size} exceeds the database", 4)
-        return Query(sets=tuple(sets), K=K, M=size - 1)
-
-    arity, size = case_shape(case_byte, K)
-    if len(sets) != arity:
-        raise WireParseError(
-            f"case {case_byte} carries {arity} sets, payload has {len(sets)}", 2
-        )
-    if size is not None and len(sets[0].indices) != size:
-        raise WireParseError(_SIZE_ERRORS[case_byte], 4)
-    if arity == 2 and len(sets[0].indices) != len(sets[1].indices):
-        raise WireParseError("paired sets must have equal sizes", 4)
-    return Csi2Query(sets=tuple(sets), case_tag=case_byte)
+        query = Query(sets=tuple(sets), K=K, M=len(sets[0].indices) - 1 if sets else 0)
+    else:
+        query = Csi2Query(sets=tuple(sets), case_tag=case_byte)
+    try:
+        PROTOCOLS[query.model].check_shape(query, K)
+        check_sets(query.sets, K, params.q)
+    except ShapeError as fault:  # the case byte, the set count, the first set's size
+        raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
+    except SetRuleError as fault:
+        idx_at, coef_at = runs[fault.set_no]
+        j, coefficient = fault.slot, fault.what == "coefficient"
+        at = coef_at + width * j if coefficient else idx_at + 4 * j
+        text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
+        raise WireParseError(text, at) from None
+    return query
 
 
 # -- answer payloads --------------------------------------------------------
@@ -325,10 +299,12 @@ class _Handler(socketserver.StreamRequestHandler):
             elif msg_type == MSG_QUERY:
                 try:
                     query = decode_query(payload, db.params, db.K)
-                    answer = PROTOCOLS[query.model].answer_query(db, query)
-                except (WireParseError, ProtocolError, ParameterError) as exc:
+                except WireParseError as exc:
                     self._send(MSG_ERROR, str(exc).encode("utf-8"))
                 else:
+                    # decode_query returns only well-formed queries, so the
+                    # kernel answers without checking them a second time.
+                    answer = answer_sets(db, len(query.sets), *set_arrays(query.sets))
                     self._send(MSG_ANSWER, encode_answer(answer))
             else:
                 self._send(MSG_ERROR, f"unexpected frame type 0x{msg_type:02x}".encode())

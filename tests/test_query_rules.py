@@ -1,0 +1,154 @@
+"""The query rules are checked once and agree across layers: the wire decoder
+rejects exactly the payloads whose sets answer_query rejects, at the slot it
+names, and a served fetch checks its sets once on each side."""
+import struct
+import sys
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pircsi import (
+    Csi2Query,
+    Database,
+    FieldParams,
+    MODEL_I,
+    MODEL_II,
+    ParameterError,
+    ProtocolError,
+    Query,
+    QuerySet,
+    SetRuleError,
+    ShapeError,
+    WireParseError,
+    protocol_csi2,
+    protocol_rp,
+    sample_scenario,
+    wire,
+)
+from pircsi.protocol_csi2 import CASE_TAGS, case_shape
+
+FIELDS = [(3, 1), (5, 2), (257, 4)]
+FAULTS = ["none", "index", "repeat", "coefficient-0", "coefficient-q", "size", "count"]
+
+
+def _pack(model_byte, case, sets, m):
+    """The payload of (indices, coefficients) pairs, and the byte offset of
+    every index and coefficient slot, keyed (set, slot, is-coefficient)."""
+    blob = bytearray(struct.pack("<BBH", model_byte, case, len(sets)))
+    offsets = {}
+    for k, (indices, coeffs) in enumerate(sets):
+        blob += struct.pack("<H", len(indices))
+        for j, i in enumerate(indices):
+            offsets[k, j, False] = len(blob)
+            blob += struct.pack("<I", i)
+        for j, c in enumerate(coeffs):
+            offsets[k, j, True] = len(blob)
+            blob += struct.pack(f"<{m}H", c, *[0] * (m - 1))
+    return bytes(blob), offsets
+
+
+@st.composite
+def _queries_with_a_fault(draw):
+    q, m = draw(st.sampled_from(FIELDS))
+    K = draw(st.integers(2, 10))
+    model = draw(st.sampled_from([MODEL_I, MODEL_II]))
+    if model == MODEL_I:
+        case, n, size = 0, draw(st.integers(1, 4)), draw(st.integers(1, K))
+    else:
+        case = draw(st.sampled_from(CASE_TAGS))
+        n, size = case_shape(case, K)
+        size = size or draw(st.integers(1, K))
+    sets = [
+        (list(draw(st.permutations(range(1, K + 1)))[:size]),
+         [draw(st.integers(1, q - 1)) for _ in range(size)])
+        for _ in range(n)
+    ]
+    fault = draw(st.sampled_from(FAULTS))
+    if sets and fault != "none":
+        k = draw(st.integers(0, len(sets) - 1))
+        indices, coeffs = sets[k]
+        j = draw(st.integers(0, len(indices) - 1))
+        if fault == "index":
+            indices[j] = draw(st.sampled_from([0, K + 1, 2**32 - 1]))
+        elif fault == "repeat" and j > 0:
+            indices[j] = indices[draw(st.integers(0, j - 1))]
+        elif fault.startswith("coefficient"):
+            coeffs[j] = 0 if fault == "coefficient-0" else q
+        elif fault == "size":
+            indices.append(draw(st.integers(1, K)))
+            coeffs.append(1)
+        elif fault == "count" and draw(st.booleans()):
+            sets.pop(k)
+        elif fault == "count":
+            sets.append(sets[k])
+    elif fault == "count":
+        sets.append(([1], [1]))
+    return FieldParams(q, m), K, model, case, sets
+
+
+def _in_process(model, case, K, sets):
+    sets = tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets)
+    if model == MODEL_I:
+        return Query(sets=sets, K=K, M=len(sets[0].indices) - 1 if sets else 0)
+    return Csi2Query(sets=sets, case_tag=case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_queries_with_a_fault())
+def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
+    params, K, model, case, sets = drawn
+    blob, offsets = _pack(1 if model == MODEL_I else 2, case, sets, params.m)
+    query = _in_process(model, case, K, sets)
+    db = Database.random(params, K, Random(0))
+    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+
+    try:
+        parsed, parse_error = wire.decode_query(blob, params, K), None
+    except WireParseError as exc:
+        parsed, parse_error = None, exc
+    try:
+        answer, answer_error = protocol.answer_query(db, query), None
+    except ProtocolError as exc:
+        answer, answer_error = None, exc
+
+    assert (parse_error is None) == (answer_error is None), (parse_error, answer_error)
+    if answer_error is None:
+        assert parsed == query
+        assert protocol.answer_query(db, parsed) == answer
+    elif isinstance(answer_error, SetRuleError):
+        slot = (answer_error.set_no, answer_error.slot, answer_error.what == "coefficient")
+        assert parse_error.offset == offsets[slot]
+    else:
+        assert isinstance(answer_error, ShapeError)
+        assert parse_error.offset in (2, 4)
+    # The encoder refuses only queries the server would reject; it sends the
+    # same bytes otherwise.
+    try:
+        assert wire.encode_query(query, params) == blob
+    except ParameterError:
+        assert answer_error is not None
+
+
+@pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
+def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, model, M):
+    callers = []
+    real = protocol_rp.check_sets
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for module in (protocol_rp, protocol_csi2, wire):
+        monkeypatch.setattr(module, "check_sets", counting)
+    rng = Random(18)
+    db = Database.random(gf9, 8, rng)
+    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+    scenario = sample_scenario(db, M, model, rng)
+    query, state = protocol.build_query(scenario, db.K, rng)
+    with wire.PirServer(db, port=0) as server:
+        answer = wire.fetch(server.address, query, db.params)
+    assert protocol.decode_answer(answer, state) == db[scenario.W]
+    # the client's encode, then the server's decode; the answer step checks nothing
+    assert callers == ["_encode_sets", "decode_query"]

@@ -202,6 +202,25 @@ def test_encode_query_refuses_coefficients_outside_the_field(gf3, coeffs, slot):
     assert "[1, 2]" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "indices,slot,rule",
+    [
+        pytest.param((0, 4), 0, "is not an integer in [1, 4294967295]", id="zero"),
+        pytest.param((3, -1), 1, "is not an integer in [1, 4294967295]", id="negative"),
+        pytest.param((1.0, 4), 0, "is not an integer in [1, 4294967295]", id="float"),
+        pytest.param((3, "2"), 1, "is not an integer in [1, 4294967295]", id="str"),
+        pytest.param((2**32, 4), 0, "is not an integer in [1, 4294967295]", id="2^32"),
+        pytest.param((4, 4), 1, "repeats an earlier index of its set", id="repeat"),
+    ],
+)
+def test_encode_query_refuses_bad_indices(gf3, indices, slot, rule):
+    # They once went out (0, a repeat) or escaped as a bare struct.error.
+    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet(indices, (1, 1))), K=4, M=1)
+    with pytest.raises(ParameterError) as info:
+        wire.encode_query(query, gf3)
+    assert str(info.value) == f"index {indices[slot]!r} in set 1, slot {slot} {rule}"
+
+
 def test_decode_query_rejects_bad_shapes(gf3):
     # unequal set sizes in a first-model query
     blob = bytes.fromhex(
