@@ -1,7 +1,7 @@
 """Privacy, recoverability, and rate verification.
 
 The exact auditor enumerates every scenario and every branch of the query
-builder with rational probabilities, then applies Bayes' rule per query
+builder with exact integer weights, then applies Bayes' rule per query
 fingerprint: the protocol is private iff every posterior over demands is the
 flat 1/K vector.  The Monte-Carlo auditor replaces enumeration with seeded
 sampling and chi-square tests, which scales to cells the exact auditor
@@ -13,7 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, inf
+from math import comb, factorial, inf, lcm
+from operator import itemgetter
 from random import Random
 
 from scipy.stats import chisquare
@@ -23,14 +24,7 @@ from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database, sample_scenario
 from .pmf import capacity, case2_pmf, case3_pmf, rp_distribution
 from .protocols import PROTOCOLS
-from .protocol_csi2 import (
-    CASE_DISJOINT,
-    CASE_FULL,
-    CASE_OVERLAP,
-    CASE_SINGLE,
-    CASE_TRIVIAL,
-    case_for,
-)
+from .protocol_csi2 import CASE_DISJOINT, CASE_OVERLAP, CASE_SINGLE, CASE_TRIVIAL, case_for
 from .protocol_rp import canonical_fingerprint
 
 DEFAULT_ROW_GUARD = 10_000_000
@@ -109,33 +103,41 @@ def audit_exact(model: str, K: int, M: int, *, row_guard: int = DEFAULT_ROW_GUAR
         rows = _rp_enumeration_size(K, M)
         if rows > row_guard:
             raise AuditSizeError(f"exact enumeration needs {rows} rows (> {row_guard})")
-        joint = _enumerate_rp(K, M)
+        joint, D = _enumerate_rp(K, M)
     elif model == MODEL_II:
-        joint = _enumerate_csi2(K, M)
+        joint, D = _enumerate_csi2(K, M)
     else:
         raise ParameterError(f"unknown model {model!r}")
 
     flat = Fraction(1, K)
     posteriors, probs = {}, {}
-    uniform = True
-    worst = Fraction(0)
+    # The worst |x/total - 1/K| so far, as num/den: over a row it lies at the
+    # row's min or max, and num/den = (K*x - total)/(K*total) stays integral.
+    worst_num, worst_den = 0, 1
+    mass = 0
     for fp in sorted(joint):
         row = joint[fp]
         total = sum(row)
-        post = tuple(x / total for x in row)
-        posteriors[fp] = post
-        probs[fp] = total
-        for x in post:
-            dev = abs(x - flat)
-            if dev > worst:
-                worst = dev
-            if x != flat:
-                uniform = False
-    return PosteriorReport(model, K, M, posteriors, probs, uniform, worst)
+        mass += total
+        probs[fp] = Fraction(total, D)
+        lo, hi = min(row), max(row)
+        if lo * K == total == hi * K:
+            posteriors[fp] = (flat,) * K
+            continue
+        posteriors[fp] = tuple(Fraction(x, total) for x in row)
+        num, den = max(hi * K - total, total - lo * K), K * total
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+    if mass != D:
+        raise AssertionError(f"branch weights sum to {mass}/{D}, not 1")
+    uniform = worst_num == 0
+    return PosteriorReport(model, K, M, posteriors, probs, uniform, Fraction(worst_num, worst_den))
 
 
 def _rp_enumeration_size(K: int, M: int) -> int:
-    """Branch count of the exact first-model enumeration, before running it."""
+    """Branch count of the first-model builder at (K, M), each draw order
+    counted apart: the size guard on exact cells.  The enumeration visits
+    fewer rows, one per unordered filling."""
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
     per_scenario = 0
@@ -153,114 +155,138 @@ def _rp_enumeration_size(K: int, M: int) -> int:
     return comb(K, M) * (K - M) * per_scenario
 
 
-def _enumerate_rp(K: int, M: int) -> dict:
+def _enumerate_rp(K: int, M: int) -> tuple[dict, int]:
+    """Every (fingerprint, demand) pair the first-model builder can produce,
+    as integer weights over one common denominator D: the pair has
+    probability joint[fingerprint][W - 1] / D."""
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
-    classes = dist.realizable_table()
     prior = Fraction(1, comb(K, M) * (K - M))
-    joint: dict = defaultdict(lambda: [Fraction(0)] * K)
+    # A duplicate class draws its repeats uniformly, and each filling of the
+    # other sets from the pool they leave is equally likely; so one weight
+    # per class covers every row.
+    weights, layouts = {}, {}
+    for (s, r), p_class in dist.realizable_table().items():
+        pool_size = s + (s + r == l - 1) + K - M - 1 - r
+        layouts[s, r] = _completion_layout(pool_size, M + 1 - r, M + 1, n)
+        draws = comb(M, s) * comb(K - M - 1, r) * len(layouts[s, r])
+        weights[s, r] = prior * p_class / draws
+    weights, D = _on_common_denominator(weights)
+    joint: dict = defaultdict(lambda: [0] * K)
     universe = range(1, K + 1)
     for S in combinations(universe, M):
-        s_set = set(S)
         for W in universe:
-            if W in s_set:
+            if W in S:
                 continue
-            outside = [i for i in universe if i != W and i not in s_set]
+            outside = tuple(i for i in universe if i != W and i not in S)
             demand_set = tuple(sorted((W,) + S))
-            for (s, r), p_class in classes.items():
-                p_draw = prior * p_class / (comb(M, s) * comb(len(outside), r))
-                takes_w = s + r == l - 1
+            for (s, r), w in weights.items():
+                extra = (W,) if s + r == l - 1 else ()
                 for sub_s in combinations(S, s):
-                    for sub_v in combinations(outside, r):
-                        repeats = set(sub_s) | set(sub_v)
-                        if takes_w:
-                            repeats.add(W)
-                        pool_all = repeats | set(outside)
-                        if n == 1:
-                            joint[(demand_set,)][W - 1] += p_draw
-                            continue
-                        for fp, share in _completions(
-                            demand_set, pool_all, sub_v, M, n, r
-                        ):
-                            joint[fp][W - 1] += p_draw * share
-    return dict(joint)
+                    for shared in combinations(outside, r):
+                        # The sorted pool the non-demand sets are filled from;
+                        # the shared outside repeats join the second and third.
+                        unshared = tuple(i for i in outside if i not in shared)
+                        pool = tuple(sorted(sub_s + extra + unshared))
+                        for entry in layouts[s, r]:
+                            sets = [get(pool) for get in entry]
+                            if r:
+                                sets[0] = tuple(sorted(shared + sets[0]))
+                                sets[1] = tuple(sorted(shared + sets[1]))
+                            sets.append(demand_set)
+                            sets.sort()
+                            joint[tuple(sets)][W - 1] += w
+    return dict(joint), D
 
 
-def _completions(demand_set, pool_all, shared, M, n, r):
-    """Yield (fingerprint, probability share) over every ordered way to fill
-    the non-demand sets, mirroring the builder's draws exactly."""
-    size = M + 1 - r
-    pool1 = sorted(pool_all - set(shared))
-    t1 = comb(len(pool1), size)
-    for q2f in combinations(pool1, size):
-        q2 = tuple(sorted(shared + q2f))
-        if n == 2:
-            fp = tuple(sorted((demand_set, q2)))
-            yield fp, Fraction(1, t1)
-            continue
-        pool2 = sorted(pool_all - set(q2))
-        t2 = comb(len(pool2), size)
-        for q3f in combinations(pool2, size):
-            q3 = tuple(sorted(shared + q3f))
-            rest = tuple(sorted(pool_all - set(q2) - set(q3)))
-            n_parts = factorial(len(rest)) // factorial(M + 1) ** (n - 3)
-            share = Fraction(1, t1 * t2 * n_parts)
-            for tail in _ordered_partitions(rest, M + 1):
-                fp = tuple(sorted((demand_set, q2, q3) + tail))
-                yield fp, share
+def _on_common_denominator(weights: dict) -> tuple[dict, int]:
+    """Fraction weights as integers over their least common denominator D."""
+    D = lcm(*(w.denominator for w in weights.values()))
+    return {b: w.numerator * (D // w.denominator) for b, w in weights.items()}, D
 
 
-def _ordered_partitions(items: tuple, size: int):
-    if not items:
-        yield ()
-        return
-    for head in combinations(items, size):
-        remaining = tuple(i for i in items if i not in set(head))
-        for tail in _ordered_partitions(remaining, size):
-            yield (tuple(head),) + tail
+def _completion_layout(pool: int, fresh: int, size: int, n: int) -> list[tuple]:
+    """The ways to fill the n - 1 non-demand sets from a sorted pool of `pool`
+    indices, each as one getter per set.  The second and third sets come
+    first and take `fresh` indices each (plus the shared repeats); the tail
+    sets take `size`.  Each filling is listed once, whatever order the builder
+    drew its sets in: the fingerprint sorts the sets, and every filling has
+    equally many orders."""
+    sizes = (fresh,) * min(n - 1, 2) + (size,) * (n - 3)
+    return [tuple(map(_getter, sorted(split, key=len))) for split in _splits(pool, sizes)]
 
 
-def _enumerate_csi2(K: int, M: int) -> dict:
+def _splits(length: int, sizes: tuple) -> list[tuple]:
+    """Every split of positions 0..length-1 into ascending blocks of the given
+    sizes, blocks of one size unordered: the block holding position 0 takes
+    each size and each choice of mates once, and the rest splits the same way."""
+    if not sizes:
+        return [()]
+    splits = []
+    for size in sorted(set(sizes)):
+        left_sizes = list(sizes)
+        left_sizes.remove(size)
+        for mates in combinations(range(1, length), size - 1):
+            left = [p for p in range(1, length) if p not in mates]
+            for split in _splits(len(left), tuple(left_sizes)):
+                splits.append(((0, *mates), *(tuple(left[p] for p in b) for b in split)))
+    return splits
+
+
+def _getter(positions: tuple):
+    # itemgetter of one position returns a bare item; a slice keeps a tuple.
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _enumerate_csi2(K: int, M: int) -> tuple[dict, int]:
+    """The second model's (fingerprint, demand) pairs, as integer weights over
+    one common denominator D, like _enumerate_rp."""
     if not 1 <= M <= K:
         raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
     case = case_for(K, M)
     prior = Fraction(1, comb(K, M) * M)
-    joint: dict = defaultdict(lambda: [Fraction(0)] * K)
-    universe = range(1, K + 1)
+    # The weight of one branch, by the outcome the builder draws: the probed
+    # index is the demand or not (single case), or the pmf outcome, spread
+    # evenly over the index draws that follow it.
+    if case == CASE_SINGLE:
+        weights = {True: prior / K, False: prior * (K - 1) / K}
+    elif case == CASE_DISJOINT:
+        weights = {r: prior * p / comb(K - M, r) for r, p in case2_pmf(K, M).items()}
+    elif case == CASE_OVERLAP:
+        weights = {s: prior * p / comb(M - 1, s) for s, p in case3_pmf(K, M).items()}
+    else:  # CASE_TRIVIAL, CASE_FULL: one branch
+        weights = {None: prior}
+    weights, D = _on_common_denominator(weights)
+    joint: dict = defaultdict(lambda: [0] * K)
+    universe = tuple(range(1, K + 1))
     for S in combinations(universe, M):
-        s_set = set(S)
-        outside = [i for i in universe if i not in s_set]
+        outside = tuple(i for i in universe if i not in S)
         for W in S:
+            column = W - 1
+            others = tuple(i for i in S if i != W)
             if case == CASE_TRIVIAL:
-                joint[()][W - 1] += prior
+                joint[()][column] += weights[None]
             elif case == CASE_SINGLE:
-                partner = next(i for i in S if i != W)
-                joint[((W,),)][W - 1] += prior * Fraction(1, K)
-                joint[((partner,),)][W - 1] += prior * Fraction(K - 1, K)
+                joint[((W,),)][column] += weights[True]
+                joint[(others,)][column] += weights[False]
             elif case == CASE_DISJOINT:
-                keep = tuple(i for i in S if i != W)
-                pmf = case2_pmf(K, M)
-                for r, p in pmf.items():
+                for r, w in weights.items():
                     # r outside indices are drawn in both branches; the demand
                     # itself joins the cover set only in the smaller branch.
-                    share = prior * p / comb(len(outside), r)
                     for sub in combinations(outside, r):
-                        cover = tuple(sorted(sub if r == M - 1 else (W,) + sub))
-                        fp = tuple(sorted((keep, cover)))
-                        joint[fp][W - 1] += share
+                        cover = sub if r == M - 1 else tuple(sorted((W,) + sub))
+                        joint[tuple(sorted((others, cover)))][column] += w
             elif case == CASE_OVERLAP:
-                others = tuple(i for i in S if i != W)
-                pmf = case3_pmf(K, M)
-                for s, p in pmf.items():
-                    share = prior * p / comb(len(others), s)
+                for s, w in weights.items():
                     for sub in combinations(others, s):
                         core = sub if s == 2 * M - K else (W,) + sub
-                        cover = tuple(sorted(set(core) | set(outside)))
-                        fp = tuple(sorted((S, cover)))
-                        joint[fp][W - 1] += share
+                        cover = tuple(sorted(core + outside))
+                        joint[tuple(sorted((S, cover)))][column] += w
             else:  # CASE_FULL
-                joint[(tuple(universe),)][W - 1] += prior
-    return dict(joint)
+                joint[(universe,)][column] += weights[None]
+    return dict(joint), D
 
 
 def audit_montecarlo(

@@ -6,9 +6,10 @@ protocol is the pmf over "duplicate classes" (s, r): s indices repeated from
 the side-information support and r repeated from the rest of the database.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, inf, lcm
 from random import Random
 
@@ -55,6 +56,11 @@ class RpDistribution:
         kept = {sr: p for sr, p in self.table.items() if sr[1] == 0}
         total = sum(kept.values())
         return {sr: p / total for sr, p in kept.items()}
+
+    @cached_property
+    def cdf(self) -> "Cdf":
+        """The table, ready to draw a class from; built on first use."""
+        return Cdf.of(self.table)
 
 
 def _alpha(K: int, M: int, n: int, r: int) -> Fraction:
@@ -217,6 +223,37 @@ def capacity(model: str, K: int, M: int):
             return Fraction(1)
         return Fraction(1, 2)
     raise ParameterError(f"unknown model {model!r}")
+
+
+@dataclass(frozen=True)
+class Cdf:
+    """A pmf ready for exact inverse-CDF draws: its outcomes in sorted order,
+    and their cumulative masses as numerators over the common denominator.
+    draw(rng) returns what sample_from_pmf(table, rng) would, and consumes
+    the generator the same way, without sorting the table each time."""
+
+    denom: int
+    cumulative: tuple[int, ...]
+    outcomes: tuple
+
+    @classmethod
+    def of(cls, table: dict) -> "Cdf":
+        items = sorted(table.items())
+        if not items:
+            raise ParameterError("cannot sample from an empty pmf")
+        denom = lcm(*(p.denominator for _, p in items))
+        cumulative, acc = [], 0
+        for _, p in items:
+            acc += p.numerator * (denom // p.denominator)
+            cumulative.append(acc)
+        if acc != denom:
+            raise ParameterError(f"pmf masses sum to {acc}/{denom}, not 1")
+        return cls(denom, tuple(cumulative), tuple(outcome for outcome, _ in items))
+
+    def draw(self, rng: Random):
+        """One uniform integer below the denominator picks the first outcome
+        whose cumulative numerator exceeds it."""
+        return self.outcomes[bisect_right(self.cumulative, rng.randrange(self.denom))]
 
 
 def sample_from_pmf(table: dict, rng: Random):

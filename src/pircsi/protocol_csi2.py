@@ -17,12 +17,13 @@ Each case downloads 0, 1, or 2 elements, matching the second-model capacity.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .errors import ParameterError, ProtocolError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_II, Database, Scenario
-from .pmf import case2_pmf, case3_pmf, sample_from_pmf
+from .pmf import Cdf, case2_pmf, case3_pmf
 from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, answer_sets, check_sets
 
 CASE_TRIVIAL = 0
@@ -113,7 +114,7 @@ def build_query(
     coeff_of = dict(zip(scenario.S, scenario.C))
     outside = [i for i in range(1, K + 1) if i not in support]
     if case == CASE_DISJOINT:
-        r = sample_from_pmf(case2_pmf(K, M), rng)
+        r = _cover_cdf(case, K, M).draw(rng)
         if r == M - 2:
             cover = sorted([W] + rng.sample(outside, M - 2))
         else:
@@ -123,7 +124,7 @@ def build_query(
         state_coeff = None  # decoder divides by the true coefficient on W
         pair = [known, _fresh(cover, params, rng)]
     elif case == CASE_OVERLAP:
-        s = sample_from_pmf(case3_pmf(K, M), rng)
+        s = _cover_cdf(case, K, M).draw(rng)
         others = [i for i in scenario.S if i != W]
         if s == 2 * M - K - 1:
             repeats = sorted([W] + rng.sample(others, s))
@@ -155,6 +156,12 @@ def build_query(
     return query, state
 
 
+@lru_cache(maxsize=None)
+def _cover_cdf(case: int, K: int, M: int) -> Cdf:
+    """The cover-set pmf of the disjoint or the overlap case, ready to draw from."""
+    return Cdf.of(case2_pmf(K, M) if case == CASE_DISJOINT else case3_pmf(K, M))
+
+
 def _fresh(indices, params, rng: Random) -> QuerySet:
     return QuerySet(tuple(indices), tuple(sample_coefficient(params, rng) for _ in indices))
 
@@ -169,7 +176,8 @@ def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
 
 def check_shape(query: Csi2Query, K: int) -> None:
     """Raise ShapeError unless the query has its case's shape against K: a
-    known case tag, case_shape's set count and size, equal paired sizes."""
+    known case tag, case_shape's set count and size, no empty set, equal
+    paired sizes."""
     case = query.case_tag
     if case not in CASE_TAGS:
         raise ShapeError(f"unknown case tag {case!r}", "case")
@@ -178,6 +186,8 @@ def check_shape(query: Csi2Query, K: int) -> None:
         raise ShapeError(
             f"case {case} carries {n_sets} sets, payload has {len(query.sets)}", "count"
         )
+    if any(not qs.indices for qs in query.sets):
+        raise ShapeError("empty query set", "size")
     if size is not None and any(len(qs.indices) != size for qs in query.sets):
         raise ShapeError(_SIZE_ERRORS[case], "size")
     if n_sets == 2 and len(query.sets[0].indices) != len(query.sets[1].indices):

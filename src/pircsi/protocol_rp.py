@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_I, Database, Scenario
-from .pmf import rp_distribution, sample_from_pmf
+from .pmf import Cdf, rp_distribution
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,12 @@ def build_query(
     params = scenario.Y.params
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
-    table = dist.table if _class_pmf is None else _class_pmf
+    cdf = dist.cdf if _class_pmf is None else Cdf.of(_class_pmf)
 
     # Draw a duplicate class; with two sets, classes needing an outside repeat
     # cannot be completed, so those draws are rejected and redrawn.
     while True:
-        s, r = sample_from_pmf(table, rng)
+        s, r = cdf.draw(rng)
         if n != 2 or r == 0:
             break
 
@@ -174,9 +174,11 @@ def _validate_partition(query: Query, l: int) -> None:
 
 def check_shape(query: Query, K: int) -> None:
     """Raise ShapeError unless the query has the first model's shape against
-    K messages: at least one set, and every set of one size M+1 <= K."""
+    K messages: at least one set, and every set of one size 1 <= M+1 <= K."""
     if not query.sets:
         raise ShapeError("first-model query carries no sets", "count")
+    if any(not qs.indices for qs in query.sets):
+        raise ShapeError("empty query set", "size")
     size = len(query.sets[0].indices)
     if any(len(qs.indices) != size for qs in query.sets):
         raise ShapeError("first-model sets must share one size", "size")

@@ -119,13 +119,16 @@ class _Cursor:
 
 def _encode_sets(sets, params: FieldParams) -> bytes:
     q, m = params.q, params.m
+    sizes = [len(qs.indices) for qs in sets]
+    if 0 in sizes:
+        raise ParameterError(f"set {sizes.index(0)} is empty; a query set holds at least one index")
     try:
         check_sets(sets, _INDEX_LIMIT, q)
     except SetRuleError as fault:
         k, j, v = fault.set_no, fault.slot, fault.value
         text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
         raise SetRuleError(text, k, j, fault.what, v) from None
-    if len(sets) > 0xFFFF or any(len(qs.indices) > 0xFFFF for qs in sets):
+    if len(sets) > 0xFFFF or max(sizes, default=0) > 0xFFFF:
         raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
     # One pack for the whole run of sets.  A coefficient travels as its
     # element's encoding: the value in the first word, zeros in the rest.

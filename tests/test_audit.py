@@ -4,6 +4,7 @@ The exact auditor never runs the builder; it enumerates the construction's
 branches analytically.  The Monte-Carlo auditor only runs the builder.  Cells
 where both agree (flat or deviating) therefore cross-validate each other.
 """
+import hashlib
 from fractions import Fraction
 from math import inf
 from random import Random
@@ -20,7 +21,7 @@ from pircsi import (
     audit_montecarlo,
     measure_rate,
 )
-from pircsi.audit import MUTATIONS, audit_recoverability
+from pircsi.audit import MUTATIONS, _enumerate_csi2, _enumerate_rp, audit_recoverability
 
 
 # ------------------------------------------------------------------- exact
@@ -78,6 +79,87 @@ def test_exact_guard_refuses_oversized_cells():
         audit_exact(MODEL_I, 14, 1)
     with pytest.raises(ParameterError):
         audit_exact("III", 4, 1)
+
+
+# SHA-256 of each cell's canonical report (below), recorded from the rational
+# enumeration the integer-weight one replaced: criterion 4's K<=6 grid of both
+# models plus the benchmark's cells.  Moving any probability, posterior or
+# verdict changes the digest.
+EXACT_DIGESTS = {
+    (MODEL_I, 3, 0): "422f5cda07d2bbceb2400bfe18499cdb8caaa9cbac753d8e2b2872724250d088",
+    (MODEL_I, 3, 1): "e4c5258509116ed83f29aae57f1d258af1879f0a0045eaaf3344867bdd7c31b1",
+    (MODEL_I, 3, 2): "262ff3556005164ebc64181d9dbbb7ab94cef57a12fe092dad09deaecaf37a21",
+    (MODEL_I, 4, 0): "5736e51a1f092090055a448cf09a143c9fbdd2a984011991121d5d4556d5b612",
+    (MODEL_I, 4, 1): "200d6ad5746847e76625995fad83ee151e912a67b099f20d52a70a38e24faf1e",
+    (MODEL_I, 4, 2): "1ba7e2efad07648de6e314a31699b6965d15d7152903ae4a10520b7ad48c7d21",
+    (MODEL_I, 4, 3): "9e7d5a450b606b724a4524068ecc1c340645492bdd1af2ab8e601fab4328c400",
+    (MODEL_I, 5, 0): "65111b97b395748810b89603a2d066f0b110436f8b4fad590c1e312561c32859",
+    (MODEL_I, 5, 1): "8277df485e7e27a8a1e9ca1b04ab818cff3b55549b407fafb6d3276cad728722",
+    (MODEL_I, 5, 2): "1d9b9c34c58dc29d6758e1db56263c48f67d85e56c1d11531a36cbd2b52d64d6",
+    (MODEL_I, 5, 3): "d68ae3546979cc99c40ef9be6b098be888f20ac7260aa307974d4b7e212f7600",
+    (MODEL_I, 5, 4): "6bebc48556081112eee2b3925a60e420add653d7fa0752edb9267f0dbfb619c7",
+    (MODEL_I, 6, 0): "da6afcdcadd99e814a42584d7b3509e46b5c3d3625316b449dcc1c50f5013632",
+    (MODEL_I, 6, 1): "54c890f1e86aa966dc3e048c737168b83511a08e2d8a030a39dc17b6a82bab9f",
+    (MODEL_I, 6, 2): "b6ba9a170c22994791bfd39a822ad6702859a888da9e3b6465491a6f060139fc",
+    (MODEL_I, 6, 3): "23ffe663fb6b2b3b3876ed30ec488bcf013bb5bee03a52872ff27f9153b93d99",
+    (MODEL_I, 6, 4): "bc6d28c81ca4cdba625dd995e8e8b8b3b2bf15ebab23d00d61c8bd6bfb6ac23b",
+    (MODEL_I, 6, 5): "170a9e0c843a3e4cff19c20c954954ecba37c7aaded20b87ca8cf05641634ca4",
+    (MODEL_I, 7, 1): "079e59c46dd42b7fd07b4f1b4773a81a18ca53723df2fe48664f8796c729c83e",
+    (MODEL_I, 8, 2): "ba5cb29dd93fac9662dbcb9034f9e069460be7c8614cffdc041dafb3f0c5d5f7",
+    (MODEL_I, 9, 1): "f4162198d7e7aacb7157c6c21f97d1c4bce2385882cdb2d4efa6afb96be5b13c",
+    (MODEL_II, 3, 1): "22387b9af8507160b565bc43533508156ca99408e83082780dab732a27628e77",
+    (MODEL_II, 3, 2): "77b196a1e027f745e9ffef4cc3e3aad1d49ddbfab6a58154e48023d213526e72",
+    (MODEL_II, 3, 3): "77343afc3c75647e15a4a4727d7039f5163c4ed5725cfbab6518e4b099e0a8da",
+    (MODEL_II, 4, 1): "f498db3511a499083899d399e3d2b84f4d215318de2a9f9757fe6e08842d4d68",
+    (MODEL_II, 4, 2): "cde9cb014cf83878218a570aa9d11e2c191667b18e2310f9c0fa55db7e8024b4",
+    (MODEL_II, 4, 3): "c9bd58031d337d8d38fd70720bf06464bcb85d39f28c024d8dfabcacb5eebb96",
+    (MODEL_II, 4, 4): "8b8bd9bb7076bf52ec4dccc2756d50770f9c273303fb89a77caa88cbaccc5809",
+    (MODEL_II, 5, 1): "48b20c322f81d6ed998cba0702a3450b92b0b6e471a29c793f6c02591937c386",
+    (MODEL_II, 5, 2): "1aa7e23dbfdbb49c588e653896e15b7e356b15462ec584072f124259b7ab79e7",
+    (MODEL_II, 5, 3): "76dd551064cd1b26a95a7506f8ab9d3897ed99d1cd0ba0d813b24fde903d6881",
+    (MODEL_II, 5, 4): "c9c3078c97ba14f50052374d4764f25ff107255c23e6a89667c3920138c44323",
+    (MODEL_II, 5, 5): "61304c6d449eee1cf4a64f4a8b64ec2d902baf9cfb5fcb1012722a15211d2102",
+    (MODEL_II, 6, 1): "abedf2c139e8c9199c4a848b0b38a44279a63ec8f2dca325bb69b3fe01d871db",
+    (MODEL_II, 6, 2): "b89cc711558f3ee63a047519a598d44f1c324550aeba41860666f40e19fbf90d",
+    (MODEL_II, 6, 3): "a3ab89dc034f07691c3803f0766909a5f47f1d8068abbdc19fc626f06dbb381b",
+    (MODEL_II, 6, 4): "3047b435cc20be61d9f82e4330a3383bc81352e793751b1c727bedf749f38d19",
+    (MODEL_II, 6, 5): "bcc14d91ed51b3ac5c1f853680595d7bec2100b839f11e4e38d7dd941d6180b3",
+    (MODEL_II, 6, 6): "19859d8882b5a90bcb60f6457f258f5178918f12a8e708eeb8b87405d6479350",
+    (MODEL_II, 12, 7): "36067a9e16695e768e74a6dec8995bae52532a169f1601ef86669fd709c7b342",
+}
+
+
+def _ratio(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _canonical(report) -> bytes:
+    head = (report.model, report.K, report.M, report.uniform, _ratio(report.worst_deviation))
+    lines = [" ".join(map(str, head))]
+    for fp in sorted(report.fingerprint_probs):
+        row = " ".join(map(_ratio, report.posteriors[fp]))
+        lines.append(f"{fp} {_ratio(report.fingerprint_probs[fp])} {row}")
+    return "\n".join(lines).encode()
+
+
+@pytest.mark.parametrize("cell", sorted(EXACT_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_exact_report_matches_its_pinned_digest(cell):
+    report = audit_exact(*cell)
+    assert hashlib.sha256(_canonical(report)).hexdigest() == EXACT_DIGESTS[cell]
+
+
+@pytest.mark.parametrize(
+    "model,K,M",
+    [
+        (MODEL_I, 4, 3), (MODEL_I, 5, 2), (MODEL_I, 7, 1), (MODEL_I, 8, 2), (MODEL_I, 9, 1),
+        (MODEL_II, 6, 1), (MODEL_II, 6, 2), (MODEL_II, 8, 3), (MODEL_II, 6, 4), (MODEL_II, 6, 6),
+    ],
+)
+def test_integer_weights_sum_to_the_common_denominator(model, K, M):
+    # one to five sets in the first model; every second-model case
+    joint, D = (_enumerate_rp if model == MODEL_I else _enumerate_csi2)(K, M)
+    assert all(type(x) is int and x >= 0 for row in joint.values() for x in row)
+    assert sum(map(sum, joint.values())) == D
 
 
 # -------------------------------------------------------------- monte carlo

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pircsi import MODEL_I, MODEL_II, ParameterError, capacity
 from pircsi.pmf import (
+    Cdf,
     case2_pmf,
     case3_pmf,
     check_class_weight_identities,
@@ -196,6 +197,39 @@ def test_sample_from_pmf_walks_the_exact_cdf():
     rng = _ScriptedRng(5, [0, 1, 2, 3, 4])
     draws = [sample_from_pmf(table, rng) for _ in range(5)]
     assert draws == [(0, 0), (0, 1), (0, 1), (1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        rp_distribution(5, 1).table,
+        rp_distribution(8, 2).table,
+        rp_distribution(13, 3).table,
+        case2_pmf(10, 4),
+        case3_pmf(12, 7),
+        {(0, 0): F(1, 5), (0, 1): F(0), (1, 0): F(4, 5)},
+    ],
+)
+def test_cdf_draws_what_sample_from_pmf_draws(table):
+    # sample_from_pmf is the reference: the same outcome from every
+    # generator state, and the same randrange consumed
+    cdf, ours, reference = Cdf.of(table), Random(11), Random(11)
+    for _ in range(2_000):
+        assert cdf.draw(ours) == sample_from_pmf(table, reference)
+    assert ours.random() == reference.random()
+
+
+def test_cdf_refuses_tables_that_are_not_pmfs():
+    with pytest.raises(ParameterError, match="empty pmf"):
+        Cdf.of({})
+    with pytest.raises(ParameterError, match="sum to 3/4"):
+        Cdf.of({0: F(1, 4), 1: F(1, 2)})
+
+
+def test_each_distribution_builds_its_cdf_once():
+    dist = rp_distribution(9, 1)
+    assert dist.cdf is dist.cdf
+    assert dist.cdf == Cdf.of(dist.table)
 
 
 def test_sample_from_pmf_statistics():

@@ -27,18 +27,20 @@ from pircsi import (
     sample_scenario,
     wire,
 )
-from pircsi.protocol_csi2 import CASE_TAGS, case_shape
+from pircsi.protocol_csi2 import CASE_DISJOINT, CASE_TAGS, case_shape
 
 FIELDS = [(3, 1), (5, 2), (257, 4)]
-FAULTS = ["none", "index", "repeat", "coefficient-0", "coefficient-q", "size", "count"]
+FAULTS = ["none", "index", "repeat", "coefficient-0", "coefficient-q", "size", "count", "empty"]
 
 
 def _pack(model_byte, case, sets, m):
     """The payload of (indices, coefficients) pairs, and the byte offset of
-    every index and coefficient slot, keyed (set, slot, is-coefficient)."""
+    every index and coefficient slot, keyed (set, slot, is-coefficient), and
+    of every set's size field, keyed (set, "size")."""
     blob = bytearray(struct.pack("<BBH", model_byte, case, len(sets)))
     offsets = {}
     for k, (indices, coeffs) in enumerate(sets):
+        offsets[k, "size"] = len(blob)
         blob += struct.pack("<H", len(indices))
         for j, i in enumerate(indices):
             offsets[k, j, False] = len(blob)
@@ -83,6 +85,9 @@ def _queries_with_a_fault(draw):
             sets.pop(k)
         elif fault == "count":
             sets.append(sets[k])
+        elif fault == "empty":
+            indices.clear()
+            coeffs.clear()
     elif fault == "count":
         sets.append(([1], [1]))
     return FieldParams(q, m), K, model, case, sets
@@ -122,13 +127,33 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
         assert parse_error.offset == offsets[slot]
     else:
         assert isinstance(answer_error, ShapeError)
-        assert parse_error.offset in (2, 4)
+        # an empty set is framing to the decoder, reported at its size field
+        empty = [offsets[k, "size"] for k, (indices, _) in enumerate(sets) if not indices]
+        assert parse_error.offset in (empty[:1] or (2, 4))
     # The encoder refuses only queries the server would reject; it sends the
     # same bytes otherwise.
     try:
         assert wire.encode_query(query, params) == blob
     except ParameterError:
         assert answer_error is not None
+
+
+@pytest.mark.parametrize("model,case,n", [(MODEL_I, 0, 1), (MODEL_II, CASE_DISJOINT, 2)])
+def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
+    # Query(sets=(QuerySet((), ()),), K=4, M=-1) and a disjoint-case query of
+    # two empty sets
+    sets = [((), ())] * n
+    query = _in_process(model, case, 4, sets)
+    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+    with pytest.raises(ShapeError, match="empty query set") as refused:
+        protocol.answer_query(Database.random(gf3, 4, Random(0)), query)
+    assert refused.value.part == "size"
+    with pytest.raises(ParameterError, match="set 0 is empty"):
+        wire.encode_query(query, gf3)
+    blob, _ = _pack(1 if model == MODEL_I else 2, case, sets, gf3.m)
+    with pytest.raises(WireParseError, match="empty query set") as parsed:
+        wire.decode_query(blob, gf3, 4)
+    assert parsed.value.offset == 4
 
 
 @pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
