@@ -42,6 +42,11 @@ print(
     f"unshuffled sets:    passed={broken.passed}  "
     f"min p-value {broken.min_p:.2e}"
 )
+index, slot = broken.worst_bin.key
+print(
+    f"  worst bin: index {index} in set {slot}, "
+    f"samples per demand W'=1..5: {list(broken.worst_bin.counts)}"
+)
 skewed = audit_montecarlo(
     MODEL_I, 5, 1, trials, Random(2), mutation="skewed_class_pmf"
 )

@@ -23,6 +23,7 @@ from .model import (
     Database,
     Scenario,
     indicator,
+    sample_demand,
     sample_scenario,
     side_information,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "rp_distribution",
     "sample_coefficient",
     "sample_from_pmf",
+    "sample_demand",
     "sample_scenario",
     "side_information",
     "wire",

@@ -17,15 +17,16 @@ from math import comb, factorial, inf, lcm
 from operator import itemgetter
 from random import Random
 
+import numpy as np
 from scipy.stats import chisquare
 
 from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
-from .model import MODEL_I, MODEL_II, Database, sample_scenario
+from .model import MODEL_I, MODEL_II, Database, sample_demand, sample_scenario
 from .pmf import capacity, case2_pmf, case3_pmf, rp_distribution
 from .protocols import PROTOCOLS
 from .protocol_csi2 import CASE_DISJOINT, CASE_OVERLAP, CASE_SINGLE, CASE_TRIVIAL, case_for
-from .protocol_rp import canonical_fingerprint
+from .protocol_rp import fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
 
@@ -57,6 +58,17 @@ class PosteriorReport:
 
 
 @dataclass(frozen=True)
+class Bin:
+    """One Monte-Carlo bin and its sample count per demand W = 1..K.  family
+    is "fingerprint" (key: the order-stripped sets) or "slot" (key: (index,
+    position of the first set holding it, -1 if none))."""
+
+    family: str
+    key: tuple
+    counts: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class MonteCarloReport:
     """Chi-square screening outcome for one cell (optionally mutated)."""
 
@@ -70,6 +82,7 @@ class MonteCarloReport:
     tests: int
     skipped_bins: int
     significance: float
+    worst_bin: Bin
 
 
 @dataclass(frozen=True)
@@ -100,14 +113,14 @@ def audit_exact(model: str, K: int, M: int, *, row_guard: int = DEFAULT_ROW_GUAR
     audit_montecarlo for such cells.
     """
     if model == MODEL_I:
-        rows = _rp_enumeration_size(K, M)
-        if rows > row_guard:
-            raise AuditSizeError(f"exact enumeration needs {rows} rows (> {row_guard})")
-        joint, D = _enumerate_rp(K, M)
+        rows, enumerate_cell = _rp_enumeration_size(K, M), _enumerate_rp
     elif model == MODEL_II:
-        joint, D = _enumerate_csi2(K, M)
+        rows, enumerate_cell = _csi2_enumeration_size(K, M), _enumerate_csi2
     else:
         raise ParameterError(f"unknown model {model!r}")
+    if rows > row_guard:
+        raise AuditSizeError(f"exact enumeration needs {rows} rows (> {row_guard})")
+    joint, D = enumerate_cell(K, M)
 
     flat = Fraction(1, K)
     posteriors, probs = {}, {}
@@ -240,24 +253,37 @@ def _getter(positions: tuple):
     return itemgetter(*positions)
 
 
-def _enumerate_csi2(K: int, M: int) -> tuple[dict, int]:
-    """The second model's (fingerprint, demand) pairs, as integer weights over
-    one common denominator D, like _enumerate_rp."""
+def _csi2_branches(K: int, M: int) -> dict:
+    """The outcomes the second-model builder draws at (K, M), each with its
+    probability and the count of equally likely index draws that follow it:
+    the probed index is the demand or not (single case), or the pmf outcome
+    (disjoint and overlap cases).  The trivial and full cases have one."""
     if not 1 <= M <= K:
         raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
     case = case_for(K, M)
-    prior = Fraction(1, comb(K, M) * M)
-    # The weight of one branch, by the outcome the builder draws: the probed
-    # index is the demand or not (single case), or the pmf outcome, spread
-    # evenly over the index draws that follow it.
     if case == CASE_SINGLE:
-        weights = {True: prior / K, False: prior * (K - 1) / K}
-    elif case == CASE_DISJOINT:
-        weights = {r: prior * p / comb(K - M, r) for r, p in case2_pmf(K, M).items()}
-    elif case == CASE_OVERLAP:
-        weights = {s: prior * p / comb(M - 1, s) for s, p in case3_pmf(K, M).items()}
-    else:  # CASE_TRIVIAL, CASE_FULL: one branch
-        weights = {None: prior}
+        return {True: (Fraction(1, K), 1), False: (Fraction(K - 1, K), 1)}
+    if case == CASE_DISJOINT:
+        return {r: (p, comb(K - M, r)) for r, p in case2_pmf(K, M).items()}
+    if case == CASE_OVERLAP:
+        return {s: (p, comb(M - 1, s)) for s, p in case3_pmf(K, M).items()}
+    return {None: (Fraction(1), 1)}
+
+
+def _csi2_enumeration_size(K: int, M: int) -> int:
+    """Branch count of the second-model builder at (K, M): the size guard on
+    exact cells, C(K, M) * M scenarios times the case's branches."""
+    return comb(K, M) * M * sum(draws for _, draws in _csi2_branches(K, M).values())
+
+
+def _enumerate_csi2(K: int, M: int) -> tuple[dict, int]:
+    """The second model's (fingerprint, demand) pairs, as integer weights over
+    one common denominator D, like _enumerate_rp."""
+    case = case_for(K, M)
+    prior = Fraction(1, comb(K, M) * M)
+    # Each branch's weight: its outcome's probability, spread evenly over the
+    # index draws that follow it.
+    weights = {b: prior * p / draws for b, (p, draws) in _csi2_branches(K, M).items()}
     weights, D = _on_common_denominator(weights)
     joint: dict = defaultdict(lambda: [0] * K)
     universe = tuple(range(1, K + 1))
@@ -300,14 +326,18 @@ def audit_montecarlo(
     mutation: str | None = None,
     significance: float = 0.01,
 ) -> MonteCarloReport:
-    """Sample queries and chi-square test "demand uniform given what the
-    server sees" with a Bonferroni correction across all tested bins.
+    """Sample query structures and chi-square test "demand uniform given what
+    the server sees" with a Bonferroni correction across all tested bins.
 
-    Two bin families are tested: the order-stripped fingerprint, and for each
-    database index the position of the transmitted set containing it.  The
-    second family is what exposes set-order leaks, which the order-stripped
-    fingerprint is blind to by construction.  Bins too thin for the chi-square
-    approximation (expected count below 5) are counted as skipped.
+    Each trial draws (W, S) with sample_demand and the index sets with the
+    model's draw_structure, the same code build_query runs.  No bin reads a
+    coefficient, so none is drawn, and params (the field) cannot change the
+    report.  Two bin families are tested: the order-stripped fingerprint, and
+    for each database index the position of the transmitted set containing it.
+    The second family is what exposes set-order leaks, which the
+    order-stripped fingerprint is blind to by construction.  Bins too thin for
+    the chi-square approximation (expected count below 5) are counted as
+    skipped.
     """
     if mutation is not None:
         if model != MODEL_I:
@@ -317,42 +347,49 @@ def audit_montecarlo(
         build_kwargs = MUTATIONS[mutation](K, M)
     else:
         build_kwargs = {}
-    if params is None:
-        params = FieldParams(3)
-    db = Database.random(params, K, rng)
+    if model not in PROTOCOLS:
+        raise ParameterError(f"unknown model {model!r}")
+    draw_structure = PROTOCOLS[model].draw_structure
     fp_bins: dict = defaultdict(lambda: [0] * K)
     slot_bins: dict = defaultdict(lambda: [0] * K)
     for _ in range(trials):
-        scenario = sample_scenario(db, M, model, rng)
-        query, _ = PROTOCOLS[scenario.model].build_query(scenario, K, rng, **build_kwargs)
-        w = scenario.W - 1
-        fp_bins[canonical_fingerprint(query)][w] += 1
-        slot_of = {}
-        for pos, qs in enumerate(query.sets):
-            for i in qs.indices:
-                if i not in slot_of:
-                    slot_of[i] = pos
-        for j in range(1, K + 1):
-            slot_bins[(j, slot_of.get(j, -1))][w] += 1
+        W, S = sample_demand(K, M, model, rng)
+        sets = draw_structure(W, S, K, rng, **build_kwargs).sets
+        w = W - 1
+        fp_bins[fingerprint_of(sets)][w] += 1
+        slot_of = [-1] * K
+        for pos in range(len(sets) - 1, -1, -1):  # the first set holding an index wins
+            for i in sets[pos]:
+                slot_of[i - 1] = pos
+        for j, pos in enumerate(slot_of, start=1):
+            slot_bins[j, pos][w] += 1
 
+    bins = [("fingerprint", fp_bins), ("slot", slot_bins)]
+    keys = [(family, key) for family, table in bins for key in table]
+    rows = [counts for _, table in bins for counts in table.values()]
     min_count = 5 * K  # expected >= 5 per cell under the flat hypothesis
-    pvalues = []
-    skipped = 0
-    for bins in (fp_bins, slot_bins):
-        for counts in bins.values():
-            total = sum(counts)
-            if total < min_count:
-                skipped += 1
-                continue
-            pvalues.append(float(chisquare(counts).pvalue))
-    if not pvalues:
+    tested = [k for k, counts in enumerate(rows) if sum(counts) >= min_count]
+    if not tested:
         raise AuditSizeError(
             f"no bin reached {min_count} samples in {trials} trials; raise the trial count"
         )
-    min_p = min(pvalues)
-    passed = min_p >= significance / len(pvalues)
+    pvalues = chisquare(np.array([rows[k] for k in tested]), axis=1).pvalue
+    worst = tested[int(np.argmin(pvalues))]
+    min_p = float(pvalues.min())
+    passed = min_p >= significance / len(tested)
+    family, key = keys[worst]
     return MonteCarloReport(
-        model, K, M, trials, mutation, passed, min_p, len(pvalues), skipped, significance
+        model,
+        K,
+        M,
+        trials,
+        mutation,
+        passed,
+        min_p,
+        len(tested),
+        len(rows) - len(tested),
+        significance,
+        Bin(family, key, tuple(rows[worst])),
     )
 
 

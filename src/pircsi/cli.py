@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 
@@ -248,6 +248,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "skipped_bins": report.skipped_bins,
             "min_p": report.min_p,
             "passed": report.passed,
+            "worst_bin": asdict(report.worst_bin),
         }
         _emit_json(payload, cfg.output)
         return 0 if report.passed else 1

@@ -141,10 +141,10 @@ def side_information(db: Database, S, C) -> FieldElement:
     return FieldElement(db.params, tuple(t % q for t in total))
 
 
-def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
-    """Draw a uniform scenario: S uniform over M-subsets, C uniform over units,
-    W uniform over the complement of S (model I) or over S (model II)."""
-    K = db.K
+def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[int, ...]]:
+    """Draw a uniform demand and support: S uniform over M-subsets of [K]
+    (sorted), W uniform over the complement of S (model I) or over S (model
+    II).  This is everything the query's index sets depend on."""
     if model == MODEL_I:
         if not 0 <= M < K:
             raise ParameterError(f"model I needs 0 <= M < K, got M={M}, K={K}")
@@ -153,13 +153,18 @@ def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
             raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
     else:
         raise ParameterError(f"unknown model {model!r}")
-    S = tuple(sorted(rng.sample(range(1, K + 1), M)))
-    C = tuple(sample_coefficient(db.params, rng) for _ in range(M))
+    # The first index of a uniform ordered draw is uniform given the rest.
     if model == MODEL_I:
-        support = set(S)
-        outside = [i for i in range(1, K + 1) if i not in support]
-        W = outside[rng.randrange(len(outside))]
+        W, *support = rng.sample(range(1, K + 1), M + 1)
     else:
-        W = S[rng.randrange(M)]
-    Y = side_information(db, S, C)
-    return Scenario(W=W, S=S, C=C, Y=Y, model=model)
+        support = rng.sample(range(1, K + 1), M)
+        W = support[0]
+    return W, tuple(sorted(support))
+
+
+def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
+    """Draw a uniform scenario: (W, S) from sample_demand, then C uniform over
+    units and Y = sum(c_i * X_i)."""
+    W, S = sample_demand(db.K, M, model, rng)
+    C = tuple(sample_coefficient(db.params, rng) for _ in range(M))
+    return Scenario(W=W, S=S, C=C, Y=side_information(db, S, C), model=model)

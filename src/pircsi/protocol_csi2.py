@@ -24,7 +24,15 @@ from .errors import ParameterError, ProtocolError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_II, Database, Scenario
 from .pmf import Cdf, case2_pmf, case3_pmf
-from .protocol_rp import Answer, DecoderState, QuerySet, _shuffle_within, answer_sets, check_sets
+from .protocol_rp import (
+    Answer,
+    DecoderState,
+    QuerySet,
+    Structure,
+    answer_sets,
+    check_sets,
+    coefficient_sets,
+)
 
 CASE_TRIVIAL = 0
 CASE_SINGLE = 1
@@ -87,83 +95,93 @@ def download_cost(K: int, M: int) -> int:
 def build_query(
     scenario: Scenario, K: int, rng: Random, *, _shuffle_order: bool = True
 ) -> tuple[Csi2Query, DecoderState]:
+    """Build one query for the given scenario: draw_structure, then
+    attach_coefficients."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
-    M = len(scenario.S)
-    support = set(scenario.S)
-    if scenario.W not in support:
+    structure = draw_structure(scenario.W, scenario.S, K, rng, _shuffle_order=_shuffle_order)
+    return attach_coefficients(structure, scenario, K, rng)
+
+
+def draw_structure(
+    W: int, S: tuple[int, ...], K: int, rng: Random, *, _shuffle_order: bool = True
+) -> Structure:
+    """The index sets of a query for demand W inside the sorted support S,
+    with the case tag; the demand slot is the set the decoder reads."""
+    M = len(S)
+    support = set(S)
+    if W not in support:
         raise ParameterError("demand must lie inside the support")
-    if not all(1 <= i <= K for i in scenario.S):
+    if not all(1 <= i <= K for i in S):
         raise ParameterError("scenario indices exceed the database size")
     case = case_for(K, M)
-    params = scenario.Y.params
-    W = scenario.W
 
     if case == CASE_TRIVIAL:
-        state = DecoderState(scenario, None, None, case_tag=CASE_TRIVIAL)
-        return Csi2Query(sets=(), case_tag=CASE_TRIVIAL), state
-
+        return Structure((), None, case)
     if case == CASE_SINGLE:
-        partner = next(i for i in scenario.S if i != W)
+        partner = next(i for i in S if i != W)
         probe = W if rng.randrange(K) == 0 else partner
-        c = sample_coefficient(params, rng)
-        query = Csi2Query(sets=(QuerySet((probe,), (c,)),), case_tag=CASE_SINGLE)
-        state = DecoderState(scenario, 0, c, case_tag=CASE_SINGLE, probe_index=probe)
-        return query, state
+        return Structure(((probe,),), 0, case)
+    if case == CASE_FULL:
+        known = list(S)
+        rng.shuffle(known)
+        return Structure((tuple(known),), 0, case)
 
-    coeff_of = dict(zip(scenario.S, scenario.C))
     outside = [i for i in range(1, K + 1) if i not in support]
+    others = [i for i in S if i != W]
     if case == CASE_DISJOINT:
+        # S without the demand, and a cover set of outside indices that the
+        # demand joins in the smaller branch.
         r = _cover_cdf(case, K, M).draw(rng)
-        if r == M - 2:
-            cover = sorted([W] + rng.sample(outside, M - 2))
-        else:
-            cover = sorted(rng.sample(outside, M - 1))
-        keep = tuple(i for i in scenario.S if i != W)
-        known = QuerySet(keep, tuple(coeff_of[i] for i in keep))
-        state_coeff = None  # decoder divides by the true coefficient on W
-        pair = [known, _fresh(cover, params, rng)]
-    elif case == CASE_OVERLAP:
+        cover = rng.sample(outside, r) + ([W] if r == M - 2 else [])
+        known = others
+    else:  # CASE_OVERLAP
+        # S itself, and a cover set of everything outside S plus s repeated
+        # support indices, the demand among them in the smaller branch.
         s = _cover_cdf(case, K, M).draw(rng)
-        others = [i for i in scenario.S if i != W]
-        if s == 2 * M - K - 1:
-            repeats = sorted([W] + rng.sample(others, s))
-        else:
-            repeats = sorted(rng.sample(others, s))
-        c = _fresh_coeff_excluding(params, rng, coeff_of[W])
-        known = QuerySet(
-            scenario.S,
-            tuple(c if i == W else coeff_of[i] for i in scenario.S),
-        )
-        state_coeff = c
-        pair = [known, _fresh(sorted(set(repeats) | set(outside)), params, rng)]
-    else:  # CASE_FULL
-        c = _fresh_coeff_excluding(params, rng, coeff_of[W])
-        known = QuerySet(
-            scenario.S,
-            tuple(c if i == W else coeff_of[i] for i in scenario.S),
-        )
-        query_sets = (_shuffle_within(known, rng),)
-        state = DecoderState(scenario, 0, c, case_tag=CASE_FULL)
-        return Csi2Query(sets=query_sets, case_tag=CASE_FULL), state
-
-    pair = [_shuffle_within(qs, rng) for qs in pair]
+        cover = rng.sample(others, s) + ([W] if s == 2 * M - K - 1 else []) + outside
+        known = list(S)
+    rng.shuffle(known)
+    rng.shuffle(cover)
+    pair = (tuple(known), tuple(cover))
     order = [0, 1]
     if _shuffle_order:
         rng.shuffle(order)
-    query = Csi2Query(sets=tuple(pair[i] for i in order), case_tag=case)
-    state = DecoderState(scenario, order.index(0), state_coeff, case_tag=case)
-    return query, state
+    return Structure(tuple(pair[i] for i in order), order.index(0), case)
+
+
+def attach_coefficients(
+    structure: Structure, scenario: Scenario, K: int, rng: Random
+) -> tuple[Csi2Query, DecoderState]:
+    """Complete a second-model structure into a query.  The probe set takes a
+    fresh coefficient; the set at the demand slot takes the side
+    information's own coefficients, except on the demand in the overlap and
+    full cases, which takes a fresh one unequal to its own; a cover set takes
+    fresh coefficients."""
+    case = structure.case_tag
+    params = scenario.Y.params
+    if case == CASE_TRIVIAL:
+        return Csi2Query(sets=(), case_tag=case), DecoderState(scenario, None, None, case_tag=case)
+    if case == CASE_SINGLE:
+        (probe_set,) = structure.sets
+        c = sample_coefficient(params, rng)
+        query = Csi2Query(sets=(QuerySet(probe_set, (c,)),), case_tag=case)
+        return query, DecoderState(scenario, 0, c, case_tag=case, probe_index=probe_set[0])
+    own = dict(zip(scenario.S, scenario.C))
+    c = None  # in the disjoint case the decoder divides by the demand's own coefficient
+    if case != CASE_DISJOINT:
+        c = _fresh_coeff_excluding(params, rng, own[scenario.W])
+        own[scenario.W] = c
+    sets = coefficient_sets(structure, own, params, rng)
+    return Csi2Query(sets=sets, case_tag=case), DecoderState(
+        scenario, structure.demand_slot, c, case_tag=case
+    )
 
 
 @lru_cache(maxsize=None)
 def _cover_cdf(case: int, K: int, M: int) -> Cdf:
     """The cover-set pmf of the disjoint or the overlap case, ready to draw from."""
     return Cdf.of(case2_pmf(K, M) if case == CASE_DISJOINT else case3_pmf(K, M))
-
-
-def _fresh(indices, params, rng: Random) -> QuerySet:
-    return QuerySet(tuple(indices), tuple(sample_coefficient(params, rng) for _ in indices))
 
 
 def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:

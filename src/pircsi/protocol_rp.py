@@ -14,6 +14,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,18 @@ class DecoderState:
     probe_index: int | None = None
 
 
+class Structure(NamedTuple):
+    """What a query shows the server before coefficients are attached: the
+    index sets in transmitted order, each in its transmitted element order,
+    and the slot of the set the client decodes from (None when no set is
+    sent).  case_tag is the second model's case; the first model leaves it
+    None."""
+
+    sets: tuple[tuple[int, ...], ...]
+    demand_slot: int | None
+    case_tag: int | None = None
+
+
 def build_query(
     scenario: Scenario,
     K: int,
@@ -78,22 +91,50 @@ def build_query(
     _deterministic_extras: bool = False,
     _class_pmf: dict | None = None,
 ) -> tuple[Query, DecoderState]:
-    """Build one query for the given scenario.
+    """Build one query for the given scenario: draw_structure, then
+    attach_coefficients.
 
-    The underscored keywords deliberately break the construction and exist
+    The underscored keywords deliberately break the structure draw and exist
     only so the auditors can show they catch such defects; production callers
     leave them alone.
     """
     if scenario.model != MODEL_I:
         raise ParameterError(f"expected a model {MODEL_I} scenario, got {scenario.model!r}")
-    M = len(scenario.S)
+    structure = draw_structure(
+        scenario.W,
+        scenario.S,
+        K,
+        rng,
+        _shuffle_order=_shuffle_order,
+        _deterministic_extras=_deterministic_extras,
+        _class_pmf=_class_pmf,
+    )
+    return attach_coefficients(structure, scenario, K, rng)
+
+
+def draw_structure(
+    W: int,
+    S: tuple[int, ...],
+    K: int,
+    rng: Random,
+    *,
+    _shuffle_order: bool = True,
+    _deterministic_extras: bool = False,
+    _class_pmf: dict | None = None,
+) -> Structure:
+    """The index sets of a query for demand W outside the sorted support S.
+
+    Everything the server sees of the query except its coefficients is drawn
+    here, and nothing of it depends on the side information's coefficients.
+    """
+    M = len(S)
     if not 0 <= M < K:
         raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
-    if scenario.W in scenario.S:
+    support = set(S)
+    if W in support:
         raise ParameterError("demand must lie outside the support")
-    if not all(1 <= i <= K for i in (scenario.W, *scenario.S)):
+    if not all(1 <= i <= K for i in (W, *S)):
         raise ParameterError("scenario indices exceed the database size")
-    params = scenario.Y.params
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
     cdf = dist.cdf if _class_pmf is None else Cdf.of(_class_pmf)
@@ -105,70 +146,85 @@ def build_query(
         if n != 2 or r == 0:
             break
 
-    support = list(scenario.S)
-    outside = [i for i in range(1, K + 1) if i != scenario.W and i not in scenario.S]
+    outside = [i for i in range(1, K + 1) if i != W and i not in support]
     if _deterministic_extras:
-        from_support = support[:s]
-        shared_outside = outside[:r]
-    else:
-        from_support = sorted(rng.sample(support, s))
-        shared_outside = sorted(rng.sample(outside, r))
-    demand_repeats = s + r == l - 1  # W itself takes the remaining repeat slot
-    repeats = set(from_support) | set(shared_outside)
-    if demand_repeats:
-        repeats.add(scenario.W)
+        from_support, shared_outside = list(S[:s]), outside[:r]
+    else:  # a sample of nothing draws nothing, so it is skipped
+        from_support = sorted(rng.sample(S, s)) if s else []
+        shared_outside = sorted(rng.sample(outside, r)) if r else []
+    # What the cover sets draw from: every index outside the demand set, each
+    # repeated support index, and W when it takes the remaining repeat slot;
+    # the shared outside repeats go straight into the second and third sets.
+    pool = set(outside).difference(shared_outside).union(from_support)
+    if s + r == l - 1:
+        pool.add(W)
 
-    c = sample_coefficient(params, rng)
-    sets = [QuerySet((scenario.W, *scenario.S), (c, *scenario.C))]
-    pool_all = repeats | set(outside)
-    if n >= 2:
-        pool = sorted(pool_all - set(shared_outside))
-        second = shared_outside + sorted(rng.sample(pool, M + 1 - r))
-        sets.append(_cover_set(second, params, rng))
-        if n >= 3:
-            pool = sorted(pool_all - set(second))
-            third = shared_outside + sorted(rng.sample(pool, M + 1 - r))
-            sets.append(_cover_set(third, params, rng))
-            tail = sorted(pool_all - set(second) - set(third))
-            rng.shuffle(tail)
-            for i in range(n - 3):
-                chunk = tail[i * (M + 1) : (i + 1) * (M + 1)]
-                sets.append(_cover_set(chunk, params, rng))
+    sets = [[W, *S]]
+    rng.shuffle(sets[0])
+    for _ in range(min(n, 3) - 1):
+        cover = rng.sample(sorted(pool), M + 1 - r)  # a sample comes in random order
+        pool.difference_update(cover)
+        if r:
+            cover += shared_outside
+            rng.shuffle(cover)
+        sets.append(cover)
+    if n >= 4:
+        # The rest is shuffled whole, so each tail set is already in
+        # uniformly random element order.
+        tail = sorted(pool)
+        rng.shuffle(tail)
+        sets.extend(tail[i : i + M + 1] for i in range(0, len(tail), M + 1))
+    _validate_partition(sets, K, M, l)
 
-    sets = [_shuffle_within(qs, rng) for qs in sets]
     order = list(range(n))
     if _shuffle_order:
         rng.shuffle(order)
-    query = Query(sets=tuple(sets[i] for i in order), K=K, M=M)
-    _validate_partition(query, l)
-    state = DecoderState(scenario=scenario, demand_slot=order.index(0), demand_coeff=c)
-    return query, state
+    return Structure(tuple(tuple(sets[i]) for i in order), order.index(0))
 
 
-def _cover_set(indices: list[int], params, rng: Random) -> QuerySet:
-    coeffs = tuple(sample_coefficient(params, rng) for _ in indices)
-    return QuerySet(tuple(indices), coeffs)
+def attach_coefficients(
+    structure: Structure, scenario: Scenario, K: int, rng: Random
+) -> tuple[Query, DecoderState]:
+    """Complete a first-model structure into a query: a fresh coefficient on
+    the demand, the side information's own coefficient on each support index
+    of the demand set, and fresh coefficients on every cover set."""
+    c = sample_coefficient(scenario.Y.params, rng)
+    own = dict(zip(scenario.S, scenario.C))
+    own[scenario.W] = c
+    sets = coefficient_sets(structure, own, scenario.Y.params, rng)
+    query = Query(sets=sets, K=K, M=len(scenario.S))
+    return query, DecoderState(scenario, structure.demand_slot, c)
 
 
-def _shuffle_within(qs: QuerySet, rng: Random) -> QuerySet:
-    pairs = list(zip(qs.indices, qs.coeffs))
-    rng.shuffle(pairs)
-    return QuerySet(tuple(i for i, _ in pairs), tuple(c for _, c in pairs))
+def coefficient_sets(structure: Structure, own: dict, params, rng: Random) -> tuple[QuerySet, ...]:
+    """The structure's sets with coefficients: the set at the demand slot
+    takes own[i] on each index i, every other set a fresh nonzero scalar per
+    index."""
+    slot = structure.demand_slot
+    return tuple(
+        QuerySet(indices, tuple(own[i] for i in indices))
+        if k == slot
+        else QuerySet(indices, tuple(sample_coefficient(params, rng) for _ in indices))
+        for k, indices in enumerate(structure.sets)
+    )
 
 
-def _validate_partition(query: Query, l: int) -> None:
+def _validate_partition(sets, K: int, M: int, l: int) -> None:
     """Construction guard: sizes, coverage, and the exact repeat budget."""
-    counts: dict[int, int] = {}
-    for qs in query.sets:
-        if len(qs.indices) != query.M + 1:
+    seen, twice = set(), set()
+    for indices in sets:
+        if len(indices) != M + 1:
             raise ProtocolError("built a set of the wrong size")
-        if len(set(qs.indices)) != len(qs.indices):
+        if len(set(indices)) != M + 1:
             raise ProtocolError("built a set with a repeated index")
-        for i in qs.indices:
-            counts[i] = counts.get(i, 0) + 1
-    if set(counts) != set(range(1, query.K + 1)):
+        again = seen.intersection(indices)
+        if not twice.isdisjoint(again):
+            raise ProtocolError("built sets with the wrong repeat budget")
+        twice |= again
+        seen.update(indices)
+    if len(seen) != K or min(seen) < 1 or max(seen) > K:
         raise ProtocolError("built sets that do not cover the database")
-    if sorted(counts.values()).count(2) != l or any(v > 2 for v in counts.values()):
+    if len(twice) != l:
         raise ProtocolError("built sets with the wrong repeat budget")
 
 
@@ -278,7 +334,12 @@ def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
 def canonical_fingerprint(query) -> tuple:
     """What the privacy analysis conditions on: the transmitted index sets with
     element order, set order, and coefficients stripped away."""
-    return tuple(sorted(tuple(sorted(qs.indices)) for qs in query.sets))
+    return fingerprint_of(qs.indices for qs in query.sets)
+
+
+def fingerprint_of(index_sets) -> tuple:
+    """canonical_fingerprint of bare index sets, such as a Structure's."""
+    return tuple(sorted(tuple(sorted(indices)) for indices in index_sets))
 
 
 def ordered_fingerprint(query) -> tuple:

@@ -1,8 +1,9 @@
 """Exact and statistical privacy auditors, recoverability, and rate metering.
 
 The exact auditor never runs the builder; it enumerates the construction's
-branches analytically.  The Monte-Carlo auditor only runs the builder.  Cells
-where both agree (flat or deviating) therefore cross-validate each other.
+branches analytically.  The Monte-Carlo auditor only runs the builder's
+structure draw.  Cells where both agree (flat or deviating) therefore
+cross-validate each other.
 """
 import hashlib
 from fractions import Fraction
@@ -10,6 +11,7 @@ from math import inf
 from random import Random
 
 import pytest
+from scipy.stats import chisquare
 
 from pircsi import (
     AuditSizeError,
@@ -79,6 +81,18 @@ def test_exact_guard_refuses_oversized_cells():
         audit_exact(MODEL_I, 14, 1)
     with pytest.raises(ParameterError):
         audit_exact("III", 4, 1)
+
+
+def test_exact_guard_counts_second_model_branches():
+    # II(14,7) runs to the end without a guard (42,042 fingerprints)
+    with pytest.raises(AuditSizeError):
+        audit_exact(MODEL_II, 14, 7, row_guard=1)
+    # II(6,4) is an overlap cell: C(6,4) * 4 scenarios, and 3 + 3 ways to
+    # repeat one or two of the other support indices
+    rows = 15 * 4 * (3 + 3)
+    assert audit_exact(MODEL_II, 6, 4, row_guard=rows).uniform
+    with pytest.raises(AuditSizeError):
+        audit_exact(MODEL_II, 6, 4, row_guard=rows - 1)
 
 
 # SHA-256 of each cell's canonical report (below), recorded from the rational
@@ -175,6 +189,22 @@ def test_montecarlo_honest_model_one_passes():
 def test_montecarlo_honest_model_two_passes():
     report = audit_montecarlo(MODEL_II, 6, 3, 20_000, Random(2))
     assert report.passed
+
+
+def test_montecarlo_names_its_worst_bin():
+    report = audit_montecarlo(MODEL_I, 5, 1, 20_000, Random(2), mutation="unshuffled_sets")
+    worst = report.worst_bin
+    # the demand set always goes first, so "index j in slot 0" piles up on W = j
+    assert worst.family == "slot" and worst.key[1] == 0
+    j = worst.key[0]
+    assert max(worst.counts) == worst.counts[j - 1]
+    assert chisquare(worst.counts).pvalue == pytest.approx(report.min_p, abs=1e-300)
+
+    report = audit_montecarlo(MODEL_II, 6, 3, 20_000, Random(2))
+    worst = report.worst_bin
+    assert worst.family in ("fingerprint", "slot") and len(worst.counts) == 6
+    assert sum(worst.counts) >= 5 * 6
+    assert chisquare(worst.counts).pvalue == pytest.approx(report.min_p, rel=1e-9)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

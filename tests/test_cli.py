@@ -101,6 +101,31 @@ def test_audit_exact_oversized_cell_guides_to_mc(capsys):
     assert "--mc" in err
 
 
+def test_audit_exact_oversized_second_model_cell_guides_to_mc(capsys):
+    code, out, err = _run(
+        capsys, "audit", "--exact", "--model", "II", "--k", "14", "--m", "7", "--row-guard", "1"
+    )
+    assert code == 2 and out == ""
+    assert "--mc" in err
+
+
+def test_audit_mc_names_its_worst_bin(capsys):
+    code, out, _ = _run(capsys, "audit", "--mc", "--model", "I", "--k", "5", "--m", "1",
+                        "--trials", "20000", "--seed", "2", "--mutation", "unshuffled_sets")
+    assert code == 1
+    worst = json.loads(out)["worst_bin"]
+    assert set(worst) == {"family", "key", "counts"}
+    assert worst["family"] == "slot" and worst["key"][1] == 0
+    assert len(worst["counts"]) == 5
+
+    code, out, _ = _run(capsys, "audit", "--mc", "--model", "II", "--k", "4", "--m", "2",
+                        "--trials", "4000", "--seed", "2")
+    report = json.loads(out)
+    assert code == 0 and sum(report["worst_bin"]["counts"]) >= 20
+    if report["worst_bin"]["family"] == "fingerprint":
+        assert all(isinstance(s, list) for s in report["worst_bin"]["key"])
+
+
 def test_audit_mc_honest_and_mutated(capsys):
     base = ("audit", "--mc", "--model", "I", "--k", "5", "--m", "1",
             "--trials", "20000", "--seed", "2")

@@ -1,0 +1,187 @@
+"""Each query builder is a structure draw followed by a coefficient step.
+
+The structure draw alone decides what the server sees of the index sets, so
+build_query must send exactly the sets it draws; the coefficient step must
+keep every coefficient a nonzero scalar, keep each side-information
+coefficient on its own index, and still decode exactly; the Monte-Carlo
+screen must run the structure draw and nothing else; and the structure draw
+must follow the law the exact auditor enumerates.
+"""
+from collections import Counter
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
+
+from pircsi import (
+    Database,
+    FieldParams,
+    MODEL_I,
+    MODEL_II,
+    audit_exact,
+    audit_montecarlo,
+    model,
+    protocol_csi2,
+    protocol_rp,
+    sample_demand,
+    sample_scenario,
+)
+from pircsi import audit
+from pircsi.audit import MUTATIONS
+from pircsi.protocol_csi2 import (
+    CASE_DISJOINT,
+    CASE_FULL,
+    CASE_OVERLAP,
+    CASE_SINGLE,
+    CASE_TRIVIAL,
+    case_for,
+)
+from pircsi.protocol_rp import fingerprint_of
+from pircsi.protocols import PROTOCOLS
+
+# First model: one, two, three, four and five sets, with and without repeats.
+MODEL_I_CELLS = [(3, 2), (4, 1), (5, 2), (5, 1), (7, 1), (8, 2), (9, 1), (10, 1), (6, 0)]
+# Second model at K=8: every case, both branches of the disjoint and overlap cases.
+MODEL_II_CELLS = [(8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (8, 7), (8, 8)]
+
+
+def _split_matches_build(model_name, K, M, seed, **mutation):
+    db = Database.random(FieldParams(5), K, Random(seed))
+    scenario = sample_scenario(db, M, model_name, Random(seed + 1))
+    protocol = PROTOCOLS[model_name]
+    structure = protocol.draw_structure(scenario.W, scenario.S, K, Random(seed + 2), **mutation)
+    query, state = protocol.build_query(scenario, K, Random(seed + 2), **mutation)
+    assert tuple(qs.indices for qs in query.sets) == structure.sets
+    assert state.demand_slot == structure.demand_slot
+    return structure, query, state
+
+
+@pytest.mark.parametrize("K,M", MODEL_I_CELLS)
+def test_first_model_build_sends_the_structure_it_draws(K, M):
+    for seed in range(40):
+        _split_matches_build(MODEL_I, K, M, seed)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutations_act_on_the_structure_draw(mutation):
+    for seed in range(20):
+        _split_matches_build(MODEL_I, 8, 2, seed, **MUTATIONS[mutation](8, 2))
+
+
+@pytest.mark.parametrize("K,M", MODEL_II_CELLS)
+def test_second_model_build_sends_the_structure_it_draws(K, M):
+    case = case_for(K, M)
+    for seed in range(40):
+        structure, query, state = _split_matches_build(MODEL_II, K, M, seed)
+        assert structure.case_tag == query.case_tag == state.case_tag == case
+        if case == CASE_SINGLE:
+            assert state.probe_index == structure.sets[0][0]
+
+
+def test_every_second_model_case_is_covered():
+    assert {case_for(K, M) for K, M in MODEL_II_CELLS} == {
+        CASE_TRIVIAL, CASE_SINGLE, CASE_DISJOINT, CASE_OVERLAP, CASE_FULL
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 1), (5, 2), (257, 1)]),
+    st.integers(2, 12),
+    st.sampled_from([MODEL_I, MODEL_II]),
+    st.data(),
+)
+def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model_name, data):
+    q, m = field
+    if model_name == MODEL_I:
+        M = data.draw(st.integers(0, K - 1), label="M")
+    else:
+        M = data.draw(st.integers(1, K), label="M")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = Random(seed)
+    db = Database.random(FieldParams(q, m), K, rng)
+    scenario = sample_scenario(db, M, model_name, rng)
+    protocol = PROTOCOLS[model_name]
+    query, state = protocol.build_query(scenario, K, rng)
+
+    assert all(1 <= c <= q - 1 for qs in query.sets for c in qs.coeffs)
+    own = dict(zip(scenario.S, scenario.C))
+    if query.sets and state.case_tag != CASE_SINGLE:
+        demand_set = query.sets[state.demand_slot]
+        for i, c in zip(demand_set.indices, demand_set.coeffs):
+            if i == scenario.W:
+                assert c == state.demand_coeff
+                if model_name == MODEL_II:
+                    assert c != own[i]  # the overlap and full cases need a difference
+            else:
+                assert c == own[i]
+        assert set(demand_set.indices) <= {scenario.W, *scenario.S}
+    if state.case_tag == CASE_SINGLE:
+        assert query.sets[0].coeffs == (state.demand_coeff,)
+    answer = protocol.answer_query(db, query)
+    assert protocol.decode_answer(answer, state) == db[scenario.W]
+
+
+# ------------------------------------------------------- the screen's draws
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("model_name,K,M", [(MODEL_I, 5, 1), (MODEL_I, 8, 2), (MODEL_II, 6, 4)])
+def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K, M):
+    calls = Counter()
+    for module in (protocol_rp, protocol_csi2):
+        for name in ("draw_structure", "attach_coefficients", "build_query"):
+            label = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
+    monkeypatch.setattr(model, "side_information", _counting(calls, "side_information", model.side_information))
+    monkeypatch.setattr(audit, "sample_scenario", _counting(calls, "sample_scenario", audit.sample_scenario))
+    monkeypatch.setattr(Database, "random", _counting(calls, "Database.random", Database.random))
+    monkeypatch.setattr(audit, "sample_demand", _counting(calls, "sample_demand", audit.sample_demand))
+
+    trials = 400
+    audit_montecarlo(model_name, K, M, trials, Random(0))
+    drawn = f"{PROTOCOLS[model_name].__name__}.draw_structure"
+    assert calls == {drawn: trials, "sample_demand": trials}
+
+
+# ---------------------------------------------- builder against enumeration
+
+FAMILY_SIGNIFICANCE = 1e-6
+GOF_CELLS = [(MODEL_I, 5, 1, 20_000), (MODEL_I, 7, 1, 25_000), (MODEL_I, 8, 2, 40_000),
+             (MODEL_II, 10, 5, 80_000)]
+
+
+@pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
+def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
+    # I(7,1) is not private, but the builder and the enumeration must still
+    # agree on it.  Every (fingerprint, W) pair with nonzero exact
+    # probability is one chi-square cell; a pair the enumeration gives
+    # probability zero must never be drawn.
+    report = audit_exact(model_name, K, M)
+    joint = {
+        (fp, w): p_fp * p_w
+        for fp, p_fp in report.fingerprint_probs.items()
+        for w, p_w in enumerate(report.posteriors[fp], start=1)
+        if p_w
+    }
+    rng = Random(0)
+    draw = PROTOCOLS[model_name].draw_structure
+    seen = Counter()
+    for _ in range(trials):
+        W, S = sample_demand(K, M, model_name, rng)
+        seen[fingerprint_of(draw(W, S, K, rng).sets), W] += 1
+    assert set(seen) <= set(joint), "the builder drew a pair the enumeration excludes"
+    cells = sorted(joint)
+    expected = [float(joint[c] * trials) for c in cells]
+    assert min(expected) >= 5, "too few trials for the chi-square approximation"
+    p = chisquare([seen[c] for c in cells], expected).pvalue
+    assert p >= FAMILY_SIGNIFICANCE / len(GOF_CELLS), p
