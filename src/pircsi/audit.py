@@ -1,52 +1,57 @@
 """Privacy, recoverability, and rate verification.
 
-The exact auditor enumerates every scenario and every branch of the query
-builder with exact integer weights, then applies Bayes' rule per query
-fingerprint: the protocol is private iff every posterior over demands is the
-flat 1/K vector.  The Monte-Carlo auditor replaces enumeration with seeded
-sampling and chi-square tests, which scales to cells the exact auditor
-cannot touch and doubles as a defect detector via deliberately broken
-builder variants.
+The exact auditor runs each model's own draw_structure under an enumerating
+interpreter of the draw primitives (pircsi.draws), for one representative
+scenario, with exact integer weights.  The builders treat indices
+symmetrically, so every other scenario's law is that one relabelled; Bayes'
+rule per query fingerprint then gives the posteriors, and the protocol is
+private iff every posterior over demands is the flat 1/K vector.  The
+Monte-Carlo auditor replaces enumeration with seeded sampling and
+chi-square tests, which scales to cells the exact auditor cannot touch and
+catches set-order leaks that the order-stripped fingerprint cannot show.
+Both take the deliberately broken builder variants in MUTATIONS.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, inf, lcm
-from operator import itemgetter
+from math import comb, inf, lcm
 from random import Random
 
 import numpy as np
 from scipy.stats import chisquare
 
+from .draws import RandomDraws, Rejected
 from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
-from .model import MODEL_I, MODEL_II, Database, sample_demand, sample_scenario
-from .pmf import capacity, case2_pmf, case3_pmf, rp_distribution
+from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
+from .pmf import Cdf, capacity, rp_distribution
 from .protocols import PROTOCOLS
-from .protocol_csi2 import CASE_DISJOINT, CASE_OVERLAP, CASE_SINGLE, CASE_TRIVIAL, case_for
 from .protocol_rp import fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
 
+
 # Deliberately broken builder variants, keyed by what they break.  Each maps
-# (K, M) to keyword arguments of the first-model builder.
+# (K, M) to keyword arguments of the first-model structure draw.
 MUTATIONS = {
     "unshuffled_sets": lambda K, M: {"_shuffle_order": False},
     "deterministic_extras": lambda K, M: {"_deterministic_extras": True},
-    "skewed_class_pmf": lambda K, M: {
-        "_class_pmf": {
-            sr: Fraction(1, len(rp_distribution(K, M).table))
-            for sr in rp_distribution(K, M).table
-        }
-    },
+    "skewed_class_pmf": lambda K, M: {"_class_pmf": _flat_cdf(rp_distribution(K, M).table)},
 }
+
+
+def _flat_cdf(table: dict) -> Cdf:
+    return Cdf.of(dict.fromkeys(table, Fraction(1, len(table))))
 
 
 @dataclass(frozen=True)
 class PosteriorReport:
-    """Exact per-fingerprint demand posteriors for one (model, K, M) cell."""
+    """Exact per-fingerprint demand posteriors for one (model, K, M) cell;
+    worst_fingerprint is the first (sorted) whose posterior deviates by
+    worst_deviation, None when uniform."""
 
     model: str
     K: int
@@ -55,6 +60,7 @@ class PosteriorReport:
     fingerprint_probs: dict
     uniform: bool
     worst_deviation: Fraction
+    worst_fingerprint: tuple | None
 
 
 @dataclass(frozen=True)
@@ -106,213 +112,226 @@ class RateReport:
     matches_capacity: bool
 
 
-def audit_exact(model: str, K: int, M: int, *, row_guard: int = DEFAULT_ROW_GUARD) -> PosteriorReport:
-    """Enumerate all builder branches and return the exact posteriors.
+def _draw_for(model: str, K: int, M: int, mutation: str | None):
+    """The cell's draw_structure and the keyword arguments of the named
+    mutation, which exist for the first model only."""
+    check_cell(K, M, model)
+    if mutation is None:
+        return PROTOCOLS[model].draw_structure, {}
+    if model != MODEL_I:
+        raise ParameterError("builder mutations only exist for the first model")
+    if mutation not in MUTATIONS:
+        raise ParameterError(f"unknown mutation {mutation!r}")
+    return PROTOCOLS[model].draw_structure, MUTATIONS[mutation](K, M)
 
-    Raises AuditSizeError when the branch count exceeds row_guard; switch to
-    audit_montecarlo for such cells.
+
+def audit_exact(
+    model: str, K: int, M: int, *, row_guard: int = DEFAULT_ROW_GUARD, mutation: str | None = None
+) -> PosteriorReport:
+    """Enumerate the model's structure draw and return the exact posteriors.
+
+    Raises AuditSizeError when scenarios times draw leaves exceed row_guard;
+    switch to audit_montecarlo for such cells.
     """
-    if model == MODEL_I:
-        rows, enumerate_cell = _rp_enumeration_size(K, M), _enumerate_rp
-    elif model == MODEL_II:
-        rows, enumerate_cell = _csi2_enumeration_size(K, M), _enumerate_csi2
-    else:
-        raise ParameterError(f"unknown model {model!r}")
-    if rows > row_guard:
-        raise AuditSizeError(f"exact enumeration needs {rows} rows (> {row_guard})")
-    joint, D = enumerate_cell(K, M)
-
+    joint, D = exact_joint(model, K, M, row_guard=row_guard, mutation=mutation)
+    fraction = lru_cache(maxsize=None)(Fraction)  # rows share few distinct ratios
     flat = Fraction(1, K)
     posteriors, probs = {}, {}
     # The worst |x/total - 1/K| so far, as num/den: over a row it lies at the
     # row's min or max, and num/den = (K*x - total)/(K*total) stays integral.
-    worst_num, worst_den = 0, 1
-    mass = 0
+    worst_num, worst_den, worst_fp = 0, 1, None
     for fp in sorted(joint):
         row = joint[fp]
         total = sum(row)
-        mass += total
-        probs[fp] = Fraction(total, D)
+        probs[fp] = fraction(total, D)
         lo, hi = min(row), max(row)
         if lo * K == total == hi * K:
             posteriors[fp] = (flat,) * K
             continue
-        posteriors[fp] = tuple(Fraction(x, total) for x in row)
+        posteriors[fp] = tuple(fraction(x, total) for x in row)
         num, den = max(hi * K - total, total - lo * K), K * total
         if num * worst_den > worst_num * den:
-            worst_num, worst_den = num, den
-    if mass != D:
-        raise AssertionError(f"branch weights sum to {mass}/{D}, not 1")
-    uniform = worst_num == 0
-    return PosteriorReport(model, K, M, posteriors, probs, uniform, Fraction(worst_num, worst_den))
+            worst_num, worst_den, worst_fp = num, den, fp
+    worst = Fraction(worst_num, worst_den)
+    return PosteriorReport(model, K, M, posteriors, probs, worst_num == 0, worst, worst_fp)
 
 
-def _rp_enumeration_size(K: int, M: int) -> int:
-    """Branch count of the first-model builder at (K, M), each draw order
-    counted apart: the size guard on exact cells.  The enumeration visits
-    fewer rows, one per unordered filling."""
-    dist = rp_distribution(K, M)
-    n, l = dist.n, dist.l
-    per_scenario = 0
-    for (s, r) in dist.realizable_table():
-        draws = comb(M, s) * comb(K - M - 1, r)
-        if n == 1:
-            completions = 1
-        else:
-            completions = comb((M + 1) * (n - 1) - 2 * r, M + 1 - r)
-            if n >= 3:
-                completions *= comb((M + 1) * (n - 2) - r, M + 1 - r)
-                rest = (M + 1) * (n - 3)
-                completions *= factorial(rest) // factorial(M + 1) ** (n - 3)
-        per_scenario += draws * completions
-    return comb(K, M) * (K - M) * per_scenario
-
-
-def _enumerate_rp(K: int, M: int) -> tuple[dict, int]:
-    """Every (fingerprint, demand) pair the first-model builder can produce,
+def exact_joint(
+    model: str, K: int, M: int, *, row_guard: int = DEFAULT_ROW_GUARD, mutation: str | None = None
+) -> tuple[dict, int]:
+    """Every (fingerprint, demand) pair the model's structure draw can give,
     as integer weights over one common denominator D: the pair has
-    probability joint[fingerprint][W - 1] / D."""
-    dist = rp_distribution(K, M)
-    n, l = dist.n, dist.l
-    prior = Fraction(1, comb(K, M) * (K - M))
-    # A duplicate class draws its repeats uniformly, and each filling of the
-    # other sets from the pool they leave is equally likely; so one weight
-    # per class covers every row.
-    weights, layouts = {}, {}
-    for (s, r), p_class in dist.realizable_table().items():
-        pool_size = s + (s + r == l - 1) + K - M - 1 - r
-        layouts[s, r] = _completion_layout(pool_size, M + 1 - r, M + 1, n)
-        draws = comb(M, s) * comb(K - M - 1, r) * len(layouts[s, r])
-        weights[s, r] = prior * p_class / draws
-    weights, D = _on_common_denominator(weights)
-    joint: dict = defaultdict(lambda: [0] * K)
+    probability joint[fingerprint][W - 1] / D under a uniform (W, S).
+
+    The draw is enumerated for one scenario only, W=1 with S={2..M+1} (model
+    I) or S={1..M} (model II).  Scenario (W, S) takes that law relabelled by
+    1 -> W, the rest of the representative S to S without W in order, and
+    the other indices to the rest in order.  This is exact while the draw
+    treats indices alike, apart from taking them in order from S or from the
+    outside indices (as deterministic_extras does); tests compare it with an
+    enumeration of every scenario.
+    """
+    draw, mutations = _draw_for(model, K, M, mutation)
+    if model == MODEL_I:
+        S0, scenarios = tuple(range(2, M + 2)), comb(K, M) * (K - M)
+    else:
+        S0, scenarios = tuple(range(1, M + 1)), comb(K, M) * M
+    law = scenario_law(draw, 1, S0, K, mutations, scenarios=scenarios, row_guard=row_guard)
+
     universe = range(1, K + 1)
+    images, columns = [], []
     for S in combinations(universe, M):
-        for W in universe:
-            if W in S:
-                continue
-            outside = tuple(i for i in universe if i != W and i not in S)
-            demand_set = tuple(sorted((W,) + S))
-            for (s, r), w in weights.items():
-                extra = (W,) if s + r == l - 1 else ()
-                for sub_s in combinations(S, s):
-                    for shared in combinations(outside, r):
-                        # The sorted pool the non-demand sets are filled from;
-                        # the shared outside repeats join the second and third.
-                        unshared = tuple(i for i in outside if i not in shared)
-                        pool = tuple(sorted(sub_s + extra + unshared))
-                        for entry in layouts[s, r]:
-                            sets = [get(pool) for get in entry]
-                            if r:
-                                sets[0] = tuple(sorted(shared + sets[0]))
-                                sets[1] = tuple(sorted(shared + sets[1]))
-                            sets.append(demand_set)
-                            sets.sort()
-                            joint[tuple(sets)][W - 1] += w
-    return dict(joint), D
-
-
-def _on_common_denominator(weights: dict) -> tuple[dict, int]:
-    """Fraction weights as integers over their least common denominator D."""
-    D = lcm(*(w.denominator for w in weights.values()))
-    return {b: w.numerator * (D // w.denominator) for b, w in weights.items()}, D
-
-
-def _completion_layout(pool: int, fresh: int, size: int, n: int) -> list[tuple]:
-    """The ways to fill the n - 1 non-demand sets from a sorted pool of `pool`
-    indices, each as one getter per set.  The second and third sets come
-    first and take `fresh` indices each (plus the shared repeats); the tail
-    sets take `size`.  Each filling is listed once, whatever order the builder
-    drew its sets in: the fingerprint sorts the sets, and every filling has
-    equally many orders."""
-    sizes = (fresh,) * min(n - 1, 2) + (size,) * (n - 3)
-    return [tuple(map(_getter, sorted(split, key=len))) for split in _splits(pool, sizes)]
-
-
-def _splits(length: int, sizes: tuple) -> list[tuple]:
-    """Every split of positions 0..length-1 into ascending blocks of the given
-    sizes, blocks of one size unordered: the block holding position 0 takes
-    each size and each choice of mates once, and the rest splits the same way."""
-    if not sizes:
-        return [()]
-    splits = []
-    for size in sorted(set(sizes)):
-        left_sizes = list(sizes)
-        left_sizes.remove(size)
-        for mates in combinations(range(1, length), size - 1):
-            left = [p for p in range(1, length) if p not in mates]
-            for split in _splits(len(left), tuple(left_sizes)):
-                splits.append(((0, *mates), *(tuple(left[p] for p in b) for b in split)))
-    return splits
-
-
-def _getter(positions: tuple):
-    # itemgetter of one position returns a bare item; a slice keeps a tuple.
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
-
-
-def _csi2_branches(K: int, M: int) -> dict:
-    """The outcomes the second-model builder draws at (K, M), each with its
-    probability and the count of equally likely index draws that follow it:
-    the probed index is the demand or not (single case), or the pmf outcome
-    (disjoint and overlap cases).  The trivial and full cases have one."""
-    if not 1 <= M <= K:
-        raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
-    case = case_for(K, M)
-    if case == CASE_SINGLE:
-        return {True: (Fraction(1, K), 1), False: (Fraction(K - 1, K), 1)}
-    if case == CASE_DISJOINT:
-        return {r: (p, comb(K - M, r)) for r, p in case2_pmf(K, M).items()}
-    if case == CASE_OVERLAP:
-        return {s: (p, comb(M - 1, s)) for s, p in case3_pmf(K, M).items()}
-    return {None: (Fraction(1), 1)}
-
-
-def _csi2_enumeration_size(K: int, M: int) -> int:
-    """Branch count of the second-model builder at (K, M): the size guard on
-    exact cells, C(K, M) * M scenarios times the case's branches."""
-    return comb(K, M) * M * sum(draws for _, draws in _csi2_branches(K, M).values())
-
-
-def _enumerate_csi2(K: int, M: int) -> tuple[dict, int]:
-    """The second model's (fingerprint, demand) pairs, as integer weights over
-    one common denominator D, like _enumerate_rp."""
-    case = case_for(K, M)
-    prior = Fraction(1, comb(K, M) * M)
-    # Each branch's weight: its outcome's probability, spread evenly over the
-    # index draws that follow it.
-    weights = {b: prior * p / draws for b, (p, draws) in _csi2_branches(K, M).items()}
-    weights, D = _on_common_denominator(weights)
+        outside = [i for i in universe if i not in S]
+        for W in outside if model == MODEL_I else S:
+            images.append((0, W, *(i for i in S if i != W), *(i for i in outside if i != W)))
+            columns.append(W - 1)
+    # Under each scenario a set of the law becomes the bit mask of its image:
+    # a Python int, so any K fits, and cheaper to sort and hash than a tuple.
+    bits = np.left_shift(1, np.array(images, dtype=object))
+    members = sorted({s for fp in law for s in fp})
+    masks = [bits[:, list(s)].sum(axis=1).tolist() for s in members]
+    at = {s: j for j, s in enumerate(members)}
+    law = [(tuple(at[s] for s in fp), weight) for fp, weight in law.items()]
     joint: dict = defaultdict(lambda: [0] * K)
-    universe = tuple(range(1, K + 1))
-    for S in combinations(universe, M):
-        outside = tuple(i for i in universe if i not in S)
-        for W in S:
-            column = W - 1
-            others = tuple(i for i in S if i != W)
-            if case == CASE_TRIVIAL:
-                joint[()][column] += weights[None]
-            elif case == CASE_SINGLE:
-                joint[((W,),)][column] += weights[True]
-                joint[(others,)][column] += weights[False]
-            elif case == CASE_DISJOINT:
-                for r, w in weights.items():
-                    # r outside indices are drawn in both branches; the demand
-                    # itself joins the cover set only in the smaller branch.
-                    for sub in combinations(outside, r):
-                        cover = sub if r == M - 1 else tuple(sorted((W,) + sub))
-                        joint[tuple(sorted((others, cover)))][column] += w
-            elif case == CASE_OVERLAP:
-                for s, w in weights.items():
-                    for sub in combinations(others, s):
-                        core = sub if s == 2 * M - K else (W,) + sub
-                        cover = tuple(sorted(core + outside))
-                        joint[tuple(sorted((S, cover)))][column] += w
-            else:  # CASE_FULL
-                joint[(universe,)][column] += weights[None]
-    return dict(joint), D
+    for *row, column in zip(*masks, columns):
+        for fp, weight in law:
+            joint[tuple(sorted(map(row.__getitem__, fp)))][column] += weight
+    unmask = {m: tuple(i for i in universe if m >> i & 1) for fp in joint for m in fp}
+    joint = {tuple(sorted(map(unmask.__getitem__, fp))): row for fp, row in joint.items()}
+    return joint, scenarios * sum(weight for _, weight in law)
+
+
+def scenario_law(
+    draw,
+    W: int,
+    S: tuple,
+    K: int,
+    mutations: dict,
+    *,
+    scenarios: int = 1,
+    row_guard: int = DEFAULT_ROW_GUARD,
+) -> dict:
+    """The law of the fingerprint of draw(W, S, K, rng, **mutations), as
+    integer weights over their sum: the draw runs once per leaf of its choice
+    tree under _Enumeration.  Rejected leaves are dropped and the rest
+    renormalised, as RandomDraws.run draws again.  Raises AuditSizeError
+    once scenarios times the leaves would exceed row_guard."""
+    enum = _Enumeration(scenarios, row_guard)
+    masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
+    while True:
+        try:
+            fp = fingerprint_of(draw(W, S, K, enum, **mutations).sets)
+        except Rejected:
+            fp = None
+        masses[enum.den, fp] += enum.num
+        if not enum.next_leaf():
+            break
+    D = lcm(*(den for den, _ in masses))
+    law: dict = defaultdict(int)
+    for (den, fp), num in masses.items():
+        law[fp] += num * (D // den)
+    if sum(law.values()) != D:
+        raise AssertionError(f"leaf weights sum to {sum(law.values())}/{D}, not 1")
+    return {fp: weight for fp, weight in law.items() if fp is not None and weight}
+
+
+@lru_cache(maxsize=64)
+def _combinations(n: int, k: int) -> tuple:
+    return tuple(combinations(range(n), k))
+
+
+def _outcomes(cdf: Cdf) -> list:
+    lows = (0, *cdf.cumulative)
+    return [(outcome, hi - lo) for outcome, lo, hi in zip(cdf.outcomes, lows, cdf.cumulative)]
+
+
+class _Enumeration:
+    """The draw primitives as an enumeration.  Each run of the draw follows
+    `path`, its option at each choice point, taking the first option at a new
+    one, and next_leaf() advances the path depth first; num/den is the
+    product of the weights the run took.
+
+    sample lists each combination once, in pool order; shuffle leaves its
+    list alone; split lets the block of the first remaining item take each
+    choice of mates once.  So a run shows no element order, set order, or
+    order of equal blocks: sound only for a fingerprint that strips all three,
+    as fingerprint_of does.
+    """
+
+    __slots__ = ("path", "listed", "depth", "num", "den", "leaves", "scenarios", "row_guard")
+
+    def __init__(self, scenarios: int, row_guard: int):
+        self.path, self.listed, self.leaves = [], [], 0
+        self.scenarios, self.row_guard = scenarios, row_guard
+        self.depth, self.num, self.den = 0, 1, 1
+
+    def _guard(self, leaves: int) -> None:
+        if self.scenarios * leaves > self.row_guard:
+            raise AuditSizeError(
+                f"exact enumeration needs more than {self.row_guard} rows "
+                f"({self.scenarios} scenarios times {leaves} or more draw leaves)"
+            )
+
+    def _pick(self, width: int, options, *args):
+        """This run's option at its next choice point, of `width` listed by
+        options(*args): once per path, after the guard."""
+        depth = self.depth
+        self.depth += 1
+        if depth < len(self.path):
+            return self.listed[depth][self.path[depth]]
+        self._guard(self.leaves + width)
+        self.listed.append(options(*args))
+        self.path.append(0)
+        return self.listed[depth][0]
+
+    def next_leaf(self) -> bool:
+        """Count the run just ended and set up the next; False when none is left."""
+        self.leaves += 1
+        self._guard(self.leaves)
+        self.depth, self.num, self.den = 0, 1, 1
+        path, listed = self.path, self.listed
+        while path and path[-1] + 1 == len(listed[-1]):
+            path.pop()
+            listed.pop()
+        if path:
+            path[-1] += 1
+        return bool(path)
+
+    def choose(self, cdf: Cdf):
+        if len(cdf.outcomes) == 1:
+            return cdf.outcomes[0]
+        outcome, mass = self._pick(len(cdf.outcomes), _outcomes, cdf)
+        self.num *= mass
+        self.den *= cdf.denom
+        return outcome
+
+    def _combination(self, n: int, k: int):
+        width = comb(n, k)
+        if width == 1:
+            return range(k)
+        self.den *= width
+        return self._pick(width, _combinations, n, k)
+
+    def sample(self, pool, k: int) -> list:
+        return [pool[j] for j in self._combination(len(pool), k)]
+
+    def shuffle(self, seq: list) -> None:
+        pass
+
+    def split(self, seq, size: int) -> list:
+        rest, blocks = list(seq), []
+        while rest:
+            first, *others = rest
+            mates = self._combination(len(others), size - 1)
+            blocks.append([first, *(others[j] for j in mates)])
+            rest = [x for j, x in enumerate(others) if j not in mates]
+        return blocks
+
+    def reject(self):
+        raise Rejected
+
+    def run(self, draw, *args, **kwargs):
+        return draw(self, *args, **kwargs)
 
 
 def audit_montecarlo(
@@ -339,22 +358,13 @@ def audit_montecarlo(
     the chi-square approximation (expected count below 5) are counted as
     skipped.
     """
-    if mutation is not None:
-        if model != MODEL_I:
-            raise ParameterError("builder mutations only exist for the first model")
-        if mutation not in MUTATIONS:
-            raise ParameterError(f"unknown mutation {mutation!r}")
-        build_kwargs = MUTATIONS[mutation](K, M)
-    else:
-        build_kwargs = {}
-    if model not in PROTOCOLS:
-        raise ParameterError(f"unknown model {model!r}")
-    draw_structure = PROTOCOLS[model].draw_structure
+    draw_structure, build_kwargs = _draw_for(model, K, M, mutation)
+    draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
     fp_bins: dict = defaultdict(lambda: [0] * K)
     slot_bins: dict = defaultdict(lambda: [0] * K)
     for _ in range(trials):
         W, S = sample_demand(K, M, model, rng)
-        sets = draw_structure(W, S, K, rng, **build_kwargs).sets
+        sets = draw_structure(W, S, K, draws, **build_kwargs).sets
         w = W - 1
         fp_bins[fingerprint_of(sets)][w] += 1
         slot_of = [-1] * K

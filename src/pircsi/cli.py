@@ -207,9 +207,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     if args.exact:
         try:
-            report = audit_exact(cfg.model, cfg.K, cfg.M, row_guard=args.row_guard)
+            report = audit_exact(
+                cfg.model, cfg.K, cfg.M, row_guard=args.row_guard, mutation=args.mutation
+            )
         except AuditSizeError as exc:
             raise AuditSizeError(f"{exc}; rerun with --mc for a statistical audit") from None
+        worst = report.worst_fingerprint
         payload = {
             "mode": "exact",
             "model": report.model,
@@ -217,6 +220,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "M": report.M,
             "uniform": report.uniform,
             "worst_deviation": _rat(report.worst_deviation),
+            "worst_fingerprint": None if worst is None else [list(s) for s in worst],
             "fingerprints": _fingerprint_json(report),
         }
         _emit_json(payload, cfg.output)
@@ -252,6 +256,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         }
         _emit_json(payload, cfg.output)
         return 0 if report.passed else 1
+    if args.mutation is not None:
+        raise ParameterError("--mutation applies to --exact and --mc, not --rate")
     params = FieldParams(cfg.q, cfg.ext)
     report = measure_rate(cfg.model, cfg.K, cfg.M, params=params, seed=cfg.seed)
     payload = {
@@ -440,15 +446,18 @@ def build_parser() -> argparse.ArgumentParser:
     audit = commands.add_parser("audit", help="privacy and rate checks, exact or statistical")
     _add_cell_flags(audit)
     mode = audit.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", action="store_true", help="enumerate all query branches")
+    exact_help = "enumerate the builder's structure draw for one scenario, relabelled to all"
+    mode.add_argument("--exact", action="store_true", help=exact_help)
     mode.add_argument("--mc", action="store_true", help="chi-square screen over sampled queries")
     mode.add_argument("--rate", action="store_true", help="count downloads and compare to capacity")
     _add_field_flags(audit)
     audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--trials", type=int, default=100_000)
     audit.add_argument("--significance", type=float, default=0.01)
-    audit.add_argument("--mutation", choices=sorted(MUTATIONS), default=None)
-    audit.add_argument("--row-guard", type=int, default=DEFAULT_ROW_GUARD)
+    mutation_help = "a deliberately broken first-model builder (--exact, --mc)"
+    audit.add_argument("--mutation", choices=sorted(MUTATIONS), default=None, help=mutation_help)
+    guard_help = "--exact exits 2 once scenarios times draw leaves would exceed this"
+    audit.add_argument("--row-guard", type=int, default=DEFAULT_ROW_GUARD, help=guard_help)
     audit.add_argument("--out", default=None, help="report path (default stdout)")
     audit.set_defaults(func=_cmd_audit)
 

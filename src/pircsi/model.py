@@ -141,10 +141,9 @@ def side_information(db: Database, S, C) -> FieldElement:
     return FieldElement(db.params, tuple(t % q for t in total))
 
 
-def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[int, ...]]:
-    """Draw a uniform demand and support: S uniform over M-subsets of [K]
-    (sorted), W uniform over the complement of S (model I) or over S (model
-    II).  This is everything the query's index sets depend on."""
+def check_cell(K: int, M: int, model: str) -> None:
+    """Raise ParameterError unless the model admits a support of size M
+    against K messages: 0 <= M < K for model I, 1 <= M <= K for model II."""
     if model == MODEL_I:
         if not 0 <= M < K:
             raise ParameterError(f"model I needs 0 <= M < K, got M={M}, K={K}")
@@ -153,6 +152,13 @@ def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[i
             raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
     else:
         raise ParameterError(f"unknown model {model!r}")
+
+
+def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[int, ...]]:
+    """Draw a uniform demand and support: S uniform over M-subsets of [K]
+    (sorted), W uniform over the complement of S (model I) or over S (model
+    II).  This is everything the query's index sets depend on."""
+    check_cell(K, M, model)
     # The first index of a uniform ordered draw is uniform given the rest.
     if model == MODEL_I:
         W, *support = rng.sample(range(1, K + 1), M + 1)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
+from .draws import draws_from
 from .errors import ParameterError, ProtocolError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_II, Database, Scenario
@@ -93,60 +94,65 @@ def download_cost(K: int, M: int) -> int:
 
 
 def build_query(
-    scenario: Scenario, K: int, rng: Random, *, _shuffle_order: bool = True
+    scenario: Scenario, K: int, rng: Random, **mutations
 ) -> tuple[Csi2Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
     attach_coefficients."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
-    structure = draw_structure(scenario.W, scenario.S, K, rng, _shuffle_order=_shuffle_order)
+    structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
     return attach_coefficients(structure, scenario, K, rng)
 
 
-def draw_structure(
-    W: int, S: tuple[int, ...], K: int, rng: Random, *, _shuffle_order: bool = True
-) -> Structure:
+def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
     """The index sets of a query for demand W inside the sorted support S,
-    with the case tag; the demand slot is the set the decoder reads."""
-    M = len(S)
-    support = set(S)
-    if W not in support:
+    with the case tag; the demand slot is the set the decoder reads.  rng is
+    a random.Random or another interpreter of the draw primitives, as in
+    protocol_rp.draw_structure."""
+    if W not in S:
         raise ParameterError("demand must lie inside the support")
     if not all(1 <= i <= K for i in S):
         raise ParameterError("scenario indices exceed the database size")
+    return draws_from(rng).run(_draw, W, S, K, **mutations)
+
+
+def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True) -> Structure:
+    M = len(S)
     case = case_for(K, M)
 
     if case == CASE_TRIVIAL:
         return Structure((), None, case)
     if case == CASE_SINGLE:
         partner = next(i for i in S if i != W)
-        probe = W if rng.randrange(K) == 0 else partner
+        # Probe the partner?  One randrange(K), whose 0 (mass 1/K) probes W.
+        probe = partner if d.choose(Cdf(K, (1, K), (False, True))) else W
         return Structure(((probe,),), 0, case)
     if case == CASE_FULL:
         known = list(S)
-        rng.shuffle(known)
+        d.shuffle(known)
         return Structure((tuple(known),), 0, case)
 
+    support = set(S)
     outside = [i for i in range(1, K + 1) if i not in support]
     others = [i for i in S if i != W]
     if case == CASE_DISJOINT:
         # S without the demand, and a cover set of outside indices that the
         # demand joins in the smaller branch.
-        r = _cover_cdf(case, K, M).draw(rng)
-        cover = rng.sample(outside, r) + ([W] if r == M - 2 else [])
+        r = d.choose(_cover_cdf(case, K, M))
+        cover = d.sample(outside, r) + ([W] if r == M - 2 else [])
         known = others
     else:  # CASE_OVERLAP
         # S itself, and a cover set of everything outside S plus s repeated
         # support indices, the demand among them in the smaller branch.
-        s = _cover_cdf(case, K, M).draw(rng)
-        cover = rng.sample(others, s) + ([W] if s == 2 * M - K - 1 else []) + outside
+        s = d.choose(_cover_cdf(case, K, M))
+        cover = d.sample(others, s) + ([W] if s == 2 * M - K - 1 else []) + outside
         known = list(S)
-    rng.shuffle(known)
-    rng.shuffle(cover)
+    d.shuffle(known)
+    d.shuffle(cover)
     pair = (tuple(known), tuple(cover))
     order = [0, 1]
     if _shuffle_order:
-        rng.shuffle(order)
+        d.shuffle(order)
     return Structure(tuple(pair[i] for i in order), order.index(0), case)
 
 

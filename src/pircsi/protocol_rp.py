@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
 from .field import FieldElement, sample_coefficient
 from .model import MODEL_I, Database, Scenario
@@ -82,76 +83,65 @@ class Structure(NamedTuple):
     case_tag: int | None = None
 
 
-def build_query(
-    scenario: Scenario,
-    K: int,
-    rng: Random,
-    *,
-    _shuffle_order: bool = True,
-    _deterministic_extras: bool = False,
-    _class_pmf: dict | None = None,
-) -> tuple[Query, DecoderState]:
+def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
-    attach_coefficients.
-
-    The underscored keywords deliberately break the structure draw and exist
-    only so the auditors can show they catch such defects; production callers
-    leave them alone.
-    """
+    attach_coefficients.  mutations are _draw's underscored keywords."""
     if scenario.model != MODEL_I:
         raise ParameterError(f"expected a model {MODEL_I} scenario, got {scenario.model!r}")
-    structure = draw_structure(
-        scenario.W,
-        scenario.S,
-        K,
-        rng,
-        _shuffle_order=_shuffle_order,
-        _deterministic_extras=_deterministic_extras,
-        _class_pmf=_class_pmf,
-    )
+    structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
     return attach_coefficients(structure, scenario, K, rng)
 
 
-def draw_structure(
-    W: int,
-    S: tuple[int, ...],
-    K: int,
-    rng: Random,
-    *,
-    _shuffle_order: bool = True,
-    _deterministic_extras: bool = False,
-    _class_pmf: dict | None = None,
-) -> Structure:
+def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
     """The index sets of a query for demand W outside the sorted support S.
 
     Everything the server sees of the query except its coefficients is drawn
     here, and nothing of it depends on the side information's coefficients.
+    rng is a random.Random, or another interpreter of the draw primitives
+    (pircsi.draws) such as the exact auditor's.
     """
     M = len(S)
     if not 0 <= M < K:
         raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
-    support = set(S)
-    if W in support:
+    if W in S:
         raise ParameterError("demand must lie outside the support")
     if not all(1 <= i <= K for i in (W, *S)):
         raise ParameterError("scenario indices exceed the database size")
+    return draws_from(rng).run(_draw, W, S, K, **mutations)
+
+
+def _draw(
+    d,
+    W: int,
+    S: tuple[int, ...],
+    K: int,
+    *,
+    _shuffle_order: bool = True,
+    _deterministic_extras: bool = False,
+    _class_pmf: Cdf | None = None,
+) -> Structure:
+    """draw_structure over the draw primitives of d.  The underscored
+    keywords deliberately break it and exist only so the auditors can show
+    they catch such defects: no set-order shuffle, the first indices of S
+    and of the outside as repeats, and a replacement duplicate-class pmf
+    (as a Cdf).  Production callers leave them alone."""
+    M = len(S)
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
-    cdf = dist.cdf if _class_pmf is None else Cdf.of(_class_pmf)
 
     # Draw a duplicate class; with two sets, classes needing an outside repeat
-    # cannot be completed, so those draws are rejected and redrawn.
-    while True:
-        s, r = cdf.draw(rng)
-        if n != 2 or r == 0:
-            break
+    # cannot be completed, so those draws are rejected and drawn again.
+    s, r = d.choose(dist.cdf if _class_pmf is None else _class_pmf)
+    if n == 2 and r:
+        d.reject()
 
+    support = set(S)
     outside = [i for i in range(1, K + 1) if i != W and i not in support]
     if _deterministic_extras:
         from_support, shared_outside = list(S[:s]), outside[:r]
-    else:  # a sample of nothing draws nothing, so it is skipped
-        from_support = sorted(rng.sample(S, s)) if s else []
-        shared_outside = sorted(rng.sample(outside, r)) if r else []
+    else:  # a sample of nothing is skipped: random.sample would copy the pool
+        from_support = sorted(d.sample(S, s)) if s else []
+        shared_outside = sorted(d.sample(outside, r)) if r else []
     # What the cover sets draw from: every index outside the demand set, each
     # repeated support index, and W when it takes the remaining repeat slot;
     # the shared outside repeats go straight into the second and third sets.
@@ -160,25 +150,23 @@ def draw_structure(
         pool.add(W)
 
     sets = [[W, *S]]
-    rng.shuffle(sets[0])
+    d.shuffle(sets[0])
     for _ in range(min(n, 3) - 1):
-        cover = rng.sample(sorted(pool), M + 1 - r)  # a sample comes in random order
+        cover = d.sample(sorted(pool), M + 1 - r)  # a sample comes in random order
         pool.difference_update(cover)
         if r:
             cover += shared_outside
-            rng.shuffle(cover)
+            d.shuffle(cover)
         sets.append(cover)
     if n >= 4:
         # The rest is shuffled whole, so each tail set is already in
         # uniformly random element order.
-        tail = sorted(pool)
-        rng.shuffle(tail)
-        sets.extend(tail[i : i + M + 1] for i in range(0, len(tail), M + 1))
+        sets.extend(d.split(sorted(pool), M + 1))
     _validate_partition(sets, K, M, l)
 
     order = list(range(n))
     if _shuffle_order:
-        rng.shuffle(order)
+        d.shuffle(order)
     return Structure(tuple(tuple(sets[i]) for i in order), order.index(0))
 
 

@@ -1,12 +1,16 @@
 """Exact and statistical privacy auditors, recoverability, and rate metering.
 
-The exact auditor never runs the builder; it enumerates the construction's
-branches analytically.  The Monte-Carlo auditor only runs the builder's
-structure draw.  Cells where both agree (flat or deviating) therefore
-cross-validate each other.
+Both auditors run the builders' own structure draw: the exact auditor
+enumerates it for one scenario and relabels that law to every scenario, and
+the Monte-Carlo auditor samples it.  The relabelling is checked against an
+enumeration of every scenario kept here, and the chi-square fit in
+test_structure.py checks the enumeration against the random draw.
 """
 import hashlib
+import time
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 from random import Random
 
@@ -23,7 +27,8 @@ from pircsi import (
     audit_montecarlo,
     measure_rate,
 )
-from pircsi.audit import MUTATIONS, _enumerate_csi2, _enumerate_rp, audit_recoverability
+from pircsi.audit import MUTATIONS, audit_recoverability, exact_joint, scenario_law
+from pircsi.protocols import PROTOCOLS
 
 
 # ------------------------------------------------------------------- exact
@@ -93,6 +98,80 @@ def test_exact_guard_counts_second_model_branches():
     assert audit_exact(MODEL_II, 6, 4, row_guard=rows).uniform
     with pytest.raises(AuditSizeError):
         audit_exact(MODEL_II, 6, 4, row_guard=rows - 1)
+
+
+def test_exact_guard_refuses_large_cells_before_listing_a_choice():
+    for model, K, M in [(MODEL_I, 1000, 9), (MODEL_II, 1000, 600)]:
+        start = time.perf_counter()
+        with pytest.raises(AuditSizeError):
+            audit_exact(model, K, M)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_exact_runs_the_mutated_draw(mutation):
+    report = audit_exact(MODEL_I, 8, 2, mutation=mutation)
+    if mutation == "unshuffled_sets":
+        # The fingerprint sorts the sets, so a set-order leak is invisible to
+        # the exact auditor; only the Monte-Carlo screen's slot bins see it.
+        assert report.uniform and report.worst_fingerprint is None
+    else:
+        assert not report.uniform
+        row = report.posteriors[report.worst_fingerprint]
+        assert max(abs(p - Fraction(1, 8)) for p in row) == report.worst_deviation
+
+
+def test_exact_mutations_are_model_one_only():
+    with pytest.raises(ParameterError):
+        audit_exact(MODEL_II, 5, 2, mutation="unshuffled_sets")
+    with pytest.raises(ParameterError):
+        audit_exact(MODEL_I, 5, 1, mutation="nope")
+
+
+def test_exact_names_its_worst_fingerprint():
+    report = audit_exact(MODEL_I, 7, 1)
+    worst = report.worst_fingerprint
+    assert max(abs(p - Fraction(1, 7)) for p in report.posteriors[worst]) == Fraction(8, 91)
+    # the first such fingerprint in sorted order
+    assert all(
+        max(abs(p - Fraction(1, 7)) for p in report.posteriors[fp]) < Fraction(8, 91)
+        for fp in report.posteriors
+        if fp < worst
+    )
+    assert audit_exact(MODEL_II, 6, 3).worst_fingerprint is None
+
+
+def _every_scenario_joint(model, K, M, mutation):
+    """The reference for the relabelling: the enumerated law of every
+    scenario, weighted by the uniform scenario prior."""
+    draw = PROTOCOLS[model].draw_structure
+    mutations = MUTATIONS[mutation](K, M) if mutation else {}
+    scenarios = [
+        (W, S)
+        for S in combinations(range(1, K + 1), M)
+        for W in range(1, K + 1)
+        if (W in S) == (model == MODEL_II)
+    ]
+    joint = defaultdict(lambda: [Fraction(0)] * K)
+    for W, S in scenarios:
+        law = scenario_law(draw, W, S, K, mutations)
+        total = sum(law.values()) * len(scenarios)
+        for fp, weight in law.items():
+            joint[fp][W - 1] += Fraction(weight, total)
+    return dict(joint)
+
+
+SMALL_CELLS = [(MODEL_I, K, M) for K in range(2, 7) for M in range(K)] + [
+    (MODEL_II, K, M) for K in range(2, 7) for M in range(1, K + 1)
+]
+
+
+@pytest.mark.parametrize("model,K,M", SMALL_CELLS, ids=lambda v: str(v))
+def test_one_scenario_relabelled_equals_every_scenario_enumerated(model, K, M):
+    for mutation in [None, *(sorted(MUTATIONS) if model == MODEL_I else ())]:
+        joint, D = exact_joint(model, K, M, mutation=mutation)
+        relabelled = {fp: [Fraction(x, D) for x in row] for fp, row in joint.items()}
+        assert relabelled == _every_scenario_joint(model, K, M, mutation), mutation
 
 
 # SHA-256 of each cell's canonical report (below), recorded from the rational
@@ -171,7 +250,7 @@ def test_exact_report_matches_its_pinned_digest(cell):
 )
 def test_integer_weights_sum_to_the_common_denominator(model, K, M):
     # one to five sets in the first model; every second-model case
-    joint, D = (_enumerate_rp if model == MODEL_I else _enumerate_csi2)(K, M)
+    joint, D = exact_joint(model, K, M)
     assert all(type(x) is int and x >= 0 for row in joint.values() for x in row)
     assert sum(map(sum, joint.values())) == D
 

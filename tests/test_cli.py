@@ -95,6 +95,30 @@ def test_audit_exact_skewed_cell_exits_one(capsys):
     assert report["worst_deviation"] == "8/91"
 
 
+def test_audit_exact_runs_the_mutated_builder(capsys):
+    base = ("audit", "--exact", "--model", "I", "--k", "8", "--m", "2")
+    code, out, _ = _run(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["worst_fingerprint"] is None
+
+    code, out, _ = _run(capsys, *base, "--mutation", "deterministic_extras")
+    assert code == 1
+    report = json.loads(out)
+    assert report["uniform"] is False and report["worst_deviation"] == "7/8"
+    # a deviation of 7/8 from 1/8: the fingerprint names its demand outright
+    worst = next(fp for fp in report["fingerprints"] if fp["sets"] == report["worst_fingerprint"])
+    assert sorted(worst["posterior"]) == ["0"] * 7 + ["1"]
+
+
+def test_audit_rate_refuses_a_mutation(capsys):
+    code, out, err = _run(
+        capsys, "audit", "--rate", "--model", "I", "--k", "8", "--m", "2",
+        "--mutation", "deterministic_extras",
+    )
+    assert code == 2 and out == ""
+    assert "--mutation" in err
+
+
 def test_audit_exact_oversized_cell_guides_to_mc(capsys):
     code, out, err = _run(capsys, "audit", "--exact", "--model", "I", "--k", "14", "--m", "1")
     assert code == 2

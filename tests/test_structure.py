@@ -23,6 +23,7 @@ from pircsi import (
     audit_exact,
     audit_montecarlo,
     model,
+    pmf,
     protocol_csi2,
     protocol_rp,
     sample_demand,
@@ -151,6 +152,13 @@ def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K
     audit_montecarlo(model_name, K, M, trials, Random(0))
     drawn = f"{PROTOCOLS[model_name].__name__}.draw_structure"
     assert calls == {drawn: trials, "sample_demand": trials}
+
+
+def test_the_skewed_mutant_screen_builds_its_pmf_once(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(pmf.Cdf, "of", classmethod(_counting(calls, "Cdf.of", pmf.Cdf.of.__func__)))
+    audit_montecarlo(MODEL_I, 8, 2, 400, Random(0), mutation="skewed_class_pmf")
+    assert calls["Cdf.of"] <= 1
 
 
 # ---------------------------------------------- builder against enumeration
