@@ -46,7 +46,6 @@ from .protocol_rp import (
     Query,
     QuerySet,
     canonical_fingerprint,
-    ordered_fingerprint,
 )
 from .protocol_csi2 import (
     CASE_DISJOINT,
@@ -54,7 +53,6 @@ from .protocol_csi2 import (
     CASE_OVERLAP,
     CASE_SINGLE,
     CASE_TRIVIAL,
-    Csi2Query,
     case_for,
     download_cost,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "CASE_OVERLAP",
     "CASE_SINGLE",
     "CASE_TRIVIAL",
-    "Csi2Query",
     "Database",
     "DecoderState",
     "FieldElement",
@@ -116,7 +113,6 @@ __all__ = [
     "download_cost",
     "indicator",
     "measure_rate",
-    "ordered_fingerprint",
     "partition_prob",
     "partition_rounds",
     "protocol_csi2",

@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from random import Random
 
@@ -36,33 +36,6 @@ _CASE_NAMES = {
     protocol_csi2.CASE_OVERLAP: "overlap-cover",
     protocol_csi2.CASE_FULL: "full-support",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knob set shared by the protocol-driving subcommands."""
-
-    model: str
-    K: int
-    M: int
-    q: int
-    ext: int
-    seed: int
-    trials: int
-    output: str | None
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        model=getattr(args, "model", MODEL_I),
-        K=getattr(args, "k", 0),
-        M=getattr(args, "m", 0),
-        q=getattr(args, "q", 3),
-        ext=getattr(args, "ext", 1),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 0),
-        output=getattr(args, "out", None),
-    )
 
 
 def _rat(value) -> str:
@@ -122,9 +95,7 @@ def _print_query(query, fh) -> None:
     if not query.sets:
         print("query: none (the side information alone yields the demand)", file=fh)
         return
-    label = ""
-    if hasattr(query, "case_tag"):
-        label = f"{_CASE_NAMES[query.case_tag]}, "
+    label = f"{_CASE_NAMES[query.case_tag]}, " if query.model == MODEL_II else ""
     print(f"query ({label}{len(query.sets)} set{'s' if len(query.sets) != 1 else ''}):", file=fh)
     for pos, qs in enumerate(query.sets, start=1):
         combo = " + ".join(f"{c}*X_{i}" for i, c in zip(qs.indices, qs.coeffs))
@@ -145,28 +116,40 @@ def _print_reveal(state, fh) -> None:
         )
 
 
-def _run_round(db: Database, scenario, K: int, rng: Random):
-    protocol = PROTOCOLS[scenario.model]
-    query, state = protocol.build_query(scenario, K, rng)
-    return query, state, protocol.answer_query(db, query)
-
-
-def _decode(answer, state):
-    return PROTOCOLS[state.scenario.model].decode_answer(answer, state)
+def _print_outcome(
+    db: Database, answer, state, reveal: bool, fh, *, show_expected: bool
+) -> int:
+    """Decode the answer and print it, the reveal line if asked for, the
+    decoded demand (then the database's copy, if show_expected) and the
+    verdict.  Returns the exit code: 0 when decoding recovered the demand."""
+    W = state.scenario.W
+    decoded = PROTOCOLS[state.scenario.model].decode_answer(answer, state)
+    count = len(answer.values)
+    print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
+    for pos, value in enumerate(answer.values, start=1):
+        print(f"  A_{pos} = {_format_element(value)}", file=fh)
+    if reveal:
+        _print_reveal(state, fh)
+    print(f"decoded  X_{W} = {_format_element(decoded)}", file=fh)
+    if show_expected:
+        print(f"database X_{W} = {_format_element(db[W])}", file=fh)
+    ok = decoded == db[W]
+    print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
+    return 0 if ok else 1
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    params = FieldParams(cfg.q, cfg.ext)
-    rng = Random(cfg.seed)
-    db = Database.random(params, cfg.K, rng)
-    scenario = sample_scenario(db, cfg.M, cfg.model, rng)
-    query, state, answer = _run_round(db, scenario, cfg.K, rng)
-    decoded = _decode(answer, state)
+    rng = Random(args.seed)
+    db = Database.random(FieldParams(args.q, args.ext), args.k, rng)
+    scenario = sample_scenario(db, args.m, args.model, rng)
+    protocol = PROTOCOLS[args.model]
+    query, state = protocol.build_query(scenario, args.k, rng)
+    answer = protocol.answer_query(db, query)
 
     fh = sys.stdout
     print(
-        f"model {cfg.model}  K={cfg.K}  M={cfg.M}  field GF({cfg.q}^{cfg.ext})  seed={cfg.seed}",
+        f"model {args.model}  K={args.k}  M={args.m}  field GF({args.q}^{args.ext})  "
+        f"seed={args.seed}",
         file=fh,
     )
     print("database:", file=fh)
@@ -174,17 +157,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"  X_{i} = {_format_element(db[i])}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
-    count = len(answer.values)
-    print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
-    for pos, value in enumerate(answer.values, start=1):
-        print(f"  A_{pos} = {_format_element(value)}", file=fh)
-    if args.reveal:
-        _print_reveal(state, fh)
-    print(f"decoded  X_{scenario.W} = {_format_element(decoded)}", file=fh)
-    print(f"database X_{scenario.W} = {_format_element(db[scenario.W])}", file=fh)
-    ok = decoded == db[scenario.W]
-    print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
-    return 0 if ok else 1
+    return _print_outcome(db, answer, state, args.reveal, fh, show_expected=True)
 
 
 # --------------------------------------------------------------------- audits
@@ -204,11 +177,10 @@ def _fingerprint_json(report) -> list:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.exact:
         try:
             report = audit_exact(
-                cfg.model, cfg.K, cfg.M, row_guard=args.row_guard, mutation=args.mutation
+                args.model, args.k, args.m, row_guard=args.row_guard, mutation=args.mutation
             )
         except AuditSizeError as exc:
             raise AuditSizeError(f"{exc}; rerun with --mc for a statistical audit") from None
@@ -223,16 +195,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "worst_fingerprint": None if worst is None else [list(s) for s in worst],
             "fingerprints": _fingerprint_json(report),
         }
-        _emit_json(payload, cfg.output)
+        _emit_json(payload, args.out)
         return 0 if report.uniform else 1
     if args.mc:
-        params = FieldParams(cfg.q, cfg.ext)
+        params = FieldParams(args.q, args.ext)
         report = audit_montecarlo(
-            cfg.model,
-            cfg.K,
-            cfg.M,
-            cfg.trials,
-            Random(cfg.seed),
+            args.model,
+            args.k,
+            args.m,
+            args.trials,
+            Random(args.seed),
             params=params,
             mutation=args.mutation,
             significance=args.significance,
@@ -242,9 +214,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "model": report.model,
             "K": report.K,
             "M": report.M,
-            "q": cfg.q,
-            "ext": cfg.ext,
-            "seed": cfg.seed,
+            "q": args.q,
+            "ext": args.ext,
+            "seed": args.seed,
             "trials": report.trials,
             "mutation": report.mutation,
             "significance": report.significance,
@@ -254,26 +226,26 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "passed": report.passed,
             "worst_bin": asdict(report.worst_bin),
         }
-        _emit_json(payload, cfg.output)
+        _emit_json(payload, args.out)
         return 0 if report.passed else 1
     if args.mutation is not None:
         raise ParameterError("--mutation applies to --exact and --mc, not --rate")
-    params = FieldParams(cfg.q, cfg.ext)
-    report = measure_rate(cfg.model, cfg.K, cfg.M, params=params, seed=cfg.seed)
+    params = FieldParams(args.q, args.ext)
+    report = measure_rate(args.model, args.k, args.m, params=params, seed=args.seed)
     payload = {
         "mode": "rate",
         "model": report.model,
         "K": report.K,
         "M": report.M,
-        "q": cfg.q,
-        "ext": cfg.ext,
-        "seed": cfg.seed,
+        "q": args.q,
+        "ext": args.ext,
+        "seed": args.seed,
         "elements_downloaded": report.elements_downloaded,
         "measured_rate": _rat(report.measured_rate),
         "capacity": _rat(report.capacity),
         "matches_capacity": report.matches_capacity,
     }
-    _emit_json(payload, cfg.output)
+    _emit_json(payload, args.out)
     return 0 if report.matches_capacity else 1
 
 
@@ -362,7 +334,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     # The database file stands in for however the client came by its side
     # information; query bytes depend only on (W, S, C) and the seed.
     db = Database.load(args.db)
@@ -371,26 +342,16 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     if remote_params != db.params or remote_k != db.K:
         print("error: server database does not match the local copy", file=sys.stderr)
         return 2
-    rng = Random(cfg.seed)
-    scenario = sample_scenario(db, cfg.M, cfg.model, rng)
-    query, state = PROTOCOLS[scenario.model].build_query(scenario, db.K, rng)
+    rng = Random(args.seed)
+    scenario = sample_scenario(db, args.m, args.model, rng)
+    query, state = PROTOCOLS[args.model].build_query(scenario, db.K, rng)
     answer = wire.fetch((host, port), query, db.params)
-    decoded = _decode(answer, state)
 
     fh = sys.stdout
     print(f"server {host}:{port}  GF({db.params.q}^{db.params.m})  K={db.K}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
-    count = len(answer.values)
-    print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
-    for pos, value in enumerate(answer.values, start=1):
-        print(f"  A_{pos} = {_format_element(value)}", file=fh)
-    if args.reveal:
-        _print_reveal(state, fh)
-    print(f"decoded  X_{scenario.W} = {_format_element(decoded)}", file=fh)
-    ok = decoded == db[scenario.W]
-    print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
-    return 0 if ok else 1
+    return _print_outcome(db, answer, state, args.reveal, fh, show_expected=False)
 
 
 def _cmd_db_gen(args: argparse.Namespace) -> int:

@@ -30,8 +30,7 @@ class RpDistribution:
     """Duplicate-class pmf for one (K, M) cell of the partition protocol.
 
     table maps (s, r) to its exact mass; P is the normalizing constant shared
-    by every mass; alpha holds the per-r completion correction and pnr the
-    per-r completion weight.
+    by every mass.
     """
 
     K: int
@@ -40,8 +39,6 @@ class RpDistribution:
     l: int
     table: dict
     P: Fraction
-    alpha: dict
-    pnr: dict
 
     def realizable_table(self) -> dict:
         """Classes the builder can actually complete.
@@ -78,9 +75,7 @@ def rp_distribution(K: int, M: int) -> RpDistribution:
     r_cap = K - M - 1
     if l == 0:
         # No repeats: the only class is (0, 0) with certainty.
-        alpha = {0: _alpha(K, M, n, 0)}
-        pnr = {0: partition_prob(K, M, 0)}
-        return RpDistribution(K, M, n, l, {(0, 0): Fraction(1)}, Fraction(1), alpha, pnr)
+        return RpDistribution(K, M, n, l, {(0, 0): Fraction(1)}, Fraction(1))
     weights = {}
     for total in (l - 1, l):
         for s in range(0, min(M, total) + 1):
@@ -94,9 +89,7 @@ def rp_distribution(K: int, M: int) -> RpDistribution:
             weights[(s, r)] = factor * _alpha(K, M, n, r) * beta
     P = 1 / sum(weights.values())
     table = {sr: w * P for sr, w in sorted(weights.items())}
-    alpha = {r: _alpha(K, M, n, r) for r in sorted({r for _, r in table})}
-    pnr = {r: partition_prob(K, M, r) for r in alpha}
-    return RpDistribution(K, M, n, l, table, P, alpha, pnr)
+    return RpDistribution(K, M, n, l, table, P)
 
 
 def partition_prob(K: int, M: int, r: int) -> Fraction:

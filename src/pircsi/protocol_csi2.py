@@ -16,7 +16,6 @@ The shape of the query depends only on the support size M:
 Each case downloads 0, 1, or 2 elements, matching the second-model capacity.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
@@ -28,6 +27,7 @@ from .pmf import Cdf, case2_pmf, case3_pmf
 from .protocol_rp import (
     Answer,
     DecoderState,
+    Query,
     QuerySet,
     Structure,
     answer_sets,
@@ -63,16 +63,6 @@ _SIZE_ERRORS = {
 }
 
 
-@dataclass(frozen=True)
-class Csi2Query:
-    """A second-model query: up to two sets plus the case tag that tells the
-    decoder (and the wire format) which shape this is."""
-
-    sets: tuple[QuerySet, ...]
-    case_tag: int
-    model: str = MODEL_II
-
-
 def case_for(K: int, M: int) -> int:
     """Which query shape a support of size M uses against K messages."""
     if not 1 <= M <= K:
@@ -93,15 +83,13 @@ def download_cost(K: int, M: int) -> int:
     return case_shape(case_for(K, M), K)[0]
 
 
-def build_query(
-    scenario: Scenario, K: int, rng: Random, **mutations
-) -> tuple[Csi2Query, DecoderState]:
+def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
     attach_coefficients."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
     structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
-    return attach_coefficients(structure, scenario, K, rng)
+    return attach_coefficients(structure, scenario, rng)
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
@@ -157,8 +145,8 @@ def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True)
 
 
 def attach_coefficients(
-    structure: Structure, scenario: Scenario, K: int, rng: Random
-) -> tuple[Csi2Query, DecoderState]:
+    structure: Structure, scenario: Scenario, rng: Random
+) -> tuple[Query, DecoderState]:
     """Complete a second-model structure into a query.  The probe set takes a
     fresh coefficient; the set at the demand slot takes the side
     information's own coefficients, except on the demand in the overlap and
@@ -167,11 +155,11 @@ def attach_coefficients(
     case = structure.case_tag
     params = scenario.Y.params
     if case == CASE_TRIVIAL:
-        return Csi2Query(sets=(), case_tag=case), DecoderState(scenario, None, None, case_tag=case)
+        return Query((), MODEL_II, case), DecoderState(scenario, None, None, case_tag=case)
     if case == CASE_SINGLE:
         (probe_set,) = structure.sets
         c = sample_coefficient(params, rng)
-        query = Csi2Query(sets=(QuerySet(probe_set, (c,)),), case_tag=case)
+        query = Query((QuerySet(probe_set, (c,)),), MODEL_II, case)
         return query, DecoderState(scenario, 0, c, case_tag=case, probe_index=probe_set[0])
     own = dict(zip(scenario.S, scenario.C))
     c = None  # in the disjoint case the decoder divides by the demand's own coefficient
@@ -179,9 +167,8 @@ def attach_coefficients(
         c = _fresh_coeff_excluding(params, rng, own[scenario.W])
         own[scenario.W] = c
     sets = coefficient_sets(structure, own, params, rng)
-    return Csi2Query(sets=sets, case_tag=case), DecoderState(
-        scenario, structure.demand_slot, c, case_tag=case
-    )
+    state = DecoderState(scenario, structure.demand_slot, c, case_tag=case)
+    return Query(sets, MODEL_II, case), state
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +185,12 @@ def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
             return c
 
 
-def check_shape(query: Csi2Query, K: int) -> None:
+def check_shape(query: Query, K: int) -> None:
     """Raise ShapeError unless the query has its case's shape against K: a
-    known case tag, case_shape's set count and size, no empty set, equal
-    paired sizes."""
+    model II query with a known case tag, case_shape's set count and size, no
+    empty set, equal paired sizes."""
+    if query.model != MODEL_II:
+        raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
     case = query.case_tag
     if case not in CASE_TAGS:
         raise ShapeError(f"unknown case tag {case!r}", "case")
@@ -218,7 +207,7 @@ def check_shape(query: Csi2Query, K: int) -> None:
         raise ShapeError("paired sets must have equal sizes", "size")
 
 
-def answer_query(db: Database, query: Csi2Query) -> Answer:
+def answer_query(db: Database, query: Query) -> Answer:
     """Check the query, then evaluate each set against the database."""
     check_shape(query, db.K)
     return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))

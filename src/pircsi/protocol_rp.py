@@ -40,12 +40,13 @@ class QuerySet:
 
 @dataclass(frozen=True)
 class Query:
-    """A full first-model query plus the metadata the wire format carries."""
+    """A query of either model, holding exactly what the wire format carries:
+    the coefficient-weighted sets, the model, and the case tag (the second
+    model's case; always 0 for the first)."""
 
     sets: tuple[QuerySet, ...]
-    K: int
-    M: int
     model: str = MODEL_I
+    case_tag: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Q
     if scenario.model != MODEL_I:
         raise ParameterError(f"expected a model {MODEL_I} scenario, got {scenario.model!r}")
     structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
-    return attach_coefficients(structure, scenario, K, rng)
+    return attach_coefficients(structure, scenario, rng)
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
@@ -171,7 +172,7 @@ def _draw(
 
 
 def attach_coefficients(
-    structure: Structure, scenario: Scenario, K: int, rng: Random
+    structure: Structure, scenario: Scenario, rng: Random
 ) -> tuple[Query, DecoderState]:
     """Complete a first-model structure into a query: a fresh coefficient on
     the demand, the side information's own coefficient on each support index
@@ -180,8 +181,7 @@ def attach_coefficients(
     own = dict(zip(scenario.S, scenario.C))
     own[scenario.W] = c
     sets = coefficient_sets(structure, own, scenario.Y.params, rng)
-    query = Query(sets=sets, K=K, M=len(scenario.S))
-    return query, DecoderState(scenario, structure.demand_slot, c)
+    return Query(sets), DecoderState(scenario, structure.demand_slot, c)
 
 
 def coefficient_sets(structure: Structure, own: dict, params, rng: Random) -> tuple[QuerySet, ...]:
@@ -218,7 +218,12 @@ def _validate_partition(sets, K: int, M: int, l: int) -> None:
 
 def check_shape(query: Query, K: int) -> None:
     """Raise ShapeError unless the query has the first model's shape against
-    K messages: at least one set, and every set of one size 1 <= M+1 <= K."""
+    K messages: model I with case tag 0, at least one set, and every set of
+    one size 1 <= M+1 <= K."""
+    if query.model != MODEL_I:
+        raise ShapeError(f"expected a model {MODEL_I} query, got {query.model!r}", "case")
+    if query.case_tag != 0:
+        raise ShapeError(f"first-model queries use case tag 0, got {query.case_tag!r}", "case")
     if not query.sets:
         raise ShapeError("first-model query carries no sets", "count")
     if any(not qs.indices for qs in query.sets):
@@ -226,16 +231,12 @@ def check_shape(query: Query, K: int) -> None:
     size = len(query.sets[0].indices)
     if any(len(qs.indices) != size for qs in query.sets):
         raise ShapeError("first-model sets must share one size", "size")
-    if size != query.M + 1:
-        raise ShapeError("query set size does not match its metadata", "size")
     if size > K:
         raise ShapeError(f"set size {size} exceeds the database", "size")
 
 
 def answer_query(db: Database, query: Query) -> Answer:
     """Check the query, then evaluate each set against the database."""
-    if query.K != db.K:
-        raise ProtocolError(f"query addresses {query.K} messages, database has {db.K}")
     check_shape(query, db.K)
     return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
 
@@ -328,9 +329,3 @@ def canonical_fingerprint(query) -> tuple:
 def fingerprint_of(index_sets) -> tuple:
     """canonical_fingerprint of bare index sets, such as a Structure's."""
     return tuple(sorted(tuple(sorted(indices)) for indices in index_sets))
-
-
-def ordered_fingerprint(query) -> tuple:
-    """Index sets with set order preserved (elements still sorted).  The
-    Monte-Carlo auditor uses this to catch order-leaking defects."""
-    return tuple(tuple(sorted(qs.indices)) for qs in query.sets)

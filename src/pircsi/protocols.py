@@ -1,8 +1,18 @@
 """The one place that picks a protocol by model.
 
-Both protocol modules expose build_query, answer_query and decode_answer with
-the same signatures, so callers look the module up here instead of branching
-on the model themselves.
+Both protocol modules expose the same entry points with the same signatures,
+so callers look the module up here instead of branching on the model:
+
+    build_query(scenario, K, rng)       draw_structure, then attach_coefficients
+    draw_structure(W, S, K, rng)        the index sets, their order, the demand slot
+    attach_coefficients(structure, scenario, rng)
+                                        the coefficients; returns (Query, DecoderState)
+    check_shape(query, K)               the model's shape rules; raises ShapeError
+    answer_query(db, query)             check_shape and check_sets, then the answer
+    decode_answer(answer, state)        the demand, from the answer and the client state
+
+Both build the one query type, protocol_rp.Query; its model field names the
+module that answers it.
 """
 
 from . import protocol_csi2, protocol_rp

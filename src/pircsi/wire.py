@@ -21,7 +21,7 @@ from itertools import chain
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldElement, FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from .protocol_csi2 import CASE_TAGS, Csi2Query
+from .protocol_csi2 import CASE_TAGS
 from .protocol_rp import Answer, Query, QuerySet, answer_sets, check_sets, set_arrays
 from .protocols import PROTOCOLS
 
@@ -35,6 +35,7 @@ _HELLO_BODY = struct.Struct("<III")
 MAX_FRAME_BYTES = 1 << 20
 
 _MODEL_BYTES = {MODEL_I: 1, MODEL_II: 2}
+_MODELS = {byte: model for model, byte in _MODEL_BYTES.items()}
 
 # The encoder checks indices against the u32 limit; K is the server's to check.
 _INDEX_LIMIT = 2**32 - 1
@@ -144,30 +145,28 @@ def _encode_sets(sets, params: FieldParams) -> bytes:
     return struct.pack("".join(layout), *values)
 
 
-def encode_query(query, params: FieldParams) -> bytes:
+def encode_query(query: Query, params: FieldParams) -> bytes:
     """Query payload bytes (frame not included)."""
-    if isinstance(query, Query):
-        model_byte, case_byte = _MODEL_BYTES[MODEL_I], 0
-    elif isinstance(query, Csi2Query):
-        model_byte, case_byte = _MODEL_BYTES[MODEL_II], query.case_tag
-    else:
-        raise ParameterError(f"cannot encode {type(query).__name__}")
-    return struct.pack("<BB", model_byte, case_byte) + _encode_sets(query.sets, params)
+    if query.model not in _MODEL_BYTES:
+        raise ParameterError(f"cannot encode a query of model {query.model!r}")
+    head = struct.pack("<BB", _MODEL_BYTES[query.model], query.case_tag)
+    return head + _encode_sets(query.sets, params)
 
 
-def decode_query(data: bytes, params: FieldParams, K: int):
+def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     """Parse a query payload.  Total on arbitrary bytes: every failure is a
     WireParseError carrying the byte offset, never a crash.  Framing faults
     come first, then the model's shape, then the first set-rule fault in byte
     order; a query this returns is well formed and needs no second check."""
     cur = _Cursor(data)
     model_byte = cur.u8("model byte")
-    if model_byte not in (1, 2):
+    if model_byte not in _MODELS:
         raise WireParseError(f"unknown model byte {model_byte}", 0)
+    model = _MODELS[model_byte]
     case_byte = cur.u8("case byte")
-    if model_byte == 1 and case_byte != 0:
+    if model == MODEL_I and case_byte != 0:
         raise WireParseError("first-model queries use case byte 0", 1)
-    if model_byte == 2 and case_byte not in CASE_TAGS:
+    if model == MODEL_II and case_byte not in CASE_TAGS:
         raise WireParseError(f"unknown case byte {case_byte}", 1)
     n_sets = cur.u16("set count")
     m, width = params.m, params.element_bytes
@@ -192,12 +191,9 @@ def decode_query(data: bytes, params: FieldParams, K: int):
     if cur.pos != len(data):
         raise WireParseError("trailing bytes after the query", cur.pos)
 
-    if model_byte == 1:
-        query = Query(sets=tuple(sets), K=K, M=len(sets[0].indices) - 1 if sets else 0)
-    else:
-        query = Csi2Query(sets=tuple(sets), case_tag=case_byte)
+    query = Query(tuple(sets), model, case_byte)
     try:
-        PROTOCOLS[query.model].check_shape(query, K)
+        PROTOCOLS[model].check_shape(query, K)
         check_sets(query.sets, K, params.q)
     except ShapeError as fault:  # the case byte, the set count, the first set's size
         raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
@@ -273,6 +269,20 @@ def _read_exact(rfile, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
+def _read_frame(rfile) -> tuple[int, bytes] | None:
+    """The next frame on a stream as (type, payload), or None if the peer
+    hangs up first.  A declared length over MAX_FRAME_BYTES raises
+    WireParseError before any of the payload is read."""
+    header = _read_exact(rfile, _FRAME_HEADER.size)
+    if header is None:
+        return None
+    msg_type, length = _FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise WireParseError(f"declared length {length} exceeds the frame cap", 1)
+    payload = _read_exact(rfile, length)
+    return None if payload is None else (msg_type, payload)
+
+
 class _Handler(socketserver.StreamRequestHandler):
     # Seconds a read or write on a connection may wait before the server
     # hangs up; socketserver applies it to the connection's socket.
@@ -287,16 +297,14 @@ class _Handler(socketserver.StreamRequestHandler):
     def _serve(self):
         db: Database = self.server.db  # type: ignore[attr-defined]
         while True:
-            header = _read_exact(self.rfile, _FRAME_HEADER.size)
-            if header is None:
-                return
-            msg_type, length = _FRAME_HEADER.unpack(header)
-            if length > MAX_FRAME_BYTES:
+            try:
+                frame = _read_frame(self.rfile)
+            except WireParseError:
                 self._send(MSG_ERROR, b"frame too large")
                 return  # stream cannot be trusted to stay in sync
-            payload = _read_exact(self.rfile, length)
-            if payload is None:
+            if frame is None:
                 return
+            msg_type, payload = frame
             if msg_type == MSG_HELLO:
                 self._send(MSG_HELLO, encode_hello(db.params, db.K))
             elif msg_type == MSG_QUERY:
@@ -370,15 +378,10 @@ def serve(db: Database, host: str = "127.0.0.1", port: int | None = None):
 def _exchange(addr: tuple[str, int], msg_type: int, payload: bytes) -> tuple[int, bytes]:
     with socket.create_connection(addr, timeout=10) as sock:
         sock.sendall(encode_frame(msg_type, payload))
-        rfile = sock.makefile("rb")
-        header = _read_exact(rfile, _FRAME_HEADER.size)
-        if header is None:
-            raise ProtocolError("server closed the connection without replying")
-        reply_type, length = _FRAME_HEADER.unpack(header)
-        body = _read_exact(rfile, length)
-        if body is None:
-            raise ProtocolError("server reply was cut short")
-        return reply_type, body
+        frame = _read_frame(sock.makefile("rb"))
+        if frame is None:
+            raise ProtocolError("server closed the connection before a whole reply")
+        return frame
 
 
 def hello(addr: tuple[str, int]) -> tuple[FieldParams, int]:

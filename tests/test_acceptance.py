@@ -238,12 +238,12 @@ def test_criterion_8_wire_protocol():
 
     # golden byte vectors
     gf3 = FieldParams(3)
-    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),), K=3, M=2)
+    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),))
     if wire.encode_query(query, gf3) != bytes.fromhex(
         "01000100" "0300" "030000000100000002000000" "010002000200"
     ):
         problems.append("first-model query golden bytes")
-    trivial = protocol_csi2.Csi2Query(sets=(), case_tag=protocol_csi2.CASE_TRIVIAL)
+    trivial = Query(sets=(), model=MODEL_II, case_tag=protocol_csi2.CASE_TRIVIAL)
     if wire.encode_query(trivial, gf3) != bytes.fromhex("02000000"):
         problems.append("query-free golden bytes")
     gf9 = FieldParams(3, 2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pircsi import (
     CASE_DISJOINT,
     CASE_FULL,
-    Csi2Query,
     Database,
     FieldParams,
     MODEL_I,
@@ -78,8 +77,8 @@ def test_extreme_values_stay_exact():
     db = Database.from_bytes(struct.pack("<III", q, 1, K) + struct.pack("<H", q - 1) * K)
     everything = QuerySet(tuple(range(1, K + 1)), (q - 1,) * K)
     expect = (db.params.scalar(14),)
-    assert protocol_rp.answer_query(db, Query(sets=(everything,), K=K, M=K - 1)).values == expect
-    full = Csi2Query(sets=(everything,), case_tag=CASE_FULL)
+    assert protocol_rp.answer_query(db, Query(sets=(everything,))).values == expect
+    full = Query(sets=(everything,), model=MODEL_II, case_tag=CASE_FULL)
     assert protocol_csi2.answer_query(db, full).values == expect
 
 
@@ -120,7 +119,7 @@ def db():
 
 @pytest.mark.parametrize("indices,coeffs,message", FAULTS)
 def test_rejection_text_in_a_lone_set(db, indices, coeffs, message):
-    query = Query(sets=(QuerySet(indices, coeffs),), K=K, M=2)
+    query = Query(sets=(QuerySet(indices, coeffs),))
     with pytest.raises(ProtocolError) as info:
         protocol_rp.answer_query(db, query)
     assert str(info.value) == message
@@ -128,11 +127,11 @@ def test_rejection_text_in_a_lone_set(db, indices, coeffs, message):
 
 @pytest.mark.parametrize("indices,coeffs,message", FAULTS)
 def test_rejection_text_in_the_last_of_several_sets(db, indices, coeffs, message):
-    query = Query(sets=(*GOOD, QuerySet(indices, coeffs)), K=K, M=2)
+    query = Query(sets=(*GOOD, QuerySet(indices, coeffs)))
     with pytest.raises(ProtocolError) as info:
         protocol_rp.answer_query(db, query)
     assert str(info.value) == message
-    pair = Csi2Query(sets=(GOOD[0], QuerySet(indices, coeffs)), case_tag=CASE_DISJOINT)
+    pair = Query(sets=(GOOD[0], QuerySet(indices, coeffs)), model=MODEL_II, case_tag=CASE_DISJOINT)
     with pytest.raises(ProtocolError) as info:
         protocol_csi2.answer_query(db, pair)
     assert str(info.value) == message
@@ -140,9 +139,7 @@ def test_rejection_text_in_the_last_of_several_sets(db, indices, coeffs, message
 
 def test_first_fault_in_set_order_is_named(db):
     query = Query(
-        sets=(GOOD[0], QuerySet((1, 2, 3), (1, 0, 1)), QuerySet((0, 1, 2), (1, 1, 1))),
-        K=K,
-        M=2,
+        sets=(GOOD[0], QuerySet((1, 2, 3), (1, 0, 1)), QuerySet((0, 1, 2), (1, 1, 1)))
     )
     with pytest.raises(ProtocolError, match=r"^coefficient 0 is not"):
         protocol_rp.answer_query(db, query)
@@ -150,6 +147,6 @@ def test_first_fault_in_set_order_is_named(db):
 
 def test_bool_entries_count_as_ints(db):
     # bool is an int subclass, so True stands for 1 as it always has
-    query = Query(sets=(QuerySet((True, 2), (2, True)),), K=K, M=1)
-    plain = Query(sets=(QuerySet((1, 2), (2, 1)),), K=K, M=1)
+    query = Query(sets=(QuerySet((True, 2), (2, True)),))
+    plain = Query(sets=(QuerySet((1, 2), (2, 1)),))
     assert protocol_rp.answer_query(db, query) == protocol_rp.answer_query(db, plain)

@@ -6,12 +6,12 @@ import pytest
 
 from pircsi import (
     Answer,
-    Csi2Query,
     Database,
     FieldParams,
     MODEL_II,
     ParameterError,
     ProtocolError,
+    Query,
     QuerySet,
     sample_scenario,
 )
@@ -213,19 +213,17 @@ def test_build_rejects_wrong_model(gf3):
 def test_answer_validation(gf3):
     db = Database.random(gf3, 6, Random(0))
     with pytest.raises(ProtocolError):
-        answer_query(db, Csi2Query(sets=(), case_tag=99))
+        answer_query(db, Query((), MODEL_II, 99))
     # single-probe arity is one set of one index
-    bad = Csi2Query(sets=(QuerySet((1, 2), (1, 1)),), case_tag=CASE_SINGLE)
+    bad = Query((QuerySet((1, 2), (1, 1)),), MODEL_II, CASE_SINGLE)
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
     # paired cases need equal sizes
-    bad = Csi2Query(
-        sets=(QuerySet((1, 2), (1, 1)), QuerySet((3,), (1,))), case_tag=CASE_DISJOINT
-    )
+    bad = Query((QuerySet((1, 2), (1, 1)), QuerySet((3,), (1,))), MODEL_II, CASE_DISJOINT)
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
     # full support means the whole database
-    bad = Csi2Query(sets=(QuerySet((1, 2, 3), (1, 1, 1)),), case_tag=CASE_FULL)
+    bad = Query((QuerySet((1, 2, 3), (1, 1, 1)),), MODEL_II, CASE_FULL)
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pircsi import (
-    Csi2Query,
     Database,
     FieldParams,
     MODEL_I,
@@ -30,7 +29,9 @@ from pircsi import (
 from pircsi.protocol_csi2 import CASE_DISJOINT, CASE_TAGS, case_shape
 
 FIELDS = [(3, 1), (5, 2), (257, 4)]
-FAULTS = ["none", "index", "repeat", "coefficient-0", "coefficient-q", "size", "count", "empty"]
+FAULTS = [
+    "none", "index", "repeat", "coefficient-0", "coefficient-q", "size", "count", "empty", "case"
+]
 
 
 def _pack(model_byte, case, sets, m):
@@ -68,7 +69,10 @@ def _queries_with_a_fault(draw):
         for _ in range(n)
     ]
     fault = draw(st.sampled_from(FAULTS))
-    if sets and fault != "none":
+    if fault == "case":
+        # a first-model query with a second-model case, or an unknown case
+        case = draw(st.integers(1, 4) if model == MODEL_I else st.integers(5, 255))
+    elif sets and fault != "none":
         k = draw(st.integers(0, len(sets) - 1))
         indices, coeffs = sets[k]
         j = draw(st.integers(0, len(indices) - 1))
@@ -93,11 +97,8 @@ def _queries_with_a_fault(draw):
     return FieldParams(q, m), K, model, case, sets
 
 
-def _in_process(model, case, K, sets):
-    sets = tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets)
-    if model == MODEL_I:
-        return Query(sets=sets, K=K, M=len(sets[0].indices) - 1 if sets else 0)
-    return Csi2Query(sets=sets, case_tag=case)
+def _in_process(model, case, sets):
+    return Query(tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets), model, case)
 
 
 @settings(max_examples=400, deadline=None)
@@ -105,7 +106,7 @@ def _in_process(model, case, K, sets):
 def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
     params, K, model, case, sets = drawn
     blob, offsets = _pack(1 if model == MODEL_I else 2, case, sets, params.m)
-    query = _in_process(model, case, K, sets)
+    query = _in_process(model, case, sets)
     db = Database.random(params, K, Random(0))
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
 
@@ -127,9 +128,11 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
         assert parse_error.offset == offsets[slot]
     else:
         assert isinstance(answer_error, ShapeError)
-        # an empty set is framing to the decoder, reported at its size field
+        # a bad case is refused at the case byte; an empty set is framing to
+        # the decoder, reported at its size field
         empty = [offsets[k, "size"] for k, (indices, _) in enumerate(sets) if not indices]
-        assert parse_error.offset in (empty[:1] or (2, 4))
+        expected = (1,) if answer_error.part == "case" else (empty[:1] or (2, 4))
+        assert parse_error.offset in expected
     # The encoder refuses only queries the server would reject; it sends the
     # same bytes otherwise.
     try:
@@ -140,10 +143,9 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
 
 @pytest.mark.parametrize("model,case,n", [(MODEL_I, 0, 1), (MODEL_II, CASE_DISJOINT, 2)])
 def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
-    # Query(sets=(QuerySet((), ()),), K=4, M=-1) and a disjoint-case query of
-    # two empty sets
+    # a first-model query of one empty set and a disjoint-case query of two
     sets = [((), ())] * n
-    query = _in_process(model, case, 4, sets)
+    query = _in_process(model, case, sets)
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
     with pytest.raises(ShapeError, match="empty query set") as refused:
         protocol.answer_query(Database.random(gf3, 4, Random(0)), query)
@@ -154,6 +156,18 @@ def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
     with pytest.raises(WireParseError, match="empty query set") as parsed:
         wire.decode_query(blob, gf3, 4)
     assert parsed.value.offset == 4
+
+
+@pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
+def test_each_answer_query_refuses_the_other_models_query(gf3, model, M):
+    rng = Random(19)
+    db = Database.random(gf3, 8, rng)
+    own, other = (protocol_rp, protocol_csi2) if model == MODEL_I else (protocol_csi2, protocol_rp)
+    query, _ = own.build_query(sample_scenario(db, M, model, rng), db.K, rng)
+    own.answer_query(db, query)
+    with pytest.raises(ShapeError, match=f"got {model!r}") as refused:
+        other.answer_query(db, query)
+    assert refused.value.part == "case"
 
 
 @pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])

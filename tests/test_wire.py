@@ -38,7 +38,7 @@ def test_frame_golden():
 
 def test_model_one_query_golden(gf3):
     # model 01, case 00, n=1, size=3, indices 3,1,2 as u32, coeffs 1,2,2 as u16
-    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),), K=3, M=2)
+    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),))
     blob = wire.encode_query(query, gf3)
     assert blob == bytes.fromhex(
         "0100" "0100" "0300" "030000000100000002000000" "010002000200"
@@ -48,12 +48,10 @@ def test_model_one_query_golden(gf3):
 
 
 def test_model_two_query_golden(gf3):
-    trivial = protocol_csi2.Csi2Query(sets=(), case_tag=protocol_csi2.CASE_TRIVIAL)
+    trivial = Query(sets=(), model=MODEL_II, case_tag=protocol_csi2.CASE_TRIVIAL)
     assert wire.encode_query(trivial, gf3) == bytes.fromhex("02000000")
 
-    probe = protocol_csi2.Csi2Query(
-        sets=(QuerySet((2,), (2,)),), case_tag=protocol_csi2.CASE_SINGLE
-    )
+    probe = Query(sets=(QuerySet((2,), (2,)),), model=MODEL_II, case_tag=protocol_csi2.CASE_SINGLE)
     blob = wire.encode_query(probe, gf3)
     assert blob == bytes.fromhex("0201" "0100" "0100" "02000000" "0200")
     assert wire.decode_query(blob, gf3, 4) == probe
@@ -101,7 +99,7 @@ def test_frame_errors():
 
 
 def test_parse_errors_carry_byte_offsets(gf3):
-    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),), K=3, M=2)
+    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),))
     blob = wire.encode_query(query, gf3)
     for cut in range(len(blob)):
         with pytest.raises(WireParseError) as info:
@@ -124,7 +122,7 @@ def test_parse_errors_carry_byte_offsets(gf3):
     ],
 )
 def test_decode_query_rejects_mangled_payloads(gf3, mangle, offset_hint):
-    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),), K=3, M=2)
+    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),))
     blob = wire.encode_query(query, gf3)
     with pytest.raises(WireParseError) as info:
         wire.decode_query(mangle(blob), gf3, 3)
@@ -133,7 +131,7 @@ def test_decode_query_rejects_mangled_payloads(gf3, mangle, offset_hint):
 
 def test_decode_query_rejects_nonscalar_coefficients(gf9):
     # m=2 coefficient encodings must keep the high word zero
-    query = Query(sets=(QuerySet((1, 2), (1, 2)),), K=2, M=1)
+    query = Query(sets=(QuerySet((1, 2), (1, 2)),))
     blob = wire.encode_query(query, gf9)
     bad = blob[:-2] + b"\x01\x00"
     with pytest.raises(WireParseError) as info:
@@ -148,7 +146,7 @@ def _three_set_gf25_query():
     # coefficients at 50 and 54.
     params = FieldParams(5, 2)
     sets = (QuerySet((1, 2), (1, 2)), QuerySet((3, 4), (3, 4)), QuerySet((5, 6), (1, 2)))
-    return params, wire.encode_query(Query(sets=sets, K=6, M=1), params)
+    return params, wire.encode_query(Query(sets=sets), params)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +193,7 @@ def test_decode_answer_reports_the_bad_element_offset():
 )
 def test_encode_query_refuses_coefficients_outside_the_field(gf3, coeffs, slot):
     # They were once reduced mod q, so the server answered another query.
-    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet((3, 4), coeffs)), K=4, M=1)
+    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet((3, 4), coeffs)))
     with pytest.raises(ParameterError) as info:
         wire.encode_query(query, gf3)
     assert f"coefficient {coeffs[slot]!r} in set 1, slot {slot} " in str(info.value)
@@ -215,7 +213,7 @@ def test_encode_query_refuses_coefficients_outside_the_field(gf3, coeffs, slot):
 )
 def test_encode_query_refuses_bad_indices(gf3, indices, slot, rule):
     # They once went out (0, a repeat) or escaped as a bare struct.error.
-    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet(indices, (1, 1))), K=4, M=1)
+    query = Query(sets=(QuerySet((1, 2), (1, 2)), QuerySet(indices, (1, 1))))
     with pytest.raises(ParameterError) as info:
         wire.encode_query(query, gf3)
     assert str(info.value) == f"index {indices[slot]!r} in set 1, slot {slot} {rule}"
@@ -247,12 +245,12 @@ def test_widest_set_parses_in_linear_time(gf3):
     # 393,222-byte payload, under the frame cap.
     K = 65_535
     indices = list(range(K, 0, -1))
-    blob = wire.encode_query(Query(sets=(QuerySet(tuple(indices), (1,) * K),), K=K, M=K - 1), gf3)
+    blob = wire.encode_query(Query(sets=(QuerySet(tuple(indices), (1,) * K),)), gf3)
     assert len(blob) == 6 + 6 * K
     t0 = time.perf_counter()
     query = wire.decode_query(blob, gf3, K)
     elapsed = time.perf_counter() - t0
-    assert query.sets[0].indices == tuple(indices) and query.M == K - 1
+    assert query.sets[0].indices == tuple(indices)
     assert elapsed < 1.0  # a quadratic scan takes tens of seconds here
     # a repeat in the last slot is still found, at that slot's offset
     last = 6 + 4 * (K - 1)
@@ -363,7 +361,7 @@ def test_fetch_discovers_params_when_omitted(gf3):
 def test_server_rejects_invalid_queries_and_keeps_serving(gf3):
     db = Database.random(gf3, 4, Random(12))
     with wire.PirServer(db, port=0) as server:
-        bad = Query(sets=(QuerySet((1, 1), (1, 1)), QuerySet((2, 3), (1, 1))), K=4, M=1)
+        bad = Query(sets=(QuerySet((1, 1), (1, 1)), QuerySet((2, 3), (1, 1))))
         with pytest.raises(ProtocolError):
             wire.fetch(server.address, bad, gf3)
         # the next request on a fresh connection still succeeds
@@ -408,6 +406,32 @@ def test_oversized_frame_closes_the_connection(gf3):
             msg_type, _ = _read_frame(sock)
             assert msg_type == wire.MSG_ERROR
             assert _read_frame(sock) is None  # server hung up
+
+
+def test_client_refuses_an_oversized_reply_before_reading_it():
+    # A server that declares one byte over the cap and then sends nothing
+    # more: the client must give up on the header, not wait for the body.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        done = threading.Event()
+
+        def declare_and_stall():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(64)
+                conn.sendall(struct.pack("<BI", wire.MSG_HELLO, wire.MAX_FRAME_BYTES + 1))
+                done.wait(15)
+
+        server = threading.Thread(target=declare_and_stall, daemon=True)
+        server.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ProtocolError, match="exceeds the frame cap"):
+                wire.hello(listener.getsockname())
+            assert time.perf_counter() - start < 2
+        finally:
+            done.set()
+            server.join(5)
+        assert not server.is_alive()
 
 
 def test_unknown_frame_type_yields_error(gf3):
