@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -60,6 +61,29 @@ def test_demo_reveal_flag(capsys):
     assert "reveal: decoding uses slot" in out
     code, out, _ = _run(capsys, "demo", "--model", "I", "--k", "6", "--m", "1", "--seed", "2")
     assert "reveal" not in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One demo cell per reveal line the decoder can produce: the first model, each
+# second-model case, both single-probe outcomes, and an extension field.
+REVEAL_CELLS = {
+    "I-5-1-seed7": ("--model", "I", "--k", "5", "--m", "1", "--seed", "7"),
+    "II-3-1-trivial": ("--model", "II", "--k", "3", "--m", "1", "--seed", "0"),
+    "II-4-2-probe-demand": ("--model", "II", "--k", "4", "--m", "2", "--seed", "3"),
+    "II-4-2-probe-partner": ("--model", "II", "--k", "4", "--m", "2", "--seed", "0"),
+    "II-8-3-disjoint": ("--model", "II", "--k", "8", "--m", "3", "--seed", "0"),
+    "II-7-5-overlap": ("--model", "II", "--k", "7", "--m", "5", "--seed", "0"),
+    "II-6-6-full": ("--model", "II", "--k", "6", "--m", "6", "--seed", "0"),
+    "II-5-3-gf25": ("--model", "II", "--k", "5", "--m", "3", "--q", "5", "--ext", "2", "--seed", "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVEAL_CELLS))
+def test_demo_reveal_transcript_is_pinned(capsys, name):
+    code, out, _ = _run(capsys, "demo", *REVEAL_CELLS[name], "--reveal")
+    assert code == 0
+    assert out == (GOLDEN / f"reveal_{name}.txt").read_text()
 
 
 def test_demo_invalid_parameters_exit_two(capsys):
