@@ -341,7 +341,6 @@ def audit_montecarlo(
     trials: int,
     rng: Random,
     *,
-    params: FieldParams | None = None,
     mutation: str | None = None,
     significance: float = 0.01,
 ) -> MonteCarloReport:
@@ -350,13 +349,12 @@ def audit_montecarlo(
 
     Each trial draws (W, S) with sample_demand and the index sets with the
     model's draw_structure, the same code build_query runs.  No bin reads a
-    coefficient, so none is drawn, and params (the field) cannot change the
-    report.  Two bin families are tested: the order-stripped fingerprint, and
-    for each database index the position of the transmitted set containing it.
-    The second family is what exposes set-order leaks, which the
-    order-stripped fingerprint is blind to by construction.  Bins too thin for
-    the chi-square approximation (expected count below 5) are counted as
-    skipped.
+    coefficient, so none is drawn and no field is needed.  Two bin families
+    are tested: the order-stripped fingerprint, and for each database index
+    the position of the transmitted set containing it.  The second family is
+    what exposes set-order leaks, which the order-stripped fingerprint is
+    blind to by construction.  Bins too thin for the chi-square
+    approximation (expected count below 5) are counted as skipped.
     """
     draw_structure, build_kwargs = _draw_for(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
@@ -420,16 +418,12 @@ def audit_recoverability(
     return RecoverabilityReport(model, K, M, trials, successes, successes == trials)
 
 
-def measure_rate(
-    model: str, K: int, M: int, *, params: FieldParams | None = None, seed: int = 0
-) -> RateReport:
+def measure_rate(model: str, K: int, M: int) -> RateReport:
     """Count downloaded elements in one protocol round and compare the implied
-    rate against the capacity formula.  The count is structural, so any seed
-    gives the same number."""
-    if params is None:
-        params = FieldParams(3)
-    rng = Random(seed)
-    db = Database.random(params, K, rng)
+    rate against the capacity formula.  The count is structural, so the round
+    runs over GF(3) with seed 0: no field or seed gives another number."""
+    rng = Random(0)
+    db = Database.random(FieldParams(3), K, rng)
     scenario = sample_scenario(db, M, model, rng)
     protocol = PROTOCOLS[model]
     query, _ = protocol.build_query(scenario, K, rng)

@@ -102,22 +102,27 @@ def _print_query(query, fh) -> None:
         print(f"  set {pos}: {combo}", file=fh)
 
 
-def _print_reveal(state, fh) -> None:
-    if state.case_tag == protocol_csi2.CASE_TRIVIAL:
+def _print_reveal(query, state, fh) -> None:
+    W = state.scenario.W
+    if not query.sets:
         print("reveal: nothing sent, nothing to hide", file=fh)
-    elif state.case_tag == protocol_csi2.CASE_SINGLE:
-        hit = "the demand itself" if state.probe_index == state.scenario.W else "its partner in S"
-        print(f"reveal: probe covers index {state.probe_index} ({hit})", file=fh)
+    elif query.model == MODEL_II and query.case_tag == protocol_csi2.CASE_SINGLE:
+        probe = query.sets[0].indices[0]
+        hit = "the demand itself" if probe == W else "its partner in S"
+        print(f"reveal: probe covers index {probe} ({hit})", file=fh)
     else:
+        # W's coefficient in the demand set; the disjoint case leaves W out.
+        demand = query.sets[state.demand_slot]
+        fresh = dict(zip(demand.indices, demand.coeffs)).get(W)
         print(
             f"reveal: decoding uses slot {state.demand_slot + 1}"
-            + (f", fresh coefficient {state.demand_coeff}" if state.demand_coeff is not None else ""),
+            + (f", fresh coefficient {fresh}" if fresh is not None else ""),
             file=fh,
         )
 
 
 def _print_outcome(
-    db: Database, answer, state, reveal: bool, fh, *, show_expected: bool
+    db: Database, query, answer, state, reveal: bool, fh, *, show_expected: bool
 ) -> int:
     """Decode the answer and print it, the reveal line if asked for, the
     decoded demand (then the database's copy, if show_expected) and the
@@ -129,7 +134,7 @@ def _print_outcome(
     for pos, value in enumerate(answer.values, start=1):
         print(f"  A_{pos} = {_format_element(value)}", file=fh)
     if reveal:
-        _print_reveal(state, fh)
+        _print_reveal(query, state, fh)
     print(f"decoded  X_{W} = {_format_element(decoded)}", file=fh)
     if show_expected:
         print(f"database X_{W} = {_format_element(db[W])}", file=fh)
@@ -157,7 +162,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"  X_{i} = {_format_element(db[i])}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
-    return _print_outcome(db, answer, state, args.reveal, fh, show_expected=True)
+    return _print_outcome(db, query, answer, state, args.reveal, fh, show_expected=True)
 
 
 # --------------------------------------------------------------------- audits
@@ -198,14 +203,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         _emit_json(payload, args.out)
         return 0 if report.uniform else 1
     if args.mc:
-        params = FieldParams(args.q, args.ext)
         report = audit_montecarlo(
             args.model,
             args.k,
             args.m,
             args.trials,
             Random(args.seed),
-            params=params,
             mutation=args.mutation,
             significance=args.significance,
         )
@@ -214,8 +217,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             "model": report.model,
             "K": report.K,
             "M": report.M,
-            "q": args.q,
-            "ext": args.ext,
             "seed": args.seed,
             "trials": report.trials,
             "mutation": report.mutation,
@@ -230,16 +231,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
     if args.mutation is not None:
         raise ParameterError("--mutation applies to --exact and --mc, not --rate")
-    params = FieldParams(args.q, args.ext)
-    report = measure_rate(args.model, args.k, args.m, params=params, seed=args.seed)
+    report = measure_rate(args.model, args.k, args.m)
     payload = {
         "mode": "rate",
         "model": report.model,
         "K": report.K,
         "M": report.M,
-        "q": args.q,
-        "ext": args.ext,
-        "seed": args.seed,
         "elements_downloaded": report.elements_downloaded,
         "measured_rate": _rat(report.measured_rate),
         "capacity": _rat(report.capacity),
@@ -259,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for K in range(args.k_min, args.k_max + 1):
             m_values = range(0, K) if args.model == MODEL_I else range(1, K + 1)
             for M in m_values:
-                rep = measure_rate(args.model, K, M, seed=args.seed)
+                rep = measure_rate(args.model, K, M)
                 ok = ok and rep.matches_capacity
                 writer.writerow(
                     [
@@ -351,7 +348,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     print(f"server {host}:{port}  GF({db.params.q}^{db.params.m})  K={db.K}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
-    return _print_outcome(db, answer, state, args.reveal, fh, show_expected=False)
+    return _print_outcome(db, query, answer, state, args.reveal, fh, show_expected=False)
 
 
 def _cmd_db_gen(args: argparse.Namespace) -> int:
@@ -411,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true", help=exact_help)
     mode.add_argument("--mc", action="store_true", help="chi-square screen over sampled queries")
     mode.add_argument("--rate", action="store_true", help="count downloads and compare to capacity")
-    _add_field_flags(audit)
-    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--seed", type=int, default=0, help="Monte-Carlo sampling seed (--mc)")
     audit.add_argument("--trials", type=int, default=100_000)
     audit.add_argument("--significance", type=float, default=0.01)
     mutation_help = "a deliberately broken first-model builder (--exact, --mc)"
@@ -426,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--model", choices=(MODEL_I, MODEL_II), required=True)
     sweep.add_argument("--k-min", type=int, default=2)
     sweep.add_argument("--k-max", type=int, default=12)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -46,10 +46,6 @@ class FieldParams:
             raise ParameterError(f"extension degree must be a positive integer, got {m!r}")
 
     @property
-    def order(self) -> int:
-        return self.q ** self.m
-
-    @property
     def element_bytes(self) -> int:
         """Size of the canonical element encoding: m unsigned 16-bit words."""
         return 2 * self.m
@@ -66,32 +62,17 @@ class FieldParams:
         """Embed a base-field value as the first coordinate."""
         return FieldElement(self, (int(c) % self.q,) + (0,) * (self.m - 1))
 
-    def from_int(self, value: int) -> "FieldElement":
-        """Inverse of FieldElement.as_int: base-q digits, first coordinate lowest."""
-        if not 0 <= value < self.order:
-            raise ParameterError(f"value {value} outside [0, {self.order})")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(value % self.q)
-            value //= self.q
-        return FieldElement(self, tuple(coeffs))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.m)
-
-    def from_bytes(self, data: bytes) -> "FieldElement":
-        if len(data) != self.element_bytes:
-            raise ParameterError(f"expected {self.element_bytes} bytes, got {len(data)}")
-        words = struct.unpack(f"<{self.m}H", data)
-        if any(w >= self.q for w in words):
-            raise ParameterError("coefficient word out of range for this field")
-        return FieldElement(self, words)
-
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: Random) -> "FieldElement":
-        """Uniform element: one draw below q^m, split into base-q digits."""
-        return self.from_int(rng.randrange(self.order))
+        """Uniform element: one draw below q^m, split into base-q digits,
+        first coordinate lowest."""
+        q, value = self.q, rng.randrange(self.q**self.m)
+        coeffs = []
+        for _ in range(self.m):
+            value, digit = divmod(value, q)
+            coeffs.append(digit)
+        return FieldElement(self, tuple(coeffs))
 
 
 def sample_coefficient(params: FieldParams, rng: Random) -> int:
@@ -108,55 +89,21 @@ class FieldElement:
         self.params = params
         self.coeffs = coeffs
 
-    def _require_same(self, other: "FieldElement"):
-        if self.params != other.params:
-            raise ParameterError("elements from different fields cannot be combined")
-
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        self._require_same(other)
+        if self.params != other.params:
+            raise ParameterError("elements from different fields cannot be combined")
         q = self.params.q
         return FieldElement(
             self.params, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._require_same(other)
-        q = self.params.q
-        return FieldElement(
-            self.params, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        q = self.params.q
-        return FieldElement(self.params, tuple((-a) % q for a in self.coeffs))
 
     def scale(self, c: int) -> "FieldElement":
         """Multiply by a base-field scalar."""
         q = self.params.q
         c = int(c) % q
         return FieldElement(self.params, tuple((c * a) % q for a in self.coeffs))
-
-    def __mul__(self, c):
-        # Only base-field scalars act on a vector; element * element is a TypeError.
-        if not isinstance(c, int):
-            return NotImplemented
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def as_int(self) -> int:
-        """Base-q integer encoding, first coordinate least significant."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.params.q + c
-        return v
 
     def to_bytes(self) -> bytes:
         """Canonical encoding: m little-endian u16 words, first coordinate first."""

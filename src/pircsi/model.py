@@ -109,13 +109,6 @@ class Scenario:
     Y: FieldElement
     model: str
 
-    def coeff_of(self, index: int) -> int:
-        """Side-information coefficient attached to a support index."""
-        try:
-            return self.C[self.S.index(index)]
-        except ValueError:
-            raise ParameterError(f"index {index} is not in the support") from None
-
 
 def indicator(W: int, S) -> int:
     """1 when the demand lies inside the side-information support, else 0."""

@@ -13,15 +13,17 @@ The shape of the query depends only on the support size M:
 * M == K (full case, tag 4): send all of [K] with a fresh coefficient on the
   demand.
 
-Each case downloads 0, 1, or 2 elements, matching the second-model capacity.
+Each case downloads 0, 1, or 2 elements, matching the second-model capacity,
+and leaves X_W one linear step from one downloaded element and Y: the client
+decodes with protocol_rp's decode_answer, which this module re-exports.
 """
 
 from functools import lru_cache
 from random import Random
 
 from .draws import draws_from
-from .errors import ParameterError, ProtocolError, ShapeError
-from .field import FieldElement, sample_coefficient
+from .errors import ParameterError, ShapeError
+from .field import sample_coefficient
 from .model import MODEL_II, Database, Scenario
 from .pmf import Cdf, case2_pmf, case3_pmf
 from .protocol_rp import (
@@ -33,6 +35,8 @@ from .protocol_rp import (
     answer_sets,
     check_sets,
     coefficient_sets,
+    decode_answer,
+    decoder_state,
 )
 
 CASE_TRIVIAL = 0
@@ -151,24 +155,33 @@ def attach_coefficients(
     fresh coefficient; the set at the demand slot takes the side
     information's own coefficients, except on the demand in the overlap and
     full cases, which takes a fresh one unequal to its own; a cover set takes
-    fresh coefficients."""
+    fresh coefficients.  The decoder's scalars follow from the coefficients
+    placed, with Y = sum(c_i * X_i) over S."""
     case = structure.case_tag
     params = scenario.Y.params
-    if case == CASE_TRIVIAL:
-        return Query((), MODEL_II, case), DecoderState(scenario, None, None, case_tag=case)
+    own = dict(zip(scenario.S, scenario.C))
+    c_W = own[scenario.W]
+    if case == CASE_TRIVIAL:  # 0 - Y = -c_W * X_W
+        return Query((), MODEL_II, case), decoder_state(scenario, None, -c_W)
     if case == CASE_SINGLE:
         (probe_set,) = structure.sets
         c = sample_coefficient(params, rng)
         query = Query((QuerySet(probe_set, (c,)),), MODEL_II, case)
-        return query, DecoderState(scenario, 0, c, case_tag=case, probe_index=probe_set[0])
-    own = dict(zip(scenario.S, scenario.C))
-    c = None  # in the disjoint case the decoder divides by the demand's own coefficient
-    if case != CASE_DISJOINT:
-        c = _fresh_coeff_excluding(params, rng, own[scenario.W])
+        q, probe = params.q, probe_set[0]
+        if probe == scenario.W:  # A = c * X_W
+            return query, DecoderState(scenario, 0, pow(c, -1, q), 0)
+        # A = c * X_p for the partner p, and Y = c_p * X_p + c_W * X_W
+        inverse = pow(c_W, -1, q)
+        a = -own[probe] * pow(c, -1, q) * inverse % q
+        return query, DecoderState(scenario, 0, a, inverse)
+    if case == CASE_DISJOINT:  # the demand set holds S without W: A - Y = -c_W * X_W
+        delta = -c_W
+    else:  # a fresh c on W in place of c_W: A - Y = (c - c_W) * X_W
+        c = _fresh_coeff_excluding(params, rng, c_W)
         own[scenario.W] = c
+        delta = c - c_W
     sets = coefficient_sets(structure, own, params, rng)
-    state = DecoderState(scenario, structure.demand_slot, c, case_tag=case)
-    return Query(sets, MODEL_II, case), state
+    return Query(sets, MODEL_II, case), decoder_state(scenario, structure.demand_slot, delta)
 
 
 @lru_cache(maxsize=None)
@@ -211,31 +224,3 @@ def answer_query(db: Database, query: Query) -> Answer:
     """Check the query, then evaluate each set against the database."""
     check_shape(query, db.K)
     return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
-
-
-def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
-    """Recover X_W; which linear step applies is fixed by the case tag."""
-    scenario = state.scenario
-    q = scenario.Y.params.q
-    case = state.case_tag
-    if case == CASE_TRIVIAL:
-        return scenario.Y.scale(pow(scenario.coeff_of(scenario.W), -1, q))
-    slot = state.demand_slot
-    if slot is None or not 0 <= slot < len(answer.values):
-        raise ProtocolError(f"demand slot {slot!r} not present in the answer")
-    got = answer.values[slot]
-    if case == CASE_SINGLE:
-        c = state.demand_coeff
-        probed = got.scale(pow(c, -1, q))  # X at the probed index
-        if state.probe_index == scenario.W:
-            return probed
-        partner_coeff = scenario.coeff_of(state.probe_index)
-        own = pow(scenario.coeff_of(scenario.W), -1, q)
-        return (scenario.Y - probed.scale(partner_coeff)).scale(own)
-    if case == CASE_DISJOINT:
-        own = pow(scenario.coeff_of(scenario.W), -1, q)
-        return (scenario.Y - got).scale(own)
-    if case in (CASE_OVERLAP, CASE_FULL):
-        delta = (state.demand_coeff - scenario.coeff_of(scenario.W)) % q
-        return (got - scenario.Y).scale(pow(delta, -1, q))
-    raise ProtocolError(f"unknown case tag {case!r}")

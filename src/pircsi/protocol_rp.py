@@ -7,6 +7,10 @@ set is the demand set {W} on S; which indices repeat is drawn from the
 duplicate-class pmf so that every candidate demand explains the transmitted
 query equally well.  The server returns one field element per set, and the
 client strips Y off the demand set's element.
+
+decode_answer is the decoder of both models: every scheme recovers the
+demand as X_W = a * A[slot] + b * Y from one downloaded element A[slot] and
+Y, with the scalars a and b fixed when the coefficients are attached.
 """
 
 import operator
@@ -58,18 +62,22 @@ class Answer:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Client-side secrets needed to decode: where the demand set landed after
-    shuffling and which fresh coefficient was attached to the demand.
-
-    The second-model cases reuse this type; case_tag mirrors the query's case
-    and probe_index records the single probed index for the one-element case.
-    """
+    """Client-side secrets needed to decode, in both models: the demand is
+    X_W = a * A[demand_slot] + b * Y for the answer A and the side
+    information Y, with no answer term when demand_slot is None."""
 
     scenario: Scenario
     demand_slot: int | None
-    demand_coeff: int | None
-    case_tag: int | None = None
-    probe_index: int | None = None
+    a: int
+    b: int
+
+
+def decoder_state(scenario: Scenario, demand_slot: int | None, delta: int) -> DecoderState:
+    """The state for a demand slot whose element A satisfies A - Y = delta * X_W:
+    a = delta^(-1) and b = -delta^(-1)."""
+    q = scenario.Y.params.q
+    inverse = pow(delta, -1, q)
+    return DecoderState(scenario, demand_slot, inverse, -inverse % q)
 
 
 class Structure(NamedTuple):
@@ -181,7 +189,7 @@ def attach_coefficients(
     own = dict(zip(scenario.S, scenario.C))
     own[scenario.W] = c
     sets = coefficient_sets(structure, own, scenario.Y.params, rng)
-    return Query(sets), DecoderState(scenario, structure.demand_slot, c)
+    return Query(sets), decoder_state(scenario, structure.demand_slot, c)
 
 
 def coefficient_sets(structure: Structure, own: dict, params, rng: Random) -> tuple[QuerySet, ...]:
@@ -309,15 +317,15 @@ def answer_sets(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> Answ
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
-    """Recover X_W = c^(-1) (A_demand - Y) from the demand set's element."""
+    """Recover X_W = a * A[demand_slot] + b * Y, the one linear step of every
+    scheme of both models."""
+    side = state.scenario.Y.scale(state.b)
     slot = state.demand_slot
-    if slot is None or not 0 <= slot < len(answer.values):
+    if slot is None:
+        return side
+    if not 0 <= slot < len(answer.values):
         raise ProtocolError(f"demand slot {slot!r} not present in the answer")
-    c = state.demand_coeff
-    q = state.scenario.Y.params.q
-    if c is None or not 1 <= c <= q - 1:
-        raise ProtocolError(f"demand coefficient {c!r} is not invertible mod {q}")
-    return (answer.values[slot] - state.scenario.Y).scale(pow(c, -1, q))
+    return answer.values[slot].scale(state.a) + side
 
 
 def canonical_fingerprint(query) -> tuple:

@@ -12,7 +12,9 @@ so callers look the module up here instead of branching on the model:
     decode_answer(answer, state)        the demand, from the answer and the client state
 
 Both build the one query type, protocol_rp.Query; its model field names the
-module that answers it.
+module that answers it.  Both share one decoder: attach_coefficients returns
+DecoderState(scenario, demand_slot, a, b), and decode_answer, protocol_rp's
+in both modules, computes X_W = a * A[demand_slot] + b * Y.
 """
 
 from . import protocol_csi2, protocol_rp

@@ -21,7 +21,6 @@ from itertools import chain
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldElement, FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from .protocol_csi2 import CASE_TAGS
 from .protocol_rp import Answer, Query, QuerySet, answer_sets, check_sets, set_arrays
 from .protocols import PROTOCOLS
 
@@ -67,21 +66,6 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ParameterError(f"payload of {len(payload)} bytes exceeds the frame cap")
     return _FRAME_HEADER.pack(msg_type, len(payload)) + payload
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes, int]:
-    """Split one frame off the front of data; returns (type, payload, used)."""
-    if len(data) < _FRAME_HEADER.size:
-        raise WireParseError("truncated frame header", len(data))
-    msg_type, length = _FRAME_HEADER.unpack_from(data, 0)
-    if msg_type not in (MSG_QUERY, MSG_ANSWER, MSG_ERROR, MSG_HELLO):
-        raise WireParseError(f"unknown frame type 0x{msg_type:02x}", 0)
-    if length > MAX_FRAME_BYTES:
-        raise WireParseError(f"declared length {length} exceeds the frame cap", 1)
-    end = _FRAME_HEADER.size + length
-    if len(data) < end:
-        raise WireParseError("frame payload shorter than declared", len(data))
-    return msg_type, data[_FRAME_HEADER.size : end], end
 
 
 # -- query payloads ---------------------------------------------------------
@@ -149,6 +133,8 @@ def encode_query(query: Query, params: FieldParams) -> bytes:
     """Query payload bytes (frame not included)."""
     if query.model not in _MODEL_BYTES:
         raise ParameterError(f"cannot encode a query of model {query.model!r}")
+    if query.case_tag not in range(0x100):
+        raise ParameterError(f"case tag {query.case_tag!r} does not fit in the case byte")
     head = struct.pack("<BB", _MODEL_BYTES[query.model], query.case_tag)
     return head + _encode_sets(query.sets, params)
 
@@ -164,10 +150,6 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
         raise WireParseError(f"unknown model byte {model_byte}", 0)
     model = _MODELS[model_byte]
     case_byte = cur.u8("case byte")
-    if model == MODEL_I and case_byte != 0:
-        raise WireParseError("first-model queries use case byte 0", 1)
-    if model == MODEL_II and case_byte not in CASE_TAGS:
-        raise WireParseError(f"unknown case byte {case_byte}", 1)
     n_sets = cur.u16("set count")
     m, width = params.m, params.element_bytes
     sets, runs = [], []

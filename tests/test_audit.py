@@ -305,14 +305,6 @@ def test_montecarlo_needs_enough_trials_per_bin():
         audit_montecarlo(MODEL_I, 8, 2, 30, Random(0))
 
 
-def test_montecarlo_accepts_extension_fields():
-    report = audit_montecarlo(
-        MODEL_II, 4, 2, 5_000, Random(3), params=FieldParams(5, 2)
-    )
-    assert report.trials == 5_000
-    assert report.passed
-
-
 # ---------------------------------------------------------- recoverability
 
 
@@ -343,10 +335,4 @@ def test_rate_frozen_cells():
     rep = measure_rate(MODEL_II, 6, 1)
     assert rep.elements_downloaded == 0
     assert rep.measured_rate == inf and rep.capacity == inf
-    assert rep.matches_capacity
-
-
-def test_rate_with_extension_field_params():
-    rep = measure_rate(MODEL_I, 9, 2, params=FieldParams(7, 2), seed=5)
-    assert rep.elements_downloaded == 3
     assert rep.matches_capacity

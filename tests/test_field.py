@@ -34,7 +34,6 @@ def test_params_are_immutable_and_hashable():
     assert params == FieldParams(3, 2)
     assert hash(params) == hash(FieldParams(3, 2))
     assert params != FieldParams(5, 2)
-    assert params.order == 9
     assert params.element_bytes == 4
 
 
@@ -46,7 +45,7 @@ def test_long_messages_construct_at_once():
     assert time.perf_counter() - t0 < 0.05
     assert params.element_bytes == 8192
     e = params.element(range(4096))
-    assert (e + e.scale(65520)).is_zero()
+    assert e + e.scale(65520) == params.element([0] * 4096)
 
 
 # ------------------------------------------------------------- frozen values
@@ -56,23 +55,18 @@ def test_gf9_hand_arithmetic():
     gf9 = FieldParams(3, 2)
     # (x+2) + (2x+2) = 3x+4 = 1
     assert gf9.element((2, 1)) + gf9.element((2, 2)) == gf9.scalar(1)
-    assert (gf9.element((1, 2)) - gf9.element((2, 2))) == gf9.scalar(2)
-    assert -gf9.element((1, 2)) == gf9.element((2, 1))
+    # (2x+1) - (2x+2) = (2x+1) + 2(2x+2) = 6x+5 = 2
+    assert gf9.element((1, 2)) + gf9.element((2, 2)).scale(2) == gf9.scalar(2)
     assert gf9.element((1, 2)).scale(2) == gf9.element((2, 1))
 
 
-def test_int_round_trip():
+def test_sample_splits_one_draw_into_base_q_digits():
+    # One randrange(q^m) per element, first coordinate the lowest digit: the
+    # database a seed gives depends on exactly this.
     gf27 = FieldParams(3, 3)
-    seen = set()
-    for v in range(27):
-        e = gf27.from_int(v)
-        assert e.as_int() == v
-        seen.add(e)
-    assert len(seen) == 27
-    with pytest.raises(ParameterError):
-        gf27.from_int(27)
-    with pytest.raises(ParameterError):
-        gf27.from_int(-1)
+    for seed in range(20):
+        v = Random(seed).randrange(27)
+        assert gf27.sample(Random(seed)).coeffs == (v % 3, v // 3 % 3, v // 9)
 
 
 def test_byte_encoding_is_little_endian_u16_per_coefficient():
@@ -80,11 +74,7 @@ def test_byte_encoding_is_little_endian_u16_per_coefficient():
     e = gf9.element((2, 1))
     blob = e.to_bytes()
     assert blob == struct.pack("<2H", 2, 1)
-    assert gf9.from_bytes(blob) == e
-    with pytest.raises(ParameterError):
-        gf9.from_bytes(struct.pack("<2H", 3, 1))  # word >= q
-    with pytest.raises(ParameterError):
-        gf9.from_bytes(blob + b"\x00")
+    assert gf9.element((0, 0)).to_bytes() == bytes(4)
 
 
 # ------------------------------------------------------- vector-space axioms
@@ -93,21 +83,21 @@ def test_byte_encoding_is_little_endian_u16_per_coefficient():
 @pytest.mark.parametrize("q,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
 def test_axioms_exhaustive(q, m):
     params = FieldParams(q, m)
-    elems = [params.from_int(v) for v in range(params.order)]
-    zero = params.zero()
+    elems = [params.element(v) for v in product(range(q), repeat=m)]
+    zero = params.element((0,) * m)
     scalars = range(q)
     for a, b in product(elems, repeat=2):
         assert a + b == b + a
-        assert a + zero == a and 1 * a == a and 0 * a == zero
-        assert a + (-a) == zero and a - b == a + (-b)
+        assert a + zero == a and a.scale(1) == a and a.scale(0) == zero
+        assert a + a.scale(-1) == zero
         for c in scalars:
-            assert c * (a + b) == c * a + c * b
+            assert (a + b).scale(c) == a.scale(c) + b.scale(c)
     for a, b, c in product(elems, repeat=3):
         assert (a + b) + c == a + (b + c)
     for a in elems:
         for c, d in product(scalars, repeat=2):
-            assert (c + d) * a == c * a + d * a
-            assert (c * d) * a == c * (d * a)
+            assert a.scale(c + d) == a.scale(c) + a.scale(d)
+            assert a.scale(c * d) == a.scale(d).scale(c)
 
 
 def test_elements_do_not_multiply():
@@ -117,6 +107,9 @@ def test_elements_do_not_multiply():
         a * b
     with pytest.raises(TypeError):
         a * 1.0
+    # scalars act through scale() alone
+    with pytest.raises(TypeError):
+        a * 2
 
 
 def test_elements_from_different_fields_never_mix():
@@ -124,8 +117,6 @@ def test_elements_from_different_fields_never_mix():
     b = FieldParams(5).scalar(1)
     with pytest.raises(ParameterError):
         a + b
-    with pytest.raises(ParameterError):
-        a - b
     # the same q with another length is another space
     with pytest.raises(ParameterError):
         FieldParams(3, 2).scalar(1) + FieldParams(3, 3).scalar(1)
@@ -135,10 +126,9 @@ def test_scalar_multiplication_embeds_the_base_field():
     gf9 = FieldParams(3, 2)
     e = gf9.element((1, 2))
     assert e.scale(2) == gf9.element((2, 1))
-    assert 2 * e == e * 2 == e.scale(2)
     assert gf9.scalar(2) == gf9.scalar(1).scale(2) == gf9.element((2, 0))
     # integer scalars act through Z -> GF(q), so multiples of q annihilate
-    assert e.scale(3).is_zero()
+    assert e.scale(3) == gf9.element((0, 0))
     assert e.scale(4) == e
 
 
@@ -159,17 +149,17 @@ def test_sampling_covers_gf9():
     counts = {}
     trials = 18_000
     for _ in range(trials):
-        v = params.sample(rng).as_int()
+        v = params.sample(rng).coeffs
         counts[v] = counts.get(v, 0) + 1
-    assert set(counts) == set(range(9))
+    assert set(counts) == set(product(range(3), repeat=2))
     for c in counts.values():
         assert abs(c - trials / 9) < count_bound(trials, 1 / 9)
 
 
 def test_sampling_is_seed_deterministic():
     params = FieldParams(5, 2)
-    a = [params.sample(Random(13)).as_int() for _ in range(50)]
-    b = [params.sample(Random(13)).as_int() for _ in range(50)]
+    a = [params.sample(Random(13)).coeffs for _ in range(50)]
+    b = [params.sample(Random(13)).coeffs for _ in range(50)]
     assert a == b
 
 

@@ -120,7 +120,6 @@ def test_scenario_consistency(gf9):
             assert sc.S == tuple(sorted(sc.S))
             assert sc.Y == side_information(db, sc.S, sc.C)
             assert indicator(sc.W, sc.S) == (1 if model == MODEL_II else 0)
-            assert sc.coeff_of(sc.S[0]) == sc.C[0]
 
 
 def test_scenario_validation(gf3):

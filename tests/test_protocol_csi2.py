@@ -117,7 +117,8 @@ def test_disjoint_cover_case(gf3):
         known = query.sets[state.demand_slot]
         rest = set(scenario.S) - {scenario.W}
         assert sorted(known.indices) == sorted(rest)
-        assert all(c == scenario.coeff_of(i) for i, c in zip(known.indices, known.coeffs))
+        own = dict(zip(scenario.S, scenario.C))
+        assert all(c == own[i] for i, c in zip(known.indices, known.coeffs))
         cover = query.sets[1 - state.demand_slot]
         assert set(cover.indices).isdisjoint(rest)
         if scenario.W in cover.indices:
@@ -142,12 +143,14 @@ def test_overlap_cover_case():
         assert sizes == [M, M]
         known = query.sets[state.demand_slot]
         assert sorted(known.indices) == sorted(scenario.S)
+        own = dict(zip(scenario.S, scenario.C))
         for i, c in zip(known.indices, known.coeffs):
             if i == scenario.W:
-                # fresh coefficient, never the true one
-                assert c != scenario.coeff_of(i) and c == state.demand_coeff
+                # fresh coefficient, never the true one; the decoder divides
+                # by the difference
+                assert c != own[i] and (c - own[i]) * state.a % 5 == 1
             else:
-                assert c == scenario.coeff_of(i)
+                assert c == own[i]
         cover = set(query.sets[1 - state.demand_slot].indices)
         outside = set(range(1, K + 1)) - set(scenario.S)
         assert outside <= cover
@@ -170,11 +173,12 @@ def test_full_support_case():
         assert len(query.sets) == 1
         qs = query.sets[0]
         assert sorted(qs.indices) == list(range(1, K + 1))
+        own = dict(zip(scenario.S, scenario.C))
         for i, c in zip(qs.indices, qs.coeffs):
             if i == scenario.W:
-                assert c != scenario.coeff_of(i)
+                assert c != own[i]
             else:
-                assert c == scenario.coeff_of(i)
+                assert c == own[i]
         assert decoded == db[scenario.W]
 
 

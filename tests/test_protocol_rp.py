@@ -54,14 +54,13 @@ def test_partition_structure(gf3, K, M):
         assert set(counts) == set(range(1, K + 1))
         assert sorted(counts.values()).count(2) == l
         assert max(counts.values()) <= 2
-        # the demand set carries exactly {W}+S with the true coefficients
+        # the demand set carries exactly {W}+S with the true coefficients, and
+        # the decoder strips Y and divides by W's coefficient: a = c^(-1), b = -a
         demand = query.sets[state.demand_slot]
-        pairs = sorted(zip(demand.indices, demand.coeffs))
-        want = sorted(
-            [(scenario.W, state.demand_coeff)]
-            + [(i, scenario.coeff_of(i)) for i in scenario.S]
-        )
-        assert pairs == want
+        want = dict(zip(scenario.S, scenario.C))
+        want[scenario.W] = pow(state.a, -1, 3)
+        assert sorted(zip(demand.indices, demand.coeffs)) == sorted(want.items())
+        assert state.b == -state.a % 3
 
 
 def test_single_set_when_support_plus_demand_covers(gf3):

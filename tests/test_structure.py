@@ -76,9 +76,7 @@ def test_second_model_build_sends_the_structure_it_draws(K, M):
     case = case_for(K, M)
     for seed in range(40):
         structure, query, state = _split_matches_build(MODEL_II, K, M, seed)
-        assert structure.case_tag == query.case_tag == state.case_tag == case
-        if case == CASE_SINGLE:
-            assert state.probe_index == structure.sets[0][0]
+        assert structure.case_tag == query.case_tag == case
 
 
 def test_every_second_model_case_is_covered():
@@ -109,18 +107,23 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
 
     assert all(1 <= c <= q - 1 for qs in query.sets for c in qs.coeffs)
     own = dict(zip(scenario.S, scenario.C))
-    if query.sets and state.case_tag != CASE_SINGLE:
+    single = model_name == MODEL_II and query.case_tag == CASE_SINGLE
+    if query.sets and not single:
         demand_set = query.sets[state.demand_slot]
         for i, c in zip(demand_set.indices, demand_set.coeffs):
             if i == scenario.W:
-                assert c == state.demand_coeff
-                if model_name == MODEL_II:
-                    assert c != own[i]  # the overlap and full cases need a difference
+                # the overlap and full cases need a difference to divide by
+                delta = c if model_name == MODEL_I else c - own[i]
+                assert delta % q and delta * state.a % q == 1
             else:
                 assert c == own[i]
         assert set(demand_set.indices) <= {scenario.W, *scenario.S}
-    if state.case_tag == CASE_SINGLE:
-        assert query.sets[0].coeffs == (state.demand_coeff,)
+    if single:
+        ((probe,), (c,)) = query.sets[0].indices, query.sets[0].coeffs
+        if probe == scenario.W:
+            assert (c * state.a % q, state.b) == (1, 0)
+        else:
+            assert own[scenario.W] * state.b % q == 1
     answer = protocol.answer_query(db, query)
     assert protocol.decode_answer(answer, state) == db[scenario.W]
 

@@ -1,4 +1,5 @@
 """Golden byte vectors, framing, total decoding, and the loopback server."""
+import io
 import socket
 import struct
 import threading
@@ -32,8 +33,9 @@ from pircsi import (
 
 def test_frame_golden():
     assert wire.encode_frame(wire.MSG_QUERY, b"ab") == bytes.fromhex("0102000000") + b"ab"
-    msg_type, payload, used = wire.decode_frame(bytes.fromhex("0102000000") + b"ab")
-    assert (msg_type, payload, used) == (wire.MSG_QUERY, b"ab", 7)
+    stream = io.BytesIO(bytes.fromhex("0102000000") + b"ab")
+    assert wire._read_frame(stream) == (wire.MSG_QUERY, b"ab")
+    assert wire._read_frame(stream) is None  # the peer hung up
 
 
 def test_model_one_query_golden(gf3):
@@ -87,15 +89,15 @@ def test_hello_for_long_messages_returns_at_once():
 
 
 def test_frame_errors():
-    with pytest.raises(WireParseError):
-        wire.decode_frame(b"\x01\x02\x00")  # short header
-    with pytest.raises(WireParseError):
-        wire.decode_frame(bytes.fromhex("0105000000") + b"ab")  # short payload
-    with pytest.raises(WireParseError):
-        wire.decode_frame(bytes.fromhex("0900000000"))  # unknown type
+    # A stream that ends inside a frame is a peer that hung up.
+    assert wire._read_frame(io.BytesIO(b"\x01\x02\x00")) is None  # short header
+    assert wire._read_frame(io.BytesIO(bytes.fromhex("0105000000") + b"ab")) is None  # short payload
+    # The frame type is the handler's to refuse (test_unknown_frame_type_yields_error).
+    assert wire._read_frame(io.BytesIO(bytes.fromhex("0900000000"))) == (0x09, b"")
     huge = struct.pack("<BI", wire.MSG_QUERY, wire.MAX_FRAME_BYTES + 1)
-    with pytest.raises(WireParseError):
-        wire.decode_frame(huge)
+    with pytest.raises(WireParseError) as info:
+        wire._read_frame(io.BytesIO(huge + b"ab"))
+    assert info.value.offset == 1
 
 
 def test_parse_errors_carry_byte_offsets(gf3):
@@ -219,6 +221,14 @@ def test_encode_query_refuses_bad_indices(gf3, indices, slot, rule):
     assert str(info.value) == f"index {indices[slot]!r} in set 1, slot {slot} {rule}"
 
 
+@pytest.mark.parametrize("case_tag", [300, -1])
+def test_encode_query_refuses_a_case_tag_outside_the_byte(gf3, case_tag):
+    # It once escaped as a bare struct.error.
+    with pytest.raises(ParameterError) as info:
+        wire.encode_query(Query((), MODEL_II, case_tag), gf3)
+    assert f"case tag {case_tag}" in str(info.value)
+
+
 def test_decode_query_rejects_bad_shapes(gf3):
     # unequal set sizes in a first-model query
     blob = bytes.fromhex(
@@ -228,9 +238,15 @@ def test_decode_query_rejects_bad_shapes(gf3):
     )
     with pytest.raises(WireParseError):
         wire.decode_query(blob, gf3, 3)
-    # second-model case tag out of range
-    with pytest.raises(WireParseError):
+    # second-model case tag out of range, and a first-model query with case 1:
+    # check_shape refuses both, at the case byte
+    with pytest.raises(WireParseError) as info:
         wire.decode_query(bytes.fromhex("02090000"), gf3, 3)
+    assert info.value.offset == 1
+    blob = wire.encode_query(Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),)), gf3)
+    with pytest.raises(WireParseError) as info:
+        wire.decode_query(blob[:1] + b"\x01" + blob[2:], gf3, 3)
+    assert info.value.offset == 1
     # single-probe case with two sets
     blob = bytes.fromhex("0201" "0200" "0100" "01000000" "0100" "0100" "02000000" "0100")
     with pytest.raises(WireParseError):
