@@ -122,11 +122,13 @@ def _print_reveal(query, state, fh) -> None:
 
 
 def _print_outcome(
-    db: Database, query, answer, state, reveal: bool, fh, *, show_expected: bool
+    db: Database, query, answer, state, reveal: bool, fh, *, both_parties: bool
 ) -> int:
     """Decode the answer and print it, the reveal line if asked for, the
-    decoded demand (then the database's copy, if show_expected) and the
-    verdict.  Returns the exit code: 0 when decoding recovered the demand."""
+    decoded demand and the verdict.  The demand's index is named only under
+    reveal or when one process plays both parties (demo), which also prints
+    the database's copy.  Returns the exit code: 0 when decoding recovered
+    the demand."""
     W = state.scenario.W
     decoded = PROTOCOLS[state.scenario.model].decode_answer(answer, state)
     count = len(answer.values)
@@ -135,8 +137,9 @@ def _print_outcome(
         print(f"  A_{pos} = {_format_element(value)}", file=fh)
     if reveal:
         _print_reveal(query, state, fh)
-    print(f"decoded  X_{W} = {_format_element(decoded)}", file=fh)
-    if show_expected:
+    demand = f"X_{W}" if reveal or both_parties else "X_W"
+    print(f"decoded  {demand} = {_format_element(decoded)}", file=fh)
+    if both_parties:
         print(f"database X_{W} = {_format_element(db[W])}", file=fh)
     ok = decoded == db[W]
     print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
@@ -162,7 +165,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"  X_{i} = {_format_element(db[i])}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
-    return _print_outcome(db, query, answer, state, args.reveal, fh, show_expected=True)
+    return _print_outcome(db, query, answer, state, args.reveal, fh, both_parties=True)
 
 
 # --------------------------------------------------------------------- audits
@@ -346,9 +349,10 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
     fh = sys.stdout
     print(f"server {host}:{port}  GF({db.params.q}^{db.params.m})  K={db.K}", file=fh)
-    _print_scenario(scenario, fh)
+    if args.reveal:  # otherwise print only what the server sees, and the decoded value
+        _print_scenario(scenario, fh)
     _print_query(query, fh)
-    return _print_outcome(db, query, answer, state, args.reveal, fh, show_expected=False)
+    return _print_outcome(db, query, answer, state, args.reveal, fh, both_parties=False)
 
 
 def _cmd_db_gen(args: argparse.Namespace) -> int:
@@ -455,7 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--model", choices=(MODEL_I, MODEL_II), required=True)
     fetch.add_argument("--m", type=int, required=True, help="side-information support size")
     fetch.add_argument("--seed", type=int, default=0)
-    fetch.add_argument("--reveal", action="store_true")
+    fetch.add_argument(
+        "--reveal",
+        action="store_true",
+        help="also print the scenario (W, S, C) and which query set decodes the demand "
+        "(off by default; the plain transcript names no index the server cannot see)",
+    )
     fetch.set_defaults(func=_cmd_fetch)
 
     dbcmd = commands.add_parser("db", help="database file utilities")

@@ -7,15 +7,19 @@ enumeration of every scenario kept here, and the chi-square fit in
 test_structure.py checks the enumeration against the random draw.
 """
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import inf
+from math import inf, sqrt
+from pathlib import Path
 from random import Random
 
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from pircsi import (
     AuditSizeError,
@@ -27,7 +31,13 @@ from pircsi import (
     audit_montecarlo,
     measure_rate,
 )
-from pircsi.audit import MUTATIONS, audit_recoverability, exact_joint, scenario_law
+from pircsi.audit import (
+    MUTATIONS,
+    _chisquare_p,
+    audit_recoverability,
+    exact_joint,
+    scenario_law,
+)
 from pircsi.protocols import PROTOCOLS
 
 
@@ -303,6 +313,63 @@ def test_montecarlo_mutations_are_model_one_only():
 def test_montecarlo_needs_enough_trials_per_bin():
     with pytest.raises(AuditSizeError):
         audit_montecarlo(MODEL_I, 8, 2, 30, Random(0))
+
+
+def _paired_counts(K: int, x: float) -> list:
+    """K counts around 10^5 whose Pearson statistic is about x: pairs of
+    bins at 10^5 + d and 10^5 - d, and one bin at 10^5 when K is odd."""
+    pairs, mean = K // 2, 100_000
+    d = round(sqrt(x * mean / (2 * pairs)))
+    return [mean + d] * pairs + [mean - d] * pairs + [mean] * (K % 2)
+
+
+_P_GRID_K = (2, 3, 8, 9, 100, 101, 1000, 1001)
+# flat (p near 1), mildly skewed (p near a Bonferroni threshold of 1e-6 over
+# the grid's 24 tests) and heavily skewed (p far below 1e-200)
+_P_GRID = [
+    _paired_counts(K, x)
+    for K in _P_GRID_K
+    for x in (K / 4, chi2.isf(1e-6 / (3 * len(_P_GRID_K)), K - 1), chi2.isf(1e-250, K - 1))
+]
+
+
+def test_chisquare_p_agrees_with_scipy():
+    mine = [_chisquare_p(counts) for counts in _P_GRID]
+    ref = [chisquare(counts).pvalue for counts in _P_GRID]
+    for counts, p, q in zip(_P_GRID, mine, ref):
+        assert p == pytest.approx(q, rel=1e-9, abs=0), (len(counts), q)
+    # the grid reaches every regime it names, at every K
+    flat, mild, heavy = mine[0::3], mine[1::3], mine[2::3]
+    assert max(flat) > 1 - 1e-12 and min(flat) > 0.4
+    assert all(1e-8 < p < 1e-7 for p in mild)
+    assert all(0 < p < 1e-200 for p in heavy)
+
+
+@pytest.mark.parametrize("K", _P_GRID_K)
+def test_chisquare_p_of_equal_counts_is_one(K):
+    assert _chisquare_p([7] * K) == 1.0 == chisquare([7] * K).pvalue
+    # one count moved between two bins: the terms sum to 1 + 2^-52 at K=100
+    # and K=1000 before the clamp
+    nearly = [101, 99] + [100] * (K - 2)
+    p = _chisquare_p(nearly)
+    assert p <= 1.0 and p == pytest.approx(chisquare(nearly).pvalue, rel=1e-9)
+
+
+def test_runtime_never_imports_scipy():
+    # A fresh interpreter: this file's own scipy import cannot hide a leak.
+    script = (
+        "import sys; from random import Random\n"
+        "import pircsi, pircsi.cli, pircsi.wire\n"
+        "from pircsi import MODEL_I, audit_montecarlo\n"
+        "audit_montecarlo(MODEL_I, 8, 2, 10_000, Random(0))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------- recoverability

@@ -1,5 +1,6 @@
 """Command surface: exit codes, transcript determinism, and report schemas."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,29 @@ def test_fetch_against_live_server(tmp_path, capsys):
             "--model", "I", "--m", "2", "--seed", "6", "--reveal",
         )
         assert code == 0 and "reveal:" in out
+
+
+def test_fetch_names_no_index_without_reveal(tmp_path, capsys):
+    path = tmp_path / "messages.db"
+    _run(capsys, "db", "gen", "--k", "9", "--q", "5", "--ext", "2",
+         "--seed", "3", "--out", str(path))
+    db = Database.load(path)
+    with wire.PirServer(db, port=0) as server:
+        addr = f"{server.address[0]}:{server.address[1]}"
+        for model, m in (("I", 0), ("I", 2), ("I", 4), ("II", 1), ("II", 3), ("II", 9)):
+            for seed in range(3):
+                argv = ("fetch", "--db", str(path), "--addr", addr,
+                        "--model", model, "--m", str(m), "--seed", str(seed))
+                code, out, _ = _run(capsys, *argv)
+                assert code == 0 and out.endswith("result: PASS\n")
+                assert not any(line.startswith(("scenario:", "reveal:"))
+                               for line in out.splitlines())
+                decoded = [line for line in out.splitlines() if line.startswith("decoded")]
+                assert len(decoded) == 1 and not re.search(r"X_\d", decoded[0])
+                # --reveal adds the client's secrets back
+                code, out, _ = _run(capsys, *argv, "--reveal")
+                assert code == 0 and "\nscenario: demand W=" in out
+                assert re.search(r"^decoded  X_\d+ = ", out, re.M)
 
 
 def test_fetch_rejects_mismatched_database(tmp_path, capsys):
