@@ -55,6 +55,6 @@ print(
     f"min p-value {skewed.min_p:.2e}"
 )
 print()
-print("forgetting to shuffle the set order, or flattening the duplicate-class")
+print("forgetting to shuffle the set order, or flattening the repeat-class")
 print("weights, leaves the per-query marginals looking plausible; the screen")
 print("still detects both within seconds.")

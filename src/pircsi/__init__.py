@@ -28,14 +28,10 @@ from .model import (
     side_information,
 )
 from .pmf import (
-    IdentityReport,
     RpDistribution,
     capacity,
     case2_pmf,
     case3_pmf,
-    check_class_weight_identities,
-    class_weight,
-    partition_prob,
     partition_rounds,
     rp_distribution,
     sample_from_pmf,
@@ -83,7 +79,6 @@ __all__ = [
     "DecoderState",
     "FieldElement",
     "FieldParams",
-    "IdentityReport",
     "MODEL_I",
     "MODEL_II",
     "MUTATIONS",
@@ -108,12 +103,9 @@ __all__ = [
     "case2_pmf",
     "case3_pmf",
     "case_for",
-    "check_class_weight_identities",
-    "class_weight",
     "download_cost",
     "indicator",
     "measure_rate",
-    "partition_prob",
     "partition_rounds",
     "protocol_csi2",
     "protocol_rp",

@@ -22,7 +22,7 @@ from random import Random
 
 import numpy as np
 
-from .draws import RandomDraws, Rejected
+from .draws import RandomDraws
 from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
@@ -212,16 +212,12 @@ def scenario_law(
 ) -> dict:
     """The law of the fingerprint of draw(W, S, K, rng, **mutations), as
     integer weights over their sum: the draw runs once per leaf of its choice
-    tree under _Enumeration.  Rejected leaves are dropped and the rest
-    renormalised, as RandomDraws.run draws again.  Raises AuditSizeError
-    once scenarios times the leaves would exceed row_guard."""
+    tree under _Enumeration.  Raises AuditSizeError once scenarios times the
+    leaves would exceed row_guard."""
     enum = _Enumeration(scenarios, row_guard)
     masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
     while True:
-        try:
-            fp = fingerprint_of(draw(W, S, K, enum, **mutations).sets)
-        except Rejected:
-            fp = None
+        fp = fingerprint_of(draw(W, S, K, enum, **mutations).sets)
         masses[enum.den, fp] += enum.num
         if not enum.next_leaf():
             break
@@ -231,7 +227,7 @@ def scenario_law(
         law[fp] += num * (D // den)
     if sum(law.values()) != D:
         raise AssertionError(f"leaf weights sum to {sum(law.values())}/{D}, not 1")
-    return {fp: weight for fp, weight in law.items() if fp is not None and weight}
+    return {fp: weight for fp, weight in law.items() if weight}
 
 
 @lru_cache(maxsize=64)
@@ -325,12 +321,6 @@ class _Enumeration:
             blocks.append([first, *(others[j] for j in mates)])
             rest = [x for j, x in enumerate(others) if j not in mates]
         return blocks
-
-    def reject(self):
-        raise Rejected
-
-    def run(self, draw, *args, **kwargs):
-        return draw(self, *args, **kwargs)
 
 
 def audit_montecarlo(

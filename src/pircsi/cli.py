@@ -289,7 +289,6 @@ def _cmd_pmf_dump(args: argparse.Namespace) -> int:
             "M": M,
             "rounds": n,
             "duplicates": l,
-            "normalizer": _rat_pair(dist.P),
             "support": [
                 {"s": s, "r": r, "p": _rat_pair(p)} for (s, r), p in sorted(dist.table.items())
             ],
@@ -436,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dist",
         choices=("classes", "disjoint", "overlap"),
         required=True,
-        help="classes: duplicate-class pmf; disjoint/overlap: cover-size pmfs",
+        help="classes: repeat-class pmf; disjoint/overlap: cover-size pmfs",
     )
     dump.add_argument("--k", type=int, required=True)
     dump.add_argument("--m", type=int, required=True)

@@ -1,23 +1,18 @@
 """The random choices of a structure draw, and their production interpreter.
 
-Each model's draw_structure is written once over five primitives: choose(cdf)
+Each model's draw_structure is written once over four primitives: choose(cdf)
 (one outcome of a pmf.Cdf), sample(pool, k) (k distinct items of a sequence,
-as a list), shuffle(seq) (a list, in place), split(seq, size) (the items in
-blocks of size, which divides len(seq)) and reject() (discard the draw).
-RandomDraws interprets them with the random.Random production callers pass;
-the exact auditor interprets the same draw by enumeration.
+as a list), shuffle(seq) (a list, in place) and split(seq, size) (the items
+in blocks of size, which divides len(seq)).  RandomDraws interprets them
+with the random.Random production callers pass; the exact auditor
+interprets the same draw by enumeration.
 """
 
 from random import Random
 
 
-class Rejected(Exception):
-    """Raised by reject(): the draw so far is discarded."""
-
-
 class RandomDraws:
-    """Each primitive as calls on one generator; run() draws again after a
-    reject()."""
+    """Each primitive as calls on one generator."""
 
     __slots__ = ("rng", "sample", "shuffle")
 
@@ -32,16 +27,6 @@ class RandomDraws:
         items = list(seq)
         self.rng.shuffle(items)
         return [items[i : i + size] for i in range(0, len(items), size)]
-
-    def reject(self):
-        raise Rejected
-
-    def run(self, draw, *args, **kwargs):
-        while True:
-            try:
-                return draw(self, *args, **kwargs)
-            except Rejected:
-                pass
 
 
 def draws_from(rng):

@@ -105,7 +105,7 @@ def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Stru
         raise ParameterError("demand must lie inside the support")
     if not all(1 <= i <= K for i in S):
         raise ParameterError("scenario indices exceed the database size")
-    return draws_from(rng).run(_draw, W, S, K, **mutations)
+    return _draw(draws_from(rng), W, S, K, **mutations)
 
 
 def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True) -> Structure:

@@ -2,11 +2,12 @@
 
 The client sends n = ceil(K/(M+1)) index sets of size M+1 with fresh nonzero
 coefficients.  The sets cover the whole database; l = (M+1)n - K indices
-appear in exactly two sets ("repeats"), everything else in exactly one.  One
-set is the demand set {W} on S; which indices repeat is drawn from the
-duplicate-class pmf so that every candidate demand explains the transmitted
-query equally well.  The server returns one field element per set, and the
-client strips Y off the demand set's element.
+appear in exactly two sets ("repeats"), everything else in exactly one, and
+all the repeats sit in one pair of sets.  One set is the demand set {W} on
+S; whether it is in that pair, and with W repeated or not, is one draw from
+the repeat-class pmf, weighted so that every candidate demand explains the
+transmitted query equally well.  The server returns one field element per
+set, and the client strips Y off the demand set's element.
 
 decode_answer is the decoder of both models: every scheme recovers the
 demand as X_W = a * A[slot] + b * Y from one downloaded element A[slot] and
@@ -116,7 +117,7 @@ def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Stru
         raise ParameterError("demand must lie outside the support")
     if not all(1 <= i <= K for i in (W, *S)):
         raise ParameterError("scenario indices exceed the database size")
-    return draws_from(rng).run(_draw, W, S, K, **mutations)
+    return _draw(draws_from(rng), W, S, K, **mutations)
 
 
 def _draw(
@@ -132,51 +133,51 @@ def _draw(
     """draw_structure over the draw primitives of d.  The underscored
     keywords deliberately break it and exist only so the auditors can show
     they catch such defects: no set-order shuffle, the first indices of S
-    and of the outside as repeats, and a replacement duplicate-class pmf
-    (as a Cdf).  Production callers leave them alone."""
+    and of the outside indices as repeats, and a replacement repeat-class
+    pmf (as a Cdf).  Production callers leave them alone."""
     M = len(S)
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
-
-    # Draw a duplicate class; with two sets, classes needing an outside repeat
-    # cannot be completed, so those draws are rejected and drawn again.
     s, r = d.choose(dist.cdf if _class_pmf is None else _class_pmf)
-    if n == 2 and r:
-        d.reject()
+    take = _first if _deterministic_extras else d.sample
 
     support = set(S)
     outside = [i for i in range(1, K + 1) if i != W and i not in support]
-    if _deterministic_extras:
-        from_support, shared_outside = list(S[:s]), outside[:r]
-    else:  # a sample of nothing is skipped: random.sample would copy the pool
-        from_support = sorted(d.sample(S, s)) if s else []
-        shared_outside = sorted(d.sample(outside, r)) if r else []
-    # What the cover sets draw from: every index outside the demand set, each
-    # repeated support index, and W when it takes the remaining repeat slot;
-    # the shared outside repeats go straight into the second and third sets.
-    pool = set(outside).difference(shared_outside).union(from_support)
-    if s + r == l - 1:
-        pool.add(W)
-
     sets = [[W, *S]]
     d.shuffle(sets[0])
-    for _ in range(min(n, 3) - 1):
-        cover = d.sample(sorted(pool), M + 1 - r)  # a sample comes in random order
-        pool.difference_update(cover)
-        if r:
-            cover += shared_outside
-            d.shuffle(cover)
+    # The l repeats sit in one pair of sets: two cover sets sharing r = l
+    # outside indices, or the demand set and a partner holding s support
+    # indices and W when s = l-1.  Every other set is disjoint from the rest.
+    partners = []
+    if r:
+        shared = take(outside, r)
+        outside = _without(outside, shared)
+        partners = [shared, list(shared)]
+    elif l:
+        partners = [take(S, s) + ([W] if s < l else [])]
+    for cover in partners:
+        fill = d.sample(outside, M + 1 - l)
+        outside = _without(outside, fill)
+        cover += fill
+        d.shuffle(cover)
         sets.append(cover)
-    if n >= 4:
-        # The rest is shuffled whole, so each tail set is already in
-        # uniformly random element order.
-        sets.extend(d.split(sorted(pool), M + 1))
+    sets.extend(d.split(outside, M + 1))
     _validate_partition(sets, K, M, l)
 
     order = list(range(n))
     if _shuffle_order:
         d.shuffle(order)
     return Structure(tuple(tuple(sets[i]) for i in order), order.index(0))
+
+
+def _first(pool, k: int) -> list:
+    return list(pool[:k])
+
+
+def _without(pool: list, taken) -> list:
+    """pool without the items of taken, in pool order."""
+    taken = set(taken)
+    return [i for i in pool if i not in taken]
 
 
 def attach_coefficients(

@@ -69,31 +69,34 @@ def test_exact_full_support_has_one_fingerprint():
 
 
 def test_exact_two_set_redraw_cells_stay_uniform():
-    # with two sets an outside duplicate cannot be completed, so the builder
-    # redraws; the surviving classes still yield flat posteriors
+    # with two sets the l repeats always sit in the demand set and its partner
     for K, M in [(3, 1), (4, 2), (5, 2), (5, 3), (6, 3), (6, 4)]:
         report = audit_exact(MODEL_I, K, M)
         assert report.uniform, (K, M, report.worst_deviation)
 
 
-def test_exact_detects_the_four_set_duplicate_skew():
-    # K=7, M=1 is the smallest cell with four sets and a duplicate; there
-    # the sequential completion over-weights duplicate-free partitions and
-    # the posteriors genuinely deviate.  Pinned as the known behavior of
-    # this construction; the statistical auditor sees the same skew below.
+def test_exact_four_set_cell_with_a_repeat_is_flat():
+    # K=7, M=1 is the smallest cell with four sets and a repeat.  A sequential
+    # completion once over-weighted repeat-free partitions here (worst
+    # deviation 8/91); with the repeats in one pair of sets it is flat.
     report = audit_exact(MODEL_I, 7, 1)
-    assert not report.uniform
-    assert report.worst_deviation == Fraction(8, 91)
+    assert report.uniform and report.worst_deviation == 0
+    assert report.worst_fingerprint is None
+    # and the exact auditor still sees both mutants there
+    for mutation, deviation in [("deterministic_extras", Fraction(22, 91)),
+                                ("skewed_class_pmf", Fraction(4, 21))]:
+        assert audit_exact(MODEL_I, 7, 1, mutation=mutation).worst_deviation == deviation
 
 
-def test_montecarlo_agrees_with_the_exact_skew():
+def test_montecarlo_passes_the_four_set_cell():
     report = audit_montecarlo(MODEL_I, 7, 1, 50_000, Random(2))
-    assert not report.passed
+    assert report.passed
 
 
 def test_exact_guard_refuses_oversized_cells():
+    # I(14,2) has five sets, and more leaves than the default guard allows
     with pytest.raises(AuditSizeError):
-        audit_exact(MODEL_I, 14, 1)
+        audit_exact(MODEL_I, 14, 2)
     with pytest.raises(ParameterError):
         audit_exact("III", 4, 1)
 
@@ -126,7 +129,8 @@ def test_exact_runs_the_mutated_draw(mutation):
         # the exact auditor; only the Monte-Carlo screen's slot bins see it.
         assert report.uniform and report.worst_fingerprint is None
     else:
-        assert not report.uniform
+        expected = {"deterministic_extras": Fraction(7, 8), "skewed_class_pmf": Fraction(5, 24)}
+        assert report.worst_deviation == expected[mutation]
         row = report.posteriors[report.worst_fingerprint]
         assert max(abs(p - Fraction(1, 8)) for p in row) == report.worst_deviation
 
@@ -139,12 +143,16 @@ def test_exact_mutations_are_model_one_only():
 
 
 def test_exact_names_its_worst_fingerprint():
-    report = audit_exact(MODEL_I, 7, 1)
+    # taking the first support index as the repeat leaves some fingerprints
+    # explained by one demand only: a deviation of 1 - 1/8
+    report = audit_exact(MODEL_I, 8, 2, mutation="deterministic_extras")
     worst = report.worst_fingerprint
-    assert max(abs(p - Fraction(1, 7)) for p in report.posteriors[worst]) == Fraction(8, 91)
+    deviation = Fraction(7, 8)
+    assert report.worst_deviation == deviation
+    assert max(abs(p - Fraction(1, 8)) for p in report.posteriors[worst]) == deviation
     # the first such fingerprint in sorted order
     assert all(
-        max(abs(p - Fraction(1, 7)) for p in report.posteriors[fp]) < Fraction(8, 91)
+        max(abs(p - Fraction(1, 8)) for p in report.posteriors[fp]) < deviation
         for fp in report.posteriors
         if fp < worst
     )
@@ -185,9 +193,10 @@ def test_one_scenario_relabelled_equals_every_scenario_enumerated(model, K, M):
 
 
 # SHA-256 of each cell's canonical report (below), recorded from the rational
-# enumeration the integer-weight one replaced: criterion 4's K<=6 grid of both
-# models plus the benchmark's cells.  Moving any probability, posterior or
-# verdict changes the digest.
+# enumeration the integer-weight one replaced: the K<=6 grid of both models
+# plus the benchmark's cells.  I(7,1) and I(9,1) were re-recorded when the
+# shared-pair draw made them flat; every other digest predates that draw.
+# Moving any probability, posterior or verdict changes the digest.
 EXACT_DIGESTS = {
     (MODEL_I, 3, 0): "422f5cda07d2bbceb2400bfe18499cdb8caaa9cbac753d8e2b2872724250d088",
     (MODEL_I, 3, 1): "e4c5258509116ed83f29aae57f1d258af1879f0a0045eaaf3344867bdd7c31b1",
@@ -207,9 +216,9 @@ EXACT_DIGESTS = {
     (MODEL_I, 6, 3): "23ffe663fb6b2b3b3876ed30ec488bcf013bb5bee03a52872ff27f9153b93d99",
     (MODEL_I, 6, 4): "bc6d28c81ca4cdba625dd995e8e8b8b3b2bf15ebab23d00d61c8bd6bfb6ac23b",
     (MODEL_I, 6, 5): "170a9e0c843a3e4cff19c20c954954ecba37c7aaded20b87ca8cf05641634ca4",
-    (MODEL_I, 7, 1): "079e59c46dd42b7fd07b4f1b4773a81a18ca53723df2fe48664f8796c729c83e",
+    (MODEL_I, 7, 1): "7c78a35d9d7ea3f9671fcdf7cb87b17e8aeb5f31374dbf701349fdf5ed5fdb60",
     (MODEL_I, 8, 2): "ba5cb29dd93fac9662dbcb9034f9e069460be7c8614cffdc041dafb3f0c5d5f7",
-    (MODEL_I, 9, 1): "f4162198d7e7aacb7157c6c21f97d1c4bce2385882cdb2d4efa6afb96be5b13c",
+    (MODEL_I, 9, 1): "b949ee53980581c31206056c6ab4f81fad2f1cec98cac7f6fedb30fce6ca0737",
     (MODEL_II, 3, 1): "22387b9af8507160b565bc43533508156ca99408e83082780dab732a27628e77",
     (MODEL_II, 3, 2): "77b196a1e027f745e9ffef4cc3e3aad1d49ddbfab6a58154e48023d213526e72",
     (MODEL_II, 3, 3): "77343afc3c75647e15a4a4727d7039f5163c4ed5725cfbab6518e4b099e0a8da",

@@ -112,12 +112,17 @@ def test_audit_exact_uniform_cell(capsys):
     assert all(fp["posterior"] == ["1/4"] * 4 for fp in report["fingerprints"])
 
 
-def test_audit_exact_skewed_cell_exits_one(capsys):
-    code, out, _ = _run(capsys, "audit", "--exact", "--model", "I", "--k", "7", "--m", "1")
-    assert code == 1
+def test_audit_exact_four_set_cell_exits_zero(capsys):
+    base = ("audit", "--exact", "--model", "I", "--k", "7", "--m", "1")
+    code, out, _ = _run(capsys, *base)
+    assert code == 0
     report = json.loads(out)
-    assert report["uniform"] is False
-    assert report["worst_deviation"] == "8/91"
+    assert report["uniform"] is True
+    assert report["worst_deviation"] == "0"
+
+    code, out, _ = _run(capsys, *base, "--mutation", "skewed_class_pmf")
+    assert code == 1
+    assert json.loads(out)["worst_deviation"] == "4/21"
 
 
 def test_audit_exact_runs_the_mutated_builder(capsys):
@@ -145,7 +150,7 @@ def test_audit_rate_refuses_a_mutation(capsys):
 
 
 def test_audit_exact_oversized_cell_guides_to_mc(capsys):
-    code, out, err = _run(capsys, "audit", "--exact", "--model", "I", "--k", "14", "--m", "1")
+    code, out, err = _run(capsys, "audit", "--exact", "--model", "I", "--k", "14", "--m", "2")
     assert code == 2
     assert "--mc" in err
 
@@ -242,7 +247,7 @@ def test_pmf_dump_classes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rounds"] == 3 and payload["duplicates"] == 1
-    assert payload["normalizer"] == {"num": "1", "den": "5"}
+    assert "normalizer" not in payload
     table = {(row["s"], row["r"]): (row["p"]["num"], row["p"]["den"]) for row in payload["support"]}
     assert table == {(0, 0): ("1", "5"), (0, 1): ("2", "5"), (1, 0): ("2", "5")}
 

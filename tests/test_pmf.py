@@ -1,7 +1,7 @@
-"""Class pmfs, partition weights, and capacity values against hand derivations.
+"""Class pmfs, cover-case pmfs, and capacity values against hand derivations.
 
-Every frozen rational below was computed by hand from the counting formulas
-before the module was written; the tests are the record of those derivations.
+Every frozen rational below was computed by hand from the counting formulas;
+the tests are the record of those derivations.
 """
 from fractions import Fraction
 from math import inf
@@ -16,9 +16,6 @@ from pircsi.pmf import (
     Cdf,
     case2_pmf,
     case3_pmf,
-    check_class_weight_identities,
-    class_weight,
-    partition_prob,
     partition_rounds,
     rp_distribution,
     sample_from_pmf,
@@ -44,85 +41,29 @@ def test_partition_rounds_frozen():
 
 
 def test_class_pmf_k5_m1():
-    # l = 1: duplicate either the demand (s+r=0) or one index from S union R.
-    # alpha_{3,r} weighting gives 1/5, 2/5, 2/5 after normalizing; P = 1/5.
+    # n = 3, l = 1: repeat the demand (weight l = 1), one support index
+    # (2(M+1-l) = 2) or one outside index shared by the cover sets
+    # ((n-2)(M+1) = 2), over K = 5.
     dist = rp_distribution(5, 1)
     assert dist.table == {(0, 0): F(1, 5), (1, 0): F(2, 5), (0, 1): F(2, 5)}
-    assert dist.P == F(1, 5)
     assert dist.n == 3 and dist.l == 1
 
 
 def test_class_pmf_k4_m2():
-    # n = 2, l = 2; alpha = 1, beta = C(2,s)C(1,r)/C(2,1), doubled on the
-    # s+r=2 diagonal.  Masses 1/2, 1, 2, 1 normalize by P = 2/9.
+    # n = 2, l = 2: W and one support index (weight 2) or two support indices
+    # (weight 2); two sets leave no cover pair for outside repeats.
     dist = rp_distribution(4, 2)
-    assert dist.table == {
-        (0, 1): F(1, 9),
-        (1, 0): F(2, 9),
-        (1, 1): F(4, 9),
-        (2, 0): F(2, 9),
-    }
-    assert dist.P == F(2, 9)
-    # two-set partitions cannot host an outside duplicate: conditioning on
-    # r = 0 keeps (1,0) and (2,0) at equal mass
-    assert dist.realizable_table() == {(1, 0): F(1, 2), (2, 0): F(1, 2)}
+    assert dist.table == {(1, 0): F(1, 2), (2, 0): F(1, 2)}
 
 
 def test_class_pmf_k5_m2():
     dist = rp_distribution(5, 2)
-    assert dist.table == {(0, 0): F(1, 9), (0, 1): F(4, 9), (1, 0): F(4, 9)}
-    assert dist.realizable_table() == {(0, 0): F(1, 5), (1, 0): F(4, 5)}
+    assert dist.table == {(0, 0): F(1, 5), (1, 0): F(4, 5)}
 
 
 def test_class_pmf_point_mass_when_no_duplicates():
     dist = rp_distribution(4, 1)
     assert dist.table == {(0, 0): F(1)}
-    assert dist.realizable_table() == {(0, 0): F(1)}
-    assert dist.P == F(1)
-
-
-def test_partition_prob_frozen():
-    # P_{3,r} = 2((2-r)!)^2 / (4-2r)! for K=5, M=1
-    assert partition_prob(5, 1, 0) == F(1, 3)
-    assert partition_prob(5, 1, 1) == F(1)
-    # n = 2 partitions carry no ordering freedom
-    assert partition_prob(4, 1, 0) == F(1)
-    # K=7, M=1: n=4 brings the ((M+1)!)^{n-3} factor into play
-    assert partition_prob(7, 1, 0) == F(1, 45)
-    assert partition_prob(7, 1, 1) == F(1, 6)
-    with pytest.raises(ParameterError):
-        partition_prob(5, 1, 2)
-
-
-def test_class_weight_frozen_k5_m1():
-    # f(s,r) = p(s,r) / (C(M,s) C(K-M-1,r) C(K-1,M)) * P_{n,r}
-    assert class_weight(5, 1, 0, 0) == F(1, 60)
-    assert class_weight(5, 1, 1, 0) == F(1, 30)
-    assert class_weight(5, 1, 0, 1) == F(1, 30)
-    # the pairing identity: duplicating the demand weighs half of
-    # duplicating any single side-information or outside index
-    assert 2 * class_weight(5, 1, 0, 0) == class_weight(5, 1, 1, 0)
-
-
-def test_class_weight_validation():
-    with pytest.raises(ParameterError):
-        class_weight(5, 1, 1, 1)  # s+r beyond l
-    with pytest.raises(ParameterError):
-        class_weight(5, 1, 2, 0)  # s beyond M
-    # l = 0 degenerates to the uniform weight over perfect partitions:
-    # for K=4, M=1 there are 3 pair matchings, each 1/3
-    assert class_weight(4, 1, 0, 0) == F(1, 3)
-
-
-@pytest.mark.parametrize("K", range(2, 13))
-def test_class_weight_identities_full_grid(K):
-    for M in range(0, K):
-        n, l = partition_rounds(K, M)
-        if l == 0:
-            continue
-        report = check_class_weight_identities(K, M)
-        assert report.passed, (K, M, report.counterexample)
-        assert report.checked > 0
 
 
 @pytest.mark.parametrize("K", range(2, 13))
@@ -130,7 +71,6 @@ def test_distributions_normalize_exactly(K):
     for M in range(0, K):
         dist = rp_distribution(K, M)
         assert sum(dist.table.values()) == 1
-        assert sum(dist.realizable_table().values()) == 1
         assert all(p > 0 for p in dist.table.values())
     for M in range(3, K // 2 + 1):
         assert sum(case2_pmf(K, M).values()) == 1
@@ -248,8 +188,8 @@ def test_property_rp_distribution_support(K, data):
     n, l = partition_rounds(K, M)
     assert sum(dist.table.values()) == 1
     for (s, r), p in dist.table.items():
-        assert 0 < p <= 1
+        assert 0 < p <= 1 and (p * K).denominator == 1
         assert 0 <= s <= M and 0 <= r <= K - M - 1
-        assert l - 1 <= s + r <= l
+        assert l == 0 or (s, r) in {(l - 1, 0), (l, 0), (0, l)}
     if l == 0:
         assert dist.table == {(0, 0): F(1)}

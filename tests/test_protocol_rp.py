@@ -1,5 +1,6 @@
 """Partition-protocol construction, decoding, and duplicate-class statistics."""
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -129,8 +130,8 @@ def test_duplicate_class_frequencies_k5_m1(gf3):
 
 def test_two_set_partitions_redraw_outside_duplicates(gf3):
     # K=5, M=2 has n=2: an outside index cannot appear twice across two
-    # sets that must both contain it plus a full completion.  The builder
-    # redraws, and the realized classes renormalize to 1/5, 4/5.
+    # sets when one of them is the demand set, so the class pmf gives outside
+    # repeats no weight: 1/5, 4/5.
     db = Database.random(gf3, 5, Random(3))
     trials = 30_000
     rng = Random(7)
@@ -139,9 +140,10 @@ def test_two_set_partitions_redraw_outside_duplicates(gf3):
         scenario = sample_scenario(db, 2, MODEL_I, rng)
         query, _ = build_query(scenario, 5, rng)
         cls = _duplicate_class(query, scenario)
-        assert cls[1] == 0, "outside duplicate survived the redraw"
+        assert cls[1] == 0, "outside duplicate in a two-set query"
         counts[cls] += 1
-    table = rp_distribution(5, 2).realizable_table()
+    table = rp_distribution(5, 2).table
+    assert table == {(0, 0): Fraction(1, 5), (1, 0): Fraction(4, 5)}
     for cls, p in table.items():
         assert abs(counts[cls] - trials * float(p)) < count_bound(trials, float(p))
 

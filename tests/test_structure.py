@@ -173,10 +173,9 @@ GOF_CELLS = [(MODEL_I, 5, 1, 20_000), (MODEL_I, 7, 1, 25_000), (MODEL_I, 8, 2, 4
 
 @pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
 def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
-    # I(7,1) is not private, but the builder and the enumeration must still
-    # agree on it.  Every (fingerprint, W) pair with nonzero exact
-    # probability is one chi-square cell; a pair the enumeration gives
-    # probability zero must never be drawn.
+    # I(7,1) takes each of the three repeat classes.  Every (fingerprint, W)
+    # pair with nonzero exact probability is one chi-square cell; a pair the
+    # enumeration gives probability zero must never be drawn.
     report = audit_exact(model_name, K, M)
     joint = {
         (fp, w): p_fp * p_w
