@@ -10,6 +10,8 @@ import struct
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from .errors import ParameterError
 
 # Coefficients travel as unsigned 16-bit words, which caps the characteristic.
@@ -77,7 +79,34 @@ class FieldParams:
 
 def sample_coefficient(params: FieldParams, rng: Random) -> int:
     """Uniform nonzero base-field scalar, the coefficient alphabet of every query."""
-    return rng.randrange(1, params.q)
+    return sample_coefficients(params, rng, 1)[0]
+
+
+# Below this shortfall a randrange per value costs less than a numpy round.
+_ROUND_MIN = 32
+
+
+def sample_coefficients(params: FieldParams, rng: Random, count: int) -> list[int]:
+    """count uniform nonzero base-field scalars, drawn together.
+
+    The values, and the generator's state afterwards, are those of count
+    calls of rng.randrange(1, q).  CPython draws each as one 32-bit word,
+    keeps its top (q-1).bit_length() bits, and draws again while they are
+    not below q-1.  Here one getrandbits call takes a round of words at once
+    (the first word lowest) and keeps the same ones, and each later round
+    draws only the shortfall left by rejected words, so the same words are
+    read in the same order.  The last few values come from randrange itself.
+    """
+    top = params.q - 1
+    shift = 32 - top.bit_length()
+    out: list[int] = []
+    while count - len(out) >= _ROUND_MIN:
+        need = count - len(out)
+        bits = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        words = np.frombuffer(bits, dtype="<u4") >> shift
+        out += (words[words < top] + 1).tolist()
+    out += [rng.randrange(1, params.q) for _ in range(count - len(out))]
+    return out
 
 
 class FieldElement:

@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from .errors import ParameterError
-from .field import FieldElement, FieldParams, sample_coefficient
+from .field import FieldElement, FieldParams, sample_coefficients
 
 MODEL_I = "I"
 MODEL_II = "II"
@@ -165,5 +165,5 @@ def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
     """Draw a uniform scenario: (W, S) from sample_demand, then C uniform over
     units and Y = sum(c_i * X_i)."""
     W, S = sample_demand(db.K, M, model, rng)
-    C = tuple(sample_coefficient(db.params, rng) for _ in range(M))
+    C = tuple(sample_coefficients(db.params, rng, M))
     return Scenario(W=W, S=S, C=C, Y=side_information(db, S, C), model=model)

@@ -200,23 +200,27 @@ def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
 
 def check_shape(query: Query, K: int) -> None:
     """Raise ShapeError unless the query has its case's shape against K: a
-    model II query with a known case tag, case_shape's set count and size, no
-    empty set, equal paired sizes."""
+    model II query whose case tag and set sizes pass check_sizes."""
     if query.model != MODEL_II:
         raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
-    case = query.case_tag
-    if case not in CASE_TAGS:
-        raise ShapeError(f"unknown case tag {case!r}", "case")
-    n_sets, size = case_shape(case, K)
-    if len(query.sets) != n_sets:
-        raise ShapeError(
-            f"case {case} carries {n_sets} sets, payload has {len(query.sets)}", "count"
-        )
-    if any(not qs.indices for qs in query.sets):
+    check_sizes(query.case_tag, [len(qs.indices) for qs in query.sets], K)
+
+
+def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
+    """The second model's shape rules on a case tag and the list of set
+    sizes: a known case tag, case_shape's set count and size, no empty set,
+    equal paired sizes."""
+    if case_tag not in CASE_TAGS:
+        raise ShapeError(f"unknown case tag {case_tag!r}", "case")
+    n_sets, size = case_shape(case_tag, K)
+    if len(sizes) != n_sets:
+        text = f"case {case_tag} carries {n_sets} sets, payload has {len(sizes)}"
+        raise ShapeError(text, "count")
+    if 0 in sizes:
         raise ShapeError("empty query set", "size")
-    if size is not None and any(len(qs.indices) != size for qs in query.sets):
-        raise ShapeError(_SIZE_ERRORS[case], "size")
-    if n_sets == 2 and len(query.sets[0].indices) != len(query.sets[1].indices):
+    if size is not None and sizes.count(size) != n_sets:
+        raise ShapeError(_SIZE_ERRORS[case_tag], "size")
+    if n_sets == 2 and sizes[0] != sizes[1]:
         raise ShapeError("paired sets must have equal sizes", "size")
 
 

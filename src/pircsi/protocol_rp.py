@@ -17,15 +17,15 @@ Y, with the scalars a and b fixed when the coefficients are attached.
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
-from .field import FieldElement, sample_coefficient
+from .field import FieldElement, sample_coefficient, sample_coefficients
 from .model import MODEL_I, Database, Scenario
 from .pmf import Cdf, rp_distribution
 
@@ -196,13 +196,14 @@ def attach_coefficients(
 def coefficient_sets(structure: Structure, own: dict, params, rng: Random) -> tuple[QuerySet, ...]:
     """The structure's sets with coefficients: the set at the demand slot
     takes own[i] on each index i, every other set a fresh nonzero scalar per
-    index."""
-    slot = structure.demand_slot
+    index, all drawn in one call in set order."""
+    sets, slot = structure.sets, structure.demand_slot
+    fresh = iter(sample_coefficients(params, rng, sum(map(len, sets)) - len(sets[slot])))
     return tuple(
         QuerySet(indices, tuple(own[i] for i in indices))
         if k == slot
-        else QuerySet(indices, tuple(sample_coefficient(params, rng) for _ in indices))
-        for k, indices in enumerate(structure.sets)
+        else QuerySet(indices, tuple(islice(fresh, len(indices))))
+        for k, indices in enumerate(sets)
     )
 
 
@@ -227,18 +228,24 @@ def _validate_partition(sets, K: int, M: int, l: int) -> None:
 
 def check_shape(query: Query, K: int) -> None:
     """Raise ShapeError unless the query has the first model's shape against
-    K messages: model I with case tag 0, at least one set, and every set of
-    one size 1 <= M+1 <= K."""
+    K messages: a model I query whose case tag and set sizes pass
+    check_sizes."""
     if query.model != MODEL_I:
         raise ShapeError(f"expected a model {MODEL_I} query, got {query.model!r}", "case")
-    if query.case_tag != 0:
-        raise ShapeError(f"first-model queries use case tag 0, got {query.case_tag!r}", "case")
-    if not query.sets:
+    check_sizes(query.case_tag, [len(qs.indices) for qs in query.sets], K)
+
+
+def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
+    """The first model's shape rules on a case tag and the list of set sizes:
+    case tag 0, at least one set, and every set of one size 1 <= M+1 <= K."""
+    if case_tag != 0:
+        raise ShapeError(f"first-model queries use case tag 0, got {case_tag!r}", "case")
+    if not sizes:
         raise ShapeError("first-model query carries no sets", "count")
-    if any(not qs.indices for qs in query.sets):
+    if 0 in sizes:
         raise ShapeError("empty query set", "size")
-    size = len(query.sets[0].indices)
-    if any(len(qs.indices) != size for qs in query.sets):
+    size = sizes[0]
+    if sizes.count(size) != len(sizes):
         raise ShapeError("first-model sets must share one size", "size")
     if size > K:
         raise ShapeError(f"set size {size} exceeds the database", "size")
@@ -258,41 +265,74 @@ def set_arrays(sets) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(idx, dtype=np.int64), np.frombuffer(coef, dtype=np.int64)
 
 
+def split_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int]) -> list[tuple[list, list]]:
+    """The inverse of set_arrays: each set's (indices, coefficients) as two
+    lists of ints, for sets of the given sizes."""
+    bounds = list(accumulate(sizes, initial=0))
+    i, c = idx.tolist(), coef.tolist()
+    return [(i[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def check_sets(sets, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The set rules of both models, checked once; returns set_arrays(sets).
-    Every index is an int in [1, K], no index comes twice in one set, and every
-    coefficient is an int in [1, q-1].  Only if a vectorised test finds a fault
-    does a scan raise SetRuleError for the first in wire order: set by set, the
-    indices (range, then a repeat at its second slot), then the coefficients."""
+    """The set rules of both models on QuerySets (see check_set_arrays),
+    checked once; returns set_arrays(sets).  A fault is named from the sets
+    as given, so the SetRuleError shows an entry as the caller wrote it
+    (1.5, '2' or False); an entry that is no int, or beyond int64, is found
+    by that scan alone."""
     try:
         idx, coef = set_arrays(sets)
-        if not _breaks_a_rule(sets, idx, coef, K, q):
-            return idx, coef
-    except (TypeError, OverflowError):
-        pass  # an entry that is not an int, or beyond int64: the scan names it
-    for k, qs in enumerate(sets):
+        check_set_arrays(idx, coef, [len(qs.indices) for qs in sets], K, q)
+        return idx, coef
+    except (TypeError, OverflowError, SetRuleError):
+        pass
+    _raise_first_fault([(qs.indices, qs.coeffs) for qs in sets], K, q)
+
+
+def check_set_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int, q: int) -> None:
+    """The set rules of both models, on the sets' flat int64 index and
+    coefficient arrays in wire order, set k holding sizes[k] entries.
+    Every index lies in [1, K], no index comes twice in one set, and every
+    coefficient lies in [1, q-1].  Only if a vectorised test finds a fault
+    does a scan raise SetRuleError for the first in wire order: set by set,
+    the indices (range, then a repeat at its second slot), then the
+    coefficients."""
+    if _breaks_a_rule(idx, coef, sizes, K, q):
+        _raise_first_fault(split_arrays(idx, coef, sizes), K, q)
+
+
+def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int, q: int) -> bool:
+    if not idx.size:
+        return False
+    if idx.min() < 1 or idx.max() > K or coef.min() < 1 or coef.max() >= q:
+        return True
+    n = len(sizes)
+    if sizes.count(sizes[0]) == n:
+        # Sets of one size: an index repeats when it meets its neighbour in its sorted row.
+        rows = np.sort(idx.reshape(n, -1), axis=1)
+        return bool((rows[:, 1:] == rows[:, :-1]).any())
+    # An index repeats inside its set exactly when its (set, index) key repeats.
+    offsets = np.arange(0, n * (K + 1), K + 1, dtype=np.int64)
+    keys = np.repeat(offsets, sizes) + idx
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
+
+
+def _raise_first_fault(rows, K: int, q: int) -> NoReturn:
+    """Raise SetRuleError for the first fault of the (indices, coefficients)
+    rows, in wire order."""
+    for k, (indices, coeffs) in enumerate(rows):
         seen = set()
-        for j, i in enumerate(qs.indices):
+        for j, i in enumerate(indices):
             if not _int_in_range(i, K):
                 raise SetRuleError(f"index {i!r} outside [1, {K}]", k, j, "index", i)
             if i in seen:
                 raise SetRuleError("repeated index inside a query set", k, j, "repeat", i)
             seen.add(i)
-        for j, c in enumerate(qs.coeffs):
+        for j, c in enumerate(coeffs):
             if not _int_in_range(c, q - 1):
                 text = f"coefficient {c!r} is not a nonzero scalar mod {q}"
                 raise SetRuleError(text, k, j, "coefficient", c)
     raise AssertionError("the vectorised test found a fault the scan did not")
-
-
-def _breaks_a_rule(sets, idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> bool:
-    if idx.size and (idx.min() < 1 or idx.max() > K or coef.min() < 1 or coef.max() >= q):
-        return True
-    # An index repeats inside its set exactly when its (set, index) key repeats.
-    offsets = np.arange(0, len(sets) * (K + 1), K + 1, dtype=np.int64)
-    keys = np.repeat(offsets, [len(qs.indices) for qs in sets]) + idx
-    keys.sort()
-    return bool((keys[1:] == keys[:-1]).any())
 
 
 def _int_in_range(x, top: int) -> bool:
@@ -302,19 +342,25 @@ def _int_in_range(x, top: int) -> bool:
         return False
 
 
-def answer_sets(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> Answer:
+def answer_words(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each of
-    n sets, as one gather over the database words.  idx and coef come from
-    set_arrays, for sets that passed check_sets and their model's check_shape
-    (so they share one size); the kernel itself checks nothing."""
+    n sets, as one gather over the database words; row k holds set k's m
+    words, as int64.  idx and coef are flat int64 arrays, in wire order, of
+    sets that passed check_set_arrays and their model's check_sizes (so they
+    share one size); the kernel itself checks nothing."""
     if not n:
-        return Answer(())
+        return np.zeros((0, db.params.m), dtype=np.int64)
     # Words are below q and coefficients at most q - 1, with q < 2^16, so a
     # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
     # sum exactly, and one reduction mod q at the end suffices.
     terms = db.words[idx.reshape(n, -1) - 1]
-    sums = np.einsum("nsm,ns->nm", terms, coef.reshape(n, -1)) % db.params.q
-    return Answer(tuple(FieldElement(db.params, tuple(row)) for row in sums.tolist()))
+    return np.einsum("nsm,ns->nm", terms, coef.reshape(n, -1)) % db.params.q
+
+
+def answer_sets(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> Answer:
+    """answer_words as an Answer: one field element per set."""
+    rows = answer_words(db, n, idx, coef).tolist()
+    return Answer(tuple(FieldElement(db.params, tuple(row)) for row in rows))
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

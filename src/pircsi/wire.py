@@ -18,10 +18,20 @@ import struct
 import threading
 from itertools import chain
 
+import numpy as np
+
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldElement, FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from .protocol_rp import Answer, Query, QuerySet, answer_sets, check_sets, set_arrays
+from .protocol_rp import (
+    Answer,
+    Query,
+    QuerySet,
+    answer_words,
+    check_set_arrays,
+    check_sets,
+    split_arrays,
+)
 from .protocols import PROTOCOLS
 
 MSG_QUERY = 0x01
@@ -31,6 +41,7 @@ MSG_HELLO = 0x04
 
 _FRAME_HEADER = struct.Struct("<BI")
 _HELLO_BODY = struct.Struct("<III")
+_COUNT = struct.Struct("<H")
 MAX_FRAME_BYTES = 1 << 20
 
 _MODEL_BYTES = {MODEL_I: 1, MODEL_II: 2}
@@ -144,6 +155,16 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     WireParseError carrying the byte offset, never a crash.  Framing faults
     come first, then the model's shape, then the first set-rule fault in byte
     order; a query this returns is well formed and needs no second check."""
+    model, case, sizes, idx, coef = _parse_query(data, params, K)
+    sets = split_arrays(idx, coef, sizes)
+    return Query(tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets), model, case)
+
+
+def _parse_query(data: bytes, params: FieldParams, K: int) -> tuple:
+    """decode_query's parse and checks, building no set: (model, case byte,
+    set sizes, indices, coefficients), the last two as the kernel's flat
+    int64 arrays.  Python walks only the set headers, and numpy reads the
+    joined runs of indices and of coefficients at once."""
     cur = _Cursor(data)
     model_byte = cur.u8("model byte")
     if model_byte not in _MODELS:
@@ -151,41 +172,74 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     model = _MODELS[model_byte]
     case_byte = cur.u8("case byte")
     n_sets = cur.u16("set count")
-    m, width = params.m, params.element_bytes
-    sets, runs = [], []
-    for _ in range(n_sets):
-        size = cur.u16("set size")
-        if size == 0:
-            raise WireParseError("empty query set", cur.pos - 2)
-        idx_at, present = cur.run(4, size)
-        if present < size:
-            raise WireParseError("truncated index", cur.pos)
-        indices = struct.unpack_from(f"<{size}I", data, idx_at)
-        at, present = cur.run(width, size)
-        if present < size:
-            raise WireParseError("truncated coefficient", cur.pos)
-        words = struct.unpack_from(f"<{size * m}H", data, at)
-        if any(any(words[k::m]) for k in range(1, m)):
-            j = next(j for j in range(size) if any(words[j * m + 1 : (j + 1) * m]))
-            raise WireParseError("coefficient is not a base-field scalar", at + width * j)
-        sets.append(QuerySet(indices, words[::m]))
-        runs.append((idx_at, at))
-    if cur.pos != len(data):
-        raise WireParseError("trailing bytes after the query", cur.pos)
-
-    query = Query(tuple(sets), model, case_byte)
+    # The set headers are read inline: a _Cursor call per field would cost
+    # more than all the rest of the parse.
+    end, width, pos = len(data), params.element_bytes, cur.pos
+    sizes, starts, index_runs, coef_runs = [], [], [], []
     try:
-        PROTOCOLS[model].check_shape(query, K)
-        check_sets(query.sets, K, params.q)
+        for _ in range(n_sets):
+            if pos + 2 > end:
+                raise WireParseError("truncated set size", pos)
+            size = data[pos] | data[pos + 1] << 8
+            if size == 0:
+                raise WireParseError("empty query set", pos)
+            idx_at, at = pos + 2, pos + 2 + 4 * size
+            if at > end:  # reported where the first missing item would start
+                raise WireParseError("truncated index", idx_at + (end - idx_at) // 4 * 4)
+            pos = at + width * size
+            if pos > end:
+                raise WireParseError("truncated coefficient", at + (end - at) // width * width)
+            sizes.append(size)
+            starts.append(idx_at)
+            index_runs.append(data[idx_at:at])
+            coef_runs.append(data[at:pos])
+        if pos != end:
+            raise WireParseError("trailing bytes after the query", pos)
+        framing = None
+    except WireParseError as fault:
+        framing = fault
+    # A framing fault lies past every set read so far, so a high word in any
+    # of them comes first in byte order.
+    words = np.frombuffer(b"".join(coef_runs), dtype="<u2").reshape(-1, params.m)
+    high = words[:, 1:].any(axis=1)
+    if high.any():
+        k, j = _slot_of(sizes, int(high.argmax()))
+        at = _coef_at(starts, sizes, k, j, width)
+        raise WireParseError("coefficient is not a base-field scalar", at)
+    if framing is not None:
+        raise framing
+
+    try:
+        PROTOCOLS[model].check_sizes(case_byte, sizes, K)
     except ShapeError as fault:  # the case byte, the set count, the first set's size
         raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
+    idx = np.frombuffer(b"".join(index_runs), dtype="<u4").astype(np.int64)
+    coef = words[:, 0].astype(np.int64)
+    try:
+        check_set_arrays(idx, coef, sizes, K, params.q)
     except SetRuleError as fault:
-        idx_at, coef_at = runs[fault.set_no]
-        j, coefficient = fault.slot, fault.what == "coefficient"
-        at = coef_at + width * j if coefficient else idx_at + 4 * j
+        k, j = fault.set_no, fault.slot
+        if fault.what == "coefficient":
+            at = _coef_at(starts, sizes, k, j, width)
+        else:
+            at = starts[k] + 4 * j
         text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
         raise WireParseError(text, at) from None
-    return query
+    return model, case_byte, sizes, idx, coef
+
+
+def _coef_at(starts: list[int], sizes: list[int], k: int, j: int, width: int) -> int:
+    """Byte offset of coefficient j of set k, whose indices start at starts[k]."""
+    return starts[k] + 4 * sizes[k] + width * j
+
+
+def _slot_of(sizes: list[int], flat: int) -> tuple[int, int]:
+    """The set and slot of entry flat of the flat arrays."""
+    for k, size in enumerate(sizes):
+        if flat < size:
+            return k, flat
+        flat -= size
+    raise IndexError(flat)
 
 
 # -- answer payloads --------------------------------------------------------
@@ -291,14 +345,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._send(MSG_HELLO, encode_hello(db.params, db.K))
             elif msg_type == MSG_QUERY:
                 try:
-                    query = decode_query(payload, db.params, db.K)
+                    _, _, sizes, idx, coef = _parse_query(payload, db.params, db.K)
                 except WireParseError as exc:
                     self._send(MSG_ERROR, str(exc).encode("utf-8"))
                 else:
-                    # decode_query returns only well-formed queries, so the
+                    # _parse_query returns only well-formed queries, so the
                     # kernel answers without checking them a second time.
-                    answer = answer_sets(db, len(query.sets), *set_arrays(query.sets))
-                    self._send(MSG_ANSWER, encode_answer(answer))
+                    words = answer_words(db, len(sizes), idx, coef)
+                    self._send(MSG_ANSWER, _COUNT.pack(len(words)) + words.astype("<u2").tobytes())
             else:
                 self._send(MSG_ERROR, f"unexpected frame type 0x{msg_type:02x}".encode())
 

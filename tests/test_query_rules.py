@@ -173,14 +173,14 @@ def test_each_answer_query_refuses_the_other_models_query(gf3, model, M):
 @pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
 def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, model, M):
     callers = []
-    real = protocol_rp.check_sets
+    real = protocol_rp.check_set_arrays
 
     def counting(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return real(*args)
 
-    for module in (protocol_rp, protocol_csi2, wire):
-        monkeypatch.setattr(module, "check_sets", counting)
+    for module in (protocol_rp, wire):
+        monkeypatch.setattr(module, "check_set_arrays", counting)
     rng = Random(18)
     db = Database.random(gf9, 8, rng)
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
@@ -189,5 +189,5 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
     with wire.PirServer(db, port=0) as server:
         answer = wire.fetch(server.address, query, db.params)
     assert protocol.decode_answer(answer, state) == db[scenario.W]
-    # the client's encode, then the server's decode; the answer step checks nothing
-    assert callers == ["_encode_sets", "decode_query"]
+    # the client's encode, then the server's parse; the answer step checks nothing
+    assert callers == [("check_sets", "_encode_sets"), ("_parse_query", "_serve")]

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import ExitStack
 from random import Random
 
 import pytest
@@ -382,6 +383,59 @@ def test_server_rejects_invalid_queries_and_keeps_serving(gf3):
             wire.fetch(server.address, bad, gf3)
         # the next request on a fresh connection still succeeds
         assert wire.hello(server.address) == (gf3, 4)
+
+
+SERVED_FIELDS = [(3, 1), (5, 2), (257, 4)]
+SERVED_K = 12
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A running server per field, keyed (q, m), with its database."""
+    with ExitStack() as stack:
+        running = {}
+        for q, m in SERVED_FIELDS:
+            db = Database.random(FieldParams(q, m), SERVED_K, Random(q))
+            running[q, m] = db, stack.enter_context(wire.PirServer(db, port=0))
+        yield running
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(SERVED_FIELDS),
+    model=st.sampled_from([MODEL_I, MODEL_II]),
+    seed=st.integers(0, 2**32 - 1),
+    corruption=st.sampled_from(["none", "byte", "truncate", "append"]),
+    data=st.data(),
+)
+def test_property_the_server_replies_as_the_in_process_path(
+    served, field, model, seed, corruption, data
+):
+    db, server = served[field]
+    K = db.K
+    M = data.draw(st.integers(0, K - 1) if model == MODEL_I else st.integers(1, K))
+    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+    rng = Random(seed)
+    query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+    payload = bytearray(wire.encode_query(query, db.params))
+    if corruption == "byte":
+        payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
+    elif corruption == "truncate":
+        del payload[data.draw(st.integers(0, len(payload) - 1)) :]
+    elif corruption == "append":
+        payload += data.draw(st.binary(min_size=1, max_size=12))
+    payload = bytes(payload)
+
+    reply = wire._exchange(server.address, wire.MSG_QUERY, payload)
+    try:
+        parsed = wire.decode_query(payload, db.params, K)
+    except WireParseError as fault:
+        assert reply == (wire.MSG_ERROR, str(fault).encode())
+    else:
+        if corruption == "none":
+            assert parsed == query
+        expected = wire.encode_answer(protocol.answer_query(db, parsed))
+        assert wire.encode_frame(*reply) == wire.encode_frame(wire.MSG_ANSWER, expected)
 
 
 def _read_frame(sock):
