@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from random import Random
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,40 +286,36 @@ def check_sets(sets, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     except (TypeError, OverflowError, SetRuleError):
         pass
     _raise_first_fault([(qs.indices, qs.coeffs) for qs in sets], K, q)
+    raise AssertionError("the array test found a fault the scan did not")
 
 
 def check_set_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int, q: int) -> None:
     """The set rules of both models, on the sets' flat int64 index and
     coefficient arrays in wire order, set k holding sizes[k] entries.
     Every index lies in [1, K], no index comes twice in one set, and every
-    coefficient lies in [1, q-1].  Only if a vectorised test finds a fault
-    does a scan raise SetRuleError for the first in wire order: set by set,
-    the indices (range, then a repeat at its second slot), then the
-    coefficients."""
-    if _breaks_a_rule(idx, coef, sizes, K, q):
+    coefficient lies in [1, q-1].  Sets of one size, the only shape either
+    model admits, are tested with numpy first; only if that test finds a
+    fault, or the sets differ in size, does a scan look for the first fault
+    in wire order and raise SetRuleError for it: set by set, the indices
+    (range, then a repeat at its second slot), then the coefficients."""
+    if len(set(sizes)) > 1 or _breaks_a_rule(idx, coef, len(sizes), K, q):
         _raise_first_fault(split_arrays(idx, coef, sizes), K, q)
 
 
-def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int, q: int) -> bool:
+def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, n: int, K: int, q: int) -> bool:
+    """Whether n sets of one size, as flat arrays, break a set rule."""
     if not idx.size:
         return False
     if idx.min() < 1 or idx.max() > K or coef.min() < 1 or coef.max() >= q:
         return True
-    n = len(sizes)
-    if sizes.count(sizes[0]) == n:
-        # Sets of one size: an index repeats when it meets its neighbour in its sorted row.
-        rows = np.sort(idx.reshape(n, -1), axis=1)
-        return bool((rows[:, 1:] == rows[:, :-1]).any())
-    # An index repeats inside its set exactly when its (set, index) key repeats.
-    offsets = np.arange(0, n * (K + 1), K + 1, dtype=np.int64)
-    keys = np.repeat(offsets, sizes) + idx
-    keys.sort()
-    return bool((keys[1:] == keys[:-1]).any())
+    # An index repeats when it meets its neighbour in its sorted row.
+    rows = np.sort(idx.reshape(n, -1), axis=1)
+    return bool((rows[:, 1:] == rows[:, :-1]).any())
 
 
-def _raise_first_fault(rows, K: int, q: int) -> NoReturn:
+def _raise_first_fault(rows, K: int, q: int) -> None:
     """Raise SetRuleError for the first fault of the (indices, coefficients)
-    rows, in wire order."""
+    rows, in wire order; return if there is none."""
     for k, (indices, coeffs) in enumerate(rows):
         seen = set()
         for j, i in enumerate(indices):
@@ -332,7 +328,6 @@ def _raise_first_fault(rows, K: int, q: int) -> NoReturn:
             if not _int_in_range(c, q - 1):
                 text = f"coefficient {c!r} is not a nonzero scalar mod {q}"
                 raise SetRuleError(text, k, j, "coefficient", c)
-    raise AssertionError("the vectorised test found a fault the scan did not")
 
 
 def _int_in_range(x, top: int) -> bool:

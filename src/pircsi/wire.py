@@ -246,8 +246,15 @@ def _slot_of(sizes: list[int], flat: int) -> tuple[int, int]:
 
 
 def encode_answer(answer: Answer) -> bytes:
-    words = list(chain.from_iterable(x.coeffs for x in answer.values))
-    return struct.pack(f"<H{len(words)}H", len(answer.values), *words)
+    words = np.fromiter(chain.from_iterable(x.coeffs for x in answer.values), dtype="<u2")
+    return _answer_payload(len(answer.values), words)
+
+
+def _answer_payload(count: int, words: np.ndarray) -> bytes:
+    """The answer payload of count elements whose words, each below q, the
+    array holds in order: the count as u16, then every word as little-endian
+    u16."""
+    return _COUNT.pack(count) + words.astype("<u2", copy=False).tobytes()
 
 
 def decode_answer(data: bytes, params: FieldParams) -> Answer:
@@ -352,7 +359,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     # _parse_query returns only well-formed queries, so the
                     # kernel answers without checking them a second time.
                     words = answer_words(db, len(sizes), idx, coef)
-                    self._send(MSG_ANSWER, _COUNT.pack(len(words)) + words.astype("<u2").tobytes())
+                    self._send(MSG_ANSWER, _answer_payload(len(words), words))
             else:
                 self._send(MSG_ERROR, f"unexpected frame type 0x{msg_type:02x}".encode())
 

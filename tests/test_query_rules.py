@@ -191,3 +191,19 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
     assert protocol.decode_answer(answer, state) == db[scenario.W]
     # the client's encode, then the server's parse; the answer step checks nothing
     assert callers == [("check_sets", "_encode_sets"), ("_parse_query", "_serve")]
+
+
+def test_sets_of_different_sizes_are_checked_by_the_scan():
+    """No model's shape admits sets of different sizes, but the encoder checks
+    the set rules of whatever sets it is handed, so they hold there too."""
+    ok = (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((2,), (1,)))
+    idx, coef = protocol_rp.check_sets(ok, 5, 3)
+    assert idx.tolist() == [1, 2, 3, 2] and coef.tolist() == [1, 2, 1, 1]
+    for bad, where in [
+        ((QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((4, 4), (1, 1))), (1, 1, "repeat")),
+        ((QuerySet((1, 6), (1, 1)), QuerySet((4,), (1,))), (0, 1, "index")),
+        ((QuerySet((1,), (1,)), QuerySet((4, 5), (1, 3))), (1, 1, "coefficient")),
+    ]:
+        with pytest.raises(SetRuleError) as fault:
+            protocol_rp.check_sets(bad, 5, 3)
+        assert (fault.value.set_no, fault.value.slot, fault.value.what) == where
