@@ -9,6 +9,13 @@ followed by that many canonical element encodings.
 
 Servers greet with (q, m, K) on request.  Messages are vectors over GF(q),
 so (q, m) is all a client needs to parse and combine them.
+
+Each client thread keeps one open connection, to the last server it spoke
+to, and sends every hello and query over it.  A query is sent a second
+time, byte for byte, only when the server had already closed that
+connection.  Reuse lets the server link no queries that it could not
+already link by the client's address; the privacy guarantee holds for each
+query on its own.
 """
 
 import os
@@ -330,6 +337,9 @@ class _Handler(socketserver.StreamRequestHandler):
     # Seconds a read or write on a connection may wait before the server
     # hangs up; socketserver applies it to the connection's socket.
     timeout = 30.0
+    # Every reply goes out in one write; a client waits for it on a
+    # connection it keeps, so Nagle's delay would only hold it back.
+    disable_nagle_algorithm = True
 
     def handle(self):
         try:
@@ -371,6 +381,33 @@ class _Handler(socketserver.StreamRequestHandler):
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        # Clients keep their connections open, so a closing server hangs up
+        # on each: its handler threads end, and a stopped server answers
+        # nothing more.
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client is already gone
+        super().server_close()
 
 
 class PirServer:
@@ -418,31 +455,101 @@ def serve(db: Database, host: str = "127.0.0.1", port: int | None = None):
         server._server.server_close()
 
 
+# Seconds a client waits to connect, and for each read or write.
+_CLIENT_TIMEOUT = 10.0
+
+
+class _Kept:
+    """A connection a client thread keeps open: the server's address, the
+    socket, and the reader its replies are parsed from.  It is closed when
+    dropped, or when the thread that keeps it ends."""
+
+    def __init__(self, addr: tuple[str, int], sock: socket.socket):
+        self.addr, self.sock, self.rfile = addr, sock, sock.makefile("rb")
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
+
+    __del__ = close
+
+
+class _Slot(threading.local):
+    kept: _Kept | None = None  # the calling thread's connection
+
+
+_slot = _Slot()
+
+
+def _drop():
+    """Close the calling thread's connection, if it has one."""
+    kept, _slot.kept = _slot.kept, None
+    if kept is not None:
+        kept.close()
+
+
+def _connect(addr: tuple[str, int]):
+    _drop()
+    sock = socket.create_connection(addr, timeout=_CLIENT_TIMEOUT)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    _slot.kept = _Kept(addr, sock)
+
+
+def _round_trip(frame: bytes) -> tuple[int, bytes]:
+    """Send a frame on the calling thread's connection and read the reply.
+    Any failure closes the connection, so a stream that may be out of step
+    is never read again.  EOFError means the server hung up before a whole
+    reply."""
+    kept = _slot.kept
+    try:
+        kept.sock.sendall(frame)
+        reply = _read_frame(kept.rfile)
+        if reply is None:
+            raise EOFError
+        return reply
+    except BaseException:
+        _drop()
+        raise
+
+
 def _exchange(addr: tuple[str, int], msg_type: int, payload: bytes) -> tuple[int, bytes]:
-    with socket.create_connection(addr, timeout=10) as sock:
-        sock.sendall(encode_frame(msg_type, payload))
-        frame = _read_frame(sock.makefile("rb"))
-        if frame is None:
-            raise ProtocolError("server closed the connection before a whole reply")
-        return frame
+    frame = encode_frame(msg_type, payload)
+    if _slot.kept is not None and _slot.kept.addr == addr:
+        try:
+            return _round_trip(frame)
+        except (EOFError, ConnectionResetError, BrokenPipeError):
+            # The server closed the kept connection, most likely while it was
+            # idle.  Requests are read-only, so the same bytes go once more,
+            # on a fresh connection.
+            pass
+    _connect(addr)
+    try:
+        return _round_trip(frame)
+    except EOFError:
+        raise ProtocolError("server closed the connection before a whole reply") from None
 
 
 def hello(addr: tuple[str, int]) -> tuple[FieldParams, int]:
-    """Ask a server for its field parameters and message count."""
+    """Ask a server for its field parameters and message count, over the
+    calling thread's connection to it."""
     reply_type, body = _exchange(addr, MSG_HELLO, b"")
     if reply_type != MSG_HELLO:
+        _drop()
         raise ProtocolError(f"expected a hello reply, got type 0x{reply_type:02x}")
     return decode_hello(body)
 
 
 def fetch(addr: tuple[str, int], query, params: FieldParams | None = None) -> Answer:
     """Send one query and return the decoded answer.  When params is omitted
-    the server is asked for them first."""
+    the server is asked for them first.  Both go over the calling thread's
+    connection to addr, opened on first use and kept for the next call; a
+    server's ERROR reply leaves it open."""
     if params is None:
         params, _ = hello(addr)
     reply_type, body = _exchange(addr, MSG_QUERY, encode_query(query, params))
     if reply_type == MSG_ERROR:
         raise ProtocolError(f"server rejected the query: {body.decode('utf-8', 'replace')}")
     if reply_type != MSG_ANSWER:
+        _drop()
         raise ProtocolError(f"expected an answer, got type 0x{reply_type:02x}")
     return decode_answer(body, params)

@@ -549,3 +549,213 @@ def test_idle_client_is_disconnected(gf3, monkeypatch, capfd):
             # the server still answers the next client
             assert wire.hello(server.address) == (gf3, 4)
     assert "Traceback" not in capfd.readouterr().err
+
+
+# ------------------------------------------------------- kept connections
+
+
+class _Connections:
+    """The (server, client address) of every connection a PirServer's
+    handler took up, and of every one whose handler has ended."""
+
+    def __init__(self):
+        self.opened = []
+        self.closed = []
+
+    def wait_closed(self, entry, seconds=5.0):
+        deadline = time.perf_counter() + seconds
+        while entry not in self.closed:
+            assert time.perf_counter() < deadline, f"{entry} is still open"
+            time.sleep(0.01)
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    log = _Connections()
+    setup, finish = wire._Handler.setup, wire._Handler.finish
+
+    def counted_setup(handler):
+        log.opened.append((handler.server, handler.client_address))
+        setup(handler)
+
+    def counted_finish(handler):
+        finish(handler)
+        log.closed.append((handler.server, handler.client_address))
+
+    monkeypatch.setattr(wire._Handler, "setup", counted_setup)
+    monkeypatch.setattr(wire._Handler, "finish", counted_finish)
+    return log
+
+
+def _retrieve(db, address, seed, fetches):
+    """hello, then fetches first-model retrievals from the calling thread;
+    True for each that decodes to the demanded message."""
+    rng = Random(seed)
+    params, K = wire.hello(address)
+    decoded = []
+    for _ in range(fetches):
+        scenario = sample_scenario(db, 2, MODEL_I, rng)
+        query, state = protocol_rp.build_query(scenario, K, rng)
+        answer = wire.fetch(address, query, params)
+        decoded.append(protocol_rp.decode_answer(answer, state) == db[scenario.W])
+    return decoded
+
+
+def test_each_client_thread_keeps_one_connection(gf9, connections):
+    db = Database.random(gf9, 8, Random(20))
+    with wire.PirServer(db, port=0) as server, wire.PirServer(db, port=0) as other:
+        srv = server._server
+        assert _retrieve(db, server.address, 1, 50) == [True] * 50
+        assert [s for s, _ in connections.opened] == [srv]  # hello and 50 fetches
+        mine = connections.opened[0]
+
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.extend(_retrieve(db, server.address, 2, 50))
+        )
+        worker.start()
+        worker.join(30)
+        assert not worker.is_alive()
+        assert theirs == [True] * 50
+        assert [s for s, _ in connections.opened] == [srv, srv]  # its own connection
+        assert connections.opened[1] != mine
+
+        # This thread's connection is still the one it opened first.
+        assert _retrieve(db, server.address, 3, 5) == [True] * 5
+        assert len(connections.opened) == 2 and mine not in connections.closed
+        # Speaking to another server closes it: that handler sees the end of
+        # its stream while its server still runs.
+        assert _retrieve(db, other.address, 4, 5) == [True] * 5
+        assert connections.opened[-1][0] is other._server
+        connections.wait_closed(mine)
+
+
+def test_a_connection_the_server_closed_is_replaced(gf3, monkeypatch, connections):
+    monkeypatch.setattr(wire._Handler, "timeout", 0.3)
+    db = Database.random(gf3, 6, Random(21))
+    rng = Random(22)
+    with wire.PirServer(db, port=0) as server:
+        params, K = wire.hello(server.address)
+        connections.wait_closed(connections.opened[0])  # the server hung up on it
+        scenario = sample_scenario(db, 1, MODEL_I, rng)
+        query, state = protocol_rp.build_query(scenario, K, rng)
+        answer = wire.fetch(server.address, query, params)
+        assert protocol_rp.decode_answer(answer, state) == db[scenario.W]
+        assert len(connections.opened) == 2
+
+
+def test_a_stopped_server_answers_nothing_more(gf3, monkeypatch):
+    db = Database.random(gf3, 6, Random(27))
+    rng = Random(28)
+    with wire.PirServer(db, port=0) as server:
+        address = server.address
+        params, K = wire.hello(address)
+    scenario = sample_scenario(db, 1, MODEL_I, rng)
+    query, _ = protocol_rp.build_query(scenario, K, rng)
+
+    # The stopped server hung up on the kept connection and listens no more:
+    # the fetch fails as a fresh connection would, after one attempt.
+    attempts = []
+    create_connection = socket.create_connection
+
+    def counted(*args, **kwargs):
+        attempts.append(args[0])
+        return create_connection(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    start = time.perf_counter()
+    with pytest.raises(ConnectionRefusedError):
+        wire.fetch(address, query, params)
+    assert time.perf_counter() - start < 2
+    assert attempts == [address]
+
+
+def _scripted_server(listener, db, plans, after):
+    """Accept one connection per plan.  On each, read a query frame per step
+    and reply: "answer" with the whole answer frame, "half" with its first
+    half only, "error" with an ERROR frame, "hello" with a HELLO frame.  Then
+    append to after what the connection brings next: None when the client
+    closes it."""
+    for plan in plans:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            for step in plan:
+                _, payload = _read_frame(conn)
+                if step == "error":
+                    conn.sendall(wire.encode_frame(wire.MSG_ERROR, b"refused by the script"))
+                    continue
+                if step == "hello":
+                    conn.sendall(wire.encode_frame(wire.MSG_HELLO, wire.encode_hello(db.params, db.K)))
+                    continue
+                query = wire.decode_query(payload, db.params, db.K)
+                body = wire.encode_answer(protocol_rp.answer_query(db, query))
+                frame = wire.encode_frame(wire.MSG_ANSWER, body)
+                conn.sendall(frame if step == "answer" else frame[: len(frame) // 2])
+            after.append(_read_frame(conn))
+
+
+def _run_script(db, plans, client):
+    """Run client against a scripted server; returns what each connection
+    brought after its plan."""
+    after = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        stub = threading.Thread(
+            target=_scripted_server, args=(listener, db, plans, after), daemon=True
+        )
+        stub.start()
+        try:
+            client(listener.getsockname())
+        finally:
+            wire._drop()  # the last connection ends, so the script can finish
+            stub.join(15)
+        assert not stub.is_alive()
+    return after
+
+
+def _one_retrieval(db, rng):
+    scenario = sample_scenario(db, 1, MODEL_I, rng)
+    query, state = protocol_rp.build_query(scenario, db.K, rng)
+    return query, lambda answer: protocol_rp.decode_answer(answer, state) == db[scenario.W]
+
+
+@pytest.mark.parametrize(
+    "first,fault",
+    [
+        pytest.param("half", TimeoutError, id="stalled-half-answer"),
+        pytest.param("hello", ProtocolError, id="wrong-reply-type"),
+    ],
+)
+def test_a_connection_out_of_step_is_never_read_again(gf3, monkeypatch, first, fault):
+    monkeypatch.setattr(wire, "_CLIENT_TIMEOUT", 0.3)
+    db = Database.random(gf3, 6, Random(23))
+    rng = Random(24)
+
+    def client(address):
+        query, _ = _one_retrieval(db, rng)
+        start = time.perf_counter()
+        with pytest.raises(fault):
+            wire.fetch(address, query, gf3)
+        assert time.perf_counter() - start < 3
+        query, decodes = _one_retrieval(db, rng)
+        assert decodes(wire.fetch(address, query, gf3))
+
+    # The first connection is closed, not sent the next query; the second
+    # fetch gets its own answer on a second connection.
+    assert _run_script(db, [[first], ["answer"]], client) == [None, None]
+
+
+def test_an_error_reply_keeps_the_connection(gf3, monkeypatch):
+    monkeypatch.setattr(wire, "_CLIENT_TIMEOUT", 3)
+    db = Database.random(gf3, 6, Random(25))
+    rng = Random(26)
+
+    def client(address):
+        query, _ = _one_retrieval(db, rng)
+        with pytest.raises(ProtocolError, match="refused by the script"):
+            wire.fetch(address, query, gf3)
+        for _ in range(2):
+            query, decodes = _one_retrieval(db, rng)
+            assert decodes(wire.fetch(address, query, gf3))
+
+    assert _run_script(db, [["error", "answer", "answer"]], client) == [None]
