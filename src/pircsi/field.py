@@ -40,11 +40,15 @@ class FieldParams:
 
     def __post_init__(self):
         q, m = self.q, self.m
-        if not isinstance(q, int) or not _is_prime(q) or q < 3:
+        if not isinstance(q, int) or isinstance(q, bool):
             raise ParameterError(f"q must be an odd prime >= 3, got {q!r}")
+        # The cap comes first: trial division of a q announced by a peer
+        # would cost milliseconds before the cap refused it.
         if q >= MAX_Q:
             raise ParameterError(f"q must fit in 16 bits, got {q}")
-        if not isinstance(m, int) or m < 1:
+        if not _is_prime(q) or q < 3:
+            raise ParameterError(f"q must be an odd prime >= 3, got {q!r}")
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ParameterError(f"extension degree must be a positive integer, got {m!r}")
 
     @property

@@ -278,7 +278,7 @@ def check_sets(sets, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     checked once; returns set_arrays(sets).  A fault is named from the sets
     as given, so the SetRuleError shows an entry as the caller wrote it
     (1.5, '2' or False); an entry that is no int, or beyond int64, is found
-    by that scan alone."""
+    by that scan alone.  Sets of different sizes raise ParameterError."""
     try:
         idx, coef = set_arrays(sets)
         check_set_arrays(idx, coef, [len(qs.indices) for qs in sets], K, q)
@@ -293,12 +293,18 @@ def check_set_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int
     """The set rules of both models, on the sets' flat int64 index and
     coefficient arrays in wire order, set k holding sizes[k] entries.
     Every index lies in [1, K], no index comes twice in one set, and every
-    coefficient lies in [1, q-1].  Sets of one size, the only shape either
-    model admits, are tested with numpy first; only if that test finds a
-    fault, or the sets differ in size, does a scan look for the first fault
-    in wire order and raise SetRuleError for it: set by set, the indices
-    (range, then a repeat at its second slot), then the coefficients."""
-    if len(set(sizes)) > 1 or _breaks_a_rule(idx, coef, len(sizes), K, q):
+    coefficient lies in [1, q-1].  The sets must share one size, the only
+    shape either model admits; sets of different sizes are refused with a
+    ParameterError.  The rules are tested with numpy on the (n, s) index
+    matrix; only if that test finds a fault does a scan look for the first
+    fault in wire order and raise SetRuleError for it: set by set, the
+    indices (range, then a repeat at its second slot), then the
+    coefficients."""
+    if len(set(sizes)) > 1:
+        k = next(k for k, size in enumerate(sizes) if size != sizes[0])
+        text = f"set {k} holds {sizes[k]} indices, set 0 {sizes[0]}: query sets share one size"
+        raise ParameterError(text)
+    if _breaks_a_rule(idx, coef, len(sizes), K, q):
         _raise_first_fault(split_arrays(idx, coef, sizes), K, q)
 
 
@@ -341,8 +347,8 @@ def answer_words(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> np.
     """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each of
     n sets, as one gather over the database words; row k holds set k's m
     words, as int64.  idx and coef are flat int64 arrays, in wire order, of
-    sets that passed check_set_arrays and their model's check_sizes (so they
-    share one size); the kernel itself checks nothing."""
+    sets that passed check_set_arrays (so they share one size) and their
+    model's check_sizes; the kernel itself checks nothing."""
     if not n:
         return np.zeros((0, db.params.m), dtype=np.int64)
     # Words are below q and coefficients at most q - 1, with q < 2^16, so a

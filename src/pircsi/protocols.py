@@ -23,7 +23,9 @@ in both modules, computes X_W = a * A[demand_slot] + b * Y.
 The server never builds a Query: wire parses a query frame straight into
 the flat index and coefficient arrays of protocol_rp's kernel, checks them
 with check_sizes and protocol_rp.check_set_arrays, and writes the answer
-frame from protocol_rp.answer_words.
+frame from protocol_rp.answer_words.  Either model's sets share one size,
+and check_set_arrays, which check_sets runs too, takes sets of one size
+only.
 """
 
 from . import protocol_csi2, protocol_rp

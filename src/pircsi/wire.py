@@ -89,62 +89,29 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
 # -- query payloads ---------------------------------------------------------
 
 
-class _Cursor:
-    """Byte reader that turns truncation into parse errors with offsets."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise WireParseError(f"truncated {what}", self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def run(self, width: int, count: int) -> tuple[int, int]:
-        """Skip past as many of count width-byte items as are present; returns
-        their start offset and how many there were."""
-        start = self.pos
-        present = min(count, (len(self.data) - start) // width)
-        self.pos = start + present * width
-        return start, present
-
-
 def _encode_sets(sets, params: FieldParams) -> bytes:
     q, m = params.q, params.m
     sizes = [len(qs.indices) for qs in sets]
     if 0 in sizes:
         raise ParameterError(f"set {sizes.index(0)} is empty; a query set holds at least one index")
     try:
-        check_sets(sets, _INDEX_LIMIT, q)
+        idx, coef = check_sets(sets, _INDEX_LIMIT, q)
     except SetRuleError as fault:
         k, j, v = fault.set_no, fault.slot, fault.value
         text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
         raise SetRuleError(text, k, j, fault.what, v) from None
-    if len(sets) > 0xFFFF or max(sizes, default=0) > 0xFFFF:
+    n, s = len(sets), sizes[0] if sets else 0
+    if n > 0xFFFF or s > 0xFFFF:
         raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
-    # One pack for the whole run of sets.  A coefficient travels as its
-    # element's encoding: the value in the first word, zeros in the rest.
-    layout, values = ["<H"], [len(sets)]
-    for qs in sets:
-        size = len(qs.indices)
-        words = [0] * (size * m)
-        words[::m] = qs.coeffs
-        layout.append(f"H{size}I{size * m}H")
-        values.append(size)
-        values.extend(qs.indices)
-        values.extend(words)
-    return struct.pack("".join(layout), *values)
+    # One record per set, packed as the wire lays it out.  A coefficient
+    # travels as its element's encoding: the value in the first word, zeros
+    # in the rest.  check_sets and the limit above bound every value, so no
+    # cast below wraps.
+    frame = np.zeros(n, dtype=[("size", "<u2"), ("idx", "<u4", (s,)), ("coef", "<u2", (s, m))])
+    frame["size"] = s
+    frame["idx"] = idx.reshape(n, s)
+    frame["coef"][..., 0] = coef.reshape(n, s)
+    return _COUNT.pack(n) + frame.tobytes()
 
 
 def encode_query(query: Query, params: FieldParams) -> bytes:
@@ -172,16 +139,16 @@ def _parse_query(data: bytes, params: FieldParams, K: int) -> tuple:
     set sizes, indices, coefficients), the last two as the kernel's flat
     int64 arrays.  Python walks only the set headers, and numpy reads the
     joined runs of indices and of coefficients at once."""
-    cur = _Cursor(data)
-    model_byte = cur.u8("model byte")
-    if model_byte not in _MODELS:
-        raise WireParseError(f"unknown model byte {model_byte}", 0)
-    model = _MODELS[model_byte]
-    case_byte = cur.u8("case byte")
-    n_sets = cur.u16("set count")
-    # The set headers are read inline: a _Cursor call per field would cost
-    # more than all the rest of the parse.
-    end, width, pos = len(data), params.element_bytes, cur.pos
+    end, width, pos = len(data), params.element_bytes, 4
+    if not end:
+        raise WireParseError("truncated model byte", 0)
+    if data[0] not in _MODELS:
+        raise WireParseError(f"unknown model byte {data[0]}", 0)
+    if end < 2:
+        raise WireParseError("truncated case byte", 1)
+    if end < 4:
+        raise WireParseError("truncated set count", 2)
+    model, case_byte, n_sets = _MODELS[data[0]], data[1], data[2] | data[3] << 8
     sizes, starts, index_runs, coef_runs = [], [], [], []
     try:
         for _ in range(n_sets):
@@ -265,20 +232,22 @@ def _answer_payload(count: int, words: np.ndarray) -> bytes:
 
 
 def decode_answer(data: bytes, params: FieldParams) -> Answer:
-    cur = _Cursor(data)
-    count = cur.u16("element count")
+    if len(data) < 2:
+        raise WireParseError("truncated element count", 0)
+    count = data[0] | data[1] << 8
     q, m, width = params.q, params.m, params.element_bytes
-    # The whole run is unpacked at once; the elements present are checked in
-    # order before a short run is reported as truncated.
-    at, present = cur.run(width, count)
-    words = struct.unpack_from(f"<{present * m}H", data, at)
+    # The run of elements present is unpacked at once and checked in order
+    # before a short run is reported as truncated.
+    present = min(count, (len(data) - 2) // width)
+    end = 2 + width * present
+    words = struct.unpack_from(f"<{present * m}H", data, 2)
     if words and max(words) >= q:
         bad = next(j for j in range(present) if max(words[j * m : (j + 1) * m]) >= q)
-        raise WireParseError("coefficient word out of range for this field", at + width * bad)
+        raise WireParseError("coefficient word out of range for this field", 2 + width * bad)
     if present < count:
-        raise WireParseError("truncated element", cur.pos)
-    if cur.pos != len(data):
-        raise WireParseError("trailing bytes after the answer", cur.pos)
+        raise WireParseError("truncated element", end)
+    if end != len(data):
+        raise WireParseError("trailing bytes after the answer", end)
     return Answer(tuple(FieldElement(params, x) for x in zip(*[iter(words)] * m)))
 
 

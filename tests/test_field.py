@@ -25,6 +25,11 @@ def test_params_validation():
         FieldParams(MAX_Q + 1, 1)
     with pytest.raises(ParameterError):
         FieldParams(3, 2.0)
+    # a bool is an int to Python, but no field size: m=True once failed
+    # later, in to_bytes, with a bare struct.error
+    for bad in [(3, True), (True, 1), (True, True)]:
+        with pytest.raises(ParameterError):
+            FieldParams(*bad)
 
 
 def test_params_are_immutable_and_hashable():

@@ -193,17 +193,40 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
     assert callers == [("check_sets", "_encode_sets"), ("_parse_query", "_serve")]
 
 
-def test_sets_of_different_sizes_are_checked_by_the_scan():
-    """No model's shape admits sets of different sizes, but the encoder checks
-    the set rules of whatever sets it is handed, so they hold there too."""
-    ok = (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((2,), (1,)))
-    idx, coef = protocol_rp.check_sets(ok, 5, 3)
-    assert idx.tolist() == [1, 2, 3, 2] and coef.tolist() == [1, 2, 1, 1]
-    for bad, where in [
-        ((QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((4, 4), (1, 1))), (1, 1, "repeat")),
-        ((QuerySet((1, 6), (1, 1)), QuerySet((4,), (1,))), (0, 1, "index")),
-        ((QuerySet((1,), (1,)), QuerySet((4, 5), (1, 3))), (1, 1, "coefficient")),
+def test_sets_of_different_sizes_are_refused():
+    """No model's shape admits sets of different sizes, so the set rules
+    refuse them whole, with valid entries or not, and none is encoded."""
+    for sets in [
+        (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((2,), (1,))),
+        (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((4, 4), (1, 1))),
+        (QuerySet((1,), (1,)), QuerySet((4, 5), (1, 3))),
     ]:
-        with pytest.raises(SetRuleError) as fault:
-            protocol_rp.check_sets(bad, 5, 3)
-        assert (fault.value.set_no, fault.value.slot, fault.value.what) == where
+        with pytest.raises(ParameterError, match="^set 1 holds . indices, set 0 .: ") as refused:
+            protocol_rp.check_sets(sets, 5, 3)
+        assert type(refused.value) is ParameterError
+        with pytest.raises(ParameterError, match="query sets share one size") as refused:
+            wire.encode_query(Query(sets), FieldParams(3))
+        assert type(refused.value) is ParameterError
+
+
+@pytest.mark.parametrize(
+    "model,K,M,q,m,shape",
+    [
+        pytest.param(MODEL_I, 100, 9, 3, 1, (10, 10), id="I-100-9-GF3"),
+        pytest.param(MODEL_I, 1000, 9, 257, 4, (100, 10), id="I-1000-9-GF257^4"),
+        pytest.param(MODEL_II, 1000, 600, 257, 4, (2, 600), id="II-1000-600-GF257^4"),
+        pytest.param(MODEL_II, 8, 1, 5, 2, (0, None), id="II-no-set"),
+        pytest.param(MODEL_II, 8, 2, 5, 2, (1, 1), id="II-single-probe"),
+    ],
+)
+def test_encode_query_writes_the_layout_of_the_pack_oracle(model, K, M, q, m, shape):
+    params = FieldParams(q, m)
+    rng = Random(K + M)
+    db = Database.random(params, K, rng)
+    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+    query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+    sizes = {len(qs.indices) for qs in query.sets}
+    assert (len(query.sets), sizes.pop() if sizes else None) == shape
+    sets = [(qs.indices, qs.coeffs) for qs in query.sets]
+    blob, _ = _pack(1 if model == MODEL_I else 2, query.case_tag, sets, m)
+    assert wire.encode_query(query, params) == blob

@@ -22,6 +22,7 @@ from pircsi import (
     Query,
     QuerySet,
     WireParseError,
+    field,
     protocol_csi2,
     protocol_rp,
     sample_scenario,
@@ -86,6 +87,17 @@ def test_hello_for_long_messages_returns_at_once():
     assert info.value.offset == 4
 
 
+def test_hello_refuses_a_q_beyond_16_bits_before_testing_it(monkeypatch):
+    # Trial division of 2^32 - 5, the largest 32-bit prime, took milliseconds.
+    tested = []
+    monkeypatch.setattr(field, "_is_prime", lambda n: tested.append(n) or True)
+    with pytest.raises(WireParseError) as info:
+        wire.decode_hello(struct.pack("<III", 2**32 - 5, 1, 8))
+    assert info.value.offset == 0
+    assert "q must fit in 16 bits" in str(info.value)
+    assert tested == []
+
+
 # ---------------------------------------------------------------- frame edge
 
 
@@ -109,6 +121,29 @@ def test_parse_errors_carry_byte_offsets(gf3):
             wire.decode_query(blob[:cut], gf3, 3)
         assert 0 <= info.value.offset <= cut
         assert "byte" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "payload,text",
+    [
+        (b"", "truncated model byte (at byte 0)"),
+        (b"\x09", "unknown model byte 9 (at byte 0)"),  # named before the missing case byte
+        (b"\x01", "truncated case byte (at byte 1)"),
+        (b"\x02\x00", "truncated set count (at byte 2)"),
+        (b"\x01\x00\x01", "truncated set count (at byte 2)"),
+    ],
+)
+def test_decode_query_names_a_truncated_head(gf3, payload, text):
+    with pytest.raises(WireParseError) as info:
+        wire.decode_query(payload, gf3, 3)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x01"])
+def test_decode_answer_names_a_truncated_count(gf3, payload):
+    with pytest.raises(WireParseError) as info:
+        wire.decode_answer(payload, gf3)
+    assert str(info.value) == "truncated element count (at byte 0)"
 
 
 @pytest.mark.parametrize(
