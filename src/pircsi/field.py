@@ -83,7 +83,7 @@ class FieldParams:
 
 def sample_coefficient(params: FieldParams, rng: Random) -> int:
     """Uniform nonzero base-field scalar, the coefficient alphabet of every query."""
-    return sample_coefficients(params, rng, 1)[0]
+    return rng.randrange(1, params.q)
 
 
 # Below this shortfall a randrange per value costs less than a numpy round.
@@ -91,7 +91,12 @@ _ROUND_MIN = 32
 
 
 def sample_coefficients(params: FieldParams, rng: Random, count: int) -> list[int]:
-    """count uniform nonzero base-field scalars, drawn together.
+    """coefficient_array as a list of ints."""
+    return coefficient_array(params, rng, count).tolist()
+
+
+def coefficient_array(params: FieldParams, rng: Random, count: int) -> np.ndarray:
+    """count uniform nonzero base-field scalars, drawn together, as int64.
 
     The values, and the generator's state afterwards, are those of count
     calls of rng.randrange(1, q).  CPython draws each as one 32-bit word,
@@ -103,14 +108,15 @@ def sample_coefficients(params: FieldParams, rng: Random, count: int) -> list[in
     """
     top = params.q - 1
     shift = 32 - top.bit_length()
-    out: list[int] = []
-    while count - len(out) >= _ROUND_MIN:
-        need = count - len(out)
+    runs, got = [], 0
+    while count - got >= _ROUND_MIN:
+        need = count - got
         bits = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         words = np.frombuffer(bits, dtype="<u4") >> shift
-        out += (words[words < top] + 1).tolist()
-    out += [rng.randrange(1, params.q) for _ in range(count - len(out))]
-    return out
+        runs.append(words[words < top].astype(np.int64) + 1)
+        got += len(runs[-1])
+    runs.append(np.array([rng.randrange(1, params.q) for _ in range(count - got)], np.int64))
+    return np.concatenate(runs)
 
 
 class FieldElement:

@@ -30,11 +30,9 @@ from .protocol_rp import (
     Answer,
     DecoderState,
     Query,
-    QuerySet,
     Structure,
     answer_sets,
-    check_sets,
-    coefficient_sets,
+    coefficient_arrays,
     decode_answer,
     decoder_state,
 )
@@ -164,15 +162,14 @@ def attach_coefficients(
     if case == CASE_TRIVIAL:  # 0 - Y = -c_W * X_W
         return Query((), MODEL_II, case), decoder_state(scenario, None, -c_W)
     if case == CASE_SINGLE:
-        (probe_set,) = structure.sets
+        ((probe,),) = structure.sets
         c = sample_coefficient(params, rng)
-        query = Query((QuerySet(probe_set, (c,)),), MODEL_II, case)
-        q, probe = params.q, probe_set[0]
+        query = Query.of(*coefficient_arrays(structure, {probe: c}, params, rng), MODEL_II, case)
         if probe == scenario.W:  # A = c * X_W
-            return query, DecoderState(scenario, 0, pow(c, -1, q), 0)
+            return query, DecoderState(scenario, 0, pow(c, -1, params.q), 0)
         # A = c * X_p for the partner p, and Y = c_p * X_p + c_W * X_W
-        inverse = pow(c_W, -1, q)
-        a = -own[probe] * pow(c, -1, q) * inverse % q
+        inverse = pow(c_W, -1, params.q)
+        a = -own[probe] * pow(c, -1, params.q) * inverse % params.q
         return query, DecoderState(scenario, 0, a, inverse)
     if case == CASE_DISJOINT:  # the demand set holds S without W: A - Y = -c_W * X_W
         delta = -c_W
@@ -180,8 +177,9 @@ def attach_coefficients(
         c = _fresh_coeff_excluding(params, rng, c_W)
         own[scenario.W] = c
         delta = c - c_W
-    sets = coefficient_sets(structure, own, params, rng)
-    return Query(sets, MODEL_II, case), decoder_state(scenario, structure.demand_slot, delta)
+    idx, coef = coefficient_arrays(structure, own, params, rng)
+    state = decoder_state(scenario, structure.demand_slot, delta)
+    return Query.of(idx, coef, MODEL_II, case), state
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +201,7 @@ def check_shape(query: Query, K: int) -> None:
     model II query whose case tag and set sizes pass check_sizes."""
     if query.model != MODEL_II:
         raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
-    check_sizes(query.case_tag, [len(qs.indices) for qs in query.sets], K)
+    check_sizes(query.case_tag, query.sizes, K)
 
 
 def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
@@ -227,4 +225,4 @@ def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
 def answer_query(db: Database, query: Query) -> Answer:
     """Check the query, then evaluate each set against the database."""
     check_shape(query, db.K)
-    return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
+    return answer_sets(db, query)

@@ -17,7 +17,7 @@ Y, with the scalars a and b fixed when the coefficients are attached.
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain
 from random import Random
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
-from .field import FieldElement, sample_coefficient, sample_coefficients
+from .field import FieldElement, coefficient_array, sample_coefficient
 from .model import MODEL_I, Database, Scenario
 from .pmf import Cdf, rp_distribution
 
@@ -43,22 +43,77 @@ class QuerySet:
             raise ParameterError("indices and coefficients must pair up")
 
 
-@dataclass(frozen=True)
 class Query:
     """A query of either model, holding exactly what the wire format carries:
     the coefficient-weighted sets, the model, and the case tag (the second
-    model's case; always 0 for the first)."""
+    model's case; always 0 for the first).  The sets are two (n, s) int64
+    arrays, idx of indices and coef of coefficients, row k being set k; sets
+    gives them as QuerySets, built on demand.  Builders and the parser pass
+    their arrays to Query.of; Query(sets, model, case_tag) takes QuerySets
+    written by hand, and keeps rows of different sizes, or entries that are
+    no ints, as written in an (n,) object array for the checks to refuse."""
 
-    sets: tuple[QuerySet, ...]
-    model: str = MODEL_I
-    case_tag: int = 0
+    __slots__ = ("idx", "coef", "model", "case_tag")
+
+    def __init__(self, sets=(), model: str = MODEL_I, case_tag: int = 0):
+        self.idx, self.coef = _rows([qs.indices for qs in sets]), _rows([qs.coeffs for qs in sets])
+        self.model, self.case_tag = model, case_tag
+
+    @classmethod
+    def of(cls, idx: np.ndarray, coef: np.ndarray, model: str = MODEL_I, case_tag: int = 0):
+        query = cls.__new__(cls)
+        query.idx, query.coef, query.model, query.case_tag = idx, coef, model, case_tag
+        return query
+
+    @property
+    def sets(self) -> tuple[QuerySet, ...]:
+        return tuple(map(QuerySet, map(tuple, self.idx.tolist()), map(tuple, self.coef.tolist())))
+
+    @property
+    def sizes(self) -> list[int]:
+        idx = self.idx
+        return [len(row) for row in idx] if idx.ndim == 1 else [idx.shape[1]] * len(idx)
+
+    def __eq__(self, other):
+        key = (self.model, self.case_tag, self.sets)
+        return isinstance(other, Query) and key == (other.model, other.case_tag, other.sets)
 
 
-@dataclass(frozen=True)
+def _rows(rows: list) -> np.ndarray:
+    """Rows of ints as an (n, s) int64 array, any other rows as an (n,) object array."""
+    width = len(rows[0]) if rows else 0
+    if all(len(row) == width for row in rows):
+        try:
+            flat = array("q", chain.from_iterable(rows))
+            return np.frombuffer(flat, dtype=np.int64).reshape(len(rows), width)
+        except (TypeError, OverflowError):
+            pass
+    return np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
+
+
 class Answer:
-    """Server response: one field element per query set, in query-set order."""
+    """Server response: one element of the field params per query set, in
+    set order, as the rows of the (n, m) word array words; values gives them
+    as FieldElements on demand.  Answer(values) takes FieldElements."""
 
-    values: tuple[FieldElement, ...]
+    __slots__ = ("params", "words")
+
+    def __init__(self, values=()):
+        self.params = values[0].params if values else None
+        self.words = np.array([x.coeffs for x in values] or np.zeros((0, 0)), dtype=np.int64)
+
+    @classmethod
+    def of(cls, params, words: np.ndarray) -> "Answer":
+        answer = cls.__new__(cls)
+        answer.params, answer.words = params, words
+        return answer
+
+    @property
+    def values(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.params, tuple(row)) for row in self.words.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Answer) and self.values == other.values
 
 
 @dataclass(frozen=True)
@@ -189,22 +244,21 @@ def attach_coefficients(
     c = sample_coefficient(scenario.Y.params, rng)
     own = dict(zip(scenario.S, scenario.C))
     own[scenario.W] = c
-    sets = coefficient_sets(structure, own, scenario.Y.params, rng)
-    return Query(sets), decoder_state(scenario, structure.demand_slot, c)
+    idx, coef = coefficient_arrays(structure, own, scenario.Y.params, rng)
+    return Query.of(idx, coef), decoder_state(scenario, structure.demand_slot, c)
 
 
-def coefficient_sets(structure: Structure, own: dict, params, rng: Random) -> tuple[QuerySet, ...]:
-    """The structure's sets with coefficients: the set at the demand slot
-    takes own[i] on each index i, every other set a fresh nonzero scalar per
-    index, all drawn in one call in set order."""
+def coefficient_arrays(structure: Structure, own: dict, params, rng: Random) -> tuple:
+    """The structure's sets as a Query's (n, s) index and coefficient arrays:
+    the set at the demand slot takes own[i] on each index i, every other set
+    a fresh nonzero scalar per index, all drawn in one call in set order."""
     sets, slot = structure.sets, structure.demand_slot
-    fresh = iter(sample_coefficients(params, rng, sum(map(len, sets)) - len(sets[slot])))
-    return tuple(
-        QuerySet(indices, tuple(own[i] for i in indices))
-        if k == slot
-        else QuerySet(indices, tuple(islice(fresh, len(indices))))
-        for k, indices in enumerate(sets)
-    )
+    n, s = len(sets), len(sets[0])
+    idx = np.fromiter(chain.from_iterable(sets), np.int64, n * s).reshape(n, s)
+    coef = np.empty((n, s), dtype=np.int64)
+    coef[np.arange(n) != slot] = coefficient_array(params, rng, (n - 1) * s).reshape(n - 1, s)
+    coef[slot] = [own[i] for i in sets[slot]]
+    return idx, coef
 
 
 def _validate_partition(sets, K: int, M: int, l: int) -> None:
@@ -232,7 +286,7 @@ def check_shape(query: Query, K: int) -> None:
     check_sizes."""
     if query.model != MODEL_I:
         raise ShapeError(f"expected a model {MODEL_I} query, got {query.model!r}", "case")
-    check_sizes(query.case_tag, [len(qs.indices) for qs in query.sets], K)
+    check_sizes(query.case_tag, query.sizes, K)
 
 
 def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
@@ -254,68 +308,29 @@ def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
 def answer_query(db: Database, query: Query) -> Answer:
     """Check the query, then evaluate each set against the database."""
     check_shape(query, db.K)
-    return answer_sets(db, len(query.sets), *check_sets(query.sets, db.K, db.params.q))
+    return answer_sets(db, query)
 
 
-def set_arrays(sets) -> tuple[np.ndarray, np.ndarray]:
-    """The sets' indices and coefficients as two flat int64 arrays, in wire order.
-    Raises TypeError for an entry that is no int, OverflowError beyond int64."""
-    idx = array("q", list(chain.from_iterable(qs.indices for qs in sets)))
-    coef = array("q", list(chain.from_iterable(qs.coeffs for qs in sets)))
-    return np.frombuffer(idx, dtype=np.int64), np.frombuffer(coef, dtype=np.int64)
+def check_set_arrays(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> None:
+    """The set rules of both models on a query's (n, s) arrays: every index
+    in [1, K], none twice in one set, every coefficient in [1, q-1].  Only if
+    a numpy test on the int64 arrays finds a fault does a scan raise
+    SetRuleError for the first in wire order: set by set, the indices (range,
+    then a repeat at its second slot), then the coefficients.  Rows written
+    by hand with entries that are no ints (see Query) go straight to the
+    scan, which names an entry as written (1.5, '2')."""
+    if object in (idx.dtype, coef.dtype) or _breaks_a_rule(idx, coef, K, q):
+        _raise_first_fault(zip(idx.tolist(), coef.tolist()), K, q)
 
 
-def split_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int]) -> list[tuple[list, list]]:
-    """The inverse of set_arrays: each set's (indices, coefficients) as two
-    lists of ints, for sets of the given sizes."""
-    bounds = list(accumulate(sizes, initial=0))
-    i, c = idx.tolist(), coef.tolist()
-    return [(i[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def check_sets(sets, K: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The set rules of both models on QuerySets (see check_set_arrays),
-    checked once; returns set_arrays(sets).  A fault is named from the sets
-    as given, so the SetRuleError shows an entry as the caller wrote it
-    (1.5, '2' or False); an entry that is no int, or beyond int64, is found
-    by that scan alone.  Sets of different sizes raise ParameterError."""
-    try:
-        idx, coef = set_arrays(sets)
-        check_set_arrays(idx, coef, [len(qs.indices) for qs in sets], K, q)
-        return idx, coef
-    except (TypeError, OverflowError, SetRuleError):
-        pass
-    _raise_first_fault([(qs.indices, qs.coeffs) for qs in sets], K, q)
-    raise AssertionError("the array test found a fault the scan did not")
-
-
-def check_set_arrays(idx: np.ndarray, coef: np.ndarray, sizes: list[int], K: int, q: int) -> None:
-    """The set rules of both models, on the sets' flat int64 index and
-    coefficient arrays in wire order, set k holding sizes[k] entries.
-    Every index lies in [1, K], no index comes twice in one set, and every
-    coefficient lies in [1, q-1].  The sets must share one size, the only
-    shape either model admits; sets of different sizes are refused with a
-    ParameterError.  The rules are tested with numpy on the (n, s) index
-    matrix; only if that test finds a fault does a scan look for the first
-    fault in wire order and raise SetRuleError for it: set by set, the
-    indices (range, then a repeat at its second slot), then the
-    coefficients."""
-    if len(set(sizes)) > 1:
-        k = next(k for k, size in enumerate(sizes) if size != sizes[0])
-        text = f"set {k} holds {sizes[k]} indices, set 0 {sizes[0]}: query sets share one size"
-        raise ParameterError(text)
-    if _breaks_a_rule(idx, coef, len(sizes), K, q):
-        _raise_first_fault(split_arrays(idx, coef, sizes), K, q)
-
-
-def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, n: int, K: int, q: int) -> bool:
-    """Whether n sets of one size, as flat arrays, break a set rule."""
+def _breaks_a_rule(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> bool:
+    """Whether the (n, s) int64 arrays of a query's sets break a set rule."""
     if not idx.size:
         return False
     if idx.min() < 1 or idx.max() > K or coef.min() < 1 or coef.max() >= q:
         return True
     # An index repeats when it meets its neighbour in its sorted row.
-    rows = np.sort(idx.reshape(n, -1), axis=1)
+    rows = np.sort(idx, axis=1)
     return bool((rows[:, 1:] == rows[:, :-1]).any())
 
 
@@ -343,43 +358,40 @@ def _int_in_range(x, top: int) -> bool:
         return False
 
 
-def answer_words(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each of
-    n sets, as one gather over the database words; row k holds set k's m
-    words, as int64.  idx and coef are flat int64 arrays, in wire order, of
-    sets that passed check_set_arrays (so they share one size) and their
-    model's check_sizes; the kernel itself checks nothing."""
-    if not n:
-        return np.zeros((0, db.params.m), dtype=np.int64)
+def answer_words(db: Database, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each
+    set, as one gather over the database words, row k holding set k's m
+    words as int64.  It checks nothing: idx and coef are the (n, s) arrays
+    of sets that passed check_set_arrays and their model's check_sizes."""
     # Words are below q and coefficients at most q - 1, with q < 2^16, so a
     # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
     # sum exactly, and one reduction mod q at the end suffices.
-    terms = db.words[idx.reshape(n, -1) - 1]
-    return np.einsum("nsm,ns->nm", terms, coef.reshape(n, -1)) % db.params.q
+    return np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % db.params.q
 
 
-def answer_sets(db: Database, n: int, idx: np.ndarray, coef: np.ndarray) -> Answer:
-    """answer_words as an Answer: one field element per set."""
-    rows = answer_words(db, n, idx, coef).tolist()
-    return Answer(tuple(FieldElement(db.params, tuple(row)) for row in rows))
+def answer_sets(db: Database, query: Query) -> Answer:
+    """The answer to a query of either model whose shape has passed its
+    check_shape: check_set_arrays, then answer_words."""
+    check_set_arrays(query.idx, query.coef, db.K, db.params.q)
+    return Answer.of(db.params, answer_words(db, query.idx, query.coef))
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
     """Recover X_W = a * A[demand_slot] + b * Y, the one linear step of every
-    scheme of both models."""
-    side = state.scenario.Y.scale(state.b)
-    slot = state.demand_slot
+    scheme of both models; only the demand slot's row of the answer is read."""
+    side, slot = state.scenario.Y.scale(state.b), state.demand_slot
     if slot is None:
         return side
-    if not 0 <= slot < len(answer.values):
+    if not 0 <= slot < len(answer.words):
         raise ProtocolError(f"demand slot {slot!r} not present in the answer")
-    return answer.values[slot].scale(state.a) + side
+    demand = FieldElement(answer.params, tuple(answer.words[slot].tolist()))
+    return demand.scale(state.a) + side
 
 
 def canonical_fingerprint(query) -> tuple:
     """What the privacy analysis conditions on: the transmitted index sets with
     element order, set order, and coefficients stripped away."""
-    return fingerprint_of(qs.indices for qs in query.sets)
+    return fingerprint_of(query.idx.tolist())
 
 
 def fingerprint_of(index_sets) -> tuple:

@@ -10,22 +10,19 @@ so callers look the module up here instead of branching on the model:
     check_shape(query, K)               the model, then check_sizes; raises ShapeError
     check_sizes(case_tag, sizes, K)     the model's shape rules on the case tag and
                                         the list of set sizes; raises ShapeError
-    answer_query(db, query)             check_shape and check_sets, then the answer
+    answer_query(db, query)             check_shape and check_set_arrays, then the answer
     decode_answer(answer, state)        the demand, from the answer and the client state
 
-Both build the one query type, protocol_rp.Query; its model field names the
-module that answers it.  Both draw the fresh coefficients of all cover sets
-of a query in one field.sample_coefficients call, which gives the values of
-one randrange(1, q) per index.  Both share one decoder: attach_coefficients returns
-DecoderState(scenario, demand_slot, a, b), and decode_answer, protocol_rp's
-in both modules, computes X_W = a * A[demand_slot] + b * Y.
-
-The server never builds a Query: wire parses a query frame straight into
-the flat index and coefficient arrays of protocol_rp's kernel, checks them
-with check_sizes and protocol_rp.check_set_arrays, and writes the answer
-frame from protocol_rp.answer_words.  Either model's sets share one size,
-and check_set_arrays, which check_sets runs too, takes sets of one size
-only.
+Both build the one query type, protocol_rp.Query, whose model names the
+module that answers it and whose (n, s) index and coefficient arrays go
+from attach_coefficients to the encoder's check_set_arrays and record
+array.  Both draw all fresh coefficients of a query in one
+field.coefficient_array call, the values of one randrange(1, q) per index.
+attach_coefficients returns DecoderState(scenario, demand_slot, a, b), and
+the one decode_answer, protocol_rp's, computes X_W = a * A[demand_slot] +
+b * Y from that row of the Answer's (n, m) word array.  The server parses
+a frame into the same arrays, checks them with check_sizes and
+check_set_arrays, and answers from protocol_rp.answer_words.
 """
 
 from . import protocol_csi2, protocol_rp

@@ -23,22 +23,13 @@ import socket
 import socketserver
 import struct
 import threading
-from itertools import chain
 
 import numpy as np
 
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
-from .field import FieldElement, FieldParams
+from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database
-from .protocol_rp import (
-    Answer,
-    Query,
-    QuerySet,
-    answer_words,
-    check_set_arrays,
-    check_sets,
-    split_arrays,
-)
+from .protocol_rp import Answer, Query, answer_words, check_set_arrays
 from .protocols import PROTOCOLS
 
 MSG_QUERY = 0x01
@@ -48,7 +39,6 @@ MSG_HELLO = 0x04
 
 _FRAME_HEADER = struct.Struct("<BI")
 _HELLO_BODY = struct.Struct("<III")
-_COUNT = struct.Struct("<H")
 MAX_FRAME_BYTES = 1 << 20
 
 _MODEL_BYTES = {MODEL_I: 1, MODEL_II: 2}
@@ -89,56 +79,45 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
 # -- query payloads ---------------------------------------------------------
 
 
-def _encode_sets(sets, params: FieldParams) -> bytes:
-    q, m = params.q, params.m
-    sizes = [len(qs.indices) for qs in sets]
-    if 0 in sizes:
-        raise ParameterError(f"set {sizes.index(0)} is empty; a query set holds at least one index")
-    try:
-        idx, coef = check_sets(sets, _INDEX_LIMIT, q)
-    except SetRuleError as fault:
-        k, j, v = fault.set_no, fault.slot, fault.value
-        text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
-        raise SetRuleError(text, k, j, fault.what, v) from None
-    n, s = len(sets), sizes[0] if sets else 0
-    if n > 0xFFFF or s > 0xFFFF:
-        raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
-    # One record per set, packed as the wire lays it out.  A coefficient
-    # travels as its element's encoding: the value in the first word, zeros
-    # in the rest.  check_sets and the limit above bound every value, so no
-    # cast below wraps.
-    frame = np.zeros(n, dtype=[("size", "<u2"), ("idx", "<u4", (s,)), ("coef", "<u2", (s, m))])
-    frame["size"] = s
-    frame["idx"] = idx.reshape(n, s)
-    frame["coef"][..., 0] = coef.reshape(n, s)
-    return _COUNT.pack(n) + frame.tobytes()
-
-
 def encode_query(query: Query, params: FieldParams) -> bytes:
-    """Query payload bytes (frame not included)."""
+    """Query payload bytes (frame not included), written from the query's
+    index and coefficient arrays after one check_set_arrays."""
     if query.model not in _MODEL_BYTES:
         raise ParameterError(f"cannot encode a query of model {query.model!r}")
     if query.case_tag not in range(0x100):
         raise ParameterError(f"case tag {query.case_tag!r} does not fit in the case byte")
-    head = struct.pack("<BB", _MODEL_BYTES[query.model], query.case_tag)
-    return head + _encode_sets(query.sets, params)
+    q, m, sizes = params.q, params.m, query.sizes
+    if 0 in sizes:
+        raise ParameterError(f"set {sizes.index(0)} is empty; a query set holds at least one index")
+    if len(set(sizes)) > 1:  # only rows written by hand can differ; no model admits it
+        k = next(k for k, size in enumerate(sizes) if size != sizes[0])
+        text = f"set {k} holds {sizes[k]} indices, set 0 {sizes[0]}: query sets share one size"
+        raise ParameterError(text)
+    try:
+        check_set_arrays(query.idx, query.coef, _INDEX_LIMIT, q)
+    except SetRuleError as fault:
+        k, j, v = fault.set_no, fault.slot, fault.value
+        text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
+        raise SetRuleError(text, k, j, fault.what, v) from None
+    n, s = query.idx.shape
+    if n > 0xFFFF or s > 0xFFFF:
+        raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
+    # One record per set, as the wire lays it out; a coefficient is an element
+    # encoding, zeros above its value.  The checks above bound every cast.
+    frame = np.zeros(n, dtype=[("size", "<u2"), ("idx", "<u4", (s,)), ("coef", "<u2", (s, m))])
+    frame["size"] = s
+    frame["idx"] = query.idx
+    frame["coef"][..., 0] = query.coef
+    head = struct.pack("<BBH", _MODEL_BYTES[query.model], query.case_tag, n)
+    return head + frame.tobytes()
 
 
 def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
-    """Parse a query payload.  Total on arbitrary bytes: every failure is a
-    WireParseError carrying the byte offset, never a crash.  Framing faults
-    come first, then the model's shape, then the first set-rule fault in byte
-    order; a query this returns is well formed and needs no second check."""
-    model, case, sizes, idx, coef = _parse_query(data, params, K)
-    sets = split_arrays(idx, coef, sizes)
-    return Query(tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets), model, case)
-
-
-def _parse_query(data: bytes, params: FieldParams, K: int) -> tuple:
-    """decode_query's parse and checks, building no set: (model, case byte,
-    set sizes, indices, coefficients), the last two as the kernel's flat
-    int64 arrays.  Python walks only the set headers, and numpy reads the
-    joined runs of indices and of coefficients at once."""
+    """Parse a query payload into a Query of (n, s) int64 arrays.  Total on
+    arbitrary bytes: every failure is a WireParseError carrying the byte
+    offset, never a crash.  Framing faults come first, then the model's
+    shape, then the first set-rule fault in byte order; a query this returns
+    is well formed.  Python walks only the set headers; numpy the rest."""
     end, width, pos = len(data), params.element_bytes, 4
     if not end:
         raise WireParseError("truncated model byte", 0)
@@ -177,8 +156,9 @@ def _parse_query(data: bytes, params: FieldParams, K: int) -> tuple:
     words = np.frombuffer(b"".join(coef_runs), dtype="<u2").reshape(-1, params.m)
     high = words[:, 1:].any(axis=1)
     if high.any():
-        k, j = _slot_of(sizes, int(high.argmax()))
-        at = _coef_at(starts, sizes, k, j, width)
+        flat = int(high.argmax())
+        k = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))  # its set
+        at = starts[k] + 4 * sizes[k] + width * (flat - sum(sizes[:k]))
         raise WireParseError("coefficient is not a base-field scalar", at)
     if framing is not None:
         raise framing
@@ -187,48 +167,29 @@ def _parse_query(data: bytes, params: FieldParams, K: int) -> tuple:
         PROTOCOLS[model].check_sizes(case_byte, sizes, K)
     except ShapeError as fault:  # the case byte, the set count, the first set's size
         raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
-    idx = np.frombuffer(b"".join(index_runs), dtype="<u4").astype(np.int64)
-    coef = words[:, 0].astype(np.int64)
+    shape = (len(sizes), sizes[0] if sizes else 0)  # check_sizes left one set size only
+    idx = np.frombuffer(b"".join(index_runs), dtype="<u4").astype(np.int64).reshape(shape)
+    coef = words[:, 0].astype(np.int64).reshape(shape)
     try:
-        check_set_arrays(idx, coef, sizes, K, params.q)
+        check_set_arrays(idx, coef, K, params.q)
     except SetRuleError as fault:
         k, j = fault.set_no, fault.slot
         if fault.what == "coefficient":
-            at = _coef_at(starts, sizes, k, j, width)
+            at = starts[k] + 4 * sizes[k] + width * j
         else:
             at = starts[k] + 4 * j
         text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
         raise WireParseError(text, at) from None
-    return model, case_byte, sizes, idx, coef
-
-
-def _coef_at(starts: list[int], sizes: list[int], k: int, j: int, width: int) -> int:
-    """Byte offset of coefficient j of set k, whose indices start at starts[k]."""
-    return starts[k] + 4 * sizes[k] + width * j
-
-
-def _slot_of(sizes: list[int], flat: int) -> tuple[int, int]:
-    """The set and slot of entry flat of the flat arrays."""
-    for k, size in enumerate(sizes):
-        if flat < size:
-            return k, flat
-        flat -= size
-    raise IndexError(flat)
+    return Query.of(idx, coef, model, case_byte)
 
 
 # -- answer payloads --------------------------------------------------------
 
 
 def encode_answer(answer: Answer) -> bytes:
-    words = np.fromiter(chain.from_iterable(x.coeffs for x in answer.values), dtype="<u2")
-    return _answer_payload(len(answer.values), words)
-
-
-def _answer_payload(count: int, words: np.ndarray) -> bytes:
-    """The answer payload of count elements whose words, each below q, the
-    array holds in order: the count as u16, then every word as little-endian
-    u16."""
-    return _COUNT.pack(count) + words.astype("<u2", copy=False).tobytes()
+    """The count as u16, then every word of the answer, each below q, as
+    little-endian u16."""
+    return struct.pack("<H", len(answer.words)) + answer.words.astype("<u2", copy=False).tobytes()
 
 
 def decode_answer(data: bytes, params: FieldParams) -> Answer:
@@ -240,15 +201,15 @@ def decode_answer(data: bytes, params: FieldParams) -> Answer:
     # before a short run is reported as truncated.
     present = min(count, (len(data) - 2) // width)
     end = 2 + width * present
-    words = struct.unpack_from(f"<{present * m}H", data, 2)
-    if words and max(words) >= q:
-        bad = next(j for j in range(present) if max(words[j * m : (j + 1) * m]) >= q)
-        raise WireParseError("coefficient word out of range for this field", 2 + width * bad)
+    words = np.frombuffer(data, dtype="<u2", count=present * m, offset=2).reshape(present, m)
+    if present and words.max() >= q:
+        at = 2 + width * int((words >= q).any(axis=1).argmax())
+        raise WireParseError("coefficient word out of range for this field", at)
     if present < count:
         raise WireParseError("truncated element", end)
     if end != len(data):
         raise WireParseError("trailing bytes after the answer", end)
-    return Answer(tuple(FieldElement(params, x) for x in zip(*[iter(words)] * m)))
+    return Answer.of(params, words)
 
 
 # -- hello payloads ---------------------------------------------------------
@@ -313,8 +274,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         try:
             self._serve()
-        except TimeoutError:
-            return  # an idle client: close without a traceback
+        except (TimeoutError, ConnectionResetError, BrokenPipeError):
+            return  # an idle client, or one that left: close without a traceback
 
     def _serve(self):
         db: Database = self.server.db  # type: ignore[attr-defined]
@@ -331,14 +292,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._send(MSG_HELLO, encode_hello(db.params, db.K))
             elif msg_type == MSG_QUERY:
                 try:
-                    _, _, sizes, idx, coef = _parse_query(payload, db.params, db.K)
+                    query = decode_query(payload, db.params, db.K)
                 except WireParseError as exc:
                     self._send(MSG_ERROR, str(exc).encode("utf-8"))
                 else:
-                    # _parse_query returns only well-formed queries, so the
+                    # decode_query returns only well-formed queries, so the
                     # kernel answers without checking them a second time.
-                    words = answer_words(db, len(sizes), idx, coef)
-                    self._send(MSG_ANSWER, _answer_payload(len(words), words))
+                    words = answer_words(db, query.idx, query.coef)
+                    self._send(MSG_ANSWER, encode_answer(Answer.of(db.params, words)))
             else:
                 self._send(MSG_ERROR, f"unexpected frame type 0x{msg_type:02x}".encode())
 

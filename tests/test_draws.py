@@ -1,0 +1,110 @@
+"""The production interpreter of the draw primitives: a query is fixed by the
+caller's seeded Random alone, whatever thread or process builds it, and the
+numpy Generator stream its shuffles read is pinned."""
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from random import Random
+
+from pircsi import (
+    Database,
+    FieldParams,
+    MODEL_I,
+    MODEL_II,
+    protocol_csi2,
+    protocol_rp,
+    sample_scenario,
+    wire,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CELLS = [(MODEL_I, 100, 9), (MODEL_II, 100, 70), (MODEL_I, 12, 2)]
+
+
+def _queries(seed: int) -> list[bytes]:
+    """The encoded queries of CELLS over GF(257^4), built from Random(seed)."""
+    params, out = FieldParams(257, 4), []
+    for model, K, M in CELLS:
+        db = Database.random(params, K, Random(K))
+        rng = Random(seed)
+        protocol = protocol_rp if model == MODEL_I else protocol_csi2
+        for _ in range(3):
+            query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+            out.append(wire.encode_query(query, params))
+    return out
+
+
+def test_queries_built_in_threads_equal_those_built_in_turn():
+    seeds = range(1, 5)  # more threads than cores
+    alone = {seed: _queries(seed) for seed in seeds}
+    built = {}
+    threads = [threading.Thread(target=lambda s=s: built.update({s: _queries(s)})) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside every draw
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built == alone
+
+
+def test_a_fresh_process_builds_the_same_query():
+    script = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "from test_draws import _queries\n"
+        "print(b''.join(_queries(5)).hex())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(SRC), str(Path(__file__).parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert bytes.fromhex(done.stdout.strip()) == b"".join(_queries(5))
+
+
+# list(range(10)) shuffled as RandomDraws shuffles, by the Generator of a
+# PCG64(0) whose state is then set to STATE; taken under numpy 2.4.
+STATE = 20181011 << 64 | 20181011
+PINNED_SHUFFLE = [1, 3, 5, 6, 9, 4, 8, 0, 2, 7]
+
+
+def test_numpy_generator_stream_is_pinned():
+    from numpy.random import PCG64, Generator
+
+    bits = PCG64(0)
+    state = bits.state
+    state["state"]["state"] = STATE
+    bits.state = state
+    items = list(range(10))
+    Generator(bits).shuffle(items)
+    assert items == PINNED_SHUFFLE, (
+        "numpy's Generator(PCG64) shuffle stream changed: every seeded query, "
+        "and so the reveal transcripts in tests/golden/, depend on it; "
+        "re-record them and the pinned shuffle together"
+    )
+
+
+def test_the_server_and_set_up_never_load_numpy_random(tmp_path):
+    # numpy.random takes about 20 ms to import; only a query draw loads it.
+    path = tmp_path / "k8.db"
+    Database.random(FieldParams(5, 2), 8, Random(0)).save(path)
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import pircsi\n"
+        "pircsi.Database.load(sys.argv[2])\n"
+        "loaded = [m for m in sys.modules if m == 'numpy.random' or m.split('.')[0] == 'scipy']\n"
+        "print(loaded)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(SRC), str(path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -190,22 +190,20 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
         answer = wire.fetch(server.address, query, db.params)
     assert protocol.decode_answer(answer, state) == db[scenario.W]
     # the client's encode, then the server's parse; the answer step checks nothing
-    assert callers == [("check_sets", "_encode_sets"), ("_parse_query", "_serve")]
+    assert callers == [("encode_query", "fetch"), ("decode_query", "_serve")]
 
 
 def test_sets_of_different_sizes_are_refused():
-    """No model's shape admits sets of different sizes, so the set rules
-    refuse them whole, with valid entries or not, and none is encoded."""
+    """No model's shape admits sets of different sizes, so the encoder
+    refuses them whole, with valid entries or not, and none is encoded."""
     for sets in [
         (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((2,), (1,))),
         (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((4, 4), (1, 1))),
         (QuerySet((1,), (1,)), QuerySet((4, 5), (1, 3))),
     ]:
         with pytest.raises(ParameterError, match="^set 1 holds . indices, set 0 .: ") as refused:
-            protocol_rp.check_sets(sets, 5, 3)
-        assert type(refused.value) is ParameterError
-        with pytest.raises(ParameterError, match="query sets share one size") as refused:
             wire.encode_query(Query(sets), FieldParams(3))
+        assert str(refused.value).endswith(": query sets share one size")
         assert type(refused.value) is ParameterError
 
 

@@ -586,6 +586,27 @@ def test_idle_client_is_disconnected(gf3, monkeypatch, capfd):
     assert "Traceback" not in capfd.readouterr().err
 
 
+def test_a_client_reset_leaves_nothing_on_stderr(gf3, capfd):
+    # socketserver once printed "Exception occurred during processing of
+    # request" for a client that reset its connection mid-exchange.
+    db = Database.random(gf3, 4, Random(21))
+    with wire.PirServer(db, port=0) as server:
+        srv = server._server
+        for _ in range(5):
+            client = socket.create_connection(server.address, timeout=5)
+            client.sendall(wire.encode_frame(wire.MSG_HELLO, b"") * 2000)
+            # linger 0: close sends a reset, whatever is still unread
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+        deadline = time.perf_counter() + 5
+        while srv._open:  # each handler has ended, its error handled
+            assert time.perf_counter() < deadline, "a reset connection is still open"
+            time.sleep(0.01)
+        assert wire.hello(server.address) == (gf3, 4)
+    wire._drop()
+    assert capfd.readouterr().err == ""
+
+
 # ------------------------------------------------------- kept connections
 
 
