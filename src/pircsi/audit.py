@@ -28,7 +28,7 @@ from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity, rp_distribution
 from .protocols import PROTOCOLS
-from .protocol_rp import fingerprint_of
+from .protocol_rp import check_partition, fingerprint_of, rows_array
 
 DEFAULT_ROW_GUARD = 10_000_000
 
@@ -213,7 +213,8 @@ def scenario_law(
     """The law of the fingerprint of draw(W, S, K, rng, **mutations), as
     integer weights over their sum: the draw runs once per leaf of its choice
     tree under _Enumeration.  Raises AuditSizeError once scenarios times the
-    leaves would exceed row_guard."""
+    leaves would exceed row_guard, and ProtocolError when a first-model
+    fingerprint (W outside S) fails check_partition."""
     enum = _Enumeration(scenarios, row_guard)
     masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
     while True:
@@ -221,6 +222,8 @@ def scenario_law(
         masses[enum.den, fp] += enum.num
         if not enum.next_leaf():
             break
+    for fp in {fp for _, fp in masses} if W not in S else ():
+        check_partition(rows_array(fp), K, len(S))
     D = lcm(*(den for den, _ in masses))
     law: dict = defaultdict(int)
     for (den, fp), num in masses.items():
@@ -337,15 +340,16 @@ def audit_montecarlo(
     the server sees" with a Bonferroni correction across all tested bins.
 
     Each trial draws (W, S) with sample_demand and the index sets with the
-    model's draw_structure, the same code build_query runs.  No bin reads a
-    coefficient, so none is drawn and no field is needed.  Two bin families
-    are tested: the order-stripped fingerprint, and for each database index
-    the position of the transmitted set containing it.  The second family is
-    what exposes set-order leaks, which the order-stripped fingerprint is
-    blind to by construction.  Bins too thin for the chi-square
-    approximation (expected count below 5) are counted as skipped.  Each
-    bin's p-value is Pearson's statistic against the flat expectation, read
-    off the chi-square survival function with K - 1 degrees of freedom by
+    model's draw_structure, the same code build_query runs, and
+    check_partition runs once on each distinct first-model fingerprint.  No
+    bin reads a coefficient, so none is drawn and no field is needed.  Two bin
+    families are tested: the order-stripped fingerprint, and for each database
+    index the position of the transmitted set containing it.  The second
+    family is what exposes set-order leaks, which the order-stripped
+    fingerprint is blind to by construction.  Bins too thin for the chi-square
+    approximation (expected count below 5) are counted as skipped.  Each bin's
+    p-value is Pearson's statistic against the flat expectation, read off the
+    chi-square survival function with K - 1 degrees of freedom by
     _chisquare_p.
     """
     draw_structure, build_kwargs = _draw_for(model, K, M, mutation)
@@ -363,6 +367,8 @@ def audit_montecarlo(
                 slot_of[i - 1] = pos
         for j, pos in enumerate(slot_of, start=1):
             slot_bins[j, pos][w] += 1
+    for fp in fp_bins if model == MODEL_I else ():
+        check_partition(rows_array(fp), K, M)
 
     bins = [("fingerprint", fp_bins), ("slot", slot_bins)]
     keys = [(family, key) for family, table in bins for key in table]

@@ -1,10 +1,12 @@
-"""The random choices of a structure draw, and their production interpreter.
+"""The random choices of a query, and their production interpreter.
 
 Each model's draw_structure is written once over four primitives: choose(cdf)
 (one outcome of a pmf.Cdf), sample(pool, k) (k distinct items of a sequence,
 as a list), shuffle(seq) (a list, in place) and split(seq, size) (the items
-in blocks of size, which divides len(seq)).  RandomDraws interprets them in
-production, and the exact auditor by enumeration.
+in blocks of size, which divides len(seq)).  A fifth, coefficients(q, count),
+gives count uniform units mod q as int64: a query's fresh coefficients or a
+scenario's C.  RandomDraws interprets all five in production, and the exact
+auditor the first four by enumeration.
 """
 
 import threading
@@ -14,10 +16,10 @@ from random import Random
 class RandomDraws:
     """The primitives over a random.Random, which fixes every query in any
     thread or process.  choose and sample read it (pmf denominators exceed
-    64 bits; Generator.choice is slower at a query's sizes).  shuffle and
-    split read the thread's numpy Generator, far faster than random.shuffle
-    on long lists, its PCG64 state one getrandbits(128) of the Random, drawn
-    at the first shuffle and after any other RandomDraws of the thread."""
+    64 bits; Generator.choice is slower at a query's sizes).  shuffle, split
+    and coefficients read the thread's numpy Generator, far faster on long
+    lists, its PCG64 state one getrandbits(128) of the Random, drawn at the
+    first of them and after any other RandomDraws of the thread used it."""
 
     __slots__ = ("rng", "sample")
 
@@ -28,13 +30,14 @@ class RandomDraws:
         return cdf.draw(self.rng)
 
     def shuffle(self, seq: list) -> None:
-        if _thread.owner is not self:
-            _thread.seed(self, self.rng.getrandbits(128))
-        _thread.shuffle(seq)
+        _thread.generator_for(self).shuffle(seq)
 
     def split(self, seq, size: int) -> list:
         self.shuffle(items := list(seq))
         return [items[i : i + size] for i in range(0, len(items), size)]
+
+    def coefficients(self, q: int, count: int):
+        return _thread.generator_for(self).integers(1, q, size=count)
 
 
 class _Thread(threading.local):
@@ -42,14 +45,16 @@ class _Thread(threading.local):
 
     owner = None
 
-    def seed(self, owner: RandomDraws, state: int) -> None:
-        if self.owner is None:  # numpy.random takes ~20 ms to import; a server never does
-            from numpy.random import PCG64, Generator
+    def generator_for(self, owner: RandomDraws):
+        if self.owner is not owner:
+            if self.owner is None:  # numpy.random takes ~20 ms to import; a server never does
+                from numpy.random import PCG64, Generator
 
-            self.bits, self.state = PCG64(0), PCG64(0).state
-            self.shuffle = Generator(self.bits).shuffle
-        self.state["state"]["state"] = state
-        self.bits.state, self.owner = self.state, owner
+                self.bits, self.state = PCG64(0), PCG64(0).state
+                self.generator = Generator(self.bits)
+            self.state["state"]["state"] = owner.rng.getrandbits(128)
+            self.bits.state, self.owner = self.state, owner
+        return self.generator
 
 
 _thread = _Thread()

@@ -4,13 +4,12 @@ A message of GF(q^m) is held as its m coordinates over the base field GF(q).
 The protocols only add messages and scale them by base-field coefficients,
 so nothing ever multiplies two messages: (q, m) alone pins down every
 operation, and two parties that agree on (q, m) agree on everything.
+Elements and single coefficients are drawn here; many at once come from pircsi.draws.
 """
 
 import struct
 from dataclasses import dataclass
 from random import Random
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -82,41 +81,10 @@ class FieldParams:
 
 
 def sample_coefficient(params: FieldParams, rng: Random) -> int:
-    """Uniform nonzero base-field scalar, the coefficient alphabet of every query."""
+    """Uniform nonzero base-field scalar, the coefficient alphabet of every
+    query, as one randrange(1, q).  A query's many fresh coefficients, and a
+    scenario's C, come from draws.RandomDraws.coefficients instead."""
     return rng.randrange(1, params.q)
-
-
-# Below this shortfall a randrange per value costs less than a numpy round.
-_ROUND_MIN = 32
-
-
-def sample_coefficients(params: FieldParams, rng: Random, count: int) -> list[int]:
-    """coefficient_array as a list of ints."""
-    return coefficient_array(params, rng, count).tolist()
-
-
-def coefficient_array(params: FieldParams, rng: Random, count: int) -> np.ndarray:
-    """count uniform nonzero base-field scalars, drawn together, as int64.
-
-    The values, and the generator's state afterwards, are those of count
-    calls of rng.randrange(1, q).  CPython draws each as one 32-bit word,
-    keeps its top (q-1).bit_length() bits, and draws again while they are
-    not below q-1.  Here one getrandbits call takes a round of words at once
-    (the first word lowest) and keeps the same ones, and each later round
-    draws only the shortfall left by rejected words, so the same words are
-    read in the same order.  The last few values come from randrange itself.
-    """
-    top = params.q - 1
-    shift = 32 - top.bit_length()
-    runs, got = [], 0
-    while count - got >= _ROUND_MIN:
-        need = count - got
-        bits = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        words = np.frombuffer(bits, dtype="<u4") >> shift
-        runs.append(words[words < top].astype(np.int64) + 1)
-        got += len(runs[-1])
-    runs.append(np.array([rng.randrange(1, params.q) for _ in range(count - got)], np.int64))
-    return np.concatenate(runs)
 
 
 class FieldElement:

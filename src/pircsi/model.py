@@ -13,8 +13,9 @@ from random import Random
 
 import numpy as np
 
+from .draws import RandomDraws
 from .errors import ParameterError
-from .field import FieldElement, FieldParams, sample_coefficients
+from .field import FieldElement, FieldParams
 
 MODEL_I = "I"
 MODEL_II = "II"
@@ -163,7 +164,7 @@ def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[i
 
 def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
     """Draw a uniform scenario: (W, S) from sample_demand, then C uniform over
-    units and Y = sum(c_i * X_i)."""
+    units (one coefficients draw, as Python ints) and Y = sum(c_i * X_i)."""
     W, S = sample_demand(db.K, M, model, rng)
-    C = tuple(sample_coefficients(db.params, rng, M))
+    C = tuple(RandomDraws(rng).coefficients(db.params.q, M).tolist())
     return Scenario(W=W, S=S, C=C, Y=side_information(db, S, C), model=model)

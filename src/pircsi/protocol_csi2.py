@@ -87,11 +87,12 @@ def download_cost(K: int, M: int) -> int:
 
 def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
-    attach_coefficients."""
+    attach_coefficients over the same draws."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
-    structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
-    return attach_coefficients(structure, scenario, rng)
+    d = draws_from(rng)
+    structure = draw_structure(scenario.W, scenario.S, K, d, **mutations)
+    return attach_coefficients(structure, scenario, d)
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
@@ -147,15 +148,16 @@ def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True)
 
 
 def attach_coefficients(
-    structure: Structure, scenario: Scenario, rng: Random
+    structure: Structure, scenario: Scenario, rng
 ) -> tuple[Query, DecoderState]:
     """Complete a second-model structure into a query.  The probe set takes a
     fresh coefficient; the set at the demand slot takes the side
     information's own coefficients, except on the demand in the overlap and
     full cases, which takes a fresh one unequal to its own; a cover set takes
     fresh coefficients.  The decoder's scalars follow from the coefficients
-    placed, with Y = sum(c_i * X_i) over S."""
-    case = structure.case_tag
+    placed, with Y = sum(c_i * X_i) over S.  rng is a random.Random or the
+    RandomDraws that drew the structure."""
+    d, case = draws_from(rng), structure.case_tag
     params = scenario.Y.params
     own = dict(zip(scenario.S, scenario.C))
     c_W = own[scenario.W]
@@ -163,8 +165,8 @@ def attach_coefficients(
         return Query((), MODEL_II, case), decoder_state(scenario, None, -c_W)
     if case == CASE_SINGLE:
         ((probe,),) = structure.sets
-        c = sample_coefficient(params, rng)
-        query = Query.of(*coefficient_arrays(structure, {probe: c}, params, rng), MODEL_II, case)
+        c = sample_coefficient(params, d.rng)
+        query = Query.of(*coefficient_arrays(structure, {probe: c}, params.q, d), MODEL_II, case)
         if probe == scenario.W:  # A = c * X_W
             return query, DecoderState(scenario, 0, pow(c, -1, params.q), 0)
         # A = c * X_p for the partner p, and Y = c_p * X_p + c_W * X_W
@@ -174,10 +176,10 @@ def attach_coefficients(
     if case == CASE_DISJOINT:  # the demand set holds S without W: A - Y = -c_W * X_W
         delta = -c_W
     else:  # a fresh c on W in place of c_W: A - Y = (c - c_W) * X_W
-        c = _fresh_coeff_excluding(params, rng, c_W)
+        c = _fresh_coeff_excluding(params, d.rng, c_W)
         own[scenario.W] = c
         delta = c - c_W
-    idx, coef = coefficient_arrays(structure, own, params, rng)
+    idx, coef = coefficient_arrays(structure, own, params.q, d)
     state = decoder_state(scenario, structure.demand_slot, delta)
     return Query.of(idx, coef, MODEL_II, case), state
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
-from .field import FieldElement, coefficient_array, sample_coefficient
+from .field import FieldElement, sample_coefficient
 from .model import MODEL_I, Database, Scenario
 from .pmf import Cdf, rp_distribution
 
@@ -56,7 +56,8 @@ class Query:
     __slots__ = ("idx", "coef", "model", "case_tag")
 
     def __init__(self, sets=(), model: str = MODEL_I, case_tag: int = 0):
-        self.idx, self.coef = _rows([qs.indices for qs in sets]), _rows([qs.coeffs for qs in sets])
+        self.idx = rows_array([qs.indices for qs in sets])
+        self.coef = rows_array([qs.coeffs for qs in sets])
         self.model, self.case_tag = model, case_tag
 
     @classmethod
@@ -79,8 +80,9 @@ class Query:
         return isinstance(other, Query) and key == (other.model, other.case_tag, other.sets)
 
 
-def _rows(rows: list) -> np.ndarray:
-    """Rows of ints as an (n, s) int64 array, any other rows as an (n,) object array."""
+def rows_array(rows) -> np.ndarray:
+    """Rows of ints, such as hand-written sets or a fingerprint's, as an (n, s)
+    int64 array; any other rows as an (n,) object array."""
     width = len(rows[0]) if rows else 0
     if all(len(row) == width for row in rows):
         try:
@@ -150,11 +152,15 @@ class Structure(NamedTuple):
 
 def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
-    attach_coefficients.  mutations are _draw's underscored keywords."""
+    attach_coefficients over the same draws, then check_partition on the
+    query's index array.  mutations are _draw's underscored keywords."""
     if scenario.model != MODEL_I:
         raise ParameterError(f"expected a model {MODEL_I} scenario, got {scenario.model!r}")
-    structure = draw_structure(scenario.W, scenario.S, K, rng, **mutations)
-    return attach_coefficients(structure, scenario, rng)
+    d = draws_from(rng)
+    structure = draw_structure(scenario.W, scenario.S, K, d, **mutations)
+    query, state = attach_coefficients(structure, scenario, d)
+    check_partition(query.idx, K, len(scenario.S))
+    return query, state
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
@@ -196,8 +202,9 @@ def _draw(
     s, r = d.choose(dist.cdf if _class_pmf is None else _class_pmf)
     take = _first if _deterministic_extras else d.sample
 
-    support = set(S)
-    outside = [i for i in range(1, K + 1) if i != W and i not in support]
+    outside = list(range(1, K + 1))
+    for i in sorted((W, *S), reverse=True):  # deleting in place beats a filter
+        del outside[i - 1]
     sets = [[W, *S]]
     d.shuffle(sets[0])
     # The l repeats sit in one pair of sets: two cover sets sharing r = l
@@ -217,7 +224,6 @@ def _draw(
         d.shuffle(cover)
         sets.append(cover)
     sets.extend(d.split(outside, M + 1))
-    _validate_partition(sets, K, M, l)
 
     order = list(range(n))
     if _shuffle_order:
@@ -236,47 +242,57 @@ def _without(pool: list, taken) -> list:
 
 
 def attach_coefficients(
-    structure: Structure, scenario: Scenario, rng: Random
+    structure: Structure, scenario: Scenario, rng
 ) -> tuple[Query, DecoderState]:
     """Complete a first-model structure into a query: a fresh coefficient on
     the demand, the side information's own coefficient on each support index
-    of the demand set, and fresh coefficients on every cover set."""
-    c = sample_coefficient(scenario.Y.params, rng)
+    of the demand set, and fresh coefficients on every cover set.  rng is a
+    random.Random or the RandomDraws that drew the structure."""
+    d = draws_from(rng)
+    c = sample_coefficient(scenario.Y.params, d.rng)
     own = dict(zip(scenario.S, scenario.C))
     own[scenario.W] = c
-    idx, coef = coefficient_arrays(structure, own, scenario.Y.params, rng)
+    idx, coef = coefficient_arrays(structure, own, scenario.Y.params.q, d)
     return Query.of(idx, coef), decoder_state(scenario, structure.demand_slot, c)
 
 
-def coefficient_arrays(structure: Structure, own: dict, params, rng: Random) -> tuple:
+def coefficient_arrays(structure: Structure, own: dict, q: int, d) -> tuple:
     """The structure's sets as a Query's (n, s) index and coefficient arrays:
     the set at the demand slot takes own[i] on each index i, every other set
-    a fresh nonzero scalar per index, all drawn in one call in set order."""
+    a fresh nonzero scalar per index, all from one d.coefficients call in
+    set order.  Sets of different sizes are a construction fault."""
     sets, slot = structure.sets, structure.demand_slot
     n, s = len(sets), len(sets[0])
+    if {*map(len, sets)} != {s}:
+        raise ProtocolError("built a set of the wrong size")
     idx = np.fromiter(chain.from_iterable(sets), np.int64, n * s).reshape(n, s)
     coef = np.empty((n, s), dtype=np.int64)
-    coef[np.arange(n) != slot] = coefficient_array(params, rng, (n - 1) * s).reshape(n - 1, s)
+    if n > 1:
+        coef[np.arange(n) != slot] = d.coefficients(q, (n - 1) * s).reshape(n - 1, s)
     coef[slot] = [own[i] for i in sets[slot]]
     return idx, coef
 
 
-def _validate_partition(sets, K: int, M: int, l: int) -> None:
-    """Construction guard: sizes, coverage, and the exact repeat budget."""
-    seen, twice = set(), set()
-    for indices in sets:
-        if len(indices) != M + 1:
-            raise ProtocolError("built a set of the wrong size")
-        if len(set(indices)) != M + 1:
-            raise ProtocolError("built a set with a repeated index")
-        again = seen.intersection(indices)
-        if not twice.isdisjoint(again):
-            raise ProtocolError("built sets with the wrong repeat budget")
-        twice |= again
-        seen.update(indices)
-    if len(seen) != K or min(seen) < 1 or max(seen) > K:
+def check_partition(idx: np.ndarray, K: int, M: int) -> None:
+    """The first model's construction guard on a query's index array: sets
+    of M+1 indices, none twice in one set, that cover [1, K] with no index
+    thrice and l = n(M+1) - K, n = ceil(K/(M+1)), twice.  Raises ProtocolError.
+    build_query runs it once per query, the auditors once per distinct
+    fingerprint, which keeps every fact it reads."""
+    if idx.ndim != 2 or idx.shape[1] != M + 1:
+        raise ProtocolError("built a set of the wrong size")
+    rows = np.sort(idx, axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        raise ProtocolError("built a set with a repeated index")
+    if rows[:, 0].min() < 1:
         raise ProtocolError("built sets that do not cover the database")
-    if len(twice) != l:
+    counts = np.bincount(idx.ravel())  # counts[i]: sets holding index i
+    times = np.bincount(counts[1:], minlength=3)  # times[c]: indices held c times
+    if len(times) > 3:
+        raise ProtocolError("built sets with the wrong repeat budget")
+    if len(counts) != K + 1 or times[0]:
+        raise ProtocolError("built sets that do not cover the database")
+    if times[2] != -(-K // (M + 1)) * (M + 1) - K:
         raise ProtocolError("built sets with the wrong repeat budget")
 
 

@@ -4,6 +4,7 @@ Both protocol modules expose the same entry points with the same signatures,
 so callers look the module up here instead of branching on the model:
 
     build_query(scenario, K, rng)       draw_structure, then attach_coefficients
+                                        (protocol_rp's then runs check_partition)
     draw_structure(W, S, K, rng)        the index sets, their order, the demand slot
     attach_coefficients(structure, scenario, rng)
                                         the coefficients; returns (Query, DecoderState)
@@ -16,11 +17,12 @@ so callers look the module up here instead of branching on the model:
 Both build the one query type, protocol_rp.Query, whose model names the
 module that answers it and whose (n, s) index and coefficient arrays go
 from attach_coefficients to the encoder's check_set_arrays and record
-array.  Both draw all fresh coefficients of a query in one
-field.coefficient_array call, the values of one randrange(1, q) per index.
-attach_coefficients returns DecoderState(scenario, demand_slot, a, b), and
-the one decode_answer, protocol_rp's, computes X_W = a * A[demand_slot] +
-b * Y from that row of the Answer's (n, m) word array.  The server parses
+array.  Both draw a query's structure and all its cover-set coefficients
+over one draws.RandomDraws, the coefficients in one coefficients(q, count)
+call on the thread's numpy Generator.  attach_coefficients returns
+DecoderState(scenario, demand_slot, a, b), and the one decode_answer,
+protocol_rp's, computes X_W = a * A[demand_slot] + b * Y from that row of
+the Answer's (n, m) word array.  The server parses
 a frame into the same arrays, checks them with check_sizes and
 check_set_arrays, and answers from protocol_rp.answer_words.
 """

@@ -30,8 +30,8 @@ from pircsi import (
     wire,
 )
 from pircsi.audit import audit_recoverability
-from pircsi.pmf import case2_pmf, case3_pmf, partition_rounds, rp_distribution
-from pircsi.protocol_rp import _validate_partition
+from pircsi.pmf import case2_pmf, case3_pmf, rp_distribution
+from pircsi.protocol_rp import check_partition, rows_array
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> str:
@@ -176,7 +176,7 @@ def test_criterion_5_large_two_set_draws_finish():
             finally:
                 signal.alarm(0)
             elapsed = time.perf_counter() - start
-            _validate_partition(structure.sets, K, M, partition_rounds(K, M)[1])
+            check_partition(rows_array(structure.sets), K, M)
             if elapsed >= 2.0:
                 bad.append((K, M, f"{elapsed:.2f}s"))
     finally:

@@ -1,6 +1,6 @@
 """The production interpreter of the draw primitives: a query is fixed by the
 caller's seeded Random alone, whatever thread or process builds it, and the
-numpy Generator stream its shuffles read is pinned."""
+numpy Generator stream its shuffles and coefficients read is pinned."""
 import os
 import subprocess
 import sys
@@ -9,6 +9,7 @@ from pathlib import Path
 from random import Random
 
 from pircsi import (
+    CASE_SINGLE,
     Database,
     FieldParams,
     MODEL_I,
@@ -20,7 +21,8 @@ from pircsi import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CELLS = [(MODEL_I, 100, 9), (MODEL_II, 100, 70), (MODEL_I, 12, 2)]
+CELLS = [(MODEL_I, 100, 9), (MODEL_II, 100, 70), (MODEL_I, 12, 2), (MODEL_I, 1000, 9),
+         (MODEL_II, 4, 2)]
 
 
 def _queries(seed: int) -> list[bytes]:
@@ -68,25 +70,57 @@ def test_a_fresh_process_builds_the_same_query():
     assert bytes.fromhex(done.stdout.strip()) == b"".join(_queries(5))
 
 
-# list(range(10)) shuffled as RandomDraws shuffles, by the Generator of a
+class _Counting(Random):
+    """A Random that counts its getrandbits(128) calls: one per Generator state."""
+
+    states = 0
+
+    def getrandbits(self, k):
+        self.states += k == 128
+        return super().getrandbits(k)
+
+
+def test_a_query_sets_the_thread_generator_state_once():
+    # One RandomDraws serves the structure draw and the coefficients, so a
+    # query sets the Generator's state once, and a scenario's C once more.
+    params = FieldParams(257, 4)
+    for model, K, M in CELLS + [(MODEL_II, 8, 8), (MODEL_II, 8, 3)]:
+        db = Database.random(params, K, Random(K))
+        protocol = protocol_rp if model == MODEL_I else protocol_csi2
+        rng = _Counting(1)
+        scenario = sample_scenario(db, M, model, rng)
+        assert rng.states == 1
+        query, _ = protocol.build_query(scenario, K, rng)
+        # the single-probe case shuffles nothing and draws one randrange
+        assert rng.states == (1 if query.case_tag == CASE_SINGLE else 2), (model, K, M)
+
+
+# list(range(10)) shuffled as RandomDraws shuffles, and ten coefficients mod
+# 257 drawn as RandomDraws.coefficients draws them, each by the Generator of a
 # PCG64(0) whose state is then set to STATE; taken under numpy 2.4.
 STATE = 20181011 << 64 | 20181011
 PINNED_SHUFFLE = [1, 3, 5, 6, 9, 4, 8, 0, 2, 7]
+PINNED_COEFFICIENTS = [213, 2, 77, 219, 138, 30, 131, 88, 49, 195]
 
 
-def test_numpy_generator_stream_is_pinned():
+def _pinned_generator():
     from numpy.random import PCG64, Generator
 
     bits = PCG64(0)
     state = bits.state
     state["state"]["state"] = STATE
     bits.state = state
+    return Generator(bits)
+
+
+def test_numpy_generator_stream_is_pinned():
     items = list(range(10))
-    Generator(bits).shuffle(items)
-    assert items == PINNED_SHUFFLE, (
-        "numpy's Generator(PCG64) shuffle stream changed: every seeded query, "
-        "and so the reveal transcripts in tests/golden/, depend on it; "
-        "re-record them and the pinned shuffle together"
+    _pinned_generator().shuffle(items)
+    coefficients = _pinned_generator().integers(1, 257, size=10).tolist()
+    assert (items, coefficients) == (PINNED_SHUFFLE, PINNED_COEFFICIENTS), (
+        "numpy's Generator(PCG64) shuffle or integers stream changed: every "
+        "seeded scenario and query, and so the reveal transcripts in "
+        "tests/golden/, depend on it; re-record them and the pinned values together"
     )
 
 

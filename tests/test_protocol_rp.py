@@ -15,8 +15,12 @@ from pircsi import (
     ProtocolError,
     Query,
     QuerySet,
+    audit_exact,
+    audit_montecarlo,
     sample_scenario,
 )
+from pircsi.audit import _Enumeration
+from pircsi.draws import RandomDraws
 from pircsi.protocol_rp import (
     answer_query,
     build_query,
@@ -293,3 +297,52 @@ def test_decode_validation(gf3):
 def test_queryset_pairing_is_enforced():
     with pytest.raises(ParameterError):
         QuerySet((1, 2), (1,))
+
+
+# ------------------------------------------------------------ partition guard
+
+# A tail split with one construction fault, and the partition guard's text
+# for it.  At I(12,2) the nine outside indices always split into three blocks.
+GUARD_TEXTS = {
+    "duplicated-and-dropped": "built sets that do not cover the database",
+    "repeated-in-a-set": "built a set with a repeated index",
+    "one-index-thrice": "built sets with the wrong repeat budget",
+    "wrong-size": "built a set of the wrong size",
+}
+
+
+def _broken_split(split, fault):
+    def broken(self, seq, size):
+        blocks = split(self, seq, size)
+        if fault == "duplicated-and-dropped":  # block 0 swaps its first index for block 1's
+            blocks[0][0] = blocks[1][0]
+        elif fault == "repeated-in-a-set":
+            blocks[0][1] = blocks[0][0]
+        elif fault == "one-index-thrice":
+            blocks[0][0] = blocks[2][0] = blocks[1][0]
+        else:
+            blocks[0].append(blocks[1].pop())
+        return blocks
+
+    return broken
+
+
+def _build_one(gf3):
+    scenario = sample_scenario(Database.random(gf3, 12, Random(0)), 2, MODEL_I, Random(1))
+    return build_query(scenario, 12, Random(2))
+
+
+@pytest.mark.parametrize("fault", sorted(GUARD_TEXTS))
+@pytest.mark.parametrize("caller", ["build_query", "audit_montecarlo", "audit_exact"])
+def test_the_partition_guard_refuses_a_broken_split(monkeypatch, gf3, caller, fault):
+    # The guard runs once per query in build_query, and once per distinct
+    # fingerprint in each auditor; the exact one interprets split itself.
+    interpreter = _Enumeration if caller == "audit_exact" else RandomDraws
+    monkeypatch.setattr(interpreter, "split", _broken_split(interpreter.split, fault))
+    run = {
+        "build_query": lambda: _build_one(gf3),
+        "audit_montecarlo": lambda: audit_montecarlo(MODEL_I, 12, 2, 20, Random(0)),
+        "audit_exact": lambda: audit_exact(MODEL_I, 12, 2),
+    }[caller]
+    with pytest.raises(ProtocolError, match=f"^{GUARD_TEXTS[fault]}$"):
+        run()
