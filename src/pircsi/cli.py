@@ -366,11 +366,18 @@ def _cmd_db_gen(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
+def _port(text: str) -> int:
+    # The socket layer would take a larger port modulo 2^16.
+    if not text.isdigit() or int(text) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"expected a port in [0, 65535], got {text!r}")
+    return int(text)
+
+
 def _addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    return host, _port(port)
 
 
 def _add_field_flags(sub: argparse.ArgumentParser) -> None:
@@ -446,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--db", required=True, help="database file from 'db gen'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=None, help="default: $PIRCSI_PORT, else 7641"
+        "--port", type=_port, default=None, help="default: $PIRCSI_PORT, else 7641"
     )
     serve.set_defaults(func=_cmd_serve)
 

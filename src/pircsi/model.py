@@ -1,4 +1,5 @@
-"""Problem setup: the message database and the client's side information.
+"""Problem setup: the message database, the answer kernel over it, and the
+client's side information.
 
 A database holds K field elements X_1..X_K (indices are 1-based throughout).
 A scenario fixes the client's state: the demand index W, the support S of the
@@ -100,6 +101,19 @@ class Database:
             return cls.from_bytes(fh.read())
 
 
+def answer_words(db: Database, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each
+    set, as one gather over the database words, row k holding set k's m
+    words as int64.  It checks nothing: idx and coef are (n, s) int64 arrays
+    of indices in [1, K], none twice in a row, and coefficients in [1, q-1],
+    such as the sets of a query that passed check_set_arrays and its model's
+    check_sizes."""
+    # Words are below q and coefficients at most q - 1, with q < 2^16, so a
+    # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
+    # sum exactly, and one reduction mod q at the end suffices.
+    return np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % db.params.q
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One client state: demand W, support S (sorted), coefficients C, and Y."""
@@ -125,14 +139,13 @@ def side_information(db: Database, S, C) -> FieldElement:
     if len(set(S)) != len(S):
         raise ParameterError("support indices must be distinct")
     q, K = db.params.q, db.K
-    total = [0] * db.params.m
     for i, c in zip(S, C):
-        if not 1 <= i <= K:
+        if not isinstance(i, int) or not 1 <= i <= K:
             raise ParameterError(f"support index {i} outside [1, {K}]")
         if not isinstance(c, int) or not 1 <= c % q == c:
             raise ParameterError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
-        total = [t + c * x for t, x in zip(total, db.words[i - 1].tolist())]
-    return FieldElement(db.params, tuple(t % q for t in total))
+    words = answer_words(db, np.array([S], dtype=np.int64), np.array([C], dtype=np.int64))
+    return FieldElement(db.params, tuple(words[0].tolist()))
 
 
 def check_cell(K: int, M: int, model: str) -> None:

@@ -24,17 +24,18 @@ from random import Random
 from .draws import draws_from
 from .errors import ParameterError, ShapeError
 from .field import sample_coefficient
-from .model import MODEL_II, Database, Scenario
+from .model import MODEL_II, Database, Scenario, answer_words
 from .pmf import Cdf, case2_pmf, case3_pmf
 from .protocol_rp import (
     Answer,
     DecoderState,
     Query,
     Structure,
-    answer_sets,
+    check_set_arrays,
     coefficient_arrays,
     decode_answer,
     decoder_state,
+    rows_array,
 )
 
 CASE_TRIVIAL = 0
@@ -162,11 +163,12 @@ def attach_coefficients(
     own = dict(zip(scenario.S, scenario.C))
     c_W = own[scenario.W]
     if case == CASE_TRIVIAL:  # 0 - Y = -c_W * X_W
-        return Query((), MODEL_II, case), decoder_state(scenario, None, -c_W)
+        empty = rows_array(())
+        return Query(empty, empty, MODEL_II, case), decoder_state(scenario, None, -c_W)
     if case == CASE_SINGLE:
         ((probe,),) = structure.sets
         c = sample_coefficient(params, d.rng)
-        query = Query.of(*coefficient_arrays(structure, {probe: c}, params.q, d), MODEL_II, case)
+        query = Query(*coefficient_arrays(structure, {probe: c}, params.q, d), MODEL_II, case)
         if probe == scenario.W:  # A = c * X_W
             return query, DecoderState(scenario, 0, pow(c, -1, params.q), 0)
         # A = c * X_p for the partner p, and Y = c_p * X_p + c_W * X_W
@@ -181,7 +183,7 @@ def attach_coefficients(
         delta = c - c_W
     idx, coef = coefficient_arrays(structure, own, params.q, d)
     state = decoder_state(scenario, structure.demand_slot, delta)
-    return Query.of(idx, coef, MODEL_II, case), state
+    return Query(idx, coef, MODEL_II, case), state
 
 
 @lru_cache(maxsize=None)
@@ -196,14 +198,6 @@ def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
         c = sample_coefficient(params, rng)
         if c != taboo:
             return c
-
-
-def check_shape(query: Query, K: int) -> None:
-    """Raise ShapeError unless the query has its case's shape against K: a
-    model II query whose case tag and set sizes pass check_sizes."""
-    if query.model != MODEL_II:
-        raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
-    check_sizes(query.case_tag, query.sizes, K)
 
 
 def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
@@ -225,6 +219,10 @@ def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
 
 
 def answer_query(db: Database, query: Query) -> Answer:
-    """Check the query, then evaluate each set against the database."""
-    check_shape(query, db.K)
-    return answer_sets(db, query)
+    """Refuse a query of the other model, then make the server's calls:
+    check_sizes, check_set_arrays, and the answer kernel."""
+    if query.model != MODEL_II:
+        raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
+    check_sizes(query.case_tag, query.sizes, db.K)
+    check_set_arrays(query.idx, query.coef, db.K, db.params.q)
+    return Answer(db.params, answer_words(db, query.idx, query.coef))

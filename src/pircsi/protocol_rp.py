@@ -14,7 +14,6 @@ demand as X_W = a * A[slot] + b * Y from one downloaded element A[slot] and
 Y, with the scalars a and b fixed when the coefficients are attached.
 """
 
-import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -26,7 +25,7 @@ import numpy as np
 from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
 from .field import FieldElement, sample_coefficient
-from .model import MODEL_I, Database, Scenario
+from .model import MODEL_I, Database, Scenario, answer_words
 from .pmf import Cdf, rp_distribution
 
 
@@ -47,24 +46,13 @@ class Query:
     """A query of either model, holding exactly what the wire format carries:
     the coefficient-weighted sets, the model, and the case tag (the second
     model's case; always 0 for the first).  The sets are two (n, s) int64
-    arrays, idx of indices and coef of coefficients, row k being set k; sets
-    gives them as QuerySets, built on demand.  Builders and the parser pass
-    their arrays to Query.of; Query(sets, model, case_tag) takes QuerySets
-    written by hand, and keeps rows of different sizes, or entries that are
-    no ints, as written in an (n,) object array for the checks to refuse."""
+    arrays, idx of indices and coef of coefficients, row k being set k, taken
+    as they are; sets gives them as QuerySets, built on demand."""
 
     __slots__ = ("idx", "coef", "model", "case_tag")
 
-    def __init__(self, sets=(), model: str = MODEL_I, case_tag: int = 0):
-        self.idx = rows_array([qs.indices for qs in sets])
-        self.coef = rows_array([qs.coeffs for qs in sets])
-        self.model, self.case_tag = model, case_tag
-
-    @classmethod
-    def of(cls, idx: np.ndarray, coef: np.ndarray, model: str = MODEL_I, case_tag: int = 0):
-        query = cls.__new__(cls)
-        query.idx, query.coef, query.model, query.case_tag = idx, coef, model, case_tag
-        return query
+    def __init__(self, idx: np.ndarray, coef: np.ndarray, model: str = MODEL_I, case_tag: int = 0):
+        self.idx, self.coef, self.model, self.case_tag = idx, coef, model, case_tag
 
     @property
     def sets(self) -> tuple[QuerySet, ...]:
@@ -72,50 +60,46 @@ class Query:
 
     @property
     def sizes(self) -> list[int]:
-        idx = self.idx
-        return [len(row) for row in idx] if idx.ndim == 1 else [idx.shape[1]] * len(idx)
+        return [self.idx.shape[1]] * len(self.idx)
 
     def __eq__(self, other):
-        key = (self.model, self.case_tag, self.sets)
-        return isinstance(other, Query) and key == (other.model, other.case_tag, other.sets)
+        return (
+            isinstance(other, Query)
+            and (self.model, self.case_tag) == (other.model, other.case_tag)
+            and np.array_equal(self.idx, other.idx)
+            and np.array_equal(self.coef, other.coef)
+        )
 
 
 def rows_array(rows) -> np.ndarray:
-    """Rows of ints, such as hand-written sets or a fingerprint's, as an (n, s)
-    int64 array; any other rows as an (n,) object array."""
-    width = len(rows[0]) if rows else 0
-    if all(len(row) == width for row in rows):
-        try:
-            flat = array("q", chain.from_iterable(rows))
-            return np.frombuffer(flat, dtype=np.int64).reshape(len(rows), width)
-        except (TypeError, OverflowError):
-            pass
-    return np.fromiter(map(tuple, rows), dtype=object, count=len(rows))
+    """Rows of ints of one length, such as a fingerprint's, as an (n, s)
+    int64 array."""
+    flat = array("q", chain.from_iterable(rows))
+    return np.frombuffer(flat, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 class Answer:
     """Server response: one element of the field params per query set, in
     set order, as the rows of the (n, m) word array words; values gives them
-    as FieldElements on demand.  Answer(values) takes FieldElements."""
+    as FieldElements on demand.  Answers are equal when their words are, so
+    an int64 answer equals its u16 parse, and any two empty answers are
+    equal."""
 
     __slots__ = ("params", "words")
 
-    def __init__(self, values=()):
-        self.params = values[0].params if values else None
-        self.words = np.array([x.coeffs for x in values] or np.zeros((0, 0)), dtype=np.int64)
-
-    @classmethod
-    def of(cls, params, words: np.ndarray) -> "Answer":
-        answer = cls.__new__(cls)
-        answer.params, answer.words = params, words
-        return answer
+    def __init__(self, params, words: np.ndarray):
+        self.params, self.words = params, words
 
     @property
     def values(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.params, tuple(row)) for row in self.words.tolist())
 
     def __eq__(self, other):
-        return isinstance(other, Answer) and self.values == other.values
+        if not isinstance(other, Answer):
+            return False
+        if not (len(self.words) or len(other.words)):
+            return True
+        return self.params == other.params and np.array_equal(self.words, other.words)
 
 
 @dataclass(frozen=True)
@@ -253,7 +237,7 @@ def attach_coefficients(
     own = dict(zip(scenario.S, scenario.C))
     own[scenario.W] = c
     idx, coef = coefficient_arrays(structure, own, scenario.Y.params.q, d)
-    return Query.of(idx, coef), decoder_state(scenario, structure.demand_slot, c)
+    return Query(idx, coef), decoder_state(scenario, structure.demand_slot, c)
 
 
 def coefficient_arrays(structure: Structure, own: dict, q: int, d) -> tuple:
@@ -279,7 +263,7 @@ def check_partition(idx: np.ndarray, K: int, M: int) -> None:
     thrice and l = n(M+1) - K, n = ceil(K/(M+1)), twice.  Raises ProtocolError.
     build_query runs it once per query, the auditors once per distinct
     fingerprint, which keeps every fact it reads."""
-    if idx.ndim != 2 or idx.shape[1] != M + 1:
+    if idx.shape[1] != M + 1:
         raise ProtocolError("built a set of the wrong size")
     rows = np.sort(idx, axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
@@ -294,15 +278,6 @@ def check_partition(idx: np.ndarray, K: int, M: int) -> None:
         raise ProtocolError("built sets that do not cover the database")
     if times[2] != -(-K // (M + 1)) * (M + 1) - K:
         raise ProtocolError("built sets with the wrong repeat budget")
-
-
-def check_shape(query: Query, K: int) -> None:
-    """Raise ShapeError unless the query has the first model's shape against
-    K messages: a model I query whose case tag and set sizes pass
-    check_sizes."""
-    if query.model != MODEL_I:
-        raise ShapeError(f"expected a model {MODEL_I} query, got {query.model!r}", "case")
-    check_sizes(query.case_tag, query.sizes, K)
 
 
 def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
@@ -322,9 +297,13 @@ def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
 
 
 def answer_query(db: Database, query: Query) -> Answer:
-    """Check the query, then evaluate each set against the database."""
-    check_shape(query, db.K)
-    return answer_sets(db, query)
+    """Refuse a query of the other model, then make the server's calls:
+    check_sizes, check_set_arrays, and the answer kernel."""
+    if query.model != MODEL_I:
+        raise ShapeError(f"expected a model {MODEL_I} query, got {query.model!r}", "case")
+    check_sizes(query.case_tag, query.sizes, db.K)
+    check_set_arrays(query.idx, query.coef, db.K, db.params.q)
+    return Answer(db.params, answer_words(db, query.idx, query.coef))
 
 
 def check_set_arrays(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> None:
@@ -332,10 +311,8 @@ def check_set_arrays(idx: np.ndarray, coef: np.ndarray, K: int, q: int) -> None:
     in [1, K], none twice in one set, every coefficient in [1, q-1].  Only if
     a numpy test on the int64 arrays finds a fault does a scan raise
     SetRuleError for the first in wire order: set by set, the indices (range,
-    then a repeat at its second slot), then the coefficients.  Rows written
-    by hand with entries that are no ints (see Query) go straight to the
-    scan, which names an entry as written (1.5, '2')."""
-    if object in (idx.dtype, coef.dtype) or _breaks_a_rule(idx, coef, K, q):
+    then a repeat at its second slot), then the coefficients."""
+    if _breaks_a_rule(idx, coef, K, q):
         _raise_first_fault(zip(idx.tolist(), coef.tolist()), K, q)
 
 
@@ -356,40 +333,15 @@ def _raise_first_fault(rows, K: int, q: int) -> None:
     for k, (indices, coeffs) in enumerate(rows):
         seen = set()
         for j, i in enumerate(indices):
-            if not _int_in_range(i, K):
+            if not 1 <= i <= K:
                 raise SetRuleError(f"index {i!r} outside [1, {K}]", k, j, "index", i)
             if i in seen:
                 raise SetRuleError("repeated index inside a query set", k, j, "repeat", i)
             seen.add(i)
         for j, c in enumerate(coeffs):
-            if not _int_in_range(c, q - 1):
+            if not 1 <= c < q:
                 text = f"coefficient {c!r} is not a nonzero scalar mod {q}"
                 raise SetRuleError(text, k, j, "coefficient", c)
-
-
-def _int_in_range(x, top: int) -> bool:
-    try:
-        return 1 <= operator.index(x) <= top
-    except TypeError:
-        return False
-
-
-def answer_words(db: Database, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The answer kernel of both models: sum(c_j * X_{i_j}) mod q for each
-    set, as one gather over the database words, row k holding set k's m
-    words as int64.  It checks nothing: idx and coef are the (n, s) arrays
-    of sets that passed check_set_arrays and their model's check_sizes."""
-    # Words are below q and coefficients at most q - 1, with q < 2^16, so a
-    # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
-    # sum exactly, and one reduction mod q at the end suffices.
-    return np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % db.params.q
-
-
-def answer_sets(db: Database, query: Query) -> Answer:
-    """The answer to a query of either model whose shape has passed its
-    check_shape: check_set_arrays, then answer_words."""
-    check_set_arrays(query.idx, query.coef, db.K, db.params.q)
-    return Answer.of(db.params, answer_words(db, query.idx, query.coef))
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:

@@ -8,10 +8,10 @@ so callers look the module up here instead of branching on the model:
     draw_structure(W, S, K, rng)        the index sets, their order, the demand slot
     attach_coefficients(structure, scenario, rng)
                                         the coefficients; returns (Query, DecoderState)
-    check_shape(query, K)               the model, then check_sizes; raises ShapeError
     check_sizes(case_tag, sizes, K)     the model's shape rules on the case tag and
                                         the list of set sizes; raises ShapeError
-    answer_query(db, query)             check_shape and check_set_arrays, then the answer
+    answer_query(db, query)             the model, then the server's calls: check_sizes,
+                                        check_set_arrays and model.answer_words
     decode_answer(answer, state)        the demand, from the answer and the client state
 
 Both build the one query type, protocol_rp.Query, whose model names the
@@ -24,7 +24,7 @@ DecoderState(scenario, demand_slot, a, b), and the one decode_answer,
 protocol_rp's, computes X_W = a * A[demand_slot] + b * Y from that row of
 the Answer's (n, m) word array.  The server parses
 a frame into the same arrays, checks them with check_sizes and
-check_set_arrays, and answers from protocol_rp.answer_words.
+check_set_arrays, and answers from model.answer_words.
 """
 
 from . import protocol_csi2, protocol_rp

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldParams
-from .model import MODEL_I, MODEL_II, Database
-from .protocol_rp import Answer, Query, answer_words, check_set_arrays
+from .model import MODEL_I, MODEL_II, Database, answer_words
+from .protocol_rp import Answer, Query, check_set_arrays
 from .protocols import PROTOCOLS
 
 MSG_QUERY = 0x01
@@ -86,20 +86,15 @@ def encode_query(query: Query, params: FieldParams) -> bytes:
         raise ParameterError(f"cannot encode a query of model {query.model!r}")
     if query.case_tag not in range(0x100):
         raise ParameterError(f"case tag {query.case_tag!r} does not fit in the case byte")
-    q, m, sizes = params.q, params.m, query.sizes
-    if 0 in sizes:
-        raise ParameterError(f"set {sizes.index(0)} is empty; a query set holds at least one index")
-    if len(set(sizes)) > 1:  # only rows written by hand can differ; no model admits it
-        k = next(k for k, size in enumerate(sizes) if size != sizes[0])
-        text = f"set {k} holds {sizes[k]} indices, set 0 {sizes[0]}: query sets share one size"
-        raise ParameterError(text)
+    q, m, (n, s) = params.q, params.m, query.idx.shape
+    if n and not s:
+        raise ParameterError("set 0 is empty; a query set holds at least one index")
     try:
         check_set_arrays(query.idx, query.coef, _INDEX_LIMIT, q)
     except SetRuleError as fault:
         k, j, v = fault.set_no, fault.slot, fault.value
         text = _REFUSALS[fault.what].format(v=v, k=k, j=j, limit=_INDEX_LIMIT, top=q - 1)
         raise SetRuleError(text, k, j, fault.what, v) from None
-    n, s = query.idx.shape
     if n > 0xFFFF or s > 0xFFFF:
         raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
     # One record per set, as the wire lays it out; a coefficient is an element
@@ -180,7 +175,7 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
             at = starts[k] + 4 * j
         text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
         raise WireParseError(text, at) from None
-    return Query.of(idx, coef, model, case_byte)
+    return Query(idx, coef, model, case_byte)
 
 
 # -- answer payloads --------------------------------------------------------
@@ -209,7 +204,7 @@ def decode_answer(data: bytes, params: FieldParams) -> Answer:
         raise WireParseError("truncated element", end)
     if end != len(data):
         raise WireParseError("trailing bytes after the answer", end)
-    return Answer.of(params, words)
+    return Answer(params, words)
 
 
 # -- hello payloads ---------------------------------------------------------
@@ -299,7 +294,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     # decode_query returns only well-formed queries, so the
                     # kernel answers without checking them a second time.
                     words = answer_words(db, query.idx, query.coef)
-                    self._send(MSG_ANSWER, encode_answer(Answer.of(db.params, words)))
+                    self._send(MSG_ANSWER, encode_answer(Answer(db.params, words)))
             else:
                 self._send(MSG_ERROR, f"unexpected frame type 0x{msg_type:02x}".encode())
 
@@ -313,9 +308,10 @@ class _TcpServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # Set before binding: a failed bind calls server_close, which reads them.
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address):
         with self._open_lock:

@@ -1,14 +1,29 @@
-"""Shared fixtures and the deviation bound used by the statistical tests."""
+"""Shared fixtures, the deviation bound used by the statistical tests, and
+builders of hand-written queries and answers."""
 import math
 
+import numpy as np
 import pytest
 
-from pircsi import FieldParams
+from pircsi import MODEL_I, Answer, FieldParams, Query
+from pircsi.protocol_rp import rows_array
 
 
 def count_bound(trials: int, p: float, sigmas: float = 4.0) -> float:
     """Allowed |count - trials*p| for a binomial count, in standard deviations."""
     return sigmas * math.sqrt(trials * p * (1.0 - p))
+
+
+def query_of(sets, model: str = MODEL_I, case_tag: int = 0) -> Query:
+    """The Query of hand-written (indices, coefficients) pairs of one size."""
+    idx, coef = rows_array([i for i, _ in sets]), rows_array([c for _, c in sets])
+    return Query(idx, coef, model, case_tag)
+
+
+def answer_of(params: FieldParams, values) -> Answer:
+    """The Answer of a sequence of field elements."""
+    words = np.array([x.coeffs for x in values], dtype=np.int64)
+    return Answer(params, words.reshape(len(values), params.m))
 
 
 @pytest.fixture(scope="session")

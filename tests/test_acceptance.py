@@ -13,13 +13,10 @@ from fractions import Fraction
 from random import Random
 
 from pircsi import (
-    Answer,
     Database,
     FieldParams,
     MODEL_I,
     MODEL_II,
-    Query,
-    QuerySet,
     audit_exact,
     audit_montecarlo,
     capacity,
@@ -32,6 +29,8 @@ from pircsi import (
 from pircsi.audit import audit_recoverability
 from pircsi.pmf import case2_pmf, case3_pmf, rp_distribution
 from pircsi.protocol_rp import check_partition, rows_array
+
+from conftest import answer_of, query_of
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> str:
@@ -238,16 +237,17 @@ def test_criterion_8_wire_protocol():
 
     # golden byte vectors
     gf3 = FieldParams(3)
-    query = Query(sets=(QuerySet((3, 1, 2), (1, 2, 2)),))
+    query = query_of([((3, 1, 2), (1, 2, 2))])
     if wire.encode_query(query, gf3) != bytes.fromhex(
         "01000100" "0300" "030000000100000002000000" "010002000200"
     ):
         problems.append("first-model query golden bytes")
-    trivial = Query(sets=(), model=MODEL_II, case_tag=protocol_csi2.CASE_TRIVIAL)
+    trivial = query_of([], MODEL_II, protocol_csi2.CASE_TRIVIAL)
     if wire.encode_query(trivial, gf3) != bytes.fromhex("02000000"):
         problems.append("query-free golden bytes")
     gf9 = FieldParams(3, 2)
-    if wire.encode_answer(Answer((gf9.element((2, 1)),))) != bytes.fromhex("0100" "02000100"):
+    answer = answer_of(gf9, [gf9.element((2, 1))])
+    if wire.encode_answer(answer) != bytes.fromhex("0100" "02000100"):
         problems.append("answer golden bytes")
     if wire.encode_frame(wire.MSG_HELLO, b"") != bytes.fromhex("0400000000"):
         problems.append("frame golden bytes")

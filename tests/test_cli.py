@@ -360,3 +360,30 @@ def test_fetch_reports_connection_failures(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_serve_on_a_busy_port_reports_the_bind_error(tmp_path, capsys):
+    path = tmp_path / "messages.db"
+    _run(capsys, "db", "gen", "--k", "5", "--q", "3", "--out", str(path))
+    with wire.PirServer(Database.load(path), port=0) as server:
+        code, _, err = _run(capsys, "serve", "--db", str(path), "--port", str(server.address[1]))
+    assert code == 1
+    assert "error: " in err and "Address already in use" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fetch", "--db", "none.db", "--addr", "127.0.0.1:99115", "--model", "I", "--m", "1"),
+        ("fetch", "--db", "none.db", "--addr", "127.0.0.1:65536", "--model", "I", "--m", "1"),
+        ("serve", "--db", "none.db", "--port", "70000"),
+        ("serve", "--db", "none.db", "--port", "65536"),
+    ],
+)
+def test_ports_outside_16_bits_are_usage_errors(capsys, argv):
+    # The socket layer once took 99115 as 99115 - 65536 = 33579.
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "expected a port in [0, 65535]" in capsys.readouterr().err

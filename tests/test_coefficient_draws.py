@@ -17,8 +17,6 @@ from pircsi import (
     FieldParams,
     MODEL_I,
     MODEL_II,
-    Query,
-    QuerySet,
     protocol_csi2,
     protocol_rp,
     sample_demand,
@@ -26,6 +24,8 @@ from pircsi import (
 )
 from pircsi.draws import RandomDraws, _thread
 from pircsi.field import sample_coefficient
+
+from conftest import query_of
 
 
 def _generator(rng: Random) -> Generator:
@@ -108,15 +108,15 @@ def _per_index_build(protocol, scenario, K, rng):
             c = rng.randrange(1, q)
         own[scenario.W] = c
         delta = c if c_W is None else c - c_W
-    sets = tuple(
-        QuerySet(indices, tuple(own[i] for i in indices))
+    sets = [
+        (indices, [own[i] for i in indices])
         if k == structure.demand_slot
-        else QuerySet(indices, tuple(int(d.coefficients(q, 1)[0]) for _ in indices))
+        else (indices, [int(d.coefficients(q, 1)[0]) for _ in indices])
         for k, indices in enumerate(structure.sets)
-    )
+    ]
     a = pow(delta, -1, q)
     state = DecoderState(scenario, structure.demand_slot, a, -a % q)
-    return Query(sets, scenario.model, structure.case_tag or 0), state
+    return query_of(sets, scenario.model, structure.case_tag or 0), state
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,14 @@ from random import Random
 import pytest
 
 from pircsi import (
-    Answer,
     Database,
     FieldParams,
     MODEL_II,
     ParameterError,
     ProtocolError,
-    Query,
-    QuerySet,
+    WireParseError,
     sample_scenario,
+    wire,
 )
 from pircsi.protocol_csi2 import (
     CASE_DISJOINT,
@@ -28,7 +27,7 @@ from pircsi.protocol_csi2 import (
     download_cost,
 )
 
-from conftest import count_bound
+from conftest import answer_of, count_bound, query_of
 
 
 def _round_trip(db, M, seed):
@@ -217,17 +216,22 @@ def test_build_rejects_wrong_model(gf3):
 def test_answer_validation(gf3):
     db = Database.random(gf3, 6, Random(0))
     with pytest.raises(ProtocolError):
-        answer_query(db, Query((), MODEL_II, 99))
+        answer_query(db, query_of([], MODEL_II, 99))
     # single-probe arity is one set of one index
-    bad = Query((QuerySet((1, 2), (1, 1)),), MODEL_II, CASE_SINGLE)
+    bad = query_of([((1, 2), (1, 1))], MODEL_II, CASE_SINGLE)
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
-    # paired cases need equal sizes
-    bad = Query((QuerySet((1, 2), (1, 1)), QuerySet((3,), (1,))), MODEL_II, CASE_DISJOINT)
-    with pytest.raises(ProtocolError):
-        answer_query(db, bad)
+    # paired cases need equal sizes; only a payload can carry unequal ones
+    blob = bytes.fromhex(
+        "0202" "0200"
+        "0200" "0100000002000000" "01000100"
+        "0100" "03000000" "0100"
+    )
+    with pytest.raises(WireParseError, match="paired sets must have equal sizes") as info:
+        wire.decode_query(blob, gf3, db.K)
+    assert info.value.offset == 4
     # full support means the whole database
-    bad = Query((QuerySet((1, 2, 3), (1, 1, 1)),), MODEL_II, CASE_FULL)
+    bad = query_of([((1, 2, 3), (1, 1, 1))], MODEL_II, CASE_FULL)
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
 
@@ -236,4 +240,4 @@ def test_decode_validation(gf3):
     db = Database.random(gf3, 8, Random(0))
     scenario, query, state, answer, _ = _round_trip(db, 4, 5)
     with pytest.raises(ProtocolError):
-        decode_answer(Answer(()), state)
+        decode_answer(answer_of(gf3, ()), state)

@@ -6,14 +6,12 @@ from random import Random
 import pytest
 
 from pircsi import (
-    Answer,
     Database,
     FieldParams,
     MODEL_I,
     MODEL_II,
     ParameterError,
     ProtocolError,
-    Query,
     QuerySet,
     audit_exact,
     audit_montecarlo,
@@ -29,7 +27,7 @@ from pircsi.protocol_rp import (
 )
 from pircsi.pmf import partition_rounds, rp_distribution
 
-from conftest import count_bound
+from conftest import answer_of, count_bound, query_of
 
 
 def _build(db, K, M, seed):
@@ -217,19 +215,19 @@ def test_corrupted_demand_answer_changes_the_decode(gf9):
     good = decode_answer(answer, state)
     values = list(answer.values)
     values[state.demand_slot] = values[state.demand_slot] + gf9.scalar(1)
-    assert decode_answer(Answer(tuple(values)), state) != good
+    assert decode_answer(answer_of(gf9, values), state) != good
     # other slots never feed the decoder
     values = list(answer.values)
     other = (state.demand_slot + 1) % len(values)
     if other != state.demand_slot:
         values[other] = values[other] + gf9.scalar(1)
-        assert decode_answer(Answer(tuple(values)), state) == good
+        assert decode_answer(answer_of(gf9, values), state) == good
 
 
 def test_answer_hand_value(gf3):
     # X = (1, 2); 2*X_1 + 1*X_2 = 4 = 1 in GF(3)
     db = Database(gf3, [gf3.scalar(1), gf3.scalar(2)])
-    query = Query(sets=(QuerySet((1, 2), (2, 1)),))
+    query = query_of([((1, 2), (2, 1))])
     answer = answer_query(db, query)
     assert answer.values == (gf3.scalar(1),)
 
@@ -274,13 +272,13 @@ def test_build_rejects_wrong_model(gf3):
 
 def test_answer_validation(gf3):
     db = Database.random(gf3, 4, Random(0))
-    bad = Query(sets=(QuerySet((1, 1), (1, 1)), QuerySet((2, 3), (1, 1))))
+    bad = query_of([((1, 1), (1, 1)), ((2, 3), (1, 1))])
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
-    bad = Query(sets=(QuerySet((1, 5), (1, 1)), QuerySet((2, 3), (1, 1))))
+    bad = query_of([((1, 5), (1, 1)), ((2, 3), (1, 1))])
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
-    bad = Query(sets=(QuerySet((1, 2), (1, 0)), QuerySet((3, 4), (1, 1))))
+    bad = query_of([((1, 2), (1, 0)), ((3, 4), (1, 1))])
     with pytest.raises(ProtocolError):
         answer_query(db, bad)
 
@@ -289,7 +287,7 @@ def test_decode_validation(gf3):
     db = Database.random(gf3, 4, Random(0))
     _, query, state, _ = _build(db, 4, 1, 3)
     answer = answer_query(db, query)
-    short = Answer(answer.values[:0])
+    short = answer_of(gf3, answer.values[:0])
     with pytest.raises(ProtocolError):
         decode_answer(short, state)
 

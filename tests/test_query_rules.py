@@ -16,8 +16,6 @@ from pircsi import (
     MODEL_II,
     ParameterError,
     ProtocolError,
-    Query,
-    QuerySet,
     SetRuleError,
     ShapeError,
     WireParseError,
@@ -27,6 +25,8 @@ from pircsi import (
     wire,
 )
 from pircsi.protocol_csi2 import CASE_DISJOINT, CASE_TAGS, case_shape
+
+from conftest import query_of
 
 FIELDS = [(3, 1), (5, 2), (257, 4)]
 FAULTS = [
@@ -97,16 +97,11 @@ def _queries_with_a_fault(draw):
     return FieldParams(q, m), K, model, case, sets
 
 
-def _in_process(model, case, sets):
-    return Query(tuple(QuerySet(tuple(i), tuple(c)) for i, c in sets), model, case)
-
-
 @settings(max_examples=400, deadline=None)
 @given(_queries_with_a_fault())
 def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
     params, K, model, case, sets = drawn
     blob, offsets = _pack(1 if model == MODEL_I else 2, case, sets, params.m)
-    query = _in_process(model, case, sets)
     db = Database.random(params, K, Random(0))
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
 
@@ -114,10 +109,19 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
         parsed, parse_error = wire.decode_query(blob, params, K), None
     except WireParseError as exc:
         parsed, parse_error = None, exc
-    try:
-        answer, answer_error = protocol.answer_query(db, query), None
-    except ProtocolError as exc:
-        answer, answer_error = None, exc
+    sizes = [len(indices) for indices, _ in sets]
+    if len(set(sizes)) > 1:
+        # A query's arrays cannot hold sets of different sizes; answer_query
+        # would refuse them at its first call that reads sets, check_sizes.
+        with pytest.raises(ShapeError) as refused:
+            protocol.check_sizes(case, sizes, K)
+        query, answer, answer_error = None, None, refused.value
+    else:
+        query = query_of(sets, model, case)
+        try:
+            answer, answer_error = protocol.answer_query(db, query), None
+        except ProtocolError as exc:
+            answer, answer_error = None, exc
 
     assert (parse_error is None) == (answer_error is None), (parse_error, answer_error)
     if answer_error is None:
@@ -135,6 +139,8 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
         assert parse_error.offset in expected
     # The encoder refuses only queries the server would reject; it sends the
     # same bytes otherwise.
+    if query is None:
+        return
     try:
         assert wire.encode_query(query, params) == blob
     except ParameterError:
@@ -145,7 +151,7 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
 def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
     # a first-model query of one empty set and a disjoint-case query of two
     sets = [((), ())] * n
-    query = _in_process(model, case, sets)
+    query = query_of(sets, model, case)
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
     with pytest.raises(ShapeError, match="empty query set") as refused:
         protocol.answer_query(Database.random(gf3, 4, Random(0)), query)
@@ -193,18 +199,19 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
     assert callers == [("encode_query", "fetch"), ("decode_query", "_serve")]
 
 
-def test_sets_of_different_sizes_are_refused():
-    """No model's shape admits sets of different sizes, so the encoder
-    refuses them whole, with valid entries or not, and none is encoded."""
-    for sets in [
-        (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((2,), (1,))),
-        (QuerySet((1, 2, 3), (1, 2, 1)), QuerySet((4, 4), (1, 1))),
-        (QuerySet((1,), (1,)), QuerySet((4, 5), (1, 3))),
+def test_sets_of_different_sizes_are_refused(gf3):
+    """No model's shape admits sets of different sizes, and a query's arrays
+    cannot hold them, so only a payload carries them: the decoder refuses
+    it at the first set's size, whatever its entries."""
+    for model, case, sets, text in [
+        (MODEL_I, 0, [((1, 2, 3), (1, 2, 1)), ((2,), (1,))], "first-model sets must share"),
+        (MODEL_I, 0, [((1, 2, 3), (1, 2, 1)), ((4, 4), (1, 1))], "first-model sets must share"),
+        (MODEL_II, CASE_DISJOINT, [((1,), (1,)), ((4, 5), (1, 3))], "paired sets must have equal"),
     ]:
-        with pytest.raises(ParameterError, match="^set 1 holds . indices, set 0 .: ") as refused:
-            wire.encode_query(Query(sets), FieldParams(3))
-        assert str(refused.value).endswith(": query sets share one size")
-        assert type(refused.value) is ParameterError
+        blob, _ = _pack(1 if model == MODEL_I else 2, case, sets, gf3.m)
+        with pytest.raises(WireParseError, match=f"^{text}") as refused:
+            wire.decode_query(blob, gf3, 5)
+        assert refused.value.offset == 4
 
 
 @pytest.mark.parametrize(
