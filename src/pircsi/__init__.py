@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
     WireParseError,
 )
-from .field import FieldElement, FieldParams, sample_coefficient
+from .field import FieldElement, FieldParams
 from .model import (
     MODEL_I,
     MODEL_II,
@@ -110,7 +110,6 @@ __all__ = [
     "protocol_csi2",
     "protocol_rp",
     "rp_distribution",
-    "sample_coefficient",
     "sample_from_pmf",
     "sample_demand",
     "sample_scenario",

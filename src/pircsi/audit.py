@@ -23,7 +23,7 @@ from random import Random
 import numpy as np
 
 from .draws import RandomDraws
-from .errors import AuditSizeError, ParameterError, ProtocolError
+from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity, rp_distribution
@@ -44,14 +44,6 @@ MUTATIONS = {
 
 def _flat_cdf(table: dict) -> Cdf:
     return Cdf.of(dict.fromkeys(table, Fraction(1, len(table))))
-
-
-def _check_partition(fp: tuple, K: int, M: int) -> None:
-    """check_partition on a first-model fingerprint, whose sets a broken
-    draw may size unequally, which no index array can hold."""
-    if {*map(len, fp)} != {M + 1}:
-        raise ProtocolError("built a set of the wrong size")
-    check_partition(rows_array(fp), K, M)
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def scenario_law(
         if not enum.next_leaf():
             break
     for fp in {fp for _, fp in masses} if W not in S else ():
-        _check_partition(fp, K, len(S))
+        check_partition(rows_array(fp), K, len(S))
     D = lcm(*(den for den, _ in masses))
     law: dict = defaultdict(int)
     for (den, fp), num in masses.items():
@@ -376,7 +368,7 @@ def audit_montecarlo(
         for j, pos in enumerate(slot_of, start=1):
             slot_bins[j, pos][w] += 1
     for fp in fp_bins if model == MODEL_I else ():
-        _check_partition(fp, K, M)
+        check_partition(rows_array(fp), K, M)
 
     bins = [("fingerprint", fp_bins), ("slot", slot_bins)]
     keys = [(family, key) for family, table in bins for key in table]

@@ -317,8 +317,8 @@ def _cmd_pmf_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    db = Database.load(args.db)
     port = args.port if args.port is not None else wire.default_port()
+    db = Database.load(args.db)
     print(
         f"serving K={db.K} messages over GF({db.params.q}^{db.params.m}) "
         f"on {args.host}:{port}",
@@ -335,8 +335,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_fetch(args: argparse.Namespace) -> int:
     # The database file stands in for however the client came by its side
     # information; query bytes depend only on (W, S, C) and the seed.
+    host, port = args.addr or ("127.0.0.1", wire.default_port())
     db = Database.load(args.db)
-    host, port = args.addr
     remote_params, remote_k = wire.hello((host, port))
     if remote_params != db.params or remote_k != db.K:
         print("error: server database does not match the local copy", file=sys.stderr)
@@ -367,10 +367,10 @@ def _cmd_db_gen(args: argparse.Namespace) -> int:
 
 
 def _port(text: str) -> int:
-    # The socket layer would take a larger port modulo 2^16.
-    if not text.isdigit() or int(text) > 0xFFFF:
-        raise argparse.ArgumentTypeError(f"expected a port in [0, 65535], got {text!r}")
-    return int(text)
+    try:
+        return wire.parse_port(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _addr(text: str) -> tuple[str, int]:
@@ -459,9 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fetch = commands.add_parser("fetch", help="retrieve one message from a running server")
     fetch.add_argument("--db", required=True, help="local database copy (source of Y)")
-    fetch.add_argument(
-        "--addr", type=_addr, default=("127.0.0.1", wire.default_port()), help="HOST:PORT"
-    )
+    addr_help = "HOST:PORT (default: 127.0.0.1:$PIRCSI_PORT, else 127.0.0.1:7641)"
+    fetch.add_argument("--addr", type=_addr, default=None, help=addr_help)
     fetch.add_argument("--model", choices=(MODEL_I, MODEL_II), required=True)
     fetch.add_argument("--m", type=int, required=True, help="side-information support size")
     fetch.add_argument("--seed", type=int, default=0)

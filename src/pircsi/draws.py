@@ -4,9 +4,9 @@ Each model's draw_structure is written once over four primitives: choose(cdf)
 (one outcome of a pmf.Cdf), sample(pool, k) (k distinct items of a sequence,
 as a list), shuffle(seq) (a list, in place) and split(seq, size) (the items
 in blocks of size, which divides len(seq)).  A fifth, coefficients(q, count),
-gives count uniform units mod q as int64: a query's fresh coefficients or a
-scenario's C.  RandomDraws interprets all five in production, and the exact
-auditor the first four by enumeration.
+gives count uniform integers in [1, q) as int64: every coefficient of a
+query (attach_coefficients) and a scenario's C.  RandomDraws interprets all
+five in production, and the exact auditor the first four by enumeration.
 """
 
 import threading
@@ -15,11 +15,12 @@ from random import Random
 
 class RandomDraws:
     """The primitives over a random.Random, which fixes every query in any
-    thread or process.  choose and sample read it (pmf denominators exceed
-    64 bits; Generator.choice is slower at a query's sizes).  shuffle, split
-    and coefficients read the thread's numpy Generator, far faster on long
-    lists, its PCG64 state one getrandbits(128) of the Random, drawn at the
-    first of them and after any other RandomDraws of the thread used it."""
+    thread or process.  choose and sample read it (so seeded Monte-Carlo
+    screens keep their reports; Generator.choice is slower at a query's
+    sizes).  shuffle, split and coefficients read the thread's numpy
+    Generator, far faster on long lists, its PCG64 state one
+    getrandbits(128) of the Random, drawn at the first of them and after
+    any other RandomDraws of the thread used it."""
 
     __slots__ = ("rng", "sample")
 

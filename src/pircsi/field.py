@@ -4,7 +4,7 @@ A message of GF(q^m) is held as its m coordinates over the base field GF(q).
 The protocols only add messages and scale them by base-field coefficients,
 so nothing ever multiplies two messages: (q, m) alone pins down every
 operation, and two parties that agree on (q, m) agree on everything.
-Elements and single coefficients are drawn here; many at once come from pircsi.draws.
+Elements are drawn here; coefficients come from pircsi.draws.
 """
 
 import struct
@@ -78,13 +78,6 @@ class FieldParams:
             value, digit = divmod(value, q)
             coeffs.append(digit)
         return FieldElement(self, tuple(coeffs))
-
-
-def sample_coefficient(params: FieldParams, rng: Random) -> int:
-    """Uniform nonzero base-field scalar, the coefficient alphabet of every
-    query, as one randrange(1, q).  A query's many fresh coefficients, and a
-    scenario's C, come from draws.RandomDraws.coefficients instead."""
-    return rng.randrange(1, params.q)
 
 
 class FieldElement:

@@ -4,7 +4,8 @@ The shape of the query depends only on the support size M:
 
 * M == 1: the side information is c_1 * X_W itself, so nothing is sent.
 * M == 2 (single-probe case, tag 1): ask for one index, the demand with
-  probability 1/K and its support partner otherwise.
+  probability 1/K under a fresh coefficient, and otherwise its support
+  partner under the partner's own.
 * 3 <= M <= K/2 (disjoint case, tag 2): send S without the demand under its
   true coefficients, plus a disjoint cover set of the same size.
 * K/2 < M <= K-1 (overlap case, tag 3): send S with a fresh coefficient on
@@ -14,8 +15,9 @@ The shape of the query depends only on the support size M:
   demand.
 
 Each case downloads 0, 1, or 2 elements, matching the second-model capacity,
-and leaves X_W one linear step from one downloaded element and Y: the client
-decodes with protocol_rp's decode_answer, which this module re-exports.
+and leaves X_W one linear step from one downloaded element and Y.  The
+coefficients follow protocol_rp's attach_coefficients, and the client decodes
+with its decode_answer; this module re-exports both.
 """
 
 from functools import lru_cache
@@ -23,7 +25,6 @@ from random import Random
 
 from .draws import draws_from
 from .errors import ParameterError, ShapeError
-from .field import sample_coefficient
 from .model import MODEL_II, Database, Scenario, answer_words
 from .pmf import Cdf, case2_pmf, case3_pmf
 from .protocol_rp import (
@@ -31,11 +32,9 @@ from .protocol_rp import (
     DecoderState,
     Query,
     Structure,
+    attach_coefficients,
     check_set_arrays,
-    coefficient_arrays,
     decode_answer,
-    decoder_state,
-    rows_array,
 )
 
 CASE_TRIVIAL = 0
@@ -86,17 +85,17 @@ def download_cost(K: int, M: int) -> int:
     return case_shape(case_for(K, M), K)[0]
 
 
-def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
+def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: draw_structure, then
     attach_coefficients over the same draws."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
     d = draws_from(rng)
-    structure = draw_structure(scenario.W, scenario.S, K, d, **mutations)
+    structure = draw_structure(scenario.W, scenario.S, K, d)
     return attach_coefficients(structure, scenario, d)
 
 
-def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
+def draw_structure(W: int, S: tuple[int, ...], K: int, rng) -> Structure:
     """The index sets of a query for demand W inside the sorted support S,
     with the case tag; the demand slot is the set the decoder reads.  rng is
     a random.Random or another interpreter of the draw primitives, as in
@@ -105,11 +104,7 @@ def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Stru
         raise ParameterError("demand must lie inside the support")
     if not all(1 <= i <= K for i in S):
         raise ParameterError("scenario indices exceed the database size")
-    return _draw(draws_from(rng), W, S, K, **mutations)
-
-
-def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True) -> Structure:
-    M = len(S)
+    d, M = draws_from(rng), len(S)
     case = case_for(K, M)
 
     if case == CASE_TRIVIAL:
@@ -143,61 +138,14 @@ def _draw(d, W: int, S: tuple[int, ...], K: int, *, _shuffle_order: bool = True)
     d.shuffle(cover)
     pair = (tuple(known), tuple(cover))
     order = [0, 1]
-    if _shuffle_order:
-        d.shuffle(order)
+    d.shuffle(order)
     return Structure(tuple(pair[i] for i in order), order.index(0), case)
-
-
-def attach_coefficients(
-    structure: Structure, scenario: Scenario, rng
-) -> tuple[Query, DecoderState]:
-    """Complete a second-model structure into a query.  The probe set takes a
-    fresh coefficient; the set at the demand slot takes the side
-    information's own coefficients, except on the demand in the overlap and
-    full cases, which takes a fresh one unequal to its own; a cover set takes
-    fresh coefficients.  The decoder's scalars follow from the coefficients
-    placed, with Y = sum(c_i * X_i) over S.  rng is a random.Random or the
-    RandomDraws that drew the structure."""
-    d, case = draws_from(rng), structure.case_tag
-    params = scenario.Y.params
-    own = dict(zip(scenario.S, scenario.C))
-    c_W = own[scenario.W]
-    if case == CASE_TRIVIAL:  # 0 - Y = -c_W * X_W
-        empty = rows_array(())
-        return Query(empty, empty, MODEL_II, case), decoder_state(scenario, None, -c_W)
-    if case == CASE_SINGLE:
-        ((probe,),) = structure.sets
-        c = sample_coefficient(params, d.rng)
-        query = Query(*coefficient_arrays(structure, {probe: c}, params.q, d), MODEL_II, case)
-        if probe == scenario.W:  # A = c * X_W
-            return query, DecoderState(scenario, 0, pow(c, -1, params.q), 0)
-        # A = c * X_p for the partner p, and Y = c_p * X_p + c_W * X_W
-        inverse = pow(c_W, -1, params.q)
-        a = -own[probe] * pow(c, -1, params.q) * inverse % params.q
-        return query, DecoderState(scenario, 0, a, inverse)
-    if case == CASE_DISJOINT:  # the demand set holds S without W: A - Y = -c_W * X_W
-        delta = -c_W
-    else:  # a fresh c on W in place of c_W: A - Y = (c - c_W) * X_W
-        c = _fresh_coeff_excluding(params, d.rng, c_W)
-        own[scenario.W] = c
-        delta = c - c_W
-    idx, coef = coefficient_arrays(structure, own, params.q, d)
-    state = decoder_state(scenario, structure.demand_slot, delta)
-    return Query(idx, coef, MODEL_II, case), state
 
 
 @lru_cache(maxsize=None)
 def _cover_cdf(case: int, K: int, M: int) -> Cdf:
     """The cover-set pmf of the disjoint or the overlap case, ready to draw from."""
     return Cdf.of(case2_pmf(K, M) if case == CASE_DISJOINT else case3_pmf(K, M))
-
-
-def _fresh_coeff_excluding(params, rng: Random, taboo: int) -> int:
-    # q >= 3 leaves at least one other nonzero scalar, so this terminates.
-    while True:
-        c = sample_coefficient(params, rng)
-        if c != taboo:
-            return c
 
 
 def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:

@@ -9,12 +9,12 @@ the repeat-class pmf, weighted so that every candidate demand explains the
 transmitted query equally well.  The server returns one field element per
 set, and the client strips Y off the demand set's element.
 
-decode_answer is the decoder of both models: every scheme recovers the
-demand as X_W = a * A[slot] + b * Y from one downloaded element A[slot] and
-Y, with the scalars a and b fixed when the coefficients are attached.
+attach_coefficients and decode_answer serve both models: one coefficient
+rule makes every scheme private, and every scheme recovers the demand as
+X_W = a * A[slot] + b * Y from one downloaded element A[slot] and Y, with
+the scalars a and b fixed when the coefficients are attached.
 """
 
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
@@ -24,7 +24,7 @@ import numpy as np
 
 from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
-from .field import FieldElement, sample_coefficient
+from .field import FieldElement
 from .model import MODEL_I, Database, Scenario, answer_words
 from .pmf import Cdf, rp_distribution
 
@@ -72,10 +72,13 @@ class Query:
 
 
 def rows_array(rows) -> np.ndarray:
-    """Rows of ints of one length, such as a fingerprint's, as an (n, s)
-    int64 array."""
-    flat = array("q", chain.from_iterable(rows))
-    return np.frombuffer(flat, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    """Rows of ints, such as a Structure's or a fingerprint's sets, as an
+    (n, s) int64 array.  Rows of different lengths are a construction fault:
+    ProtocolError."""
+    n, s = len(rows), len(rows[0]) if rows else 0
+    if {*map(len, rows)} - {s}:
+        raise ProtocolError("built a set of the wrong size")
+    return np.fromiter(chain.from_iterable(rows), np.int64, n * s).reshape(n, s)
 
 
 class Answer:
@@ -112,14 +115,6 @@ class DecoderState:
     demand_slot: int | None
     a: int
     b: int
-
-
-def decoder_state(scenario: Scenario, demand_slot: int | None, delta: int) -> DecoderState:
-    """The state for a demand slot whose element A satisfies A - Y = delta * X_W:
-    a = delta^(-1) and b = -delta^(-1)."""
-    q = scenario.Y.params.q
-    inverse = pow(delta, -1, q)
-    return DecoderState(scenario, demand_slot, inverse, -inverse % q)
 
 
 class Structure(NamedTuple):
@@ -228,33 +223,34 @@ def _without(pool: list, taken) -> list:
 def attach_coefficients(
     structure: Structure, scenario: Scenario, rng
 ) -> tuple[Query, DecoderState]:
-    """Complete a first-model structure into a query: a fresh coefficient on
-    the demand, the side information's own coefficient on each support index
-    of the demand set, and fresh coefficients on every cover set.  rng is a
-    random.Random or the RandomDraws that drew the structure."""
-    d = draws_from(rng)
-    c = sample_coefficient(scenario.Y.params, d.rng)
-    own = dict(zip(scenario.S, scenario.C))
-    own[scenario.W] = c
-    idx, coef = coefficient_arrays(structure, own, scenario.Y.params.q, d)
-    return Query(idx, coef), decoder_state(scenario, structure.demand_slot, c)
-
-
-def coefficient_arrays(structure: Structure, own: dict, q: int, d) -> tuple:
-    """The structure's sets as a Query's (n, s) index and coefficient arrays:
-    the set at the demand slot takes own[i] on each index i, every other set
-    a fresh nonzero scalar per index, all from one d.coefficients call in
-    set order.  Sets of different sizes are a construction fault."""
+    """Complete either model's structure into a query by the one rule that
+    keeps both private: the demand set carries each support index's own c_i,
+    except the demand W, which takes a fresh unit other than its own (own(W)
+    is 0 when W lies outside S); every other slot takes a fresh unit.  So
+    each coefficient sent is a fresh unit or some c_i sent once, and c_W is
+    never sent.  All come from d.coefficients: one draw for the (n, s) array,
+    then one for W where the demand set holds it.  rng is a random.Random or
+    the RandomDraws that drew the structure."""
+    d, W, q = draws_from(rng), scenario.W, scenario.Y.params.q
     sets, slot = structure.sets, structure.demand_slot
-    n, s = len(sets), len(sets[0])
-    if {*map(len, sets)} != {s}:
-        raise ProtocolError("built a set of the wrong size")
-    idx = np.fromiter(chain.from_iterable(sets), np.int64, n * s).reshape(n, s)
-    coef = np.empty((n, s), dtype=np.int64)
-    if n > 1:
-        coef[np.arange(n) != slot] = d.coefficients(q, (n - 1) * s).reshape(n - 1, s)
-    coef[slot] = [own[i] for i in sets[slot]]
-    return idx, coef
+    idx = rows_array(sets)
+    coef = d.coefficients(q, idx.size).reshape(idx.shape)
+    own = dict(zip(scenario.S, scenario.C))
+    c_W = own.pop(W, 0)
+    demand = () if slot is None else sets[slot]
+    c = 0  # W's coefficient, 0 where it is not sent
+    if W in demand:
+        t = int(d.coefficients(q - (c_W > 0), 1)[0])
+        c = t + (0 < c_W <= t)  # one to one onto the units other than c_W
+    if slot is not None:
+        coef[slot] = [c if i == W else own[i] for i in demand]
+    query = Query(idx, coef, scenario.model, structure.case_tag or 0)
+    # own[i] found every other index of the demand set in S without W; if
+    # they are all of it, A - Y = (c - c_W) * X_W.
+    if len(demand) - (c > 0) == len(own):
+        a = pow(c - c_W, -1, q)
+        return query, DecoderState(scenario, slot, a, -a % q)
+    return query, DecoderState(scenario, slot, pow(c, -1, q), 0)  # {W} alone: A = c * X_W
 
 
 def check_partition(idx: np.ndarray, K: int, M: int) -> None:

@@ -7,24 +7,26 @@ so callers look the module up here instead of branching on the model:
                                         (protocol_rp's then runs check_partition)
     draw_structure(W, S, K, rng)        the index sets, their order, the demand slot
     attach_coefficients(structure, scenario, rng)
-                                        the coefficients; returns (Query, DecoderState)
+                                        the coefficients; returns (Query, DecoderState);
+                                        one function, protocol_rp's, for both models
     check_sizes(case_tag, sizes, K)     the model's shape rules on the case tag and
                                         the list of set sizes; raises ShapeError
     answer_query(db, query)             the model, then the server's calls: check_sizes,
                                         check_set_arrays and model.answer_words
-    decode_answer(answer, state)        the demand, from the answer and the client state
+    decode_answer(answer, state)        the demand, from the answer and the client state;
+                                        one function, protocol_rp's, for both models
 
 Both build the one query type, protocol_rp.Query, whose model names the
 module that answers it and whose (n, s) index and coefficient arrays go
 from attach_coefficients to the encoder's check_set_arrays and record
-array.  Both draw a query's structure and all its cover-set coefficients
-over one draws.RandomDraws, the coefficients in one coefficients(q, count)
-call on the thread's numpy Generator.  attach_coefficients returns
-DecoderState(scenario, demand_slot, a, b), and the one decode_answer,
-protocol_rp's, computes X_W = a * A[demand_slot] + b * Y from that row of
-the Answer's (n, m) word array.  The server parses
-a frame into the same arrays, checks them with check_sizes and
-check_set_arrays, and answers from model.answer_words.
+array.  Both draw a query's structure and all its coefficients over one
+draws.RandomDraws, the coefficients by coefficients(q, count) on the
+thread's numpy Generator: one call for the (n, s) array, and one more for
+the demand where its set holds it.  attach_coefficients returns
+DecoderState(scenario, demand_slot, a, b), and decode_answer computes
+X_W = a * A[demand_slot] + b * Y from that row of the Answer's (n, m) word
+array.  The server parses a frame into the same arrays, checks them with
+check_sizes and check_set_arrays, and answers from model.answer_words.
 """
 
 from . import protocol_csi2, protocol_rp

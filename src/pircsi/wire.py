@@ -60,9 +60,18 @@ _PARSE_ERRORS = {
 }
 
 
+def parse_port(text: str, where: str = "") -> int:
+    """The port written in text, at most five decimal digits up to 65535:
+    the socket layer would take a larger port modulo 2^16.  Raises
+    ParameterError, its message prefixed by where."""
+    if not text.isdecimal() or len(text) > 5 or int(text) > 0xFFFF:
+        raise ParameterError(f"{where}expected a port in [0, 65535], got {text!r}")
+    return int(text)
+
+
 def default_port() -> int:
     """Port used when none is given; override with the PIRCSI_PORT variable."""
-    return int(os.environ.get("PIRCSI_PORT", "7641"))
+    return parse_port(os.environ.get("PIRCSI_PORT", "7641"), "PIRCSI_PORT: ")
 
 
 # -- framing ----------------------------------------------------------------

@@ -372,6 +372,21 @@ def test_serve_on_a_busy_port_reports_the_bind_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "70000", "-1", "123456"])
+def test_a_bad_port_variable_is_one_error_line(tmp_path, capsys, monkeypatch, value):
+    # serve and fetch read $PIRCSI_PORT when they run; other commands never do.
+    path = tmp_path / "messages.db"
+    _run(capsys, "db", "gen", "--k", "5", "--q", "3", "--out", str(path))
+    monkeypatch.setenv("PIRCSI_PORT", value)
+    for argv in (("serve",), ("fetch", "--model", "I", "--m", "1")):
+        code, out, err = _run(capsys, *argv, "--db", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: PIRCSI_PORT: expected a port in [0, 65535]")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = _run(capsys, "demo", "--model", "I", "--k", "4", "--m", "1")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,7 @@
 """The bulk coefficient draw: RandomDraws.coefficients(q, count) takes count
 uniform units mod q from the thread's numpy Generator in one call, with the
 values and end state of one Generator.integers(1, q) per value.  A scenario's
-C and a query's fresh coefficients come from it; a single coefficient stays
-one randrange(1, q) of the caller's Random."""
+C and every coefficient of a query come from it, the demand's too."""
 from random import Random
 
 import numpy as np
@@ -11,19 +10,20 @@ from numpy.random import PCG64, Generator
 from scipy.stats import chisquare
 
 from pircsi import (
-    CASE_DISJOINT,
     Database,
     DecoderState,
     FieldParams,
     MODEL_I,
     MODEL_II,
+    Scenario,
     protocol_csi2,
     protocol_rp,
     sample_demand,
     sample_scenario,
+    side_information,
 )
 from pircsi.draws import RandomDraws, _thread
-from pircsi.field import sample_coefficient
+from pircsi.protocol_rp import Structure, attach_coefficients
 
 from conftest import query_of
 
@@ -68,14 +68,6 @@ def test_coefficients_are_flat_over_the_units(q):
     assert chisquare(counts).pvalue >= 1e-4
 
 
-def test_one_coefficient_is_one_randrange():
-    params = FieldParams(257)
-    for seed in range(20):
-        one, loop = Random(seed), Random(seed)
-        assert sample_coefficient(params, one) == loop.randrange(1, 257)
-        assert one.getstate() == loop.getstate()
-
-
 @pytest.mark.parametrize("model,M", [(MODEL_I, 9), (MODEL_II, 600)])
 def test_scenario_coefficients_are_per_index_draws(model, M):
     db = Database.random(FieldParams(257, 4), 1000, Random(0))
@@ -90,32 +82,32 @@ def test_scenario_coefficients_are_per_index_draws(model, M):
 
 
 def _per_index_build(protocol, scenario, K, rng):
-    """build_query one index at a time, in the order the builders draw: the
-    structure, the demand's fresh coefficient by randrange (redrawn while it
-    equals the side information's own, for the second model), then each
-    cover set's coefficients, index by index, from the RandomDraws that drew
-    the structure."""
+    """build_query one index at a time, in the order the builders draw, all
+    from the RandomDraws that drew the structure: the structure, a fresh
+    coefficient for every slot of every set in set order, then, where the
+    demand set holds W, W's coefficient as the t-th unit other than its own
+    c_W (0 outside S) for one t.  The demand set's other slots then take the
+    side information's own coefficients."""
     d = RandomDraws(rng)
     structure = protocol.draw_structure(scenario.W, scenario.S, K, d)
-    q = scenario.Y.params.q
+    q, W, slot = scenario.Y.params.q, scenario.W, structure.demand_slot
     own = dict(zip(scenario.S, scenario.C))
-    c_W = own.get(scenario.W)
-    if structure.case_tag == CASE_DISJOINT:
-        delta = -c_W
-    else:
-        c = rng.randrange(1, q)
-        while c == c_W:
-            c = rng.randrange(1, q)
-        own[scenario.W] = c
-        delta = c if c_W is None else c - c_W
-    sets = [
-        (indices, [own[i] for i in indices])
-        if k == structure.demand_slot
-        else (indices, [int(d.coefficients(q, 1)[0]) for _ in indices])
-        for k, indices in enumerate(structure.sets)
-    ]
-    a = pow(delta, -1, q)
-    state = DecoderState(scenario, structure.demand_slot, a, -a % q)
+    c_W = own.get(W, 0)
+    d.coefficients(q, 0)  # sets the Generator's state, even for a query with no sets
+    coeffs = [[int(d.coefficients(q, 1)[0]) for _ in indices] for indices in structure.sets]
+    demand = structure.sets[slot] if structure.sets else ()
+    if W in demand:
+        others = [u for u in range(1, q) if u != c_W]
+        own[W] = others[int(d.coefficients(len(others) + 1, 1)[0]) - 1]
+    if demand:
+        coeffs[slot] = [own[i] for i in demand]
+    c = own[W] if W in demand else 0
+    if demand == (W,) and len(scenario.S) == 2:  # the probe hits W: A = c * X_W
+        state = DecoderState(scenario, slot, pow(c, -1, q), 0)
+    else:  # A - Y = (c - c_W) * X_W
+        a = pow(c - c_W, -1, q)
+        state = DecoderState(scenario, slot, a, -a % q)
+    sets = list(zip(structure.sets, coeffs))
     return query_of(sets, scenario.model, structure.case_tag or 0), state
 
 
@@ -127,12 +119,15 @@ def _per_index_build(protocol, scenario, K, rng):
         (MODEL_II, 1000, 600, (257, 4)),
         (MODEL_II, 100, 30, (3, 1)),
         (MODEL_II, 8, 8, (5, 1)),
+        (MODEL_II, 8, 3, (5, 1)),
+        (MODEL_II, 4, 2, (5, 1)),
+        (MODEL_II, 3, 1, (3, 1)),
     ],
 )
 def test_build_query_matches_a_per_index_reference(model, K, M, field):
     db = Database.random(FieldParams(*field), K, Random(K))
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
-    for seed in range(5):
+    for seed in range(12):
         scenario = sample_scenario(db, M, model, Random(seed))
         rng, loop = Random(seed), Random(seed)
         built = protocol.build_query(scenario, K, rng)
@@ -140,3 +135,40 @@ def test_build_query_matches_a_per_index_reference(model, K, M, field):
         assert built == _per_index_build(protocol, scenario, K, loop)
         assert rng.getstate() == loop.getstate()
         assert _thread.bits.state == state
+
+
+class _Pinned:
+    """Draws for attach_coefficients: every bulk coefficient 1, and t for the
+    one draw of W's coefficient, whose bound it records."""
+
+    def __init__(self, t: int):
+        self.t, self.bounds = t, []
+
+    def coefficients(self, q: int, count: int):
+        if count == 1:
+            self.bounds.append(q)
+            return np.array([self.t])
+        return np.ones(count, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [3, 5, 257])
+def test_the_demand_coefficient_map_is_exact(q):
+    # For every own c_W (0 when W lies outside S), the draw t of W's
+    # coefficient maps one to one onto the units other than c_W, so a uniform
+    # t gives a uniform such unit.
+    db = Database.random(FieldParams(q), 3, Random(q))
+    for c_W in range(q):
+        if c_W:  # the full case: W = 1 inside S = (1, 2, 3)
+            S, C, model, structure = (1, 2, 3), (c_W, 1, 1), MODEL_II, Structure(((2, 3, 1),), 0, 4)
+        else:  # the first model: W = 1 outside S = (2,)
+            S, C, model, structure = (2,), (1,), MODEL_I, Structure(((2, 1),), 0)
+        scenario = Scenario(1, S, C, side_information(db, S, C), model)
+        image = []
+        for t in range(1, q - (c_W > 0)):
+            d = _Pinned(t)
+            query, state = attach_coefficients(structure, scenario, d)
+            assert d.bounds == [q - (c_W > 0)]
+            (c,) = query.coef[0][query.idx[0] == 1].tolist()
+            image.append(c)
+            assert (c - c_W) * state.a % q == 1
+        assert sorted(image) == [u for u in range(1, q) if u != c_W]

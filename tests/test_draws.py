@@ -9,7 +9,6 @@ from pathlib import Path
 from random import Random
 
 from pircsi import (
-    CASE_SINGLE,
     Database,
     FieldParams,
     MODEL_I,
@@ -84,15 +83,14 @@ def test_a_query_sets_the_thread_generator_state_once():
     # One RandomDraws serves the structure draw and the coefficients, so a
     # query sets the Generator's state once, and a scenario's C once more.
     params = FieldParams(257, 4)
-    for model, K, M in CELLS + [(MODEL_II, 8, 8), (MODEL_II, 8, 3)]:
+    for model, K, M in CELLS + [(MODEL_II, 8, 8), (MODEL_II, 8, 3), (MODEL_II, 3, 1)]:
         db = Database.random(params, K, Random(K))
         protocol = protocol_rp if model == MODEL_I else protocol_csi2
         rng = _Counting(1)
         scenario = sample_scenario(db, M, model, rng)
         assert rng.states == 1
-        query, _ = protocol.build_query(scenario, K, rng)
-        # the single-probe case shuffles nothing and draws one randrange
-        assert rng.states == (1 if query.case_tag == CASE_SINGLE else 2), (model, K, M)
+        protocol.build_query(scenario, K, rng)
+        assert rng.states == 2, (model, K, M)
 
 
 # list(range(10)) shuffled as RandomDraws shuffles, and ten coefficients mod

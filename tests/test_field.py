@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from pircsi import FieldParams, ParameterError
-from pircsi.field import MAX_Q, sample_coefficient
+from pircsi.field import MAX_Q
 
 from conftest import count_bound
 
@@ -140,14 +140,6 @@ def test_scalar_multiplication_embeds_the_base_field():
 # ------------------------------------------------------------------ sampling
 
 
-def test_nonzero_sampling_uniform_on_gf3():
-    params = FieldParams(3)
-    rng = Random(7)
-    trials = 100_000
-    ones = sum(sample_coefficient(params, rng) == 1 for _ in range(trials))
-    assert abs(ones - trials / 2) < count_bound(trials, 0.5, sigmas=3.0)
-
-
 def test_sampling_covers_gf9():
     params = FieldParams(3, 2)
     rng = Random(1)
@@ -166,10 +158,3 @@ def test_sampling_is_seed_deterministic():
     a = [params.sample(Random(13)).coeffs for _ in range(50)]
     b = [params.sample(Random(13)).coeffs for _ in range(50)]
     assert a == b
-
-
-def test_sample_coefficient_range():
-    params = FieldParams(5)
-    rng = Random(0)
-    draws = {sample_coefficient(params, rng) for _ in range(200)}
-    assert draws == {1, 2, 3, 4}

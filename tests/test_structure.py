@@ -107,23 +107,20 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
 
     assert all(1 <= c <= q - 1 for qs in query.sets for c in qs.coeffs)
     own = dict(zip(scenario.S, scenario.C))
-    single = model_name == MODEL_II and query.case_tag == CASE_SINGLE
-    if query.sets and not single:
+    c_W = own.get(scenario.W, 0)  # 0: the demand lies outside the support
+    if query.sets:
+        # The demand set carries each support index's own coefficient, a
+        # single probe's partner too, and W a fresh one other than its own.
         demand_set = query.sets[state.demand_slot]
-        for i, c in zip(demand_set.indices, demand_set.coeffs):
-            if i == scenario.W:
-                # the overlap and full cases need a difference to divide by
-                delta = c if model_name == MODEL_I else c - own[i]
-                assert delta % q and delta * state.a % q == 1
-            else:
-                assert c == own[i]
-        assert set(demand_set.indices) <= {scenario.W, *scenario.S}
-    if single:
-        ((probe,), (c,)) = query.sets[0].indices, query.sets[0].coeffs
-        if probe == scenario.W:
+        sent = dict(zip(demand_set.indices, demand_set.coeffs))
+        assert set(sent) <= {scenario.W, *scenario.S}
+        for i, c in sent.items():
+            assert c != c_W if i == scenario.W else c == own[i]
+        c = sent.get(scenario.W, 0)
+        if set(sent) == {scenario.W} and len(scenario.S) == 2:  # the probe hits W
             assert (c * state.a % q, state.b) == (1, 0)
-        else:
-            assert own[scenario.W] * state.b % q == 1
+        else:  # A - Y = (c - c_W) * X_W
+            assert (c - c_W) * state.a % q == 1 and (state.a + state.b) % q == 0
     answer = protocol.answer_query(db, query)
     assert protocol.decode_answer(answer, state) == db[scenario.W]
 

@@ -379,6 +379,10 @@ def test_default_port_env_override(monkeypatch):
     assert wire.default_port() == 7641
     monkeypatch.setenv("PIRCSI_PORT", "9999")
     assert wire.default_port() == 9999
+    for value in ("", "port", "65536", "+80", "\u00b2"):
+        monkeypatch.setenv("PIRCSI_PORT", value)
+        with pytest.raises(ParameterError, match="PIRCSI_PORT"):
+            wire.default_port()
 
 
 def test_loopback_round_trip(gf9):
