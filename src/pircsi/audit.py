@@ -359,6 +359,8 @@ def audit_montecarlo(
     for _ in range(trials):
         W, S = sample_demand(K, M, model, rng)
         sets = draw_structure(W, S, K, draws, **build_kwargs).sets
+        if model != MODEL_I:  # the second model's int64 array, read per index below
+            sets = sets.tolist()
         w = W - 1
         fp_bins[fingerprint_of(sets)][w] += 1
         slot_of = [-1] * K

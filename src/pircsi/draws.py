@@ -2,35 +2,55 @@
 
 Each model's draw_structure is written once over four primitives: choose(cdf)
 (one outcome of a pmf.Cdf), sample(pool, k) (k distinct items of a sequence,
-as a list), shuffle(seq) (a list, in place) and split(seq, size) (the items
-in blocks of size, which divides len(seq)).  A fifth, coefficients(q, count),
-gives count uniform integers in [1, q) as int64: every coefficient of a
-query (attach_coefficients) and a scenario's C.  RandomDraws interprets all
-five in production, and the exact auditor the first four by enumeration.
+as a list; RandomDraws gives an int64 array from an array), shuffle(seq) (a
+list or a 1-d array, in place) and split(seq, size) (the items in blocks of
+size, which divides len(seq)).  A fifth, coefficients(q, count), gives count
+uniform integers in [1, q) as int64: every coefficient of a query
+(attach_coefficients) and a scenario's C.  RandomDraws interprets all five
+in production, and the exact auditor the first four by enumeration.
 """
 
 import threading
 from random import Random
 
+import numpy as np
+
+# sample draws k < SAMPLE_CUT items with random.sample and larger k with
+# Generator.choice.  Per call, on 599 items (Python 3.11, numpy 2.4, 2-vCPU
+# VM): random.sample takes 2-4 us at k <= 3, 8 us at k = 10 and 83 us at
+# k = 200; Generator.choice takes 7-8 us up to k = 30 and 14 us at k = 200.
+# On a 20-item pool they cross at k = 16-20.
+SAMPLE_CUT = 16
+
 
 class RandomDraws:
     """The primitives over a random.Random, which fixes every query in any
-    thread or process.  choose and sample read it (so seeded Monte-Carlo
-    screens keep their reports; Generator.choice is slower at a query's
-    sizes).  shuffle, split and coefficients read the thread's numpy
+    thread or process.  choose reads the Random, and so does sample below
+    SAMPLE_CUT items (so seeded Monte-Carlo screens and small queries keep
+    their draws; Generator.choice costs more there).  sample from SAMPLE_CUT
+    items up, shuffle, split and coefficients read the thread's numpy
     Generator, far faster on long lists, its PCG64 state one
     getrandbits(128) of the Random, drawn at the first of them and after
     any other RandomDraws of the thread used it."""
 
-    __slots__ = ("rng", "sample")
+    __slots__ = ("rng",)
 
     def __init__(self, rng: Random):
-        self.rng, self.sample = rng, rng.sample
+        self.rng = rng
 
     def choose(self, cdf):
         return cdf.draw(self.rng)
 
-    def shuffle(self, seq: list) -> None:
+    def sample(self, pool, k: int):
+        array = isinstance(pool, np.ndarray)
+        if k >= SAMPLE_CUT:
+            picks = _thread.generator_for(self).choice(len(pool), k, replace=False)
+            return pool[picks] if array else [pool[j] for j in picks.tolist()]
+        if array:  # the positions random.sample(pool, k) would take
+            return pool[self.rng.sample(range(len(pool)), k)]
+        return self.rng.sample(pool, k)
+
+    def shuffle(self, seq) -> None:
         _thread.generator_for(self).shuffle(seq)
 
     def split(self, seq, size: int) -> list:
@@ -38,7 +58,10 @@ class RandomDraws:
         return [items[i : i + size] for i in range(0, len(items), size)]
 
     def coefficients(self, q: int, count: int):
-        return _thread.generator_for(self).integers(1, q, size=count)
+        generator = _thread.generator_for(self)
+        if count == 1:  # a scalar draw: the same value and end state, in a third of the time
+            return np.array([generator.integers(1, q)])
+        return generator.integers(1, q, size=count)
 
 
 class _Thread(threading.local):

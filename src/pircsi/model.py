@@ -111,7 +111,7 @@ def answer_words(db: Database, idx: np.ndarray, coef: np.ndarray) -> np.ndarray:
     # Words are below q and coefficients at most q - 1, with q < 2^16, so a
     # set of s < 2^31 terms sums below s * (q-1)^2 < 2^63: int64 holds every
     # sum exactly, and one reduction mod q at the end suffices.
-    return np.einsum("nsm,ns->nm", db.words[idx - 1], coef) % db.params.q
+    return np.einsum("nsm,ns->nm", db.words.take(idx - 1, axis=0), coef) % db.params.q
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ with its decode_answer; this module re-exports both.
 from functools import lru_cache
 from random import Random
 
+import numpy as np
+
 from .draws import draws_from
 from .errors import ParameterError, ShapeError
 from .model import MODEL_II, Database, Scenario, answer_words
@@ -97,49 +99,55 @@ def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, Decoder
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng) -> Structure:
     """The index sets of a query for demand W inside the sorted support S,
-    with the case tag; the demand slot is the set the decoder reads.  rng is
-    a random.Random or another interpreter of the draw primitives, as in
+    as the (n, s) int64 array the query sends, with the case tag; the
+    demand slot is the set the decoder reads.  rng is a random.Random or
+    another interpreter of the draw primitives, as in
     protocol_rp.draw_structure."""
     if W not in S:
         raise ParameterError("demand must lie inside the support")
-    if not all(1 <= i <= K for i in S):
-        raise ParameterError("scenario indices exceed the database size")
     d, M = draws_from(rng), len(S)
+    support = np.fromiter(S, np.int64, M)
+    if support.min() < 1 or support.max() > K:
+        raise ParameterError("scenario indices exceed the database size")
     case = case_for(K, M)
 
     if case == CASE_TRIVIAL:
-        return Structure((), None, case)
+        return Structure(np.empty((0, 0), np.int64), None, case)
     if case == CASE_SINGLE:
         partner = next(i for i in S if i != W)
         # Probe the partner?  One randrange(K), whose 0 (mass 1/K) probes W.
         probe = partner if d.choose(Cdf(K, (1, K), (False, True))) else W
-        return Structure(((probe,),), 0, case)
+        return Structure(np.array([[probe]], np.int64), 0, case)
     if case == CASE_FULL:
-        known = list(S)
-        d.shuffle(known)
-        return Structure((tuple(known),), 0, case)
+        d.shuffle(support)
+        return Structure(support.reshape(1, M), 0, case)
 
-    support = set(S)
-    outside = [i for i in range(1, K + 1) if i not in support]
-    others = [i for i in S if i != W]
+    # Both pools from one mask over [0, K]: 0 is no index, so it joins neither.
+    inside = np.zeros(K + 1, bool)
+    inside[support] = inside[0] = True
+    outside = (~inside).nonzero()[0]
+    inside[0] = inside[W] = False
+    others = inside.nonzero()[0]  # S without the demand
+    sets = np.empty((2, M - (case == CASE_DISJOINT)), np.int64)
+    known, cover = sets
     if case == CASE_DISJOINT:
-        # S without the demand, and a cover set of outside indices that the
-        # demand joins in the smaller branch.
+        # S without the demand, and a cover set of r outside indices that the
+        # demand completes in the smaller branch, r = M - 2.
         r = d.choose(_cover_cdf(case, K, M))
-        cover = d.sample(outside, r) + ([W] if r == M - 2 else [])
-        known = others
+        known[:], cover[:r] = others, d.sample(outside, r)
+        cover[r:] = W
     else:  # CASE_OVERLAP
-        # S itself, and a cover set of everything outside S plus s repeated
-        # support indices, the demand among them in the smaller branch.
-        s = d.choose(_cover_cdf(case, K, M))
-        cover = d.sample(others, s) + ([W] if s == 2 * M - K - 1 else []) + outside
-        known = list(S)
+        # S itself, and a cover set of s repeated support indices, the demand
+        # among them in the smaller branch (s = 2M - K - 1), then everything
+        # outside S.
+        s, repeats = d.choose(_cover_cdf(case, K, M)), 2 * M - K
+        known[:], cover[:s], cover[repeats:] = support, d.sample(others, s), outside
+        cover[s:repeats] = W
     d.shuffle(known)
     d.shuffle(cover)
-    pair = (tuple(known), tuple(cover))
     order = [0, 1]
     d.shuffle(order)
-    return Structure(tuple(pair[i] for i in order), order.index(0), case)
+    return Structure(sets[order], order.index(0), case)
 
 
 @lru_cache(maxsize=None)

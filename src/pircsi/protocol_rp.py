@@ -73,8 +73,10 @@ class Query:
 
 def rows_array(rows) -> np.ndarray:
     """Rows of ints, such as a Structure's or a fingerprint's sets, as an
-    (n, s) int64 array.  Rows of different lengths are a construction fault:
-    ProtocolError."""
+    (n, s) int64 array; such an array is returned as it is.  Rows of
+    different lengths are a construction fault: ProtocolError."""
+    if isinstance(rows, np.ndarray):
+        return rows
     n, s = len(rows), len(rows[0]) if rows else 0
     if {*map(len, rows)} - {s}:
         raise ProtocolError("built a set of the wrong size")
@@ -121,10 +123,11 @@ class Structure(NamedTuple):
     """What a query shows the server before coefficients are attached: the
     index sets in transmitted order, each in its transmitted element order,
     and the slot of the set the client decodes from (None when no set is
-    sent).  case_tag is the second model's case; the first model leaves it
-    None."""
+    sent).  The first model draws the sets as tuples of ints, the second as
+    the (n, s) int64 array the query sends.  case_tag is the second model's
+    case; the first model leaves it None."""
 
-    sets: tuple[tuple[int, ...], ...]
+    sets: tuple[tuple[int, ...], ...] | np.ndarray
     demand_slot: int | None
     case_tag: int | None = None
 
@@ -232,22 +235,24 @@ def attach_coefficients(
     then one for W where the demand set holds it.  rng is a random.Random or
     the RandomDraws that drew the structure."""
     d, W, q = draws_from(rng), scenario.W, scenario.Y.params.q
-    sets, slot = structure.sets, structure.demand_slot
-    idx = rows_array(sets)
+    idx, slot = rows_array(structure.sets), structure.demand_slot
     coef = d.coefficients(q, idx.size).reshape(idx.shape)
-    own = dict(zip(scenario.S, scenario.C))
-    c_W = own.pop(W, 0)
-    demand = () if slot is None else sets[slot]
+    support = np.fromiter(scenario.S, np.int64, len(scenario.S))
+    own = np.zeros(max(W, support.max(initial=0)) + 1, np.int64)  # own[i]: c_i on S, else 0
+    own[support] = np.fromiter(scenario.C, np.int64, len(support))
+    c_W = int(own[W])
+    demand = () if slot is None else idx[slot]
     c = 0  # W's coefficient, 0 where it is not sent
     if W in demand:
         t = int(d.coefficients(q - (c_W > 0), 1)[0])
         c = t + (0 < c_W <= t)  # one to one onto the units other than c_W
     if slot is not None:
-        coef[slot] = [c if i == W else own[i] for i in demand]
+        own[W] = c
+        coef[slot] = own[demand]
     query = Query(idx, coef, scenario.model, structure.case_tag or 0)
-    # own[i] found every other index of the demand set in S without W; if
-    # they are all of it, A - Y = (c - c_W) * X_W.
-    if len(demand) - (c > 0) == len(own):
+    # The demand set's other indices lie in S without W; if they are all of
+    # it, A - Y = (c - c_W) * X_W.
+    if len(demand) - (c > 0) == len(support) - (c_W > 0):
         a = pow(c - c_W, -1, q)
         return query, DecoderState(scenario, slot, a, -a % q)
     return query, DecoderState(scenario, slot, pow(c, -1, q), 0)  # {W} alone: A = c * X_W
@@ -355,9 +360,12 @@ def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
 def canonical_fingerprint(query) -> tuple:
     """What the privacy analysis conditions on: the transmitted index sets with
     element order, set order, and coefficients stripped away."""
-    return fingerprint_of(query.idx.tolist())
+    return fingerprint_of(query.idx)
 
 
 def fingerprint_of(index_sets) -> tuple:
-    """canonical_fingerprint of bare index sets, such as a Structure's."""
+    """canonical_fingerprint of bare index sets, such as a Structure's: rows
+    of ints, or an (n, s) int64 array."""
+    if isinstance(index_sets, np.ndarray):
+        index_sets = index_sets.tolist()
     return tuple(sorted(tuple(sorted(indices)) for indices in index_sets))

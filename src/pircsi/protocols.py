@@ -5,10 +5,13 @@ so callers look the module up here instead of branching on the model:
 
     build_query(scenario, K, rng)       draw_structure, then attach_coefficients
                                         (protocol_rp's then runs check_partition)
-    draw_structure(W, S, K, rng)        the index sets, their order, the demand slot
+    draw_structure(W, S, K, rng)        the index sets, their order, the demand slot;
+                                        tuples of ints in protocol_rp, the (n, s)
+                                        int64 array the query sends in protocol_csi2
     attach_coefficients(structure, scenario, rng)
                                         the coefficients; returns (Query, DecoderState);
-                                        one function, protocol_rp's, for both models
+                                        one function, protocol_rp's, for both models,
+                                        which takes an array of sets as Query.idx
     check_sizes(case_tag, sizes, K)     the model's shape rules on the case tag and
                                         the list of set sizes; raises ShapeError
     answer_query(db, query)             the model, then the server's calls: check_sizes,
@@ -18,8 +21,9 @@ so callers look the module up here instead of branching on the model:
 
 Both build the one query type, protocol_rp.Query, whose model names the
 module that answers it and whose (n, s) index and coefficient arrays go
-from attach_coefficients to the encoder's check_set_arrays and record
-array.  Both draw a query's structure and all its coefficients over one
+from attach_coefficients (the index array from draw_structure, in the
+second model) to the encoder's check_set_arrays and record array.  Both
+draw a query's structure and all its coefficients over one
 draws.RandomDraws, the coefficients by coefficients(q, count) on the
 thread's numpy Generator: one call for the (n, s) array, and one more for
 the demand where its set holds it.  attach_coefficients returns

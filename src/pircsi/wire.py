@@ -23,6 +23,7 @@ import socket
 import socketserver
 import struct
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,9 +107,8 @@ def encode_query(query: Query, params: FieldParams) -> bytes:
         raise SetRuleError(text, k, j, fault.what, v) from None
     if n > 0xFFFF or s > 0xFFFF:
         raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
-    # One record per set, as the wire lays it out; a coefficient is an element
-    # encoding, zeros above its value.  The checks above bound every cast.
-    frame = np.zeros(n, dtype=[("size", "<u2"), ("idx", "<u4", (s,)), ("coef", "<u2", (s, m))])
+    # The checks above bound every cast.
+    frame = np.zeros(n, dtype=_set_records(s, m))
     frame["size"] = s
     frame["idx"] = query.idx
     frame["coef"][..., 0] = query.coef
@@ -116,13 +116,23 @@ def encode_query(query: Query, params: FieldParams) -> bytes:
     return head + frame.tobytes()
 
 
+@lru_cache(maxsize=64)
+def _set_records(s: int, m: int) -> np.dtype:
+    """One set of s indices on the wire, as a packed numpy record: its size,
+    its indices, and its coefficients as element encodings (a coefficient in
+    word 0, zeros above it)."""
+    return np.dtype([("size", "<u2"), ("idx", "<u4", (s,)), ("coef", "<u2", (s, m))])
+
+
 def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     """Parse a query payload into a Query of (n, s) int64 arrays.  Total on
     arbitrary bytes: every failure is a WireParseError carrying the byte
     offset, never a crash.  Framing faults come first, then the model's
     shape, then the first set-rule fault in byte order; a query this returns
-    is well formed.  Python walks only the set headers; numpy the rest."""
-    end, width, pos = len(data), params.element_bytes, 4
+    is well formed.  A payload of n sets of one size whose coefficients are
+    all scalars is read as one record array; any other is walked set by set
+    to find its first fault."""
+    end = len(data)
     if not end:
         raise WireParseError("truncated model byte", 0)
     if data[0] not in _MODELS:
@@ -132,6 +142,55 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     if end < 4:
         raise WireParseError("truncated set count", 2)
     model, case_byte, n_sets = _MODELS[data[0]], data[1], data[2] | data[3] << 8
+    sizes, starts, idx, coef = _read_records(data, n_sets, params.m) or _walk_sets(
+        data, n_sets, params
+    )
+
+    try:
+        PROTOCOLS[model].check_sizes(case_byte, sizes, K)
+    except ShapeError as fault:  # the case byte, the set count, the first set's size
+        raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
+    shape = (len(sizes), sizes[0] if sizes else 0)  # check_sizes left one set size only
+    idx = idx.astype(np.int64).reshape(shape)
+    coef = coef.astype(np.int64).reshape(shape)
+    try:
+        check_set_arrays(idx, coef, K, params.q)
+    except SetRuleError as fault:
+        k, j = fault.set_no, fault.slot
+        if fault.what == "coefficient":
+            at = starts[k] + 4 * sizes[k] + params.element_bytes * j
+        else:
+            at = starts[k] + 4 * j
+        text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
+        raise WireParseError(text, at) from None
+    return Query(idx, coef, model, case_byte)
+
+
+def _read_records(data: bytes, n_sets: int, m: int):
+    """The sets of a payload that holds exactly n_sets nonempty sets of its
+    first set's size, with no coefficient word set above word 0, as
+    decode_query's (sizes, starts, indices, coefficients), each set's
+    indices and coefficients a row of u32 or u16 words; None for any other
+    payload."""
+    if not n_sets or len(data) < 6:
+        return None
+    s = data[4] | data[5] << 8
+    record = _set_records(s, m)
+    if not s or len(data) != 4 + n_sets * record.itemsize:
+        return None
+    sets = np.frombuffer(data, record, n_sets, 4)
+    if (sets["size"] != s).any() or sets["coef"][..., 1:].any():
+        return None
+    return [s] * n_sets, range(6, len(data), record.itemsize), sets["idx"], sets["coef"][..., 0]
+
+
+def _walk_sets(data: bytes, n_sets: int, params: FieldParams):
+    """decode_query's (sizes, starts, indices, coefficients) of a payload
+    walked set by set, the indices and coefficients as flat u32 and u16
+    words.  Raises WireParseError for its first framing fault or a
+    coefficient word set above word 0, whichever comes first in byte order.
+    Python walks only the set headers; numpy the rest."""
+    end, width, pos = len(data), params.element_bytes, 4
     sizes, starts, index_runs, coef_runs = [], [], [], []
     try:
         for _ in range(n_sets):
@@ -166,25 +225,7 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
         raise WireParseError("coefficient is not a base-field scalar", at)
     if framing is not None:
         raise framing
-
-    try:
-        PROTOCOLS[model].check_sizes(case_byte, sizes, K)
-    except ShapeError as fault:  # the case byte, the set count, the first set's size
-        raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
-    shape = (len(sizes), sizes[0] if sizes else 0)  # check_sizes left one set size only
-    idx = np.frombuffer(b"".join(index_runs), dtype="<u4").astype(np.int64).reshape(shape)
-    coef = words[:, 0].astype(np.int64).reshape(shape)
-    try:
-        check_set_arrays(idx, coef, K, params.q)
-    except SetRuleError as fault:
-        k, j = fault.set_no, fault.slot
-        if fault.what == "coefficient":
-            at = starts[k] + 4 * sizes[k] + width * j
-        else:
-            at = starts[k] + 4 * j
-        text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
-        raise WireParseError(text, at) from None
-    return Query(idx, coef, model, case_byte)
+    return sizes, starts, np.frombuffer(b"".join(index_runs), dtype="<u4"), words[:, 0]
 
 
 # -- answer payloads --------------------------------------------------------

@@ -23,7 +23,7 @@ from pircsi import (
     side_information,
 )
 from pircsi.draws import RandomDraws, _thread
-from pircsi.protocol_rp import Structure, attach_coefficients
+from pircsi.protocol_rp import Structure, attach_coefficients, rows_array
 
 from conftest import query_of
 
@@ -90,12 +90,13 @@ def _per_index_build(protocol, scenario, K, rng):
     side information's own coefficients."""
     d = RandomDraws(rng)
     structure = protocol.draw_structure(scenario.W, scenario.S, K, d)
+    rows = tuple(map(tuple, rows_array(structure.sets).tolist()))  # either model's, as ints
     q, W, slot = scenario.Y.params.q, scenario.W, structure.demand_slot
     own = dict(zip(scenario.S, scenario.C))
     c_W = own.get(W, 0)
     d.coefficients(q, 0)  # sets the Generator's state, even for a query with no sets
-    coeffs = [[int(d.coefficients(q, 1)[0]) for _ in indices] for indices in structure.sets]
-    demand = structure.sets[slot] if structure.sets else ()
+    coeffs = [[int(d.coefficients(q, 1)[0]) for _ in indices] for indices in rows]
+    demand = rows[slot] if rows else ()
     if W in demand:
         others = [u for u in range(1, q) if u != c_W]
         own[W] = others[int(d.coefficients(len(others) + 1, 1)[0]) - 1]
@@ -107,7 +108,7 @@ def _per_index_build(protocol, scenario, K, rng):
     else:  # A - Y = (c - c_W) * X_W
         a = pow(c - c_W, -1, q)
         state = DecoderState(scenario, slot, a, -a % q)
-    sets = list(zip(structure.sets, coeffs))
+    sets = list(zip(rows, coeffs))
     return query_of(sets, scenario.model, structure.case_tag or 0), state
 
 

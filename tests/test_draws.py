@@ -8,6 +8,10 @@ import threading
 from pathlib import Path
 from random import Random
 
+import numpy as np
+import pytest
+from scipy.stats import chisquare
+
 from pircsi import (
     Database,
     FieldParams,
@@ -18,6 +22,7 @@ from pircsi import (
     sample_scenario,
     wire,
 )
+from pircsi.draws import SAMPLE_CUT, RandomDraws
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CELLS = [(MODEL_I, 100, 9), (MODEL_II, 100, 70), (MODEL_I, 12, 2), (MODEL_I, 1000, 9),
@@ -140,3 +145,35 @@ def test_the_server_and_set_up_never_load_numpy_random(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, SAMPLE_CUT - 1])
+def test_sample_below_the_cut_takes_what_random_sample_takes(k):
+    # Seeded Monte-Carlo screens and small queries keep their draws.
+    pool = list(range(100, 130))
+    for seed in range(20):
+        rng, reference = Random(seed), Random(seed)
+        from_list = RandomDraws(rng).sample(pool, k)
+        from_array = RandomDraws(rng).sample(np.array(pool), k)
+        assert from_list == reference.sample(pool, k)
+        assert from_array.dtype == np.int64 and from_array.tolist() == reference.sample(pool, k)
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("k", [SAMPLE_CUT, 25])
+def test_sample_above_the_cut_is_uniform(k):
+    # k distinct pool items; every item is taken equally often, and every
+    # output position holds every item equally often.
+    n, trials = 30, 6000
+    pool = np.arange(100, 100 + n)
+    d = RandomDraws(Random(2018))
+    at = np.zeros((k, n), dtype=np.int64)  # at[j, i]: pool item i drawn into position j
+    for _ in range(trials):
+        picked = d.sample(pool, k)
+        assert picked.dtype == np.int64 and len(set(picked.tolist())) == k
+        at[np.arange(k), picked - 100] += 1
+    as_list = d.sample(list(pool), k)
+    assert type(as_list) is list and len(set(as_list)) == k and set(as_list) <= set(pool.tolist())
+    tests = [at.sum(axis=0), *at]
+    pvalues = [chisquare(counts).pvalue for counts in tests]
+    assert min(pvalues) >= 1e-4 / len(tests), min(pvalues)

@@ -1,5 +1,4 @@
 """Second-model protocol: case routing, constructions, and decode formulas."""
-from collections import Counter
 from random import Random
 
 import pytest
@@ -10,6 +9,7 @@ from pircsi import (
     MODEL_II,
     ParameterError,
     ProtocolError,
+    Scenario,
     WireParseError,
     sample_scenario,
     wire,
@@ -192,6 +192,23 @@ def test_decode_recovers_across_all_cases(q, m):
             query, state = build_query(scenario, K, rng)
             answer = answer_query(db, query)
             assert decode_answer(answer, state) == db[scenario.W]
+
+
+@pytest.mark.parametrize("K,M", [(8, 2), (8, 3), (8, 5), (8, 8), (1000, 600)])
+def test_a_support_out_of_sorted_order_still_decodes(K, M):
+    # attach_coefficients finds each index's own coefficient by index, not by
+    # position in a sorted S.
+    db = Database.random(FieldParams(7), K, Random(K + M))
+    rng = Random(M)
+    for _ in range(40 if K < 100 else 3):
+        drawn = sample_scenario(db, M, MODEL_II, rng)
+        S, C = drawn.S[::-1], drawn.C[::-1]  # the same side information, S descending
+        scenario = Scenario(drawn.W, S, C, drawn.Y, MODEL_II)
+        query, state = build_query(scenario, K, rng)
+        own = dict(zip(S, C))
+        sent = query.sets[state.demand_slot]
+        assert all(c == own[i] for i, c in zip(sent.indices, sent.coeffs) if i != scenario.W)
+        assert decode_answer(answer_query(db, query), state) == db[scenario.W]
 
 
 def test_build_is_seed_deterministic(gf3):

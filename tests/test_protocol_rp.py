@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from pircsi import (
@@ -24,6 +25,7 @@ from pircsi.protocol_rp import (
     build_query,
     canonical_fingerprint,
     decode_answer,
+    rows_array,
 )
 from pircsi.pmf import partition_rounds, rp_distribution
 
@@ -295,6 +297,15 @@ def test_decode_validation(gf3):
 def test_queryset_pairing_is_enforced():
     with pytest.raises(ParameterError):
         QuerySet((1, 2), (1,))
+
+
+def test_rows_array_takes_an_array_as_it_is():
+    sets = np.array([[3, 1], [2, 4]], dtype=np.int64)
+    assert rows_array(sets) is sets
+    rows = rows_array(((3, 1), (2, 4)))
+    assert rows.dtype == np.int64 and rows.tolist() == [[3, 1], [2, 4]]
+    with pytest.raises(ProtocolError, match="^built a set of the wrong size$"):
+        rows_array(((3, 1), (2,)))
 
 
 # ------------------------------------------------------------ partition guard

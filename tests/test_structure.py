@@ -10,6 +10,7 @@ must follow the law the exact auditor enumerates.
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ from pircsi.protocol_csi2 import (
     CASE_TRIVIAL,
     case_for,
 )
-from pircsi.protocol_rp import fingerprint_of
+from pircsi.protocol_rp import fingerprint_of, rows_array
 from pircsi.protocols import PROTOCOLS
 
 # First model: one, two, three, four and five sets, with and without repeats.
@@ -54,7 +55,9 @@ def _split_matches_build(model_name, K, M, seed, **mutation):
     protocol = PROTOCOLS[model_name]
     structure = protocol.draw_structure(scenario.W, scenario.S, K, Random(seed + 2), **mutation)
     query, state = protocol.build_query(scenario, K, Random(seed + 2), **mutation)
-    assert tuple(qs.indices for qs in query.sets) == structure.sets
+    if model_name == MODEL_II:  # drawn as the (n, s) int64 array the query sends
+        assert structure.sets.dtype == np.int64 and structure.sets.ndim == 2
+    assert np.array_equal(query.idx, rows_array(structure.sets))
     assert state.demand_slot == structure.demand_slot
     return structure, query, state
 
