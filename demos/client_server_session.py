@@ -39,19 +39,19 @@ with wire.PirServer(db, port=0) as server:
 
     query, state = protocol_rp.build_query(scenario, K, rng)
     print("query on the wire (this is the server's entire view):")
-    for pos, qs in enumerate(query.sets, start=1):
-        terms = " + ".join(f"{c}*X_{i}" for i, c in zip(qs.indices, qs.coeffs))
+    for pos, (indices, coeffs) in enumerate(zip(query.idx.tolist(), query.coef.tolist()), 1):
+        terms = " + ".join(f"{c}*X_{i}" for i, c in zip(indices, coeffs))
         print(f"  set {pos}: {terms}")
     blob = wire.encode_query(query, params)
     print(f"  ({len(blob)} bytes encoded)")
     print()
 
     answer = wire.fetch(server.address, query, params)
-    print(f"answer: {len(answer.values)} field elements")
+    print(f"answer: {len(answer.words)} field elements")
 
     decoded = protocol_rp.decode_answer(answer, state)
     print(f"decoded X_{scenario.W}: coefficients {decoded.coeffs}")
-    assert decoded == db[scenario.W]
+    assert list(decoded.coeffs) == db.words[scenario.W - 1].tolist()
     print("matches the server's copy: yes")
 
 print()

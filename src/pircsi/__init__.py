@@ -22,7 +22,6 @@ from .model import (
     MODEL_II,
     Database,
     Scenario,
-    indicator,
     sample_demand,
     sample_scenario,
     side_information,
@@ -104,7 +103,6 @@ __all__ = [
     "case3_pmf",
     "case_for",
     "download_cost",
-    "indicator",
     "measure_rate",
     "partition_rounds",
     "protocol_csi2",

@@ -435,7 +435,8 @@ def audit_recoverability(
         protocol = PROTOCOLS[scenario.model]
         query, state = protocol.build_query(scenario, K, rng)
         answer = protocol.answer_query(db, query)
-        if protocol.decode_answer(answer, state) == db[scenario.W]:
+        decoded = protocol.decode_answer(answer, state)
+        if list(decoded.coeffs) == db.words[scenario.W - 1].tolist():
             successes += 1
     return RecoverabilityReport(model, K, M, trials, successes, successes == trials)
 
@@ -450,7 +451,7 @@ def measure_rate(model: str, K: int, M: int) -> RateReport:
     protocol = PROTOCOLS[model]
     query, _ = protocol.build_query(scenario, K, rng)
     answer = protocol.answer_query(db, query)
-    elements = len(answer.values)
+    elements = len(answer.words)
     measured = inf if elements == 0 else Fraction(1, elements)
     cap = capacity(model, K, M)
     return RateReport(model, K, M, elements, measured, cap, measured == cap)

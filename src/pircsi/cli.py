@@ -47,12 +47,14 @@ def _rat_pair(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _format_element(value) -> str:
-    if value.params.m == 1:
-        return str(value.coeffs[0])
+def _format_element(row) -> str:
+    """A message's word row (a sequence of ints, first coordinate lowest) as
+    a polynomial in x, or as its one word when m = 1."""
+    if len(row) == 1:
+        return str(row[0])
     terms = []
-    for power in range(value.params.m - 1, -1, -1):
-        c = value.coeffs[power]
+    for power in range(len(row) - 1, -1, -1):
+        c = row[power]
         if c == 0:
             continue
         if power == 0:
@@ -86,36 +88,37 @@ def _print_scenario(scenario, fh) -> None:
     support = "{" + ",".join(str(i) for i in scenario.S) + "}"
     print(
         f"scenario: demand W={scenario.W}, support S={support}, "
-        f"coefficients {coeffs}, side information Y={_format_element(scenario.Y)}",
+        f"coefficients {coeffs}, side information Y={_format_element(scenario.Y.coeffs)}",
         file=fh,
     )
 
 
 def _print_query(query, fh) -> None:
-    if not query.sets:
+    n = len(query.idx)
+    if not n:
         print("query: none (the side information alone yields the demand)", file=fh)
         return
     label = f"{_CASE_NAMES[query.case_tag]}, " if query.model == MODEL_II else ""
-    print(f"query ({label}{len(query.sets)} set{'s' if len(query.sets) != 1 else ''}):", file=fh)
-    for pos, qs in enumerate(query.sets, start=1):
-        combo = " + ".join(f"{c}*X_{i}" for i, c in zip(qs.indices, qs.coeffs))
+    print(f"query ({label}{n} set{'s' if n != 1 else ''}):", file=fh)
+    for pos, (indices, coeffs) in enumerate(zip(query.idx.tolist(), query.coef.tolist()), 1):
+        combo = " + ".join(f"{c}*X_{i}" for i, c in zip(indices, coeffs))
         print(f"  set {pos}: {combo}", file=fh)
 
 
 def _print_reveal(query, state, fh) -> None:
     W = state.scenario.W
-    if not query.sets:
+    if not len(query.idx):
         print("reveal: nothing sent, nothing to hide", file=fh)
     elif query.model == MODEL_II and query.case_tag == protocol_csi2.CASE_SINGLE:
-        probe = query.sets[0].indices[0]
+        probe = int(query.idx[0, 0])
         hit = "the demand itself" if probe == W else "its partner in S"
         print(f"reveal: probe covers index {probe} ({hit})", file=fh)
     else:
         # W's coefficient in the demand set; the disjoint case leaves W out.
-        demand = query.sets[state.demand_slot]
-        fresh = dict(zip(demand.indices, demand.coeffs)).get(W)
+        slot = state.demand_slot
+        fresh = dict(zip(query.idx[slot].tolist(), query.coef[slot].tolist())).get(W)
         print(
-            f"reveal: decoding uses slot {state.demand_slot + 1}"
+            f"reveal: decoding uses slot {slot + 1}"
             + (f", fresh coefficient {fresh}" if fresh is not None else ""),
             file=fh,
         )
@@ -131,17 +134,18 @@ def _print_outcome(
     the demand."""
     W = state.scenario.W
     decoded = PROTOCOLS[state.scenario.model].decode_answer(answer, state)
-    count = len(answer.values)
+    count = len(answer.words)
     print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
-    for pos, value in enumerate(answer.values, start=1):
-        print(f"  A_{pos} = {_format_element(value)}", file=fh)
+    for pos, row in enumerate(answer.words.tolist(), start=1):
+        print(f"  A_{pos} = {_format_element(row)}", file=fh)
     if reveal:
         _print_reveal(query, state, fh)
     demand = f"X_{W}" if reveal or both_parties else "X_W"
-    print(f"decoded  {demand} = {_format_element(decoded)}", file=fh)
+    print(f"decoded  {demand} = {_format_element(decoded.coeffs)}", file=fh)
+    stored = db.words[W - 1].tolist()
     if both_parties:
-        print(f"database X_{W} = {_format_element(db[W])}", file=fh)
-    ok = decoded == db[W]
+        print(f"database X_{W} = {_format_element(stored)}", file=fh)
+    ok = list(decoded.coeffs) == stored
     print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
     return 0 if ok else 1
 
@@ -161,8 +165,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         file=fh,
     )
     print("database:", file=fh)
-    for i in range(1, db.K + 1):
-        print(f"  X_{i} = {_format_element(db[i])}", file=fh)
+    for i, row in enumerate(db.words.tolist(), start=1):
+        print(f"  X_{i} = {_format_element(row)}", file=fh)
     _print_scenario(scenario, fh)
     _print_query(query, fh)
     return _print_outcome(db, query, answer, state, args.reveal, fh, both_parties=True)
@@ -357,8 +361,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _cmd_db_gen(args: argparse.Namespace) -> int:
     params = FieldParams(args.q, args.ext)
     db = Database.random(params, args.k, Random(args.seed))
-    db.save(args.out)
-    size = len(db.to_bytes())
+    size = db.save(args.out)
     print(f"wrote {args.out}: K={args.k} messages over GF({args.q}^{args.ext}), {size} bytes")
     return 0
 

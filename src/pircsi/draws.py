@@ -8,6 +8,7 @@ size, which divides len(seq)).  A fifth, coefficients(q, count), gives count
 uniform integers in [1, q) as int64: every coefficient of a query
 (attach_coefficients) and a scenario's C.  RandomDraws interprets all five
 in production, and the exact auditor the first four by enumeration.
+uniform_words draws a database's words on the same Generator.
 """
 
 import threading
@@ -82,6 +83,12 @@ class _Thread(threading.local):
 
 
 _thread = _Thread()
+
+
+def uniform_words(q: int, shape, rng: Random) -> np.ndarray:
+    """Uniform u16 words in [0, q) of the given shape, such as a database's
+    K×m, in one call on the thread's Generator, reseeded from rng."""
+    return _thread.generator_for(RandomDraws(rng)).integers(0, q, shape, np.uint16)
 
 
 def draws_from(rng):

@@ -1,15 +1,16 @@
 """Messages as vectors over GF(q) for odd prime q.
 
-A message of GF(q^m) is held as its m coordinates over the base field GF(q).
-The protocols only add messages and scale them by base-field coefficients,
-so nothing ever multiplies two messages: (q, m) alone pins down every
-operation, and two parties that agree on (q, m) agree on everything.
-Elements are drawn here; coefficients come from pircsi.draws.
+A message of GF(q^m) is held as its m coordinates over the base field GF(q),
+in production as a row of m u16 words.  The protocols only add messages and
+scale them by base-field coefficients, which model.answer_words and
+protocol_rp.decode_answer do on word rows, so nothing ever multiplies two
+messages: (q, m) alone pins down every operation, and two parties that agree
+on (q, m) agree on everything.  Nothing is drawn here: messages come from
+model.Database.random, coefficients from pircsi.draws.  FieldElement is the
+plain value that db[i], Scenario.Y, Answer.values and decode_answer give.
 """
 
-import struct
 from dataclasses import dataclass
-from random import Random
 
 from .errors import ParameterError
 
@@ -55,71 +56,17 @@ class FieldParams:
         """Size of the canonical element encoding: m unsigned 16-bit words."""
         return 2 * self.m
 
-    # -- element constructors ------------------------------------------------
-
     def element(self, coeffs) -> "FieldElement":
         coeffs = tuple(int(c) % self.q for c in coeffs)
         if len(coeffs) != self.m:
             raise ParameterError(f"need {self.m} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
-    def scalar(self, c: int) -> "FieldElement":
-        """Embed a base-field value as the first coordinate."""
-        return FieldElement(self, (int(c) % self.q,) + (0,) * (self.m - 1))
 
-    # -- sampling ------------------------------------------------------------
-
-    def sample(self, rng: Random) -> "FieldElement":
-        """Uniform element: one draw below q^m, split into base-q digits,
-        first coordinate lowest."""
-        q, value = self.q, rng.randrange(self.q**self.m)
-        coeffs = []
-        for _ in range(self.m):
-            value, digit = divmod(value, q)
-            coeffs.append(digit)
-        return FieldElement(self, tuple(coeffs))
-
-
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """A single vector of GF(q)^m, stored as its coordinate tuple."""
+    """One vector of GF(q)^m as a value: its field and coordinate tuple,
+    first coordinate first.  The arithmetic runs on word rows elsewhere."""
 
-    __slots__ = ("params", "coeffs")
-
-    def __init__(self, params: FieldParams, coeffs: tuple[int, ...]):
-        self.params = params
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if self.params != other.params:
-            raise ParameterError("elements from different fields cannot be combined")
-        q = self.params.q
-        return FieldElement(
-            self.params, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def scale(self, c: int) -> "FieldElement":
-        """Multiply by a base-field scalar."""
-        q = self.params.q
-        c = int(c) % q
-        return FieldElement(self.params, tuple((c * a) % q for a in self.coeffs))
-
-    def to_bytes(self) -> bytes:
-        """Canonical encoding: m little-endian u16 words, first coordinate first."""
-        return struct.pack(f"<{self.params.m}H", *self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.params == other.params
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.params, self.coeffs))
-
-    def __repr__(self):
-        if self.params.m == 1:
-            return f"gf({self.coeffs[0]} mod {self.params.q})"
-        return f"gf({list(self.coeffs)} mod {self.params.q}^{self.params.m})"
+    params: FieldParams
+    coeffs: tuple[int, ...]

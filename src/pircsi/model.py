@@ -1,11 +1,13 @@
 """Problem setup: the message database, the answer kernel over it, and the
 client's side information.
 
-A database holds K field elements X_1..X_K (indices are 1-based throughout).
-A scenario fixes the client's state: the demand index W, the support S of the
-side information, the nonzero coefficients C aligned with sorted(S), and the
-coded side information Y = sum(c_i * X_i).  Model "I" demands a message from
-outside S; model "II" demands one from inside S.
+A database holds K messages X_1..X_K (indices are 1-based throughout) as one
+K×m array of u16 word rows, built from such an array, drawn in one call, or
+read from a file.  A scenario fixes the client's state: the demand index W,
+the support S of the side information, the nonzero coefficients C aligned
+with sorted(S), and the coded side information Y = sum(c_i * X_i), which
+answer_words computes on the rows.  Model "I" demands a message from outside
+S; model "II" demands one from inside S.
 """
 
 import struct
@@ -14,7 +16,7 @@ from random import Random
 
 import numpy as np
 
-from .draws import RandomDraws
+from .draws import RandomDraws, uniform_words
 from .errors import ParameterError
 from .field import FieldElement, FieldParams
 
@@ -31,21 +33,21 @@ class Database:
 
     __slots__ = ("params", "words")
 
-    def __init__(self, params: FieldParams, messages):
-        encodings = []
-        for x in messages:
-            if not isinstance(x, FieldElement) or x.params != params:
-                raise ParameterError("all messages must be elements of the given field")
-            encodings.append(x.to_bytes())
-        self._hold(params, b"".join(encodings))
-
-    def _hold(self, params: FieldParams, body: bytes) -> None:
-        # An array over immutable bytes can never be made writeable.
-        words = np.frombuffer(body, dtype=_WORD).reshape(-1, params.m)
+    def __init__(self, params: FieldParams, words):
+        """words: a (K, m) integer array, K >= 1, of words in [0, q)."""
+        words = np.asarray(words)
+        if words.dtype.kind not in "iu":
+            raise ParameterError(f"message words must be integers, got {words.dtype}")
+        if words.ndim != 2 or words.shape[1] != params.m:
+            raise ParameterError(f"messages must be rows of {params.m} words, got {words.shape}")
         if not len(words):
             raise ParameterError("a database holds at least one message")
+        if words.min() < 0 or words.max() >= params.q:
+            raise ParameterError("coefficient word out of range for this field")
         self.params = params
-        self.words = words
+        # An array over immutable bytes can never be made writeable.
+        body = words.astype(_WORD, copy=False).tobytes()
+        self.words = np.frombuffer(body, _WORD).reshape(words.shape)
 
     @property
     def K(self) -> int:
@@ -66,9 +68,10 @@ class Database:
 
     @classmethod
     def random(cls, params: FieldParams, K: int, rng: Random) -> "Database":
+        """K uniform messages: all K×m words in one draw (draws.uniform_words)."""
         if K < 1:
             raise ParameterError(f"K must be positive, got {K}")
-        return cls(params, tuple(params.sample(rng) for _ in range(K)))
+        return cls(params, uniform_words(params.q, (K, params.m), rng))
 
     # -- binary file format --------------------------------------------------
     # header: q, m, K as u32 little-endian, then K canonical element encodings.
@@ -85,15 +88,12 @@ class Database:
         expect = _DB_HEADER.size + K * params.element_bytes
         if len(data) != expect:
             raise ParameterError(f"database blob has {len(data)} bytes, expected {expect}")
-        db = cls.__new__(cls)
-        db._hold(params, bytes(data[_DB_HEADER.size :]))
-        if int(db.words.max()) >= q:
-            raise ParameterError("coefficient word out of range for this field")
-        return db
+        return cls(params, np.frombuffer(data, _WORD, offset=_DB_HEADER.size).reshape(K, m))
 
-    def save(self, path) -> None:
+    def save(self, path) -> int:
+        """Write to_bytes() to path; returns the number of bytes written."""
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            return fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "Database":
@@ -123,11 +123,6 @@ class Scenario:
     C: tuple[int, ...]
     Y: FieldElement
     model: str
-
-
-def indicator(W: int, S) -> int:
-    """1 when the demand lies inside the side-information support, else 0."""
-    return 1 if W in set(S) else 0
 
 
 def side_information(db: Database, S, C) -> FieldElement:

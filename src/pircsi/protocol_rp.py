@@ -346,15 +346,17 @@ def _raise_first_fault(rows, K: int, q: int) -> None:
 
 
 def decode_answer(answer: Answer, state: DecoderState) -> FieldElement:
-    """Recover X_W = a * A[demand_slot] + b * Y, the one linear step of every
-    scheme of both models; only the demand slot's row of the answer is read."""
-    side, slot = state.scenario.Y.scale(state.b), state.demand_slot
-    if slot is None:
-        return side
-    if not 0 <= slot < len(answer.words):
-        raise ProtocolError(f"demand slot {slot!r} not present in the answer")
-    demand = FieldElement(answer.params, tuple(answer.words[slot].tolist()))
-    return demand.scale(state.a) + side
+    """Recover X_W = a * A[demand_slot] + b * Y mod q, the one linear step of
+    every scheme of both models, as one expression on word rows; only the
+    demand slot's row of the answer is read."""
+    Y, slot = state.scenario.Y, state.demand_slot
+    demand = 0
+    if slot is not None:
+        if not 0 <= slot < len(answer.words):
+            raise ProtocolError(f"demand slot {slot!r} not present in the answer")
+        demand = answer.words[slot].astype(np.int64)
+    row = (state.a * demand + state.b * np.array(Y.coeffs, np.int64)) % Y.params.q
+    return FieldElement(Y.params, tuple(row.tolist()))
 
 
 def canonical_fingerprint(query) -> tuple:

@@ -28,9 +28,11 @@ draws.RandomDraws, the coefficients by coefficients(q, count) on the
 thread's numpy Generator: one call for the (n, s) array, and one more for
 the demand where its set holds it.  attach_coefficients returns
 DecoderState(scenario, demand_slot, a, b), and decode_answer computes
-X_W = a * A[demand_slot] + b * Y from that row of the Answer's (n, m) word
-array.  The server parses a frame into the same arrays, checks them with
-check_sizes and check_set_arrays, and answers from model.answer_words.
+X_W = a * A[demand_slot] + b * Y mod q as one expression on word rows: that
+row of the Answer's (n, m) word array and Y's words.  The server parses a
+frame into the same arrays, checks them with check_sizes and
+check_set_arrays, and answers from model.answer_words, the same arithmetic
+on the database's K×m word array.
 """
 
 from . import protocol_csi2, protocol_rp

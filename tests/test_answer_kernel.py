@@ -3,6 +3,7 @@ int64 accumulation bound, and the exact rejection of malformed sets."""
 import struct
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +28,9 @@ FIELDS = [(3, 1), (5, 2), (257, 4), (65521, 3)]
 
 def _reference(messages, qs, q):
     """sum(c * x) mod q, word by word, over the caller's own message list."""
-    words = [0] * len(messages[0].coeffs)
+    words = [0] * len(messages[0])
     for i, c in zip(qs.indices, qs.coeffs):
-        for k, x in enumerate(messages[i - 1].coeffs):
+        for k, x in enumerate(messages[i - 1]):
             words[k] += c * x
     return tuple(w % q for w in words)
 
@@ -37,7 +38,7 @@ def _reference(messages, qs, q):
 def _check_against_reference(model, field, K, M, seed):
     params = FieldParams(*field)
     rng = Random(seed)
-    messages = [params.sample(rng) for _ in range(K)]
+    messages = [tuple(rng.randrange(params.q) for _ in range(params.m)) for _ in range(K)]
     db = Database(params, messages)
     protocol = protocol_rp if model == MODEL_I else protocol_csi2
     scenario = sample_scenario(db, M, model, rng)
@@ -48,7 +49,9 @@ def _check_against_reference(model, field, K, M, seed):
         assert got.params == params
         assert got.coeffs == _reference(messages, qs, params.q)
         assert all(type(w) is int for w in got.coeffs)
-    assert protocol.decode_answer(answer, state) == messages[scenario.W - 1]
+    decoded = protocol.decode_answer(answer, state)
+    assert decoded == params.element(messages[scenario.W - 1])
+    assert all(type(w) is int for w in decoded.coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,7 +79,7 @@ def test_extreme_values_stay_exact():
     q, K = 65521, 65535
     db = Database.from_bytes(struct.pack("<III", q, 1, K) + struct.pack("<H", q - 1) * K)
     everything = [(range(1, K + 1), [q - 1] * K)]
-    expect = (db.params.scalar(14),)
+    expect = (db.params.element((14,)),)
     assert protocol_rp.answer_query(db, query_of(everything)).values == expect
     full = query_of(everything, MODEL_II, CASE_FULL)
     assert protocol_csi2.answer_query(db, full).values == expect
@@ -85,6 +88,7 @@ def test_extreme_values_stay_exact():
 def test_database_words_are_read_only():
     params = FieldParams(5, 2)
     for db in (
+        Database(params, np.zeros((4, 2), np.int64)),
         Database.random(params, 4, Random(1)),
         Database.from_bytes(bytearray(Database.random(params, 4, Random(1)).to_bytes())),
     ):

@@ -1,15 +1,23 @@
-"""Vector arithmetic over GF(q) against hand-derived values and exhaustive axiom sweeps."""
+"""Vector arithmetic over GF(q), on word rows through the answer kernel,
+against hand-derived values and exhaustive axiom sweeps."""
 import struct
 import time
 from itertools import product
-from random import Random
 
+import numpy as np
 import pytest
 
-from pircsi import FieldParams, ParameterError
+from pircsi import Database, FieldParams, ParameterError
 from pircsi.field import MAX_Q
+from pircsi.model import answer_words
 
-from conftest import count_bound
+
+def _combine(db, *terms):
+    """answer_words with one set per row: each term is a column of 1-based
+    indices and a coefficient (a column or one int) for it."""
+    idx = np.stack([np.broadcast_to(i, np.shape(terms[0][0])) for i, _ in terms], axis=1)
+    coef = np.stack([np.broadcast_to(c, idx.shape[0]) for _, c in terms], axis=1)
+    return answer_words(db, idx, coef)
 
 
 # -------------------------------------------------------------- parameters
@@ -26,7 +34,7 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         FieldParams(3, 2.0)
     # a bool is an int to Python, but no field size: m=True once failed
-    # later, in to_bytes, with a bare struct.error
+    # later, in an element encoding, with a bare struct.error
     for bad in [(3, True), (True, 1), (True, True)]:
         with pytest.raises(ParameterError):
             FieldParams(*bad)
@@ -49,37 +57,28 @@ def test_long_messages_construct_at_once():
     FieldParams(257, 6)
     assert time.perf_counter() - t0 < 0.05
     assert params.element_bytes == 8192
-    e = params.element(range(4096))
-    assert e + e.scale(65520) == params.element([0] * 4096)
+    assert params.element(range(4096)).coeffs[-1] == 4095
+    db = Database(params, [range(4096)] * 2)
+    assert not _combine(db, ([1], 1), ([2], 65520)).any()  # x + (-1)x = 0
 
 
-# ------------------------------------------------------------- frozen values
+# ------------------------------------------------------------------- values
 
 
 def test_gf9_hand_arithmetic():
     gf9 = FieldParams(3, 2)
+    db = Database(gf9, [(2, 1), (2, 2), (1, 2)])  # x+2, 2x+2, 2x+1
     # (x+2) + (2x+2) = 3x+4 = 1
-    assert gf9.element((2, 1)) + gf9.element((2, 2)) == gf9.scalar(1)
+    assert _combine(db, ([1], 1), ([2], 1)).tolist() == [[1, 0]]
     # (2x+1) - (2x+2) = (2x+1) + 2(2x+2) = 6x+5 = 2
-    assert gf9.element((1, 2)) + gf9.element((2, 2)).scale(2) == gf9.scalar(2)
-    assert gf9.element((1, 2)).scale(2) == gf9.element((2, 1))
-
-
-def test_sample_splits_one_draw_into_base_q_digits():
-    # One randrange(q^m) per element, first coordinate the lowest digit: the
-    # database a seed gives depends on exactly this.
-    gf27 = FieldParams(3, 3)
-    for seed in range(20):
-        v = Random(seed).randrange(27)
-        assert gf27.sample(Random(seed)).coeffs == (v % 3, v // 3 % 3, v // 9)
+    assert _combine(db, ([3], 1), ([2], 2)).tolist() == [[2, 0]]
+    assert _combine(db, ([3], 2)).tolist() == [[2, 1]]
 
 
 def test_byte_encoding_is_little_endian_u16_per_coefficient():
     gf9 = FieldParams(3, 2)
-    e = gf9.element((2, 1))
-    blob = e.to_bytes()
-    assert blob == struct.pack("<2H", 2, 1)
-    assert gf9.element((0, 0)).to_bytes() == bytes(4)
+    assert Database(gf9, [(2, 1)]).to_bytes()[12:] == struct.pack("<2H", 2, 1)
+    assert Database(gf9, [(0, 0)]).to_bytes()[12:] == bytes(4)
 
 
 # ------------------------------------------------------- vector-space axioms
@@ -87,22 +86,29 @@ def test_byte_encoding_is_little_endian_u16_per_coefficient():
 
 @pytest.mark.parametrize("q,m", [(3, 1), (5, 1), (3, 2), (5, 2)])
 def test_axioms_exhaustive(q, m):
-    params = FieldParams(q, m)
-    elems = [params.element(v) for v in product(range(q), repeat=m)]
-    zero = params.element((0,) * m)
-    scalars = range(q)
-    for a, b in product(elems, repeat=2):
-        assert a + b == b + a
-        assert a + zero == a and a.scale(1) == a and a.scale(0) == zero
-        assert a + a.scale(-1) == zero
-        for c in scalars:
-            assert (a + b).scale(c) == a.scale(c) + b.scale(c)
-    for a, b, c in product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-    for a in elems:
-        for c, d in product(scalars, repeat=2):
-            assert a.scale(c + d) == a.scale(c) + a.scale(d)
-            assert a.scale(c * d) == a.scale(d).scale(c)
+    # Every vector of GF(q)^m three times over, so that one set can hold a
+    # vector two or three times: X_i = X_{N+i} = X_{2N+i} = vectors[i-1].
+    vectors = np.array(list(product(range(q), repeat=m)), np.int64)
+    N = len(vectors)
+    db = Database(FieldParams(q, m), np.vstack([vectors] * 3))
+    grid = np.meshgrid(*[np.arange(1, N + 1)] * 3, indexing="ij")
+    x, y, z = (g.ravel() + k * N for k, g in enumerate(grid))  # every triple
+    vx, vy = vectors[x - 1], vectors[y - N - 1]
+    total = _combine(db, (x, 1), (y, 1))
+    assert np.array_equal(total, (vx + vy) % q)  # additivity, word by word
+    assert np.array_equal(total, _combine(db, (y, 1), (x, 1)))
+    triple = _combine(db, (x, 1), (y, 1), (z, 1))
+    assert np.array_equal(triple, (total + vectors[z - 2 * N - 1]) % q)  # (x+y)+z
+    assert np.array_equal(triple, (vx + _combine(db, (y, 1), (z, 1))) % q)  # x+(y+z)
+    assert not _combine(db, (x, 1), (x + N, q - 1)).any()  # x + (-1)x = 0
+    for c in range(1, q):
+        cx, cy = _combine(db, (x, c)), _combine(db, (y, c))
+        assert np.array_equal(cx, c * vx % q)  # scaling, word by word
+        assert np.array_equal(_combine(db, (x, c), (y, c)), (cx + cy) % q)  # c(x+y) = cx + cy
+        for d in range(1, q):
+            dx = _combine(db, (x, d))
+            assert np.array_equal(_combine(db, (x, c), (x + N, d)), (cx + dx) % q)
+            assert np.array_equal(_combine(db, (x, c * d % q)), c * dx % q)  # (cd)x = c(dx)
 
 
 def test_elements_do_not_multiply():
@@ -112,49 +118,27 @@ def test_elements_do_not_multiply():
         a * b
     with pytest.raises(TypeError):
         a * 1.0
-    # scalars act through scale() alone
+    # scalars act on word rows, through the answer kernel
     with pytest.raises(TypeError):
         a * 2
 
 
 def test_elements_from_different_fields_never_mix():
-    a = FieldParams(3).scalar(1)
-    b = FieldParams(5).scalar(1)
+    # equal coordinates in another field, or of another length, are another value
+    assert FieldParams(3).element((1,)) != FieldParams(5).element((1,))
+    assert FieldParams(3, 2).element((1, 0)) != FieldParams(3, 3).element((1, 0, 0))
+    # and a database refuses another field's rows
     with pytest.raises(ParameterError):
-        a + b
-    # the same q with another length is another space
+        Database(FieldParams(3, 2), [(1, 0, 0)])
     with pytest.raises(ParameterError):
-        FieldParams(3, 2).scalar(1) + FieldParams(3, 3).scalar(1)
+        Database(FieldParams(3), [(4,)])
 
 
 def test_scalar_multiplication_embeds_the_base_field():
     gf9 = FieldParams(3, 2)
-    e = gf9.element((1, 2))
-    assert e.scale(2) == gf9.element((2, 1))
-    assert gf9.scalar(2) == gf9.scalar(1).scale(2) == gf9.element((2, 0))
-    # integer scalars act through Z -> GF(q), so multiples of q annihilate
-    assert e.scale(3) == gf9.element((0, 0))
-    assert e.scale(4) == e
-
-
-# ------------------------------------------------------------------ sampling
-
-
-def test_sampling_covers_gf9():
-    params = FieldParams(3, 2)
-    rng = Random(1)
-    counts = {}
-    trials = 18_000
-    for _ in range(trials):
-        v = params.sample(rng).coeffs
-        counts[v] = counts.get(v, 0) + 1
-    assert set(counts) == set(product(range(3), repeat=2))
-    for c in counts.values():
-        assert abs(c - trials / 9) < count_bound(trials, 1 / 9)
-
-
-def test_sampling_is_seed_deterministic():
-    params = FieldParams(5, 2)
-    a = [params.sample(Random(13)).coeffs for _ in range(50)]
-    b = [params.sample(Random(13)).coeffs for _ in range(50)]
-    assert a == b
+    db = Database(gf9, [(1, 0), (1, 2)])
+    # c * (1, 0) = (c, 0): the base field is the first coordinate
+    assert _combine(db, ([1], 2)).tolist() == [[2, 0]]
+    assert _combine(db, ([2], 2)).tolist() == [[2, 1]]
+    # element() takes integers through Z -> GF(q), so multiples of q vanish
+    assert gf9.element((3, 4)) == gf9.element((0, 1))

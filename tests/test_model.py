@@ -3,6 +3,7 @@ import struct
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 
 from pircsi import (
@@ -11,7 +12,6 @@ from pircsi import (
     MODEL_I,
     MODEL_II,
     ParameterError,
-    indicator,
     sample_scenario,
     side_information,
 )
@@ -20,26 +20,31 @@ from conftest import count_bound
 
 
 def test_database_basic_access(gf3):
-    db = Database(gf3, [gf3.scalar(1), gf3.scalar(2), gf3.scalar(0)])
+    db = Database(gf3, [[1], [2], [0]])
     assert db.K == 3
-    assert db[1] == gf3.scalar(1) and db[3] == gf3.scalar(0)
+    assert db[1] == gf3.element((1,)) and db[3] == gf3.element((0,))
+    assert db.words.dtype == np.dtype("<u2") and db.words.tolist() == [[1], [2], [0]]
     with pytest.raises(ParameterError):
         db[0]
     with pytest.raises(ParameterError):
         db[4]
 
 
-def test_database_rejects_foreign_elements(gf3):
-    gf5 = FieldParams(5)
-    with pytest.raises(ParameterError):
-        Database(gf3, [gf5.scalar(1)])
-    with pytest.raises(ParameterError):
-        Database(gf3, [])
+def test_database_rejects_foreign_elements(gf9):
+    for words in (
+        np.zeros((2, 3), np.int64),  # a wrong column count
+        [[0, 3]],  # a word equal to q
+        [[-1, 0]],  # a negative word
+        np.zeros((0, 2), np.int64),  # zero rows
+        np.zeros((2, 2)),  # a float array
+    ):
+        with pytest.raises(ParameterError):
+            Database(gf9, words)
 
 
 def test_database_bytes_layout(gf3):
     # header is three little-endian u32 (q, m, K), then canonical elements
-    db = Database(gf3, [gf3.scalar(1), gf3.scalar(2)])
+    db = Database(gf3, [[1], [2]])
     blob = db.to_bytes()
     assert blob[:12] == struct.pack("<III", 3, 1, 2)
     assert blob[12:] == struct.pack("<HH", 1, 2)
@@ -65,7 +70,7 @@ def test_database_bytes_round_trip_long_messages():
 
 
 def test_database_from_bytes_rejects_bad_lengths(gf3):
-    db = Database(gf3, [gf3.scalar(1)])
+    db = Database(gf3, [[1]])
     blob = db.to_bytes()
     with pytest.raises(ParameterError):
         Database.from_bytes(blob[:-1])
@@ -75,28 +80,55 @@ def test_database_from_bytes_rejects_bad_lengths(gf3):
         Database.from_bytes(b"\x01\x02")
 
 
+def test_database_bytes_are_pinned():
+    # q, m, K as u32 little-endian, then each message's m u16 words in order
+    db = Database(FieldParams(257, 2), [(256, 1), (0, 255)])
+    assert db.to_bytes() == bytes.fromhex("01010000" "02000000" "02000000" "00010100" "0000ff00")
+    assert Database.from_bytes(db.to_bytes()) == db
+
+
+def test_database_from_bytes_rejects_out_of_range_words():
+    blob = bytearray(Database(FieldParams(5), [[4]]).to_bytes())
+    blob[12] = 5
+    with pytest.raises(ParameterError):
+        Database.from_bytes(bytes(blob))
+
+
+def test_database_random_repeats_for_a_seed():
+    params = FieldParams(5, 2)
+    db = Database.random(params, 50, Random(13))
+    assert db == Database.random(params, 50, Random(13))
+    assert db != Database.random(params, 50, Random(14))
+    with pytest.raises(ParameterError):
+        Database.random(params, 0, Random(13))
+
+
+def test_database_random_words_are_flat():
+    # every word of GF(5^3) is uniform over [0, 5)
+    q, m, K = 5, 3, 2000
+    counts = np.bincount(Database.random(FieldParams(q, m), K, Random(1)).words.ravel())
+    assert len(counts) == q
+    for c in counts:
+        assert abs(c - K * m / q) < count_bound(K * m, 1 / q)
+
+
 def test_database_save_load(tmp_path):
     params = FieldParams(7, 2)
     db = Database.random(params, 4, Random(9))
     path = tmp_path / "messages.db"
-    db.save(path)
+    assert db.save(path) == path.stat().st_size == 12 + 4 * 2 * 2
     assert Database.load(path) == db
-
-
-def test_indicator():
-    assert indicator(2, {1, 2}) == 1
-    assert indicator(3, {1, 2}) == 0
 
 
 def test_side_information_hand_value(gf3):
     # 2*X_1 + 2*X_2 = 2*1 + 2*2 = 6 = 0 in GF(3)
-    db = Database(gf3, [gf3.scalar(1), gf3.scalar(2), gf3.scalar(0)])
+    db = Database(gf3, [[1], [2], [0]])
     y = side_information(db, [1, 2], [2, 2])
-    assert y == gf3.scalar(0)
+    assert y == gf3.element((0,))
 
 
 def test_side_information_validation(gf3):
-    db = Database(gf3, [gf3.scalar(1), gf3.scalar(2), gf3.scalar(0)])
+    db = Database(gf3, [[1], [2], [0]])
     with pytest.raises(ParameterError):
         side_information(db, [1, 1], [1, 1])  # repeated index
     with pytest.raises(ParameterError):
@@ -119,7 +151,7 @@ def test_scenario_consistency(gf9):
             assert sc.model == model
             assert sc.S == tuple(sorted(sc.S))
             assert sc.Y == side_information(db, sc.S, sc.C)
-            assert indicator(sc.W, sc.S) == (1 if model == MODEL_II else 0)
+            assert (sc.W in sc.S) == (model == MODEL_II)
 
 
 def test_scenario_validation(gf3):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pircsi import (
+    Answer,
     Database,
     FieldParams,
     MODEL_I,
@@ -215,23 +216,23 @@ def test_corrupted_demand_answer_changes_the_decode(gf9):
     scenario, query, state, _ = _build(db, 6, 1, 9)
     answer = answer_query(db, query)
     good = decode_answer(answer, state)
-    values = list(answer.values)
-    values[state.demand_slot] = values[state.demand_slot] + gf9.scalar(1)
-    assert decode_answer(answer_of(gf9, values), state) != good
+    words = answer.words.copy()
+    words[state.demand_slot, 0] = (words[state.demand_slot, 0] + 1) % 3
+    assert decode_answer(Answer(gf9, words), state) != good
     # other slots never feed the decoder
-    values = list(answer.values)
-    other = (state.demand_slot + 1) % len(values)
+    words = answer.words.copy()
+    other = (state.demand_slot + 1) % len(words)
     if other != state.demand_slot:
-        values[other] = values[other] + gf9.scalar(1)
-        assert decode_answer(answer_of(gf9, values), state) == good
+        words[other, 0] = (words[other, 0] + 1) % 3
+        assert decode_answer(Answer(gf9, words), state) == good
 
 
 def test_answer_hand_value(gf3):
     # X = (1, 2); 2*X_1 + 1*X_2 = 4 = 1 in GF(3)
-    db = Database(gf3, [gf3.scalar(1), gf3.scalar(2)])
+    db = Database(gf3, [[1], [2]])
     query = query_of([((1, 2), (2, 1))])
     answer = answer_query(db, query)
-    assert answer.values == (gf3.scalar(1),)
+    assert answer.values == (gf3.element((1,)),)
 
 
 # -------------------------------------------------------------- fingerprints

@@ -356,7 +356,8 @@ def test_answer_round_trip_lengths():
     rng = Random(43)
     for params in (FieldParams(3), FieldParams(5, 2), FieldParams(11, 3)):
         for count in (0, 1, 2, 5):
-            answer = answer_of(params, [params.sample(rng) for _ in range(count)])
+            rows = [[rng.randrange(params.q) for _ in range(params.m)] for _ in range(count)]
+            answer = answer_of(params, list(map(params.element, rows)))
             blob = wire.encode_answer(answer)
             assert len(blob) == 2 + count * params.element_bytes
             assert wire.decode_answer(blob, params) == answer
