@@ -28,7 +28,8 @@ from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity, rp_distribution
 from .protocols import PROTOCOLS
-from .protocol_rp import check_partition, fingerprint_of, rows_array
+from . import protocol_rp
+from .protocol_rp import check_partition, fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
 
@@ -111,17 +112,17 @@ class RateReport:
     matches_capacity: bool
 
 
-def _draw_for(model: str, K: int, M: int, mutation: str | None):
-    """The cell's draw_structure and the keyword arguments of the named
-    mutation, which exist for the first model only."""
+def _mutations(model: str, K: int, M: int, mutation: str | None) -> dict:
+    """The keyword arguments of the named mutation of the first-model draw,
+    after checking the cell; mutations exist for the first model only."""
     check_cell(K, M, model)
     if mutation is None:
-        return PROTOCOLS[model].draw_structure, {}
+        return {}
     if model != MODEL_I:
         raise ParameterError("builder mutations only exist for the first model")
     if mutation not in MUTATIONS:
         raise ParameterError(f"unknown mutation {mutation!r}")
-    return PROTOCOLS[model].draw_structure, MUTATIONS[mutation](K, M)
+    return MUTATIONS[mutation](K, M)
 
 
 def audit_exact(
@@ -170,7 +171,8 @@ def exact_joint(
     outside indices (as deterministic_extras does); tests compare it with an
     enumeration of every scenario.
     """
-    draw, mutations = _draw_for(model, K, M, mutation)
+    mutations = _mutations(model, K, M, mutation)
+    draw = PROTOCOLS[model].draw_structure
     if model == MODEL_I:
         S0, scenarios = tuple(range(2, M + 2)), comb(K, M) * (K - M)
     else:
@@ -213,17 +215,20 @@ def scenario_law(
     """The law of the fingerprint of draw(W, S, K, rng, **mutations), as
     integer weights over their sum: the draw runs once per leaf of its choice
     tree under _Enumeration.  Raises AuditSizeError once scenarios times the
-    leaves would exceed row_guard, and ProtocolError when a first-model
-    fingerprint (W outside S) fails check_partition."""
+    leaves would exceed row_guard, and ProtocolError when the first leaf of
+    a first-model fingerprint (W outside S) fails check_partition."""
     enum = _Enumeration(scenarios, row_guard)
     masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
+    firsts = {}  # fingerprint -> the sets of its first leaf
     while True:
-        fp = fingerprint_of(draw(W, S, K, enum, **mutations).sets)
+        sets = draw(W, S, K, enum, **mutations).sets
+        fp = fingerprint_of(sets)
         masses[enum.den, fp] += enum.num
+        firsts.setdefault(fp, sets)
         if not enum.next_leaf():
             break
-    for fp in {fp for _, fp in masses} if W not in S else ():
-        check_partition(rows_array(fp), K, len(S))
+    if W not in S:
+        check_partition(np.stack(list(firsts.values())), K, len(S))
     D = lcm(*(den for den, _ in masses))
     law: dict = defaultdict(int)
     for (den, fp), num in masses.items():
@@ -239,19 +244,22 @@ def _combinations(n: int, k: int) -> tuple:
 
 
 def _outcomes(cdf: Cdf) -> list:
+    """Each outcome's position in cdf.outcomes and its mass."""
     lows = (0, *cdf.cumulative)
-    return [(outcome, hi - lo) for outcome, lo, hi in zip(cdf.outcomes, lows, cdf.cumulative)]
+    return [(k, hi - lo) for k, (lo, hi) in enumerate(zip(lows, cdf.cumulative))]
 
 
 class _Enumeration:
     """The draw primitives as an enumeration.  Each run of the draw follows
     `path`, its option at each choice point, taking the first option at a new
     one, and next_leaf() advances the path depth first; num/den is the
-    product of the weights the run took.
+    product of the weights the run took.  It enumerates one trial: the
+    first model's draw runs on it at T = 1, so its arrays hold one row, and
+    choose(cdf, 1) gives that row's outcome as its position in cdf.outcomes.
 
     sample lists each combination once, in pool order; shuffle leaves its
-    list alone; split lets the block of the first remaining item take each
-    choice of mates once.  So a run shows no element order, set order, or
+    sequence alone; split lets the block of the first remaining item take
+    each choice of mates once.  So a run shows no element order, set order, or
     order of equal blocks: sound only for a fingerprint that strips all three,
     as fingerprint_of does.
     """
@@ -295,13 +303,13 @@ class _Enumeration:
             path[-1] += 1
         return bool(path)
 
-    def choose(self, cdf: Cdf):
-        if len(cdf.outcomes) == 1:
-            return cdf.outcomes[0]
-        outcome, mass = self._pick(len(cdf.outcomes), _outcomes, cdf)
-        self.num *= mass
-        self.den *= cdf.denom
-        return outcome
+    def choose(self, cdf: Cdf, count=None):
+        k = 0
+        if len(cdf.outcomes) > 1:
+            k, mass = self._pick(len(cdf.outcomes), _outcomes, cdf)
+            self.num *= mass
+            self.den *= cdf.denom
+        return cdf.outcomes[k] if count is None else np.full(count, k)
 
     def _combination(self, n: int, k: int):
         width = comb(n, k)
@@ -310,20 +318,29 @@ class _Enumeration:
         self.den *= width
         return self._pick(width, _combinations, n, k)
 
-    def sample(self, pool, k: int) -> list:
+    def sample(self, pool, k: int):
+        if isinstance(pool, np.ndarray) and pool.ndim == 2:  # one trial, as a row
+            return pool[:, list(self._combination(pool.shape[1], k))]
         return [pool[j] for j in self._combination(len(pool), k)]
 
-    def shuffle(self, seq: list) -> None:
+    def shuffle(self, seq) -> None:
         pass
 
-    def split(self, seq, size: int) -> list:
-        rest, blocks = list(seq), []
+    def split(self, seq: np.ndarray, size: int) -> np.ndarray:
+        """The blocks of the one trial row of seq, as a (1, blocks, size) array."""
+        rest, blocks = seq[0].tolist(), []
         while rest:
             first, *others = rest
             mates = self._combination(len(others), size - 1)
             blocks.append([first, *(others[j] for j in mates)])
             rest = [x for j, x in enumerate(others) if j not in mates]
-        return blocks
+        return np.array(blocks, np.int64).reshape(1, -1, size)
+
+
+# A screen draws its trials in chunks of at most this many index entries,
+# at 2K entries a trial (both models' sets, and the draw's masks over [0, K]),
+# so its working memory stays flat however many trials it runs.
+SCREEN_CHUNK_ENTRIES = 1 << 18
 
 
 def audit_montecarlo(
@@ -339,52 +356,48 @@ def audit_montecarlo(
     """Sample query structures and chi-square test "demand uniform given what
     the server sees" with a Bonferroni correction across all tested bins.
 
-    Each trial draws (W, S) with sample_demand and the index sets with the
-    model's draw_structure, the same code build_query runs, and
-    check_partition runs once on each distinct first-model fingerprint.  No
-    bin reads a coefficient, so none is drawn and no field is needed.  Two bin
-    families are tested: the order-stripped fingerprint, and for each database
-    index the position of the transmitted set containing it.  The second
-    family is what exposes set-order leaks, which the order-stripped
-    fingerprint is blind to by construction.  Bins too thin for the chi-square
-    approximation (expected count below 5) are counted as skipped.  Each bin's
-    p-value is Pearson's statistic against the flat expectation, read off the
-    chi-square survival function with K - 1 degrees of freedom by
-    _chisquare_p.
+    The trials are drawn in chunks of at most SCREEN_CHUNK_ENTRIES index
+    entries, all on one RandomDraws over rng.  Each chunk draws its (W, S)
+    with sample_demand and its index sets with the draw build_query runs:
+    the first model's draw_structures over the whole chunk, checked by one
+    check_partition on the stack, and the second model's draw_structure per
+    trial, stacked.  No bin reads a coefficient, so none is drawn and no
+    field is needed.  Two bin families are tested, both binned by array
+    operations (_Bins): the order-stripped fingerprint, and for each
+    database index the position of the first transmitted set containing it.
+    The second family is what exposes set-order leaks, which the
+    order-stripped fingerprint is blind to by construction.  Bins too thin
+    for the chi-square approximation (expected count below 5) are counted as
+    skipped.  Each bin's p-value is Pearson's statistic against the flat
+    expectation, read off the chi-square survival function with K - 1
+    degrees of freedom by _chisquare_p; the worst bin is the first with the
+    smallest, fingerprint bins before slot bins, each family in the order
+    its bins were first met.
     """
-    draw_structure, build_kwargs = _draw_for(model, K, M, mutation)
+    mutations = _mutations(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
-    fp_bins: dict = defaultdict(lambda: [0] * K)
-    slot_bins: dict = defaultdict(lambda: [0] * K)
-    for _ in range(trials):
-        W, S = sample_demand(K, M, model, rng)
-        sets = draw_structure(W, S, K, draws, **build_kwargs).sets
-        if model != MODEL_I:  # the second model's int64 array, read per index below
-            sets = sets.tolist()
-        w = W - 1
-        fp_bins[fingerprint_of(sets)][w] += 1
-        slot_of = [-1] * K
-        for pos in range(len(sets) - 1, -1, -1):  # the first set holding an index wins
-            for i in sets[pos]:
-                slot_of[i - 1] = pos
-        for j, pos in enumerate(slot_of, start=1):
-            slot_bins[j, pos][w] += 1
-    for fp in fp_bins if model == MODEL_I else ():
-        check_partition(rows_array(fp), K, M)
+    bins = _Bins(K)
+    chunk = max(1, SCREEN_CHUNK_ENTRIES // (2 * K))
+    for done in range(0, trials, chunk):
+        W, S = sample_demand(K, M, model, draws, min(chunk, trials - done))
+        if model == MODEL_I:
+            sets = protocol_rp.draw_structures(W, S, K, draws, **mutations)[0]
+            check_partition(sets, K, M)
+        else:
+            draw = PROTOCOLS[model].draw_structure
+            drawn = [draw(w, tuple(s), K, draws).sets for w, s in zip(W.tolist(), S.tolist())]
+            sets = np.stack(drawn)
+        bins.add(sets, W)
 
-    bins = [("fingerprint", fp_bins), ("slot", slot_bins)]
-    keys = [(family, key) for family, table in bins for key in table]
-    rows = [counts for _, table in bins for counts in table.values()]
     min_count = 5 * K  # expected >= 5 per cell under the flat hypothesis
-    tested = [k for k, counts in enumerate(rows) if sum(counts) >= min_count]
-    if not tested:
+    keys, rows, skipped = bins.tested(min_count)
+    if not rows:
         raise AuditSizeError(
             f"no bin reached {min_count} samples in {trials} trials; raise the trial count"
         )
-    pvalues = [_chisquare_p(rows[k]) for k in tested]
+    pvalues = [_chisquare_p(counts) for counts in rows]
     min_p = min(pvalues)
-    worst = tested[pvalues.index(min_p)]
-    passed = min_p >= significance / len(tested)
+    worst = pvalues.index(min_p)
     family, key = keys[worst]
     return MonteCarloReport(
         model,
@@ -392,13 +405,114 @@ def audit_montecarlo(
         M,
         trials,
         mutation,
-        passed,
+        min_p >= significance / len(rows),
         min_p,
-        len(tested),
-        len(rows) - len(tested),
+        len(rows),
+        skipped,
         significance,
         Bin(family, key, tuple(rows[worst])),
     )
+
+
+class _Bins:
+    """Both bin families of a screen, filled chunk by chunk from (T, n, s)
+    arrays of index sets, each bin under an integer key.  A fingerprint
+    bin's key is its number in the order the fingerprints were first met;
+    a fingerprint is the query's sets, each sorted, in sorted order, as one
+    row of a (T, n*s + 1) array read as an opaque item (the last column
+    stays 0, so that a query with no sets has one too).  A slot bin (j, pos)
+    has the key (j - 1) * (n + 1) + pos + 1; pos is found for every index of
+    a chunk by n scatters, the last set first, so the first set holding j
+    writes last."""
+
+    def __init__(self, K: int):
+        self.K, self.dtype = K, np.min_scalar_type(K)  # the dtype of a fingerprint row
+        self.fingerprints, self.slots = _Family(K), _Family(K)
+        self.numbers = {}  # fingerprint row (bytes) -> key
+        self.shape = 0, 0  # (n, s) of the sets
+
+    def add(self, sets: np.ndarray, W: np.ndarray) -> None:
+        T, n, s = sets.shape
+        self.shape = n, s
+        inside = np.sort(sets, axis=2)
+        if n > 1:  # sort the sets of each trial: column 0 is the primary key
+            order = np.lexsort(inside.transpose(2, 0, 1)[::-1], axis=-1)
+            inside = np.take_along_axis(inside, order[:, :, None], axis=1)
+        rows = np.zeros((T, n * s + 1), self.dtype)
+        rows[:, :-1] = inside.reshape(T, n * s)
+        items = rows.view(np.dtype((np.void, rows.strides[0])))[:, 0]
+        found, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+        found = found.tolist()
+        for j in np.argsort(first).tolist():
+            self.numbers.setdefault(found[j], len(self.numbers))
+        numbers = np.array([self.numbers[row] for row in found], np.int64)
+        self.fingerprints.add(numbers[inverse], W - 1)
+
+        slot = np.full((T, self.K + 1), -1)  # slot[t, i]: first set of trial t holding i
+        trial = np.arange(T)[:, None]
+        for pos in range(n - 1, -1, -1):
+            slot[trial, sets[:, pos]] = pos
+        keys = np.arange(self.K) * (n + 1) + slot[:, 1:] + 1
+        self.slots.add(keys.ravel(), np.repeat(W - 1, self.K))
+
+    def tested(self, min_count: int) -> tuple[list, list, int]:
+        """The (family, key) and count row of every bin holding at least
+        min_count samples, fingerprint bins first, each family in the order
+        its bins were first met, and how many bins hold fewer."""
+        n, s = self.shape
+        rows = list(self.numbers)
+        keys, counts, skipped = [], [], 0
+        for family, bins in (("fingerprint", self.fingerprints), ("slot", self.slots)):
+            tested, table = bins.tested(min_count)
+            skipped += len(bins.keys) - len(tested)
+            for key in tested.tolist():
+                if family == "slot":
+                    j, pos = divmod(key, n + 1)
+                    keys.append((family, (j + 1, pos - 1)))
+                else:
+                    row = np.frombuffer(rows[key], self.dtype)[:-1].reshape(n, s)
+                    keys.append((family, tuple(map(tuple, row.tolist()))))
+            counts += table.tolist()
+        return keys, counts, skipped
+
+
+class _Family:
+    """One bin family over integer keys: the keys in the order first met,
+    and the count of each (bin, demand) pair seen, as the sorted codes
+    rank * K + (W - 1), rank a bin's place in that order, and their counts.
+    Nothing grows with the trials, only with the bins met."""
+
+    def __init__(self, K: int):
+        self.K, self.keys = K, []
+        self.rank = np.zeros(0, np.int64)  # rank[key]: the bin's place in keys, -1 if unmet
+        self.codes = self.counts = np.zeros(0, np.int64)
+
+    def add(self, keys: np.ndarray, w: np.ndarray) -> None:
+        """One sample per entry of the 1-d arrays keys (each at least 0) and w (W - 1)."""
+        first = np.full(keys.max() + 1, len(keys))  # first[key]: where it is first met
+        np.minimum.at(first, keys, np.arange(len(keys)))
+        grow = len(first) - len(self.rank)
+        self.rank = np.concatenate([self.rank, np.full(max(grow, 0), -1)])
+        new = ((first < len(keys)) & (self.rank[: len(first)] < 0)).nonzero()[0]
+        new = new[np.argsort(first[new])]
+        self.rank[new] = np.arange(len(self.keys), len(self.keys) + len(new))
+        self.keys += new.tolist()
+        codes, counts = np.unique(self.rank[keys] * self.K + w, return_counts=True)
+        self.codes, at = np.unique(np.concatenate([self.codes, codes]), return_inverse=True)
+        total = np.zeros(len(self.codes), np.int64)
+        np.add.at(total, at, np.concatenate([self.counts, counts]))
+        self.counts = total
+
+    def tested(self, min_count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys of the bins holding at least min_count samples, in rank
+        order, and their counts per demand as a (bins, K) array."""
+        ranks, w = np.divmod(self.codes, self.K)
+        tested = np.bincount(ranks, self.counts, len(self.keys)) >= min_count
+        row = np.cumsum(tested) - 1  # row[rank]: the bin's row among the tested
+        table = np.zeros((tested.sum(), self.K), np.int64)
+        keep = tested[ranks]
+        table[row[ranks[keep]], w[keep]] = self.counts[keep]
+        return np.array(self.keys, np.int64)[tested], table
 
 
 def _chisquare_p(counts) -> float:

@@ -16,7 +16,7 @@ from random import Random
 
 import numpy as np
 
-from .draws import RandomDraws, uniform_words
+from .draws import RandomDraws, draws_from, uniform_words
 from .errors import ParameterError
 from .field import FieldElement, FieldParams
 
@@ -156,23 +156,28 @@ def check_cell(K: int, M: int, model: str) -> None:
         raise ParameterError(f"unknown model {model!r}")
 
 
-def sample_demand(K: int, M: int, model: str, rng: Random) -> tuple[int, tuple[int, ...]]:
-    """Draw a uniform demand and support: S uniform over M-subsets of [K]
-    (sorted), W uniform over the complement of S (model I) or over S (model
-    II).  This is everything the query's index sets depend on."""
+def sample_demand(K: int, M: int, model: str, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw count uniform demands and supports, one per trial, as a (count,)
+    array W and a (count, M) array S: each S uniform over M-subsets of [K]
+    (sorted), each W uniform over the complement of S (model I) or over S
+    (model II).  This is everything the query's index sets depend on.  rng
+    is a random.Random or the RandomDraws of the draws that follow."""
     check_cell(K, M, model)
     # The first index of a uniform ordered draw is uniform given the rest.
+    pool = np.arange(1, K + 1)[None].repeat(count, axis=0)
     if model == MODEL_I:
-        W, *support = rng.sample(range(1, K + 1), M + 1)
-    else:
-        support = rng.sample(range(1, K + 1), M)
-        W = support[0]
-    return W, tuple(sorted(support))
+        drawn = draws_from(rng).sample(pool, M + 1)
+        return drawn[:, 0], np.sort(drawn[:, 1:], axis=1)
+    drawn = draws_from(rng).sample(pool, M)
+    return drawn[:, 0], np.sort(drawn, axis=1)
 
 
 def sample_scenario(db: Database, M: int, model: str, rng: Random) -> Scenario:
-    """Draw a uniform scenario: (W, S) from sample_demand, then C uniform over
-    units (one coefficients draw, as Python ints) and Y = sum(c_i * X_i)."""
-    W, S = sample_demand(db.K, M, model, rng)
-    C = tuple(RandomDraws(rng).coefficients(db.params.q, M).tolist())
-    return Scenario(W=W, S=S, C=C, Y=side_information(db, S, C), model=model)
+    """Draw a uniform scenario: (W, S) as sample_demand's batch of one, then
+    C uniform over units (one coefficients draw, as Python ints), both on
+    one RandomDraws, and Y = sum(c_i * X_i)."""
+    d = RandomDraws(rng)
+    W, S = sample_demand(db.K, M, model, d, 1)
+    S = tuple(S[0].tolist())
+    C = tuple(d.coefficients(db.params.q, M).tolist())
+    return Scenario(W=int(W[0]), S=S, C=C, Y=side_information(db, S, C), model=model)

@@ -16,7 +16,6 @@ the scalars a and b fixed when the coefficients are attached.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import NamedTuple
 
@@ -71,18 +70,6 @@ class Query:
         )
 
 
-def rows_array(rows) -> np.ndarray:
-    """Rows of ints, such as a Structure's or a fingerprint's sets, as an
-    (n, s) int64 array; such an array is returned as it is.  Rows of
-    different lengths are a construction fault: ProtocolError."""
-    if isinstance(rows, np.ndarray):
-        return rows
-    n, s = len(rows), len(rows[0]) if rows else 0
-    if {*map(len, rows)} - {s}:
-        raise ProtocolError("built a set of the wrong size")
-    return np.fromiter(chain.from_iterable(rows), np.int64, n * s).reshape(n, s)
-
-
 class Answer:
     """Server response: one element of the field params per query set, in
     set order, as the rows of the (n, m) word array words; values gives them
@@ -122,12 +109,11 @@ class DecoderState:
 class Structure(NamedTuple):
     """What a query shows the server before coefficients are attached: the
     index sets in transmitted order, each in its transmitted element order,
-    and the slot of the set the client decodes from (None when no set is
-    sent).  The first model draws the sets as tuples of ints, the second as
-    the (n, s) int64 array the query sends.  case_tag is the second model's
-    case; the first model leaves it None."""
+    as the (n, s) int64 array the query sends, and the slot of the set the
+    client decodes from (None when no set is sent).  case_tag is the second
+    model's case; the first model leaves it None."""
 
-    sets: tuple[tuple[int, ...], ...] | np.ndarray
+    sets: np.ndarray
     demand_slot: int | None
     case_tag: int | None = None
 
@@ -146,7 +132,8 @@ def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Q
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
-    """The index sets of a query for demand W outside the sorted support S.
+    """The index sets of a query for demand W outside the sorted support S:
+    the batch of one of the draw draw_structures runs.
 
     Everything the server sees of the query except its coefficients is drawn
     here, and nothing of it depends on the side information's coefficients.
@@ -160,67 +147,110 @@ def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Stru
         raise ParameterError("demand must lie outside the support")
     if not all(1 <= i <= K for i in (W, *S)):
         raise ParameterError("scenario indices exceed the database size")
-    return _draw(draws_from(rng), W, S, K, **mutations)
+    demand = np.array([(W, *S)], np.int64)
+    sets, slots = _draw(draws_from(rng), demand, K, **mutations)
+    return Structure(sets[0], int(slots[0]))
+
+
+def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng, **mutations):
+    """The index sets of T queries at once, for the (T,) demands W outside
+    the (T, M) sorted supports S: a (T, n, M+1) int64 array, row t holding
+    query t's sets in transmitted order, and the (T,) demand slots.  rng is
+    as in draw_structure."""
+    M = S.shape[1]
+    if not 0 <= M < K:
+        raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
+    if (S == W[:, None]).any():
+        raise ParameterError("demand must lie outside the support")
+    demand = np.concatenate([W[:, None], S], axis=1)
+    if demand.min() < 1 or demand.max() > K:
+        raise ParameterError("scenario indices exceed the database size")
+    return _draw(draws_from(rng), demand, K, **mutations)
 
 
 def _draw(
     d,
-    W: int,
-    S: tuple[int, ...],
+    demand: np.ndarray,
     K: int,
     *,
     _shuffle_order: bool = True,
     _deterministic_extras: bool = False,
     _class_pmf: Cdf | None = None,
-) -> Structure:
-    """draw_structure over the draw primitives of d.  The underscored
-    keywords deliberately break it and exist only so the auditors can show
-    they catch such defects: no set-order shuffle, the first indices of S
-    and of the outside indices as repeats, and a replacement repeat-class
-    pmf (as a Cdf).  Production callers leave them alone."""
-    M = len(S)
+):
+    """draw_structures over the draw primitives of d, for the (T, M+1)
+    demand sets [W, *S].  The underscored keywords deliberately break it
+    and exist only so the auditors can show they catch such defects: no
+    set-order shuffle, the first indices of S and of the outside indices as
+    repeats, and a replacement repeat-class pmf (as a Cdf).  Production
+    callers leave them alone."""
+    T, M = demand.shape[0], demand.shape[1] - 1
     dist = rp_distribution(K, M)
     n, l = dist.n, dist.l
-    s, r = d.choose(dist.cdf if _class_pmf is None else _class_pmf)
+    cdf = dist.cdf if _class_pmf is None else _class_pmf
+    sizes = [T]  # trials per repeat class; a pmf of one class needs no draw
+    if len(cdf.outcomes) > 1:
+        classes = d.choose(cdf, T)
+        sizes = np.bincount(classes, minlength=len(cdf.outcomes)).tolist()
     take = _first if _deterministic_extras else d.sample
-
-    outside = list(range(1, K + 1))
-    for i in sorted((W, *S), reverse=True):  # deleting in place beats a filter
-        del outside[i - 1]
-    sets = [[W, *S]]
-    d.shuffle(sets[0])
+    # One mask over [0, K] per trial marks the indices placed so far; 0 is
+    # no index, so the unmarked ones are the outside pool, in order.
+    trial = np.arange(T)[:, None]
+    placed = np.zeros((T, K + 1), bool)
+    placed[:, 0] = True
+    placed[trial, demand] = True
+    first = demand.copy()  # the demand set, in its own order
+    d.shuffle(first)
     # The l repeats sit in one pair of sets: two cover sets sharing r = l
     # outside indices, or the demand set and a partner holding s support
     # indices and W when s = l-1.  Every other set is disjoint from the rest.
-    partners = []
-    if r:
-        shared = take(outside, r)
-        outside = _without(outside, shared)
-        partners = [shared, list(shared)]
-    elif l:
-        partners = [take(S, s) + ([W] if s < l else [])]
-    for cover in partners:
-        fill = d.sample(outside, M + 1 - l)
-        outside = _without(outside, fill)
-        cover += fill
-        d.shuffle(cover)
-        sets.append(cover)
-    sets.extend(d.split(outside, M + 1))
+    # The trials of one class are drawn together, and the fills of the pair
+    # in one sample, split among its cover sets.
+    others = None  # every set but the demand set, (T, n-1, M+1)
+    for k, (s, r) in enumerate(cdf.outcomes):
+        if not sizes[k]:
+            continue
+        # One class for every trial, as at T = 1: views, not copies.
+        at = slice(None) if sizes[k] == T else (classes == k).nonzero()[0]
+        mask, pieces = placed[at], []
+        if l:
+            rows = trial[: sizes[k]]
+            if r:
+                shared = take(_unplaced(mask), r)
+                mask[rows, shared] = True
+                partners = shared[:, None].repeat(2, axis=1)
+            else:
+                W, S = demand[at, :1], demand[at, 1:]
+                partners = np.concatenate([take(S, s), W[:, : l - s]], axis=1)[:, None]
+            fill = M + 1 - l
+            fills = d.split(d.sample(_unplaced(mask), len(partners[0]) * fill), fill)
+            mask[rows, fills.reshape(sizes[k], -1)] = True
+            pieces.append(np.concatenate([partners, fills], axis=2))
+            d.shuffle(pieces[0].reshape(-1, M + 1))  # a view: each cover set shuffled in place
+        pieces.append(d.split(_unplaced(mask), M + 1))
+        if any(piece.shape[2] != M + 1 for piece in pieces):
+            raise ProtocolError("built a set of the wrong size")
+        drawn = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
+        if sizes[k] == T:
+            others = drawn
+        else:
+            if others is None:
+                others = np.empty((T, n - 1, M + 1), np.int64)
+            others[at] = drawn
+    sets = np.concatenate([first[:, None], others], axis=1)
 
-    order = list(range(n))
+    order = np.arange(n)[None].repeat(T, axis=0)
     if _shuffle_order:
         d.shuffle(order)
-    return Structure(tuple(tuple(sets[i]) for i in order), order.index(0))
+    return sets[trial, order], order.argmin(axis=1)
 
 
-def _first(pool, k: int) -> list:
-    return list(pool[:k])
+def _unplaced(placed: np.ndarray) -> np.ndarray:
+    """The indices each row of the mask leaves unmarked, in order, as rows."""
+    return (~placed.ravel()).nonzero()[0].reshape(len(placed), -1) % placed.shape[1]
 
 
-def _without(pool: list, taken) -> list:
-    """pool without the items of taken, in pool order."""
-    taken = set(taken)
-    return [i for i in pool if i not in taken]
+def _first(pool: np.ndarray, k: int) -> np.ndarray:
+    return pool[:, :k]
 
 
 def attach_coefficients(
@@ -235,7 +265,7 @@ def attach_coefficients(
     then one for W where the demand set holds it.  rng is a random.Random or
     the RandomDraws that drew the structure."""
     d, W, q = draws_from(rng), scenario.W, scenario.Y.params.q
-    idx, slot = rows_array(structure.sets), structure.demand_slot
+    idx, slot = structure.sets, structure.demand_slot
     coef = d.coefficients(q, idx.size).reshape(idx.shape)
     support = np.fromiter(scenario.S, np.int64, len(scenario.S))
     own = np.zeros(max(W, support.max(initial=0)) + 1, np.int64)  # own[i]: c_i on S, else 0
@@ -259,25 +289,33 @@ def attach_coefficients(
 
 
 def check_partition(idx: np.ndarray, K: int, M: int) -> None:
-    """The first model's construction guard on a query's index array: sets
-    of M+1 indices, none twice in one set, that cover [1, K] with no index
-    thrice and l = n(M+1) - K, n = ceil(K/(M+1)), twice.  Raises ProtocolError.
-    build_query runs it once per query, the auditors once per distinct
-    fingerprint, which keeps every fact it reads."""
-    if idx.shape[1] != M + 1:
+    """The first model's construction guard on a query's (n, s) index array,
+    or on a (T, n, s) stack of them: sets of M+1 indices, none twice in one
+    set, that cover [1, K] with no index thrice and l = n(M+1) - K,
+    n = ceil(K/(M+1)), twice.  Raises ProtocolError.  build_query runs it
+    once per query, the screen on each chunk's stack of structures, and the
+    exact auditor on the first leaf of each fingerprint."""
+    if idx.shape[-1] != M + 1:
         raise ProtocolError("built a set of the wrong size")
-    rows = np.sort(idx, axis=1)
-    if (rows[:, 1:] == rows[:, :-1]).any():
+    rows = np.sort(idx, axis=-1)
+    if (rows[..., 1:] == rows[..., :-1]).any():
         raise ProtocolError("built a set with a repeated index")
-    if rows[:, 0].min() < 1:
+    if idx.min() < 1:
         raise ProtocolError("built sets that do not cover the database")
-    counts = np.bincount(idx.ravel())  # counts[i]: sets holding index i
-    times = np.bincount(counts[1:], minlength=3)  # times[c]: indices held c times
-    if len(times) > 3:
+    # counts[t * width + i]: the sets of query t holding index i, for i up
+    # to the largest index of the stack or K, whichever is larger.
+    flat = idx.reshape(-1, idx.shape[-2] * idx.shape[-1])
+    width = max(int(idx.max()), K) + 1
+    at = np.arange(0, width * len(flat), width)[:, None] + flat
+    counts = np.bincount(at.ravel(), minlength=width * len(flat))
+    if counts.max() > 2:
         raise ProtocolError("built sets with the wrong repeat budget")
-    if len(counts) != K + 1 or times[0]:
+    # Every index lies in [1, width): each query covers [1, K] when it holds
+    # K distinct ones and none lies above K.
+    if width > K + 1 or np.count_nonzero(counts) != K * len(flat):
         raise ProtocolError("built sets that do not cover the database")
-    if times[2] != -(-K // (M + 1)) * (M + 1) - K:
+    # Each of the K indices is held once or twice, so n(M+1) - K are twice.
+    if idx.shape[-2] != -(-K // (M + 1)):
         raise ProtocolError("built sets with the wrong repeat budget")
 
 

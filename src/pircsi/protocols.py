@@ -6,8 +6,10 @@ so callers look the module up here instead of branching on the model:
     build_query(scenario, K, rng)       draw_structure, then attach_coefficients
                                         (protocol_rp's then runs check_partition)
     draw_structure(W, S, K, rng)        the index sets, their order, the demand slot;
-                                        tuples of ints in protocol_rp, the (n, s)
-                                        int64 array the query sends in protocol_csi2
+                                        the (n, s) int64 array the query sends; in
+                                        protocol_rp the batch of one of
+                                        draw_structures(W, S, K, rng), which draws
+                                        T queries' (T, n, M+1) sets at once
     attach_coefficients(structure, scenario, rng)
                                         the coefficients; returns (Query, DecoderState);
                                         one function, protocol_rp's, for both models,
@@ -21,8 +23,8 @@ so callers look the module up here instead of branching on the model:
 
 Both build the one query type, protocol_rp.Query, whose model names the
 module that answers it and whose (n, s) index and coefficient arrays go
-from attach_coefficients (the index array from draw_structure, in the
-second model) to the encoder's check_set_arrays and record array.  Both
+from attach_coefficients (the index array from draw_structure) to the
+encoder's check_set_arrays and record array.  Both
 draw a query's structure and all its coefficients over one
 draws.RandomDraws, the coefficients by coefficients(q, count) on the
 thread's numpy Generator: one call for the (n, s) array, and one more for

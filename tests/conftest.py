@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pircsi import MODEL_I, Answer, FieldParams, Query
-from pircsi.protocol_rp import rows_array
 
 
 def count_bound(trials: int, p: float, sigmas: float = 4.0) -> float:
@@ -16,7 +15,9 @@ def count_bound(trials: int, p: float, sigmas: float = 4.0) -> float:
 
 def query_of(sets, model: str = MODEL_I, case_tag: int = 0) -> Query:
     """The Query of hand-written (indices, coefficients) pairs of one size."""
-    idx, coef = rows_array([i for i, _ in sets]), rows_array([c for _, c in sets])
+    shape = len(sets), len(sets[0][0]) if sets else 0
+    idx = np.array([i for i, _ in sets], np.int64).reshape(shape)
+    coef = np.array([c for _, c in sets], np.int64).reshape(shape)
     return Query(idx, coef, model, case_tag)
 
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
@@ -31,13 +32,16 @@ from pircsi import (
     audit_montecarlo,
     measure_rate,
 )
+from pircsi import audit
 from pircsi.audit import (
     MUTATIONS,
+    Bin,
     _chisquare_p,
     audit_recoverability,
     exact_joint,
     scenario_law,
 )
+from pircsi.protocol_rp import fingerprint_of
 from pircsi.protocols import PROTOCOLS
 
 
@@ -322,6 +326,76 @@ def test_montecarlo_mutations_are_model_one_only():
 def test_montecarlo_needs_enough_trials_per_bin():
     with pytest.raises(AuditSizeError):
         audit_montecarlo(MODEL_I, 8, 2, 30, Random(0))
+
+
+def _reference_bins(drawn, K: int) -> list:
+    """The per-trial binning the array bins replaced, kept as their
+    reference: fingerprint_of each trial's sets, and the first set holding
+    each index by a loop over the sets, last first.  Every bin in the order
+    first met, fingerprint bins first, as ((family, key), counts)."""
+    fp_bins = defaultdict(lambda: [0] * K)
+    slot_bins = defaultdict(lambda: [0] * K)
+    for sets, W in drawn:
+        for trial_sets, w in zip(sets.tolist(), (W - 1).tolist()):
+            fp_bins[fingerprint_of(trial_sets)][w] += 1
+            slot_of = [-1] * K
+            for pos in range(len(trial_sets) - 1, -1, -1):
+                for i in trial_sets[pos]:
+                    slot_of[i - 1] = pos
+            for j, pos in enumerate(slot_of, start=1):
+                slot_bins[j, pos][w] += 1
+    return [((family, key), counts)
+            for family, table in (("fingerprint", fp_bins), ("slot", slot_bins))
+            for key, counts in table.items()]
+
+
+def _reference_worst(bins: list, K: int) -> Bin:
+    """The first bin with the smallest p-value among those with 5K samples."""
+    tested = [(key, counts) for key, counts in bins if sum(counts) >= 5 * K]
+    pvalues = [_chisquare_p(counts) for _, counts in tested]
+    (family, key), counts = tested[pvalues.index(min(pvalues))]
+    return Bin(family, key, tuple(counts))
+
+
+@pytest.mark.parametrize(
+    "model,K,M,mutation",
+    [(MODEL_I, 5, 1, None), (MODEL_I, 7, 1, None), (MODEL_I, 8, 2, None),
+     *((MODEL_I, 8, 2, name) for name in sorted(MUTATIONS)),
+     (MODEL_II, 6, 3, None), (MODEL_II, 10, 5, None)],
+    ids=str,
+)
+def test_array_bins_match_the_per_trial_reference(monkeypatch, model, K, M, mutation):
+    # Small chunks, so that bins first met in a later chunk are ranked too.
+    monkeypatch.setattr(audit, "SCREEN_CHUNK_ENTRIES", 64 * 2 * K)
+    drawn, filled = [], []
+    add = audit._Bins.add
+
+    def recording(self, sets, W):
+        drawn.append((sets.copy(), W.copy()))
+        filled.append(self)
+        add(self, sets, W)
+
+    monkeypatch.setattr(audit._Bins, "add", recording)
+    report = audit_montecarlo(model, K, M, 3_000, Random(4), mutation=mutation)
+    assert len(drawn) == -(-3_000 // 64) and len({id(bins) for bins in filled}) == 1
+    reference = _reference_bins(drawn, K)
+    keys, counts, skipped = filled[0].tested(0)
+    assert list(zip(keys, counts)) == reference and skipped == 0
+    assert report.worst_bin == _reference_worst(reference, K)
+
+
+def test_the_screen_works_in_bounded_memory():
+    # I(8,2) has 840 reachable fingerprints, so past 100,000 trials the bin
+    # tables stop growing: only a draw of all the trials at once could grow.
+    peaks = []
+    for trials in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            audit_montecarlo(MODEL_I, 8, 2, trials, Random(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def _paired_counts(K: int, x: float) -> list:

@@ -18,12 +18,11 @@ from pircsi import (
     Scenario,
     protocol_csi2,
     protocol_rp,
-    sample_demand,
     sample_scenario,
     side_information,
 )
 from pircsi.draws import RandomDraws, _thread
-from pircsi.protocol_rp import Structure, attach_coefficients, rows_array
+from pircsi.protocol_rp import Structure, attach_coefficients
 
 from conftest import query_of
 
@@ -70,12 +69,16 @@ def test_coefficients_are_flat_over_the_units(q):
 
 @pytest.mark.parametrize("model,M", [(MODEL_I, 9), (MODEL_II, 600)])
 def test_scenario_coefficients_are_per_index_draws(model, M):
+    # (W, S) and then C come from one Generator: W and the support are the
+    # head of one permutation of [1, K], W first, and C the next M units.
     db = Database.random(FieldParams(257, 4), 1000, Random(0))
     for seed in range(5):
         rng, loop = Random(seed), Random(seed)
         scenario = sample_scenario(db, M, model, rng)
-        assert (scenario.W, scenario.S) == sample_demand(1000, M, model, loop)
         reference = _generator(loop)
+        drawn = reference.permuted(np.arange(1, 1001)[None], axis=1)[0].tolist()
+        support = drawn[1 : M + 1] if model == MODEL_I else drawn[:M]
+        assert (scenario.W, scenario.S) == (drawn[0], tuple(sorted(support)))
         assert scenario.C == tuple(int(reference.integers(1, 257)) for _ in range(M))
         assert all(type(c) is int for c in scenario.C)
         assert rng.getstate() == loop.getstate()
@@ -90,7 +93,7 @@ def _per_index_build(protocol, scenario, K, rng):
     side information's own coefficients."""
     d = RandomDraws(rng)
     structure = protocol.draw_structure(scenario.W, scenario.S, K, d)
-    rows = tuple(map(tuple, rows_array(structure.sets).tolist()))  # either model's, as ints
+    rows = tuple(map(tuple, structure.sets.tolist()))  # either model's, as ints
     q, W, slot = scenario.Y.params.q, scenario.W, structure.demand_slot
     own = dict(zip(scenario.S, scenario.C))
     c_W = own.get(W, 0)
@@ -160,9 +163,11 @@ def test_the_demand_coefficient_map_is_exact(q):
     db = Database.random(FieldParams(q), 3, Random(q))
     for c_W in range(q):
         if c_W:  # the full case: W = 1 inside S = (1, 2, 3)
-            S, C, model, structure = (1, 2, 3), (c_W, 1, 1), MODEL_II, Structure(((2, 3, 1),), 0, 4)
+            S, C, model = (1, 2, 3), (c_W, 1, 1), MODEL_II
+            structure = Structure(np.array([[2, 3, 1]]), 0, 4)
         else:  # the first model: W = 1 outside S = (2,)
-            S, C, model, structure = (2,), (1,), MODEL_I, Structure(((2, 1),), 0)
+            S, C, model = (2,), (1,), MODEL_I
+            structure = Structure(np.array([[2, 1]]), 0)
         scenario = Scenario(1, S, C, side_information(db, S, C), model)
         image = []
         for t in range(1, q - (c_W > 0)):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from bisect import bisect_right
 from pathlib import Path
 from random import Random
 
@@ -22,7 +23,8 @@ from pircsi import (
     sample_scenario,
     wire,
 )
-from pircsi.draws import SAMPLE_CUT, RandomDraws
+from pircsi.draws import SAMPLE_CUT, RandomDraws, _thread
+from pircsi.pmf import rp_distribution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CELLS = [(MODEL_I, 100, 9), (MODEL_II, 100, 70), (MODEL_I, 12, 2), (MODEL_I, 1000, 9),
@@ -106,12 +108,12 @@ PINNED_SHUFFLE = [1, 3, 5, 6, 9, 4, 8, 0, 2, 7]
 PINNED_COEFFICIENTS = [213, 2, 77, 219, 138, 30, 131, 88, 49, 195]
 
 
-def _pinned_generator():
+def _pinned_generator(value: int = STATE):
     from numpy.random import PCG64, Generator
 
     bits = PCG64(0)
     state = bits.state
-    state["state"]["state"] = STATE
+    state["state"]["state"] = value
     bits.state = state
     return Generator(bits)
 
@@ -177,3 +179,21 @@ def test_sample_above_the_cut_is_uniform(k):
     tests = [at.sum(axis=0), *at]
     pvalues = [chisquare(counts).pvalue for counts in tests]
     assert min(pvalues) >= 1e-4 / len(tests), min(pvalues)
+
+
+@pytest.mark.parametrize("count", [1, 2, 50])
+def test_a_batch_of_classes_is_the_inverse_cdf_of_per_trial_draws(count):
+    # choose(cdf, count) takes one integers(0, denominator) per trial from
+    # the thread's Generator, its state one getrandbits(128) of the Random,
+    # and bisects the cumulative masses, as Cdf.draw does with randrange.
+    cdf = rp_distribution(8, 2).cdf
+    for seed in range(10):
+        rng, loop = Random(seed), Random(seed)
+        drawn = RandomDraws(rng).choose(cdf, count)
+        reference = _pinned_generator(loop.getrandbits(128))
+        units = [int(reference.integers(0, cdf.denom)) for _ in range(count)]
+        expected = [bisect_right(cdf.cumulative, u) for u in units]
+        assert drawn.tolist() == expected
+        assert _thread.bits.state == reference.bit_generator.state
+    one = rp_distribution(12, 2).cdf  # a single class, which every trial takes
+    assert RandomDraws(Random(0)).choose(one, count).tolist() == [0] * count

@@ -26,7 +26,6 @@ from pircsi.protocol_rp import (
     build_query,
     canonical_fingerprint,
     decode_answer,
-    rows_array,
 )
 from pircsi.pmf import partition_rounds, rp_distribution
 
@@ -300,19 +299,12 @@ def test_queryset_pairing_is_enforced():
         QuerySet((1, 2), (1,))
 
 
-def test_rows_array_takes_an_array_as_it_is():
-    sets = np.array([[3, 1], [2, 4]], dtype=np.int64)
-    assert rows_array(sets) is sets
-    rows = rows_array(((3, 1), (2, 4)))
-    assert rows.dtype == np.int64 and rows.tolist() == [[3, 1], [2, 4]]
-    with pytest.raises(ProtocolError, match="^built a set of the wrong size$"):
-        rows_array(((3, 1), (2,)))
-
-
 # ------------------------------------------------------------ partition guard
 
 # A tail split with one construction fault, and the partition guard's text
-# for it.  At I(12,2) the nine outside indices always split into three blocks.
+# for it.  At I(12,2) the nine outside indices always split into three
+# blocks; the split is the batch one, a (T, 3, 3) array of every trial's
+# blocks, and each fault is planted in every trial.
 GUARD_TEXTS = {
     "duplicated-and-dropped": "built sets that do not cover the database",
     "repeated-in-a-set": "built a set with a repeated index",
@@ -325,13 +317,13 @@ def _broken_split(split, fault):
     def broken(self, seq, size):
         blocks = split(self, seq, size)
         if fault == "duplicated-and-dropped":  # block 0 swaps its first index for block 1's
-            blocks[0][0] = blocks[1][0]
+            blocks[:, 0, 0] = blocks[:, 1, 0]
         elif fault == "repeated-in-a-set":
-            blocks[0][1] = blocks[0][0]
+            blocks[:, 0, 1] = blocks[:, 0, 0]
         elif fault == "one-index-thrice":
-            blocks[0][0] = blocks[2][0] = blocks[1][0]
-        else:
-            blocks[0].append(blocks[1].pop())
+            blocks[:, 0, 0] = blocks[:, 2, 0] = blocks[:, 1, 0]
+        else:  # every block one index short
+            blocks = blocks[:, :, 1:]
         return blocks
 
     return broken
@@ -345,8 +337,10 @@ def _build_one(gf3):
 @pytest.mark.parametrize("fault", sorted(GUARD_TEXTS))
 @pytest.mark.parametrize("caller", ["build_query", "audit_montecarlo", "audit_exact"])
 def test_the_partition_guard_refuses_a_broken_split(monkeypatch, gf3, caller, fault):
-    # The guard runs once per query in build_query, and once per distinct
-    # fingerprint in each auditor; the exact one interprets split itself.
+    # The guard runs once per query in build_query, on each chunk's stack of
+    # drawn structures in the screen, and on the first leaf of each
+    # fingerprint in the exact auditor, which interprets split itself.  A
+    # block of the wrong size is refused where the draw assembles the sets.
     interpreter = _Enumeration if caller == "audit_exact" else RandomDraws
     monkeypatch.setattr(interpreter, "split", _broken_split(interpreter.split, fault))
     run = {

@@ -32,6 +32,7 @@ from pircsi import (
 )
 from pircsi import audit
 from pircsi.audit import MUTATIONS
+from pircsi.draws import RandomDraws
 from pircsi.protocol_csi2 import (
     CASE_DISJOINT,
     CASE_FULL,
@@ -40,7 +41,7 @@ from pircsi.protocol_csi2 import (
     CASE_TRIVIAL,
     case_for,
 )
-from pircsi.protocol_rp import fingerprint_of, rows_array
+from pircsi.protocol_rp import fingerprint_of
 from pircsi.protocols import PROTOCOLS
 
 # First model: one, two, three, four and five sets, with and without repeats.
@@ -55,9 +56,9 @@ def _split_matches_build(model_name, K, M, seed, **mutation):
     protocol = PROTOCOLS[model_name]
     structure = protocol.draw_structure(scenario.W, scenario.S, K, Random(seed + 2), **mutation)
     query, state = protocol.build_query(scenario, K, Random(seed + 2), **mutation)
-    if model_name == MODEL_II:  # drawn as the (n, s) int64 array the query sends
-        assert structure.sets.dtype == np.int64 and structure.sets.ndim == 2
-    assert np.array_equal(query.idx, rows_array(structure.sets))
+    # drawn as the (n, s) int64 array the query sends
+    assert structure.sets.dtype == np.int64 and structure.sets.ndim == 2
+    assert np.array_equal(query.idx, structure.sets)
     assert state.demand_slot == structure.demand_slot
     return structure, query, state
 
@@ -131,9 +132,9 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
 # ------------------------------------------------------- the screen's draws
 
 
-def _counting(calls, name, fn):
+def _counting(calls, name, fn, count=lambda *args, **kwargs: 1):
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        calls[name] += count(*args, **kwargs)
         return fn(*args, **kwargs)
 
     return wrapper
@@ -141,19 +142,27 @@ def _counting(calls, name, fn):
 
 @pytest.mark.parametrize("model_name,K,M", [(MODEL_I, 5, 1), (MODEL_I, 8, 2), (MODEL_II, 6, 4)])
 def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K, M):
+    # Counts are of structures and demands drawn: the first model draws a
+    # chunk of trials per draw_structures call, the second one per
+    # draw_structure call, and sample_demand draws a chunk at a time.
     calls = Counter()
     for module in (protocol_rp, protocol_csi2):
         for name in ("draw_structure", "attach_coefficients", "build_query"):
             label = f"{module.__name__}.{name}"
             monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
+    structures = _counting(calls, f"{protocol_rp.__name__}.draw_structures",
+                           protocol_rp.draw_structures, lambda W, *args, **kwargs: len(W))
+    monkeypatch.setattr(protocol_rp, "draw_structures", structures)
     monkeypatch.setattr(model, "side_information", _counting(calls, "side_information", model.side_information))
     monkeypatch.setattr(audit, "sample_scenario", _counting(calls, "sample_scenario", audit.sample_scenario))
     monkeypatch.setattr(Database, "random", _counting(calls, "Database.random", Database.random))
-    monkeypatch.setattr(audit, "sample_demand", _counting(calls, "sample_demand", audit.sample_demand))
+    demands = _counting(calls, "sample_demand", audit.sample_demand, lambda *args: args[-1])
+    monkeypatch.setattr(audit, "sample_demand", demands)
 
     trials = 400
     audit_montecarlo(model_name, K, M, trials, Random(0))
-    drawn = f"{PROTOCOLS[model_name].__name__}.draw_structure"
+    name = "draw_structures" if model_name == MODEL_I else "draw_structure"
+    drawn = f"{PROTOCOLS[model_name].__name__}.{name}"
     assert calls == {drawn: trials, "sample_demand": trials}
 
 
@@ -183,12 +192,17 @@ def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
         for w, p_w in enumerate(report.posteriors[fp], start=1)
         if p_w
     }
-    rng = Random(0)
-    draw = PROTOCOLS[model_name].draw_structure
-    seen = Counter()
-    for _ in range(trials):
-        W, S = sample_demand(K, M, model_name, rng)
-        seen[fingerprint_of(draw(W, S, K, rng).sets), W] += 1
+    # The trials are drawn as one batch, the law the screen samples: every
+    # demand in one sample_demand call, then the first model's structures in
+    # one draw_structures call; the second model draws one per trial.
+    draws = RandomDraws(Random(0))
+    W, S = sample_demand(K, M, model_name, draws, trials)
+    if model_name == MODEL_I:
+        sets = protocol_rp.draw_structures(W, S, K, draws)[0]
+    else:
+        sets = [protocol_csi2.draw_structure(w, tuple(s), K, draws).sets
+                for w, s in zip(W.tolist(), S.tolist())]
+    seen = Counter(zip(map(fingerprint_of, sets), W.tolist()))
     assert set(seen) <= set(joint), "the builder drew a pair the enumeration excludes"
     cells = sorted(joint)
     expected = [float(joint[c] * trials) for c in cells]
