@@ -480,32 +480,54 @@ class _Family:
     """One bin family over integer keys: the keys in the order first met,
     and the count of each (bin, demand) pair seen, as the sorted codes
     rank * K + (W - 1), rank a bin's place in that order, and their counts.
-    Nothing grows with the trials, only with the bins met."""
+    Nothing grows with the trials, only with the bins met.  Each chunk's
+    codes wait in a pending list and are merged into the sorted table only
+    once they outnumber it, so every code is sorted a bounded number of
+    times and a screen's time stays O(n log n) in its trials however many
+    bins it meets."""
 
     def __init__(self, K: int):
         self.K, self.keys = K, []
         self.rank = np.zeros(0, np.int64)  # rank[key]: the bin's place in keys, -1 if unmet
         self.codes = self.counts = np.zeros(0, np.int64)
+        self.pending, self.pending_size = [], 0
 
     def add(self, keys: np.ndarray, w: np.ndarray) -> None:
         """One sample per entry of the 1-d arrays keys (each at least 0) and w (W - 1)."""
-        first = np.full(keys.max() + 1, len(keys))  # first[key]: where it is first met
-        np.minimum.at(first, keys, np.arange(len(keys)))
-        grow = len(first) - len(self.rank)
-        self.rank = np.concatenate([self.rank, np.full(max(grow, 0), -1)])
-        new = ((first < len(keys)) & (self.rank[: len(first)] < 0)).nonzero()[0]
-        new = new[np.argsort(first[new])]
-        self.rank[new] = np.arange(len(self.keys), len(self.keys) + len(new))
-        self.keys += new.tolist()
+        top = keys.max()
+        if top >= len(self.rank):  # grow by doubling, so each key is copied O(1) times
+            grown = np.full(max(2 * len(self.rank), top + 1), -1)
+            grown[: len(self.rank)] = self.rank
+            self.rank = grown
+        # The entries of unmet keys; their keys span at most a chunk's new
+        # fingerprint numbers, or the K(n + 1) slot keys.
+        fresh = (self.rank[keys] < 0).nonzero()[0]
+        if len(fresh):
+            low = keys[fresh].min()
+            first = np.full(top + 1 - low, len(keys))  # first[key - low]: where it is first met
+            np.minimum.at(first, keys[fresh] - low, fresh)
+            new = (first < len(keys)).nonzero()[0]
+            new = new[np.argsort(first[new])] + low
+            self.rank[new] = np.arange(len(self.keys), len(self.keys) + len(new))
+            self.keys += new.tolist()
         codes, counts = np.unique(self.rank[keys] * self.K + w, return_counts=True)
-        self.codes, at = np.unique(np.concatenate([self.codes, codes]), return_inverse=True)
-        total = np.zeros(len(self.codes), np.int64)
-        np.add.at(total, at, np.concatenate([self.counts, counts]))
-        self.counts = total
+        self.pending.append((codes, counts))
+        self.pending_size += len(codes)
+        if self.pending_size > len(self.codes):
+            self._merge()
+
+    def _merge(self) -> None:
+        codes = np.concatenate([self.codes, *(c for c, _ in self.pending)])
+        counts = np.concatenate([self.counts, *(n for _, n in self.pending)])
+        self.codes, at = np.unique(codes, return_inverse=True)
+        self.counts = np.zeros(len(self.codes), np.int64)
+        np.add.at(self.counts, at, counts)
+        self.pending, self.pending_size = [], 0
 
     def tested(self, min_count: int) -> tuple[np.ndarray, np.ndarray]:
         """The keys of the bins holding at least min_count samples, in rank
         order, and their counts per demand as a (bins, K) array."""
+        self._merge()
         ranks, w = np.divmod(self.codes, self.K)
         tested = np.bincount(ranks, self.counts, len(self.keys)) >= min_count
         row = np.cumsum(tested) - 1  # row[rank]: the bin's row among the tested

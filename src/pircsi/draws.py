@@ -4,12 +4,13 @@ Each model's draw is written once over four primitives: choose(cdf) (one
 outcome of a pmf.Cdf; choose(cdf, count) gives count outcomes, as their
 positions in cdf.outcomes), sample(pool, k) (k distinct items of a sequence,
 as a list; RandomDraws gives an int64 array from an array), shuffle(seq) (a
-list or a 1-d array, in place) and split(seq, size) (the items in blocks of
-size, which divides len(seq)).  On a 2-d array, whose rows are trials,
-sample, shuffle and split act on each row: sample gives a (T, k) array,
-shuffle permutes each row in place, and split gives a (T, len/size, size)
-array.  The first model's draw runs on such arrays, T trials at a time; the
-second model's draw on lists and 1-d arrays, one trial at a time.  A fifth,
+list or a 1-d array, in place) and split(seq, size) (the items of each row
+of a 2-d array in blocks of size, which divides the row length).  On a 2-d
+array, whose rows are trials, sample, shuffle and split act on each row:
+sample gives a (T, k) array, shuffle permutes each row in place, and split
+gives a (T, len/size, size) array.  The first model's draw runs on such
+arrays, T trials at a time; the second model's draw on lists and 1-d
+arrays, one trial at a time, and never splits.  A fifth,
 coefficients(q, count), gives count uniform integers in [1, q) as int64:
 every coefficient of a query (attach_coefficients) and a scenario's C.
 RandomDraws interprets all five in production, and the exact auditor the
@@ -75,11 +76,8 @@ class RandomDraws:
         else:
             generator.shuffle(seq)
 
-    def split(self, seq, size: int):
-        if _rows(seq):
-            return _thread.generator_for(self).permuted(seq, axis=1).reshape(len(seq), -1, size)
-        self.shuffle(items := list(seq))
-        return [items[i : i + size] for i in range(0, len(items), size)]
+    def split(self, seq: np.ndarray, size: int) -> np.ndarray:
+        return _thread.generator_for(self).permuted(seq, axis=1).reshape(len(seq), -1, size)
 
     def coefficients(self, q: int, count: int):
         generator = _thread.generator_for(self)

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import inf, sqrt
@@ -396,6 +396,29 @@ def test_the_screen_works_in_bounded_memory():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_the_screen_sorts_each_bin_code_a_bounded_number_of_times(monkeypatch):
+    # At I(101,9) nearly every trial meets a new fingerprint, so a table
+    # re-sorted after every chunk would sort each code once per later chunk,
+    # and the screen's time would grow with the square of its trials.  The
+    # merges of each family together may sort at most three times the codes
+    # its chunks add.
+    added, sorted_codes = Counter(), Counter()
+    merge = audit._Family._merge
+
+    def counting_merge(self):
+        added[id(self)] += self.pending_size
+        sorted_codes[id(self)] += len(self.codes) + self.pending_size
+        merge(self)
+
+    monkeypatch.setattr(audit._Family, "_merge", counting_merge)
+    trials = 20_000
+    assert trials // max(1, audit.SCREEN_CHUNK_ENTRIES // (2 * 101)) >= 10  # many chunks
+    audit_montecarlo(MODEL_I, 101, 9, trials, Random(0))
+    assert len(added) == 2  # both families
+    for family in added:
+        assert sorted_codes[family] <= 3 * added[family], (sorted_codes, added)
 
 
 def _paired_counts(K: int, x: float) -> list:

@@ -176,15 +176,40 @@ def test_the_skewed_mutant_screen_builds_its_pmf_once(monkeypatch):
 # ---------------------------------------------- builder against enumeration
 
 FAMILY_SIGNIFICANCE = 1e-6
+# I(7,1) takes each of the three repeat classes.  Each cell is fitted twice:
+# drawn one trial at a time and as one T-trial batch.
 GOF_CELLS = [(MODEL_I, 5, 1, 20_000), (MODEL_I, 7, 1, 25_000), (MODEL_I, 8, 2, 40_000),
              (MODEL_II, 10, 5, 80_000)]
+FITS_PER_CELL = 2
 
 
-@pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
-def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
-    # I(7,1) takes each of the three repeat classes.  Every (fingerprint, W)
-    # pair with nonzero exact probability is one chi-square cell; a pair the
-    # enumeration gives probability zero must never be drawn.
+def _draw_per_trial(model_name, K, M, trials, rng):
+    # What every fetch runs: one demand, then one structure, per trial.
+    draw = PROTOCOLS[model_name].draw_structure
+    for _ in range(trials):
+        W, S = sample_demand(K, M, model_name, rng, 1)
+        w = int(W[0])
+        yield fingerprint_of(draw(w, tuple(S[0].tolist()), K, rng).sets), w
+
+
+def _draw_batch(model_name, K, M, trials, rng):
+    # The law the screen samples: every demand in one sample_demand call,
+    # then the first model's structures in one draw_structures call; the
+    # second model draws one per trial.
+    draws = RandomDraws(rng)
+    W, S = sample_demand(K, M, model_name, draws, trials)
+    if model_name == MODEL_I:
+        sets = protocol_rp.draw_structures(W, S, K, draws)[0]
+    else:
+        sets = [protocol_csi2.draw_structure(w, tuple(s), K, draws).sets
+                for w, s in zip(W.tolist(), S.tolist())]
+    return zip(map(fingerprint_of, sets), W.tolist())
+
+
+def _fit_to_the_exact_joint(model_name, K, M, trials, draw):
+    # Every (fingerprint, W) pair with nonzero exact probability is one
+    # chi-square cell; a pair the enumeration gives probability zero must
+    # never be drawn.
     report = audit_exact(model_name, K, M)
     joint = {
         (fp, w): p_fp * p_w
@@ -192,20 +217,21 @@ def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
         for w, p_w in enumerate(report.posteriors[fp], start=1)
         if p_w
     }
-    # The trials are drawn as one batch, the law the screen samples: every
-    # demand in one sample_demand call, then the first model's structures in
-    # one draw_structures call; the second model draws one per trial.
-    draws = RandomDraws(Random(0))
-    W, S = sample_demand(K, M, model_name, draws, trials)
-    if model_name == MODEL_I:
-        sets = protocol_rp.draw_structures(W, S, K, draws)[0]
-    else:
-        sets = [protocol_csi2.draw_structure(w, tuple(s), K, draws).sets
-                for w, s in zip(W.tolist(), S.tolist())]
-    seen = Counter(zip(map(fingerprint_of, sets), W.tolist()))
+    seen = Counter(draw(model_name, K, M, trials, Random(0)))
     assert set(seen) <= set(joint), "the builder drew a pair the enumeration excludes"
     cells = sorted(joint)
     expected = [float(joint[c] * trials) for c in cells]
     assert min(expected) >= 5, "too few trials for the chi-square approximation"
     p = chisquare([seen[c] for c in cells], expected).pvalue
-    assert p >= FAMILY_SIGNIFICANCE / len(GOF_CELLS), p
+    assert p >= FAMILY_SIGNIFICANCE / (len(GOF_CELLS) * FITS_PER_CELL), p
+
+
+@pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
+def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
+    # The batch of one, with its scalar class choice and one-trial views.
+    _fit_to_the_exact_joint(model_name, K, M, trials, _draw_per_trial)
+
+
+@pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
+def test_structure_batch_draw_follows_the_exact_joint(model_name, K, M, trials):
+    _fit_to_the_exact_joint(model_name, K, M, trials, _draw_batch)
