@@ -28,7 +28,6 @@ from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity, rp_distribution
 from .protocols import PROTOCOLS
-from . import protocol_rp
 from .protocol_rp import check_partition, fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
@@ -253,8 +252,8 @@ class _Enumeration:
     """The draw primitives as an enumeration.  Each run of the draw follows
     `path`, its option at each choice point, taking the first option at a new
     one, and next_leaf() advances the path depth first; num/den is the
-    product of the weights the run took.  It enumerates one trial: the
-    first model's draw runs on it at T = 1, so its arrays hold one row, and
+    product of the weights the run took.  It enumerates one trial: each
+    model's draw runs on it at T = 1, so its arrays hold one row, and
     choose(cdf, 1) gives that row's outcome as its position in cdf.outcomes.
 
     sample lists each combination once, in pool order; shuffle leaves its
@@ -303,13 +302,13 @@ class _Enumeration:
             path[-1] += 1
         return bool(path)
 
-    def choose(self, cdf: Cdf, count=None):
+    def choose(self, cdf: Cdf, count: int):
         k = 0
         if len(cdf.outcomes) > 1:
             k, mass = self._pick(len(cdf.outcomes), _outcomes, cdf)
             self.num *= mass
             self.den *= cdf.denom
-        return cdf.outcomes[k] if count is None else np.full(count, k)
+        return np.full(count, k)
 
     def _combination(self, n: int, k: int):
         width = comb(n, k)
@@ -318,10 +317,8 @@ class _Enumeration:
         self.den *= width
         return self._pick(width, _combinations, n, k)
 
-    def sample(self, pool, k: int):
-        if isinstance(pool, np.ndarray) and pool.ndim == 2:  # one trial, as a row
-            return pool[:, list(self._combination(pool.shape[1], k))]
-        return [pool[j] for j in self._combination(len(pool), k)]
+    def sample(self, pool: np.ndarray, k: int):
+        return pool[:, list(self._combination(pool.shape[1], k))]
 
     def shuffle(self, seq) -> None:
         pass
@@ -358,13 +355,13 @@ def audit_montecarlo(
 
     The trials are drawn in chunks of at most SCREEN_CHUNK_ENTRIES index
     entries, all on one RandomDraws over rng.  Each chunk draws its (W, S)
-    with sample_demand and its index sets with the draw build_query runs:
-    the first model's draw_structures over the whole chunk, checked by one
-    check_partition on the stack, and the second model's draw_structure per
-    trial, stacked.  No bin reads a coefficient, so none is drawn and no
-    field is needed.  Two bin families are tested, both binned by array
-    operations (_Bins): the order-stripped fingerprint, and for each
-    database index the position of the first transmitted set containing it.
+    with sample_demand and its index sets with the draw build_query runs,
+    the model's draw_structures, in one call over the whole chunk; the
+    first model's stack is checked by one check_partition.  No bin reads a
+    coefficient, so none is drawn and no field is needed.  Two bin families
+    are tested, both binned by array operations (_Bins): the order-stripped
+    fingerprint, and for each database index the position of the first
+    transmitted set containing it.
     The second family is what exposes set-order leaks, which the
     order-stripped fingerprint is blind to by construction.  Bins too thin
     for the chi-square approximation (expected count below 5) are counted as
@@ -380,13 +377,9 @@ def audit_montecarlo(
     chunk = max(1, SCREEN_CHUNK_ENTRIES // (2 * K))
     for done in range(0, trials, chunk):
         W, S = sample_demand(K, M, model, draws, min(chunk, trials - done))
+        sets = PROTOCOLS[model].draw_structures(W, S, K, draws, **mutations)[0]
         if model == MODEL_I:
-            sets = protocol_rp.draw_structures(W, S, K, draws, **mutations)[0]
             check_partition(sets, K, M)
-        else:
-            draw = PROTOCOLS[model].draw_structure
-            drawn = [draw(w, tuple(s), K, draws).sets for w, s in zip(W.tolist(), S.tolist())]
-            sets = np.stack(drawn)
         bins.add(sets, W)
 
     min_count = 5 * K  # expected >= 5 per cell under the flat hypothesis

@@ -6,7 +6,6 @@ most three repeat classes (s, r): s indices repeated from the
 side-information support and r repeated from the rest of the database.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -109,8 +108,8 @@ def capacity(model: str, K: int, M: int):
 class Cdf:
     """A pmf ready for exact inverse-CDF draws: its outcomes in sorted order,
     and their cumulative masses as numerators over the common denominator.
-    draw(rng) returns what sample_from_pmf(table, rng) would, and consumes
-    the generator the same way, without sorting the table each time."""
+    A uniform integer u below the denominator draws the first outcome whose
+    cumulative numerator exceeds u, as sample_from_pmf does."""
 
     denom: int
     cumulative: tuple[int, ...]
@@ -129,11 +128,6 @@ class Cdf:
         if acc != denom:
             raise ParameterError(f"pmf masses sum to {acc}/{denom}, not 1")
         return cls(denom, tuple(cumulative), tuple(outcome for outcome, _ in items))
-
-    def draw(self, rng: Random):
-        """One uniform integer below the denominator picks the first outcome
-        whose cumulative numerator exceeds it."""
-        return self.outcomes[bisect_right(self.cumulative, rng.randrange(self.denom))]
 
 
 def sample_from_pmf(table: dict, rng: Random):

@@ -34,9 +34,11 @@ from .protocol_rp import (
     DecoderState,
     Query,
     Structure,
+    _unplaced,
     attach_coefficients,
     check_set_arrays,
     decode_answer,
+    in_random_order,
 )
 
 CASE_TRIVIAL = 0
@@ -98,56 +100,69 @@ def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, Decoder
 
 
 def draw_structure(W: int, S: tuple[int, ...], K: int, rng) -> Structure:
-    """The index sets of a query for demand W inside the sorted support S,
-    as the (n, s) int64 array the query sends, with the case tag; the
-    demand slot is the set the decoder reads.  rng is a random.Random or
-    another interpreter of the draw primitives, as in
+    """The index sets of a query for demand W inside the support S, as the
+    (n, s) int64 array the query sends, with the case tag; the demand slot
+    is the set the decoder reads.  The batch of one of draw_structures; rng
+    is a random.Random or another interpreter of the draw primitives, as in
     protocol_rp.draw_structure."""
-    if W not in S:
+    support = np.fromiter(S, np.int64, len(S)).reshape(1, len(S))
+    sets, slots = draw_structures(np.array([W], np.int64), support, K, rng)
+    return Structure(sets[0], None if slots is None else int(slots[0]), case_for(K, len(S)))
+
+
+def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
+    """The index sets of T queries at once, for the (T,) demands W inside
+    the (T, M) supports S (sorted, though any order draws the same law): a
+    (T, n, s) int64 array, row t holding query t's sets in transmitted
+    order, and the (T,) demand slots, None in the trivial case.  The case,
+    and so the shape, follows from (K, M) alone.  rng is as in
+    draw_structure."""
+    T, M = S.shape
+    if not (S == W[:, None]).any(axis=1).all():
         raise ParameterError("demand must lie inside the support")
-    d, M = draws_from(rng), len(S)
-    support = np.fromiter(S, np.int64, M)
-    if support.min() < 1 or support.max() > K:
+    if S.min() < 1 or S.max() > K:
         raise ParameterError("scenario indices exceed the database size")
-    case = case_for(K, M)
+    d, case = draws_from(rng), case_for(K, M)
 
     if case == CASE_TRIVIAL:
-        return Structure(np.empty((0, 0), np.int64), None, case)
+        return np.empty((T, 0, 0), np.int64), None
     if case == CASE_SINGLE:
-        partner = next(i for i in S if i != W)
-        # Probe the partner?  One randrange(K), whose 0 (mass 1/K) probes W.
-        probe = partner if d.choose(Cdf(K, (1, K), (False, True))) else W
-        return Structure(np.array([[probe]], np.int64), 0, case)
+        # Probe the partner?  Outcome 0 (mass 1/K) probes W.
+        partner = S.sum(axis=1) - W
+        probe = np.where(d.choose(Cdf(K, (1, K), (False, True)), T), partner, W)
+        return probe.reshape(T, 1, 1), np.zeros(T, np.int64)
     if case == CASE_FULL:
-        d.shuffle(support)
-        return Structure(support.reshape(1, M), 0, case)
+        sets = S.copy()
+        d.shuffle(sets)
+        return sets.reshape(T, 1, M), np.zeros(T, np.int64)
 
-    # Both pools from one mask over [0, K]: 0 is no index, so it joins neither.
-    inside = np.zeros(K + 1, bool)
-    inside[support] = inside[0] = True
-    outside = (~inside).nonzero()[0]
-    inside[0] = inside[W] = False
-    others = inside.nonzero()[0]  # S without the demand
-    sets = np.empty((2, M - (case == CASE_DISJOINT)), np.int64)
-    known, cover = sets
+    # The outside pool from one mask over [0, K] per trial: 0 is no index,
+    # so it is marked with S.
+    inside = np.zeros((T, K + 1), bool)
+    inside[np.arange(T)[:, None], S] = inside[:, 0] = True
+    outside = _unplaced(inside)
+    others = S[S != W[:, None]].reshape(T, M - 1)  # S without the demand
+    sets = np.empty((T, 2, M - (case == CASE_DISJOINT)), np.int64)
+    known, cover = sets[:, 0], sets[:, 1]
     if case == CASE_DISJOINT:
         # S without the demand, and a cover set of r outside indices that the
         # demand completes in the smaller branch, r = M - 2.
-        r = d.choose(_cover_cdf(case, K, M))
-        known[:], cover[:r] = others, d.sample(outside, r)
-        cover[r:] = W
+        known[:], pool, end = others, outside, M - 1
     else:  # CASE_OVERLAP
-        # S itself, and a cover set of s repeated support indices, the demand
-        # among them in the smaller branch (s = 2M - K - 1), then everything
+        # S itself, and a cover set of r repeated support indices, the demand
+        # among them in the smaller branch (r = 2M - K - 1), then everything
         # outside S.
-        s, repeats = d.choose(_cover_cdf(case, K, M)), 2 * M - K
-        known[:], cover[:s], cover[repeats:] = support, d.sample(others, s), outside
-        cover[s:repeats] = W
-    d.shuffle(known)
-    d.shuffle(cover)
-    order = [0, 1]
-    d.shuffle(order)
-    return Structure(sets[order], order.index(0), case)
+        end = 2 * M - K
+        known[:], pool, cover[:, end:] = S, others, outside
+    cdf = _cover_cdf(case, K, M)
+    branches = d.choose(cdf, T)
+    sizes = np.bincount(branches, minlength=len(cdf.outcomes)).tolist()
+    for k, r in enumerate(cdf.outcomes):
+        if sizes[k]:  # each branch's trials drawn together; views when it holds every trial
+            at = slice(None) if sizes[k] == T else (branches == k).nonzero()[0]
+            cover[at, :r], cover[at, r:end] = d.sample(pool[at], r), W[at, None]
+    d.shuffle(sets.reshape(2 * T, -1))  # each set's elements
+    return in_random_order(d, sets)
 
 
 @lru_cache(maxsize=None)

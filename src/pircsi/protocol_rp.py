@@ -237,11 +237,15 @@ def _draw(
                 others = np.empty((T, n - 1, M + 1), np.int64)
             others[at] = drawn
     sets = np.concatenate([first[:, None], others], axis=1)
+    return in_random_order(d, sets) if _shuffle_order else (sets, np.zeros(T, np.int64))
 
-    order = np.arange(n)[None].repeat(T, axis=0)
-    if _shuffle_order:
-        d.shuffle(order)
-    return sets[trial, order], order.argmin(axis=1)
+
+def in_random_order(d, sets: np.ndarray):
+    """The (T, n, s) sets of T queries with each query's sets shuffled by
+    d, and the (T,) slots that each query's first set moved to."""
+    order = np.arange(sets.shape[1])[None].repeat(len(sets), axis=0)
+    d.shuffle(order)
+    return sets[np.arange(len(sets))[:, None], order], order.argmin(axis=1)
 
 
 def _unplaced(placed: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ so callers look the module up here instead of branching on the model:
 
     build_query(scenario, K, rng)       draw_structure, then attach_coefficients
                                         (protocol_rp's then runs check_partition)
-    draw_structure(W, S, K, rng)        the index sets, their order, the demand slot;
-                                        the (n, s) int64 array the query sends; in
-                                        protocol_rp the batch of one of
-                                        draw_structures(W, S, K, rng), which draws
-                                        T queries' (T, n, M+1) sets at once
+    draw_structures(W, S, K, rng)       the index sets of T queries at once, for (T,)
+                                        demands and (T, M) supports: a (T, n, s) int64
+                                        array in transmitted order and the (T,) demand
+                                        slots (None when no set is sent)
+    draw_structure(W, S, K, rng)        its batch of one: the (n, s) int64 array the
+                                        query sends and the demand slot, a Structure
     attach_coefficients(structure, scenario, rng)
                                         the coefficients; returns (Query, DecoderState);
                                         one function, protocol_rp's, for both models,

@@ -361,7 +361,8 @@ def _reference_worst(bins: list, K: int) -> Bin:
     "model,K,M,mutation",
     [(MODEL_I, 5, 1, None), (MODEL_I, 7, 1, None), (MODEL_I, 8, 2, None),
      *((MODEL_I, 8, 2, name) for name in sorted(MUTATIONS)),
-     (MODEL_II, 6, 3, None), (MODEL_II, 10, 5, None)],
+     (MODEL_II, 6, 3, None), (MODEL_II, 10, 5, None), (MODEL_II, 5, 1, None),
+     (MODEL_II, 6, 2, None), (MODEL_II, 5, 5, None)],
     ids=str,
 )
 def test_array_bins_match_the_per_trial_reference(monkeypatch, model, K, M, mutation):

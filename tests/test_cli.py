@@ -70,7 +70,7 @@ GOLDEN = Path(__file__).parent / "golden"
 REVEAL_CELLS = {
     "I-5-1-seed7": ("--model", "I", "--k", "5", "--m", "1", "--seed", "7"),
     "II-3-1-trivial": ("--model", "II", "--k", "3", "--m", "1", "--seed", "0"),
-    "II-4-2-probe-demand": ("--model", "II", "--k", "4", "--m", "2", "--seed", "3"),
+    "II-4-2-probe-demand": ("--model", "II", "--k", "4", "--m", "2", "--seed", "1"),
     "II-4-2-probe-partner": ("--model", "II", "--k", "4", "--m", "2", "--seed", "0"),
     "II-8-3-disjoint": ("--model", "II", "--k", "8", "--m", "3", "--seed", "0"),
     "II-7-5-overlap": ("--model", "II", "--k", "7", "--m", "5", "--seed", "0"),

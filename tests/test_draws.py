@@ -23,7 +23,7 @@ from pircsi import (
     sample_scenario,
     wire,
 )
-from pircsi.draws import SAMPLE_CUT, RandomDraws, _thread
+from pircsi.draws import RandomDraws, _thread
 from pircsi.pmf import rp_distribution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -149,33 +149,20 @@ def test_the_server_and_set_up_never_load_numpy_random(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, SAMPLE_CUT - 1])
-def test_sample_below_the_cut_takes_what_random_sample_takes(k):
-    # Seeded Monte-Carlo screens and small queries keep their draws.
-    pool = list(range(100, 130))
-    for seed in range(20):
-        rng, reference = Random(seed), Random(seed)
-        from_list = RandomDraws(rng).sample(pool, k)
-        from_array = RandomDraws(rng).sample(np.array(pool), k)
-        assert from_list == reference.sample(pool, k)
-        assert from_array.dtype == np.int64 and from_array.tolist() == reference.sample(pool, k)
-        assert rng.getstate() == reference.getstate()
-
-
-@pytest.mark.parametrize("k", [SAMPLE_CUT, 25])
-def test_sample_above_the_cut_is_uniform(k):
-    # k distinct pool items; every item is taken equally often, and every
-    # output position holds every item equally often.
+@pytest.mark.parametrize("k", [1, 3, 16, 25])
+def test_sample_of_rows_is_uniform(k):
+    # One call samples every row of a (T, n) pool: each row's k items are
+    # distinct and come from that row, and each output position holds each
+    # of the row's items equally often, as does the sample as a whole.
     n, trials = 30, 6000
-    pool = np.arange(100, 100 + n)
-    d = RandomDraws(Random(2018))
-    at = np.zeros((k, n), dtype=np.int64)  # at[j, i]: pool item i drawn into position j
-    for _ in range(trials):
-        picked = d.sample(pool, k)
-        assert picked.dtype == np.int64 and len(set(picked.tolist())) == k
-        at[np.arange(k), picked - 100] += 1
-    as_list = d.sample(list(pool), k)
-    assert type(as_list) is list and len(set(as_list)) == k and set(as_list) <= set(pool.tolist())
+    pool = 1000 * np.arange(trials)[:, None] + np.arange(100, 100 + n)
+    picked = RandomDraws(Random(2018)).sample(pool, k)
+    assert picked.dtype == np.int64 and picked.shape == (trials, k)
+    column = picked - 1000 * np.arange(trials)[:, None] - 100  # each item's place in its row
+    assert ((0 <= column) & (column < n)).all()
+    assert (np.diff(np.sort(column, axis=1), axis=1) > 0).all()
+    at = np.zeros((k, n), dtype=np.int64)  # at[j, i]: the row's item i drawn into position j
+    np.add.at(at, (np.arange(k), column), 1)
     tests = [at.sum(axis=0), *at]
     pvalues = [chisquare(counts).pvalue for counts in tests]
     assert min(pvalues) >= 1e-4 / len(tests), min(pvalues)
@@ -185,7 +172,7 @@ def test_sample_above_the_cut_is_uniform(k):
 def test_a_batch_of_classes_is_the_inverse_cdf_of_per_trial_draws(count):
     # choose(cdf, count) takes one integers(0, denominator) per trial from
     # the thread's Generator, its state one getrandbits(128) of the Random,
-    # and bisects the cumulative masses, as Cdf.draw does with randrange.
+    # and bisects the cumulative masses.
     cdf = rp_distribution(8, 2).cdf
     for seed in range(10):
         rng, loop = Random(seed), Random(seed)

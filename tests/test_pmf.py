@@ -3,10 +3,12 @@
 Every frozen rational below was computed by hand from the counting formulas;
 the tests are the record of those derivations.
 """
+from bisect import bisect_right
 from fractions import Fraction
 from math import inf
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,12 +153,15 @@ def test_sample_from_pmf_walks_the_exact_cdf():
     ],
 )
 def test_cdf_draws_what_sample_from_pmf_draws(table):
-    # sample_from_pmf is the reference: the same outcome from every
-    # generator state, and the same randrange consumed
-    cdf, ours, reference = Cdf.of(table), Random(11), Random(11)
-    for _ in range(2_000):
-        assert cdf.draw(ours) == sample_from_pmf(table, reference)
-    assert ours.random() == reference.random()
+    # sample_from_pmf is the reference: every uniform integer below the
+    # denominator picks the same outcome from the cumulative masses, by the
+    # scalar bisection and by the batch search that RandomDraws.choose runs.
+    cdf = Cdf.of(table)
+    units = range(cdf.denom)
+    reference = [sample_from_pmf(table, _ScriptedRng(cdf.denom, [u])) for u in units]
+    assert [cdf.outcomes[bisect_right(cdf.cumulative, u)] for u in units] == reference
+    batch = np.searchsorted(cdf.cumulative, np.arange(cdf.denom), side="right")
+    assert [cdf.outcomes[k] for k in batch.tolist()] == reference
 
 
 def test_cdf_refuses_tables_that_are_not_pmfs():

@@ -142,17 +142,16 @@ def _counting(calls, name, fn, count=lambda *args, **kwargs: 1):
 
 @pytest.mark.parametrize("model_name,K,M", [(MODEL_I, 5, 1), (MODEL_I, 8, 2), (MODEL_II, 6, 4)])
 def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K, M):
-    # Counts are of structures and demands drawn: the first model draws a
-    # chunk of trials per draw_structures call, the second one per
-    # draw_structure call, and sample_demand draws a chunk at a time.
+    # Counts are of structures and demands drawn: each model draws a chunk
+    # of trials per draw_structures call, and sample_demand a chunk at a time.
     calls = Counter()
     for module in (protocol_rp, protocol_csi2):
         for name in ("draw_structure", "attach_coefficients", "build_query"):
             label = f"{module.__name__}.{name}"
             monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
-    structures = _counting(calls, f"{protocol_rp.__name__}.draw_structures",
-                           protocol_rp.draw_structures, lambda W, *args, **kwargs: len(W))
-    monkeypatch.setattr(protocol_rp, "draw_structures", structures)
+        structures = _counting(calls, f"{module.__name__}.draw_structures",
+                               module.draw_structures, lambda W, *args, **kwargs: len(W))
+        monkeypatch.setattr(module, "draw_structures", structures)
     monkeypatch.setattr(model, "side_information", _counting(calls, "side_information", model.side_information))
     monkeypatch.setattr(audit, "sample_scenario", _counting(calls, "sample_scenario", audit.sample_scenario))
     monkeypatch.setattr(Database, "random", _counting(calls, "Database.random", Database.random))
@@ -161,8 +160,7 @@ def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K
 
     trials = 400
     audit_montecarlo(model_name, K, M, trials, Random(0))
-    name = "draw_structures" if model_name == MODEL_I else "draw_structure"
-    drawn = f"{PROTOCOLS[model_name].__name__}.{name}"
+    drawn = f"{PROTOCOLS[model_name].__name__}.draw_structures"
     assert calls == {drawn: trials, "sample_demand": trials}
 
 
@@ -176,10 +174,12 @@ def test_the_skewed_mutant_screen_builds_its_pmf_once(monkeypatch):
 # ---------------------------------------------- builder against enumeration
 
 FAMILY_SIGNIFICANCE = 1e-6
-# I(7,1) takes each of the three repeat classes.  Each cell is fitted twice:
-# drawn one trial at a time and as one T-trial batch.
+# I(7,1) takes each of the three repeat classes; the second model's cells
+# are its disjoint, overlap, single-probe and full cases.  Each cell is
+# fitted twice: drawn one trial at a time and as one T-trial batch.
 GOF_CELLS = [(MODEL_I, 5, 1, 20_000), (MODEL_I, 7, 1, 25_000), (MODEL_I, 8, 2, 40_000),
-             (MODEL_II, 10, 5, 80_000)]
+             (MODEL_II, 10, 5, 80_000), (MODEL_II, 7, 5, 20_000), (MODEL_II, 6, 2, 5_000),
+             (MODEL_II, 6, 6, 2_000)]
 FITS_PER_CELL = 2
 
 
@@ -194,15 +194,10 @@ def _draw_per_trial(model_name, K, M, trials, rng):
 
 def _draw_batch(model_name, K, M, trials, rng):
     # The law the screen samples: every demand in one sample_demand call,
-    # then the first model's structures in one draw_structures call; the
-    # second model draws one per trial.
+    # then every structure in one draw_structures call.
     draws = RandomDraws(rng)
     W, S = sample_demand(K, M, model_name, draws, trials)
-    if model_name == MODEL_I:
-        sets = protocol_rp.draw_structures(W, S, K, draws)[0]
-    else:
-        sets = [protocol_csi2.draw_structure(w, tuple(s), K, draws).sets
-                for w, s in zip(W.tolist(), S.tolist())]
+    sets = PROTOCOLS[model_name].draw_structures(W, S, K, draws)[0]
     return zip(map(fingerprint_of, sets), W.tolist())
 
 
