@@ -1,15 +1,16 @@
 """Privacy, recoverability, and rate verification.
 
-The exact auditor runs each model's own draw_structure under an enumerating
-interpreter of the draw primitives (pircsi.draws), for one representative
-scenario, with exact integer weights.  The builders treat indices
-symmetrically, so every other scenario's law is that one relabelled; Bayes'
-rule per query fingerprint then gives the posteriors, and the protocol is
+Both privacy auditors run each model's one structure draw, draw_structures,
+the draw build_query runs at T = 1.  The exact auditor runs it at T = 1
+under an enumerating interpreter of the draw primitives (pircsi.draws), for
+one representative scenario, with exact integer weights.  The builders treat
+indices symmetrically, so every other scenario's law is that one relabelled;
+Bayes' rule per query fingerprint gives the posteriors, and the protocol is
 private iff every posterior over demands is the flat 1/K vector.  The
-Monte-Carlo auditor replaces enumeration with seeded sampling and
-chi-square tests, which scales to cells the exact auditor cannot touch and
+Monte-Carlo auditor runs it on chunks of seeded trials and chi-square tests
+the bins instead, which scales to cells the exact auditor cannot touch and
 catches set-order leaks that the order-stripped fingerprint cannot show.
-Both take the deliberately broken builder variants in MUTATIONS.
+Both take the deliberately broken first-model draws in MUTATIONS.
 """
 
 from collections import defaultdict
@@ -33,8 +34,8 @@ from .protocol_rp import check_partition, fingerprint_of
 DEFAULT_ROW_GUARD = 10_000_000
 
 
-# Deliberately broken builder variants, keyed by what they break.  Each maps
-# (K, M) to keyword arguments of the first-model structure draw.
+# Deliberately broken first-model draws, keyed by what they break.  Each maps
+# (K, M) to keyword arguments of protocol_rp.draw_structures.
 MUTATIONS = {
     "unshuffled_sets": lambda K, M: {"_shuffle_order": False},
     "deterministic_extras": lambda K, M: {"_deterministic_extras": True},
@@ -171,7 +172,7 @@ def exact_joint(
     enumeration of every scenario.
     """
     mutations = _mutations(model, K, M, mutation)
-    draw = PROTOCOLS[model].draw_structure
+    draw = PROTOCOLS[model].draw_structures
     if model == MODEL_I:
         S0, scenarios = tuple(range(2, M + 2)), comb(K, M) * (K - M)
     else:
@@ -211,16 +212,18 @@ def scenario_law(
     scenarios: int = 1,
     row_guard: int = DEFAULT_ROW_GUARD,
 ) -> dict:
-    """The law of the fingerprint of draw(W, S, K, rng, **mutations), as
-    integer weights over their sum: the draw runs once per leaf of its choice
-    tree under _Enumeration.  Raises AuditSizeError once scenarios times the
-    leaves would exceed row_guard, and ProtocolError when the first leaf of
-    a first-model fingerprint (W outside S) fails check_partition."""
+    """The law of the fingerprint of draw, a model's draw_structures, for
+    the one trial (W, S), as integer weights over their sum: the draw runs
+    once per leaf of its choice tree under _Enumeration.  Raises
+    AuditSizeError once scenarios times the leaves would exceed row_guard,
+    and ProtocolError when the first leaf of a first-model fingerprint (W
+    outside S) fails check_partition."""
     enum = _Enumeration(scenarios, row_guard)
     masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
     firsts = {}  # fingerprint -> the sets of its first leaf
+    demand, support = np.array([W]), np.array([S], np.int64)
     while True:
-        sets = draw(W, S, K, enum, **mutations).sets
+        sets = draw(demand, support, K, enum, **mutations)[0][0]
         fp = fingerprint_of(sets)
         masses[enum.den, fp] += enum.num
         firsts.setdefault(fp, sets)
@@ -369,8 +372,10 @@ def audit_montecarlo(
     expectation, read off the chi-square survival function with K - 1
     degrees of freedom by _chisquare_p; the worst bin is the first with the
     smallest, fingerprint bins before slot bins, each family in the order
-    its bins were first met.
+    its bins were first met.  significance, the family's, lies in (0, 1).
     """
+    if not 0 < significance < 1:
+        raise ParameterError(f"significance must lie in (0, 1), got {significance!r}")
     mutations = _mutations(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
     bins = _Bins(K)

@@ -7,7 +7,7 @@ protocol_rp.decode_answer do on word rows, so nothing ever multiplies two
 messages: (q, m) alone pins down every operation, and two parties that agree
 on (q, m) agree on everything.  Nothing is drawn here: messages come from
 model.Database.random, coefficients from pircsi.draws.  FieldElement is the
-plain value that db[i], Scenario.Y, Answer.values and decode_answer give.
+plain value that Scenario.Y, Answer.values and decode_answer give.
 """
 
 from dataclasses import dataclass

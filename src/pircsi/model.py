@@ -53,12 +53,6 @@ class Database:
     def K(self) -> int:
         return len(self.words)
 
-    def __getitem__(self, index: int) -> FieldElement:
-        """Message X_index, 1-based."""
-        if not 1 <= index <= self.K:
-            raise ParameterError(f"index {index} outside [1, {self.K}]")
-        return FieldElement(self.params, tuple(self.words[index - 1].tolist()))
-
     def __eq__(self, other):
         return (
             isinstance(other, Database)
@@ -126,19 +120,23 @@ class Scenario:
 
 
 def side_information(db: Database, S, C) -> FieldElement:
-    """Evaluate sum(c_i * X_i) over the support.  Empty support gives zero."""
-    S = tuple(S)
-    C = tuple(C)
+    """Evaluate sum(c_i * X_i) over the support.  Empty support gives zero.
+    Indices and coefficients are Python or numpy integers, not bools."""
+    S, C = tuple(S), tuple(C)
     if len(S) != len(C):
         raise ParameterError(f"support size {len(S)} != coefficient count {len(C)}")
+    for what, values in (("support index", S), ("coefficient", C)):
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{what} {value!r} is not an integer")
     if len(set(S)) != len(S):
         raise ParameterError("support indices must be distinct")
     q, K = db.params.q, db.K
     for i, c in zip(S, C):
-        if not isinstance(i, int) or not 1 <= i <= K:
+        if not 1 <= i <= K:
             raise ParameterError(f"support index {i} outside [1, {K}]")
-        if not isinstance(c, int) or not 1 <= c % q == c:
-            raise ParameterError(f"coefficient {c!r} is not a nonzero scalar mod {q}")
+        if not 1 <= c < q:
+            raise ParameterError(f"coefficient {c} is not a nonzero scalar mod {q}")
     words = answer_words(db, np.array([S], dtype=np.int64), np.array([C], dtype=np.int64))
     return FieldElement(db.params, tuple(words[0].tolist()))
 

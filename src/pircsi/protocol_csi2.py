@@ -33,7 +33,6 @@ from .protocol_rp import (
     Answer,
     DecoderState,
     Query,
-    Structure,
     _unplaced,
     attach_coefficients,
     check_set_arrays,
@@ -90,34 +89,26 @@ def download_cost(K: int, M: int) -> int:
 
 
 def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, DecoderState]:
-    """Build one query for the given scenario: draw_structure, then
-    attach_coefficients over the same draws."""
+    """Build one query for the given scenario: draw_structures at T = 1,
+    then attach_coefficients over the same draws."""
     if scenario.model != MODEL_II:
         raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
-    d = draws_from(rng)
-    structure = draw_structure(scenario.W, scenario.S, K, d)
-    return attach_coefficients(structure, scenario, d)
-
-
-def draw_structure(W: int, S: tuple[int, ...], K: int, rng) -> Structure:
-    """The index sets of a query for demand W inside the support S, as the
-    (n, s) int64 array the query sends, with the case tag; the demand slot
-    is the set the decoder reads.  The batch of one of draw_structures; rng
-    is a random.Random or another interpreter of the draw primitives, as in
-    protocol_rp.draw_structure."""
-    support = np.fromiter(S, np.int64, len(S)).reshape(1, len(S))
-    sets, slots = draw_structures(np.array([W], np.int64), support, K, rng)
-    return Structure(sets[0], None if slots is None else int(slots[0]), case_for(K, len(S)))
+    d, S = draws_from(rng), np.array([scenario.S], np.int64)
+    sets, slots = draw_structures(np.array([scenario.W], np.int64), S, K, d)
+    slot = None if slots is None else int(slots[0])
+    return attach_coefficients(sets[0], slot, case_for(K, S.shape[1]), S[0], scenario, d)
 
 
 def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
-    """The index sets of T queries at once, for the (T,) demands W inside
-    the (T, M) supports S (sorted, though any order draws the same law): a
-    (T, n, s) int64 array, row t holding query t's sets in transmitted
-    order, and the (T,) demand slots, None in the trivial case.  The case,
-    and so the shape, follows from (K, M) alone.  rng is as in
-    draw_structure."""
+    """The index sets of T >= 1 queries at once, for the (T,) demands W
+    inside the (T, M) supports S (sorted, though any order draws the same
+    law): a (T, n, s) int64 array, row t holding query t's sets in
+    transmitted order, and the (T,) demand slots, None in the trivial case.
+    The case, and so the shape, follows from (K, M) alone.  rng is as in
+    protocol_rp.draw_structures."""
     T, M = S.shape
+    if not T:
+        raise ParameterError("a structure draw needs at least one trial, got T=0")
     if not (S == W[:, None]).any(axis=1).all():
         raise ParameterError("demand must lie inside the support")
     if S.min() < 1 or S.max() > K:

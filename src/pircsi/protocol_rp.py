@@ -17,7 +17,6 @@ the scalars a and b fixed when the coefficients are attached.
 
 from dataclasses import dataclass
 from random import Random
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,58 +105,30 @@ class DecoderState:
     b: int
 
 
-class Structure(NamedTuple):
-    """What a query shows the server before coefficients are attached: the
-    index sets in transmitted order, each in its transmitted element order,
-    as the (n, s) int64 array the query sends, and the slot of the set the
-    client decodes from (None when no set is sent).  case_tag is the second
-    model's case; the first model leaves it None."""
-
-    sets: np.ndarray
-    demand_slot: int | None
-    case_tag: int | None = None
-
-
-def build_query(scenario: Scenario, K: int, rng: Random, **mutations) -> tuple[Query, DecoderState]:
-    """Build one query for the given scenario: draw_structure, then
-    attach_coefficients over the same draws, then check_partition on the
-    query's index array.  mutations are _draw's underscored keywords."""
+def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, DecoderState]:
+    """Build one query for the given scenario: draw_structures at T = 1,
+    then attach_coefficients over the same draws, then check_partition on
+    the query's index array."""
     if scenario.model != MODEL_I:
         raise ParameterError(f"expected a model {MODEL_I} scenario, got {scenario.model!r}")
-    d = draws_from(rng)
-    structure = draw_structure(scenario.W, scenario.S, K, d, **mutations)
-    query, state = attach_coefficients(structure, scenario, d)
+    d, S = draws_from(rng), np.array([scenario.S], np.int64)
+    sets, slots = draw_structures(np.array([scenario.W], np.int64), S, K, d)
+    query, state = attach_coefficients(sets[0], int(slots[0]), 0, S[0], scenario, d)
     check_partition(query.idx, K, len(scenario.S))
     return query, state
 
 
-def draw_structure(W: int, S: tuple[int, ...], K: int, rng, **mutations) -> Structure:
-    """The index sets of a query for demand W outside the sorted support S:
-    the batch of one of the draw draw_structures runs.
-
-    Everything the server sees of the query except its coefficients is drawn
-    here, and nothing of it depends on the side information's coefficients.
-    rng is a random.Random, or another interpreter of the draw primitives
-    (pircsi.draws) such as the exact auditor's.
-    """
-    M = len(S)
-    if not 0 <= M < K:
-        raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
-    if W in S:
-        raise ParameterError("demand must lie outside the support")
-    if not all(1 <= i <= K for i in (W, *S)):
-        raise ParameterError("scenario indices exceed the database size")
-    demand = np.array([(W, *S)], np.int64)
-    sets, slots = _draw(draws_from(rng), demand, K, **mutations)
-    return Structure(sets[0], int(slots[0]))
-
-
 def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng, **mutations):
-    """The index sets of T queries at once, for the (T,) demands W outside
-    the (T, M) sorted supports S: a (T, n, M+1) int64 array, row t holding
-    query t's sets in transmitted order, and the (T,) demand slots.  rng is
-    as in draw_structure."""
-    M = S.shape[1]
+    """The index sets of T >= 1 queries at once, for the (T,) demands W
+    outside the (T, M) sorted supports S: a (T, n, M+1) int64 array, row t
+    holding query t's sets in transmitted order, and the (T,) demand slots.
+    Everything the server sees of a query but its coefficients is drawn here,
+    from (W, S) alone.  rng is a random.Random, or another interpreter of the
+    draw primitives (pircsi.draws) such as the exact auditor's; mutations are
+    _draw's underscored keywords, which only the auditors pass."""
+    T, M = S.shape
+    if not T:
+        raise ParameterError("a structure draw needs at least one trial, got T=0")
     if not 0 <= M < K:
         raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
     if (S == W[:, None]).any():
@@ -258,20 +229,19 @@ def _first(pool: np.ndarray, k: int) -> np.ndarray:
 
 
 def attach_coefficients(
-    structure: Structure, scenario: Scenario, rng
+    idx: np.ndarray, slot: int | None, case_tag: int, support: np.ndarray, scenario: Scenario, rng
 ) -> tuple[Query, DecoderState]:
-    """Complete either model's structure into a query by the one rule that
-    keeps both private: the demand set carries each support index's own c_i,
-    except the demand W, which takes a fresh unit other than its own (own(W)
-    is 0 when W lies outside S); every other slot takes a fresh unit.  So
-    each coefficient sent is a fresh unit or some c_i sent once, and c_W is
-    never sent.  All come from d.coefficients: one draw for the (n, s) array,
-    then one for W where the demand set holds it.  rng is a random.Random or
-    the RandomDraws that drew the structure."""
+    """Complete one query's row of either model's draw_structures, its
+    (n, s) sets idx, demand slot and case tag, into a query by the one rule
+    that keeps both private: the demand set carries each support index's own
+    c_i, except the demand W, which takes a fresh unit other than its own
+    (0 when W lies outside S); every other slot takes a fresh unit.  So each
+    coefficient sent is a fresh unit or some c_i sent once, and c_W never.
+    All come from d.coefficients: one draw for the (n, s) array, then one for
+    W where the demand set holds it.  support is S as the (M,) int64 array
+    the sets were drawn from; rng is a random.Random or their RandomDraws."""
     d, W, q = draws_from(rng), scenario.W, scenario.Y.params.q
-    idx, slot = structure.sets, structure.demand_slot
     coef = d.coefficients(q, idx.size).reshape(idx.shape)
-    support = np.fromiter(scenario.S, np.int64, len(scenario.S))
     own = np.zeros(max(W, support.max(initial=0)) + 1, np.int64)  # own[i]: c_i on S, else 0
     own[support] = np.fromiter(scenario.C, np.int64, len(support))
     c_W = int(own[W])
@@ -283,7 +253,7 @@ def attach_coefficients(
     if slot is not None:
         own[W] = c
         coef[slot] = own[demand]
-    query = Query(idx, coef, scenario.model, structure.case_tag or 0)
+    query = Query(idx, coef, scenario.model, case_tag)
     # The demand set's other indices lie in S without W; if they are all of
     # it, A - Y = (c - c_W) * X_W.
     if len(demand) - (c > 0) == len(support) - (c_W > 0):
@@ -408,8 +378,8 @@ def canonical_fingerprint(query) -> tuple:
 
 
 def fingerprint_of(index_sets) -> tuple:
-    """canonical_fingerprint of bare index sets, such as a Structure's: rows
-    of ints, or an (n, s) int64 array."""
+    """canonical_fingerprint of bare index sets, such as one query's row of
+    draw_structures: rows of ints, or an (n, s) int64 array."""
     if isinstance(index_sets, np.ndarray):
         index_sets = index_sets.tolist()
     return tuple(sorted(tuple(sorted(indices)) for indices in index_sets))

@@ -3,18 +3,16 @@
 Both protocol modules expose the same entry points with the same signatures,
 so callers look the module up here instead of branching on the model:
 
-    build_query(scenario, K, rng)       draw_structure, then attach_coefficients
+    build_query(scenario, K, rng)       draw_structures at T = 1, then attach_coefficients
                                         (protocol_rp's then runs check_partition)
-    draw_structures(W, S, K, rng)       the index sets of T queries at once, for (T,)
+    draw_structures(W, S, K, rng)       the index sets of T >= 1 queries at once, for (T,)
                                         demands and (T, M) supports: a (T, n, s) int64
                                         array in transmitted order and the (T,) demand
-                                        slots (None when no set is sent)
-    draw_structure(W, S, K, rng)        its batch of one: the (n, s) int64 array the
-                                        query sends and the demand slot, a Structure
-    attach_coefficients(structure, scenario, rng)
-                                        the coefficients; returns (Query, DecoderState);
-                                        one function, protocol_rp's, for both models,
-                                        which takes an array of sets as Query.idx
+                                        slots (None when no set is sent); the one
+                                        structure draw of the model
+    attach_coefficients(idx, slot, case_tag, support, scenario, rng)
+                                        one query's coefficients; returns (Query,
+                                        DecoderState); protocol_rp's, for both models
     check_sizes(case_tag, sizes, K)     the model's shape rules on the case tag and
                                         the list of set sizes; raises ShapeError
     answer_query(db, query)             the model, then the server's calls: check_sizes,
@@ -24,7 +22,7 @@ so callers look the module up here instead of branching on the model:
 
 Both build the one query type, protocol_rp.Query, whose model names the
 module that answers it and whose (n, s) index and coefficient arrays go
-from attach_coefficients (the index array from draw_structure) to the
+from attach_coefficients (the index array from draw_structures) to the
 encoder's check_set_arrays and record array.  Both
 draw a query's structure and all its coefficients over one
 draws.RandomDraws, the coefficients by coefficients(q, count) on the

@@ -21,6 +21,12 @@ def query_of(sets, model: str = MODEL_I, case_tag: int = 0) -> Query:
     return Query(idx, coef, model, case_tag)
 
 
+def message(db, index: int):
+    """Message X_index of the database, 1-based, as the FieldElement a
+    decoder gives: row index - 1 of its words."""
+    return db.params.element(db.words[index - 1])
+
+
 def answer_of(params: FieldParams, values) -> Answer:
     """The Answer of a sequence of field elements."""
     words = np.array([x.coeffs for x in values], dtype=np.int64)

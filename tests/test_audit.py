@@ -166,7 +166,7 @@ def test_exact_names_its_worst_fingerprint():
 def _every_scenario_joint(model, K, M, mutation):
     """The reference for the relabelling: the enumerated law of every
     scenario, weighted by the uniform scenario prior."""
-    draw = PROTOCOLS[model].draw_structure
+    draw = PROTOCOLS[model].draw_structures
     mutations = MUTATIONS[mutation](K, M) if mutation else {}
     scenarios = [
         (W, S)
@@ -321,6 +321,15 @@ def test_montecarlo_mutations_are_model_one_only():
         audit_montecarlo(MODEL_II, 5, 2, 1000, Random(0), mutation="unshuffled_sets")
     with pytest.raises(ParameterError):
         audit_montecarlo(MODEL_I, 5, 1, 1000, Random(0), mutation="nope")
+
+
+@pytest.mark.parametrize("significance", [0, -1, 1, 1.5, float("nan")])
+def test_montecarlo_refuses_a_significance_outside_the_unit_interval(significance):
+    # At 0 or below every min_p passes, so a leaky draw would pass too.
+    with pytest.raises(ParameterError, match="significance"):
+        audit_montecarlo(
+            MODEL_I, 8, 2, 20_000, Random(0), mutation="unshuffled_sets", significance=significance
+        )
 
 
 def test_montecarlo_needs_enough_trials_per_bin():

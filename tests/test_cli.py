@@ -179,6 +179,15 @@ def test_audit_mc_names_its_worst_bin(capsys):
         assert all(isinstance(s, list) for s in report["worst_bin"]["key"])
 
 
+@pytest.mark.parametrize("significance", ["0", "-1", "1", "1.5", "nan"])
+def test_audit_mc_out_of_range_significance_exits_two(capsys, significance):
+    code, out, err = _run(capsys, "audit", "--mc", "--model", "I", "--k", "8", "--m", "2",
+                          "--trials", "2000", "--mutation", "unshuffled_sets",
+                          "--significance", significance)
+    assert code == 2 and out == ""
+    assert err.startswith("error: significance") and err.count("\n") == 1
+
+
 def test_audit_mc_honest_and_mutated(capsys):
     base = ("audit", "--mc", "--model", "I", "--k", "5", "--m", "1",
             "--trials", "20000", "--seed", "2")

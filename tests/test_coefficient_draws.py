@@ -22,7 +22,8 @@ from pircsi import (
     side_information,
 )
 from pircsi.draws import RandomDraws, _thread
-from pircsi.protocol_rp import Structure, attach_coefficients
+from pircsi.protocol_csi2 import case_for
+from pircsi.protocol_rp import attach_coefficients
 
 from conftest import query_of
 
@@ -92,9 +93,11 @@ def _per_index_build(protocol, scenario, K, rng):
     c_W (0 outside S) for one t.  The demand set's other slots then take the
     side information's own coefficients."""
     d = RandomDraws(rng)
-    structure = protocol.draw_structure(scenario.W, scenario.S, K, d)
-    rows = tuple(map(tuple, structure.sets.tolist()))  # either model's, as ints
-    q, W, slot = scenario.Y.params.q, scenario.W, structure.demand_slot
+    sets, slots = protocol.draw_structures(
+        np.array([scenario.W]), np.array([scenario.S], np.int64), K, d
+    )
+    rows = tuple(map(tuple, sets[0].tolist()))  # either model's, as ints
+    q, W, slot = scenario.Y.params.q, scenario.W, None if slots is None else int(slots[0])
     own = dict(zip(scenario.S, scenario.C))
     c_W = own.get(W, 0)
     d.coefficients(q, 0)  # sets the Generator's state, even for a query with no sets
@@ -112,7 +115,8 @@ def _per_index_build(protocol, scenario, K, rng):
         a = pow(c - c_W, -1, q)
         state = DecoderState(scenario, slot, a, -a % q)
     sets = list(zip(rows, coeffs))
-    return query_of(sets, scenario.model, structure.case_tag or 0), state
+    case_tag = case_for(K, len(scenario.S)) if scenario.model == MODEL_II else 0
+    return query_of(sets, scenario.model, case_tag), state
 
 
 @pytest.mark.parametrize(
@@ -163,16 +167,14 @@ def test_the_demand_coefficient_map_is_exact(q):
     db = Database.random(FieldParams(q), 3, Random(q))
     for c_W in range(q):
         if c_W:  # the full case: W = 1 inside S = (1, 2, 3)
-            S, C, model = (1, 2, 3), (c_W, 1, 1), MODEL_II
-            structure = Structure(np.array([[2, 3, 1]]), 0, 4)
+            S, C, model, idx, case_tag = (1, 2, 3), (c_W, 1, 1), MODEL_II, [[2, 3, 1]], 4
         else:  # the first model: W = 1 outside S = (2,)
-            S, C, model = (2,), (1,), MODEL_I
-            structure = Structure(np.array([[2, 1]]), 0)
+            S, C, model, idx, case_tag = (2,), (1,), MODEL_I, [[2, 1]], 0
         scenario = Scenario(1, S, C, side_information(db, S, C), model)
         image = []
         for t in range(1, q - (c_W > 0)):
             d = _Pinned(t)
-            query, state = attach_coefficients(structure, scenario, d)
+            query, state = attach_coefficients(np.array(idx), 0, case_tag, np.array(S), scenario, d)
             assert d.bounds == [q - (c_W > 0)]
             (c,) = query.coef[0][query.idx[0] == 1].tolist()
             image.append(c)

@@ -22,12 +22,7 @@ from conftest import count_bound
 def test_database_basic_access(gf3):
     db = Database(gf3, [[1], [2], [0]])
     assert db.K == 3
-    assert db[1] == gf3.element((1,)) and db[3] == gf3.element((0,))
     assert db.words.dtype == np.dtype("<u2") and db.words.tolist() == [[1], [2], [0]]
-    with pytest.raises(ParameterError):
-        db[0]
-    with pytest.raises(ParameterError):
-        db[4]
 
 
 def test_database_rejects_foreign_elements(gf9):
@@ -139,6 +134,29 @@ def test_side_information_validation(gf3):
         side_information(db, [1, 2], [1, 3])  # coefficient not reduced
     with pytest.raises(ParameterError):
         side_information(db, [1, 2], [1])  # arity mismatch
+
+
+@pytest.mark.parametrize(
+    "S,C,expected",
+    [
+        ((np.int64(1), 2), (1, 1), (0,)),  # 1*1 + 1*2 = 3 = 0 in GF(3)
+        ((1, 2), (np.int64(1), np.uint8(2)), (2,)),  # 1*1 + 2*2 = 5 = 2
+        ((1, 2), (True, 1), "coefficient True is not an integer"),
+        ((True, 2), (1, 1), "support index True is not an integer"),
+        ((1, 2), (1.0, 1), "coefficient 1.0 is not an integer"),
+        ((1, 2), (np.bool_(True), 1), f"coefficient {np.bool_(True)!r} is not an integer"),
+        ((1, np.int64(4)), (1, 1), "support index 4 outside [1, 3]"),
+        ((1, 2), (1, np.int64(3)), "coefficient 3 is not a nonzero scalar mod 3"),
+    ],
+)
+def test_side_information_takes_numpy_integers_and_refuses_bools(gf3, S, C, expected):
+    db = Database(gf3, [[1], [2], [0]])
+    if isinstance(expected, tuple):
+        assert side_information(db, S, C) == gf3.element(expected)
+    else:
+        with pytest.raises(ParameterError) as info:
+            side_information(db, S, C)
+        assert str(info.value) == expected
 
 
 def test_scenario_consistency(gf9):

@@ -27,7 +27,7 @@ from pircsi.protocol_csi2 import (
     download_cost,
 )
 
-from conftest import answer_of, count_bound, query_of
+from conftest import answer_of, count_bound, message, query_of
 
 
 def _round_trip(db, M, seed):
@@ -75,7 +75,7 @@ def test_trivial_case_sends_nothing(gf9):
         scenario, query, state, answer, decoded = _round_trip(db, 1, seed)
         assert query.sets == () and query.case_tag == CASE_TRIVIAL
         assert answer.values == ()
-        assert decoded == db[scenario.W]
+        assert decoded == message(db, scenario.W)
 
 
 def test_single_probe_case(gf3):
@@ -96,7 +96,7 @@ def test_single_probe_case(gf3):
         else:
             partners += 1
         answer = answer_query(db, query)
-        assert decode_answer(answer, state) == db[scenario.W]
+        assert decode_answer(answer, state) == message(db, scenario.W)
     # the demand itself is probed with probability exactly 1/K
     assert abs(hits - trials / K) < count_bound(trials, 1 / K)
     assert partners == trials - hits
@@ -123,7 +123,7 @@ def test_disjoint_cover_case(gf3):
         if scenario.W in cover.indices:
             with_demand += 1
         answer = answer_query(db, query)
-        assert decode_answer(answer, state) == db[scenario.W]
+        assert decode_answer(answer, state) == message(db, scenario.W)
     # cover includes the demand with probability 2(M-1)/K = 1/2 here
     assert abs(with_demand - trials / 2) < count_bound(trials, 0.5)
 
@@ -157,7 +157,7 @@ def test_overlap_cover_case():
         if scenario.W in cover:
             with_demand += 1
         answer = answer_query(db, query)
-        assert decode_answer(answer, state) == db[scenario.W]
+        assert decode_answer(answer, state) == message(db, scenario.W)
     # the demand joins the cover with probability 1 - 2(K-M)/K = 1/5 here
     assert abs(with_demand - trials / 5) < count_bound(trials, 0.2)
 
@@ -178,7 +178,7 @@ def test_full_support_case():
                 assert c != own[i]
             else:
                 assert c == own[i]
-        assert decoded == db[scenario.W]
+        assert decoded == message(db, scenario.W)
 
 
 @pytest.mark.parametrize("q,m", [(3, 1), (7, 1), (3, 2), (5, 2)])
@@ -191,7 +191,7 @@ def test_decode_recovers_across_all_cases(q, m):
             scenario = sample_scenario(db, M, MODEL_II, rng)
             query, state = build_query(scenario, K, rng)
             answer = answer_query(db, query)
-            assert decode_answer(answer, state) == db[scenario.W]
+            assert decode_answer(answer, state) == message(db, scenario.W)
 
 
 @pytest.mark.parametrize("K,M", [(8, 2), (8, 3), (8, 5), (8, 8), (1000, 600)])
@@ -208,7 +208,7 @@ def test_a_support_out_of_sorted_order_still_decodes(K, M):
         own = dict(zip(S, C))
         sent = query.sets[state.demand_slot]
         assert all(c == own[i] for i, c in zip(sent.indices, sent.coeffs) if i != scenario.W)
-        assert decode_answer(answer_query(db, query), state) == db[scenario.W]
+        assert decode_answer(answer_query(db, query), state) == message(db, scenario.W)
 
 
 def test_build_is_seed_deterministic(gf3):

@@ -29,7 +29,7 @@ from pircsi.protocol_rp import (
 )
 from pircsi.pmf import partition_rounds, rp_distribution
 
-from conftest import answer_of, count_bound, query_of
+from conftest import answer_of, count_bound, message, query_of
 
 
 def _build(db, K, M, seed):
@@ -165,7 +165,7 @@ def test_decode_recovers_the_demand(q, m):
             scenario = sample_scenario(db, M, MODEL_I, rng)
             query, state = build_query(scenario, K, rng)
             answer = answer_query(db, query)
-            assert decode_answer(answer, state) == db[scenario.W]
+            assert decode_answer(answer, state) == message(db, scenario.W)
 
 
 def _gf_rank(rows, q):

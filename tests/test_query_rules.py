@@ -26,7 +26,7 @@ from pircsi import (
 )
 from pircsi.protocol_csi2 import CASE_DISJOINT, CASE_TAGS, case_shape
 
-from conftest import query_of
+from conftest import message, query_of
 
 FIELDS = [(3, 1), (5, 2), (257, 4)]
 FAULTS = [
@@ -194,7 +194,7 @@ def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, mode
     query, state = protocol.build_query(scenario, db.K, rng)
     with wire.PirServer(db, port=0) as server:
         answer = wire.fetch(server.address, query, db.params)
-    assert protocol.decode_answer(answer, state) == db[scenario.W]
+    assert protocol.decode_answer(answer, state) == message(db, scenario.W)
     # the client's encode, then the server's parse; the answer step checks nothing
     assert callers == [("encode_query", "fetch"), ("decode_query", "_serve")]
 

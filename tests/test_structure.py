@@ -21,6 +21,7 @@ from pircsi import (
     FieldParams,
     MODEL_I,
     MODEL_II,
+    ParameterError,
     audit_exact,
     audit_montecarlo,
     model,
@@ -31,7 +32,6 @@ from pircsi import (
     sample_scenario,
 )
 from pircsi import audit
-from pircsi.audit import MUTATIONS
 from pircsi.draws import RandomDraws
 from pircsi.protocol_csi2 import (
     CASE_DISJOINT,
@@ -44,23 +44,26 @@ from pircsi.protocol_csi2 import (
 from pircsi.protocol_rp import fingerprint_of
 from pircsi.protocols import PROTOCOLS
 
+from conftest import message
+
 # First model: one, two, three, four and five sets, with and without repeats.
 MODEL_I_CELLS = [(3, 2), (4, 1), (5, 2), (5, 1), (7, 1), (8, 2), (9, 1), (10, 1), (6, 0)]
 # Second model at K=8: every case, both branches of the disjoint and overlap cases.
 MODEL_II_CELLS = [(8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (8, 7), (8, 8)]
 
 
-def _split_matches_build(model_name, K, M, seed, **mutation):
+def _split_matches_build(model_name, K, M, seed):
     db = Database.random(FieldParams(5), K, Random(seed))
     scenario = sample_scenario(db, M, model_name, Random(seed + 1))
     protocol = PROTOCOLS[model_name]
-    structure = protocol.draw_structure(scenario.W, scenario.S, K, Random(seed + 2), **mutation)
-    query, state = protocol.build_query(scenario, K, Random(seed + 2), **mutation)
+    W, S = np.array([scenario.W]), np.array([scenario.S], np.int64)
+    sets, slots = protocol.draw_structures(W, S, K, Random(seed + 2))
+    query, state = protocol.build_query(scenario, K, Random(seed + 2))
     # drawn as the (n, s) int64 array the query sends
-    assert structure.sets.dtype == np.int64 and structure.sets.ndim == 2
-    assert np.array_equal(query.idx, structure.sets)
-    assert state.demand_slot == structure.demand_slot
-    return structure, query, state
+    assert sets.dtype == np.int64 and sets.shape[0] == 1
+    assert np.array_equal(query.idx, sets[0])
+    assert state.demand_slot == (None if slots is None else slots[0])
+    return query, state
 
 
 @pytest.mark.parametrize("K,M", MODEL_I_CELLS)
@@ -69,18 +72,22 @@ def test_first_model_build_sends_the_structure_it_draws(K, M):
         _split_matches_build(MODEL_I, K, M, seed)
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_mutations_act_on_the_structure_draw(mutation):
-    for seed in range(20):
-        _split_matches_build(MODEL_I, 8, 2, seed, **MUTATIONS[mutation](8, 2))
-
-
 @pytest.mark.parametrize("K,M", MODEL_II_CELLS)
 def test_second_model_build_sends_the_structure_it_draws(K, M):
     case = case_for(K, M)
     for seed in range(40):
-        structure, query, state = _split_matches_build(MODEL_II, K, M, seed)
-        assert structure.case_tag == query.case_tag == case
+        query, state = _split_matches_build(MODEL_II, K, M, seed)
+        assert query.case_tag == case
+
+
+@pytest.mark.parametrize(
+    "model_name,K,M", [(MODEL_I, 8, 2), (MODEL_I, 5, 0), (MODEL_II, 8, 1), (MODEL_II, 8, 3)]
+)
+def test_an_empty_batch_is_refused_by_its_trial_count(model_name, K, M):
+    W, S = sample_demand(K, M, model_name, Random(0), 0)
+    assert W.shape == (0,) and S.shape == (0, M)
+    with pytest.raises(ParameterError, match="T=0"):
+        PROTOCOLS[model_name].draw_structures(W, S, K, Random(0))
 
 
 def test_every_second_model_case_is_covered():
@@ -126,7 +133,7 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
         else:  # A - Y = (c - c_W) * X_W
             assert (c - c_W) * state.a % q == 1 and (state.a + state.b) % q == 0
     answer = protocol.answer_query(db, query)
-    assert protocol.decode_answer(answer, state) == db[scenario.W]
+    assert protocol.decode_answer(answer, state) == message(db, scenario.W)
 
 
 # ------------------------------------------------------- the screen's draws
@@ -146,7 +153,7 @@ def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K
     # of trials per draw_structures call, and sample_demand a chunk at a time.
     calls = Counter()
     for module in (protocol_rp, protocol_csi2):
-        for name in ("draw_structure", "attach_coefficients", "build_query"):
+        for name in ("attach_coefficients", "build_query"):
             label = f"{module.__name__}.{name}"
             monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
         structures = _counting(calls, f"{module.__name__}.draw_structures",
@@ -185,11 +192,10 @@ FITS_PER_CELL = 2
 
 def _draw_per_trial(model_name, K, M, trials, rng):
     # What every fetch runs: one demand, then one structure, per trial.
-    draw = PROTOCOLS[model_name].draw_structure
+    draw = PROTOCOLS[model_name].draw_structures
     for _ in range(trials):
         W, S = sample_demand(K, M, model_name, rng, 1)
-        w = int(W[0])
-        yield fingerprint_of(draw(w, tuple(S[0].tolist()), K, rng).sets), w
+        yield fingerprint_of(draw(W, S, K, rng)[0][0]), int(W[0])
 
 
 def _draw_batch(model_name, K, M, trials, rng):
@@ -223,7 +229,7 @@ def _fit_to_the_exact_joint(model_name, K, M, trials, draw):
 
 @pytest.mark.parametrize("model_name,K,M,trials", GOF_CELLS, ids=lambda v: str(v))
 def test_structure_draw_follows_the_exact_joint(model_name, K, M, trials):
-    # The batch of one, with its scalar class choice and one-trial views.
+    # At T = 1, with its scalar class choice and one-trial views.
     _fit_to_the_exact_joint(model_name, K, M, trials, _draw_per_trial)
 
 

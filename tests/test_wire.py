@@ -27,7 +27,7 @@ from pircsi import (
     wire,
 )
 
-from conftest import answer_of, query_of
+from conftest import answer_of, message, query_of
 
 
 # ------------------------------------------------------------ golden vectors
@@ -397,11 +397,11 @@ def test_loopback_round_trip(gf9):
             if model == MODEL_I:
                 query, state = protocol_rp.build_query(scenario, K, rng)
                 answer = wire.fetch(server.address, query, params)
-                assert protocol_rp.decode_answer(answer, state) == db[scenario.W]
+                assert protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
             else:
                 query, state = protocol_csi2.build_query(scenario, K, rng)
                 answer = wire.fetch(server.address, query, params)
-                assert protocol_csi2.decode_answer(answer, state) == db[scenario.W]
+                assert protocol_csi2.decode_answer(answer, state) == message(db, scenario.W)
 
 
 def test_fetch_discovers_params_when_omitted(gf3):
@@ -411,7 +411,7 @@ def test_fetch_discovers_params_when_omitted(gf3):
         scenario = sample_scenario(db, 1, MODEL_II, rng)
         query, state = protocol_csi2.build_query(scenario, 5, rng)
         answer = wire.fetch(server.address, query)
-        assert protocol_csi2.decode_answer(answer, state) == db[scenario.W]
+        assert protocol_csi2.decode_answer(answer, state) == message(db, scenario.W)
 
 
 def test_server_rejects_invalid_queries_and_keeps_serving(gf3):
@@ -572,7 +572,7 @@ def test_concurrent_clients(gf9):
                 scenario = sample_scenario(db, 2, MODEL_I, rng)
                 query, state = protocol_rp.build_query(scenario, 8, rng)
                 answer = wire.fetch(server.address, query, db.params)
-                if protocol_rp.decode_answer(answer, state) != db[scenario.W]:
+                if protocol_rp.decode_answer(answer, state) != message(db, scenario.W):
                     failures.append(seed)
         except Exception as exc:  # noqa: BLE001 - collect everything
             failures.append((seed, exc))
@@ -666,7 +666,7 @@ def _retrieve(db, address, seed, fetches):
         scenario = sample_scenario(db, 2, MODEL_I, rng)
         query, state = protocol_rp.build_query(scenario, K, rng)
         answer = wire.fetch(address, query, params)
-        decoded.append(protocol_rp.decode_answer(answer, state) == db[scenario.W])
+        decoded.append(protocol_rp.decode_answer(answer, state) == message(db, scenario.W))
     return decoded
 
 
@@ -709,7 +709,7 @@ def test_a_connection_the_server_closed_is_replaced(gf3, monkeypatch, connection
         scenario = sample_scenario(db, 1, MODEL_I, rng)
         query, state = protocol_rp.build_query(scenario, K, rng)
         answer = wire.fetch(server.address, query, params)
-        assert protocol_rp.decode_answer(answer, state) == db[scenario.W]
+        assert protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
         assert len(connections.opened) == 2
 
 
@@ -785,7 +785,7 @@ def _run_script(db, plans, client):
 def _one_retrieval(db, rng):
     scenario = sample_scenario(db, 1, MODEL_I, rng)
     query, state = protocol_rp.build_query(scenario, db.K, rng)
-    return query, lambda answer: protocol_rp.decode_answer(answer, state) == db[scenario.W]
+    return query, lambda answer: protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
 
 
 @pytest.mark.parametrize(
