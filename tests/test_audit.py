@@ -264,6 +264,34 @@ def test_exact_report_matches_its_pinned_digest(cell):
     assert hashlib.sha256(_canonical(report)).hexdigest() == EXACT_DIGESTS[cell]
 
 
+# The same digests for cells that stretch the relabelling, recorded from the
+# per-pair relabelling the array one replaced: K > 62 and K > 255, a set of
+# all K indices, long overlap sets (II(66,65)), 14,535 fingerprints
+# (II(20,3)), 40 singleton sets (I(40,0)), and two mutants on two cells.
+WIDE_DIGESTS = {
+    (MODEL_II, 100, 2, None): "83fc486f13c0970a35f7c47de0120ef17e404164b45771c6836b353eac190ef1",
+    (MODEL_II, 260, 260, None): "4f25fc2f13f2c2d07551abdc7be1521afb81eca7bf9a79735fdcf34206e3f07f",
+    (MODEL_II, 66, 65, None): "f364f985e4bfd7677933d3a58bc946e699208d665e3a3baa091e80cf46d5ca2c",
+    (MODEL_II, 20, 3, None): "2bb40d59bc7fc68efa4195a1a88334b10c6a3126a9f4694f3429b2c746b86180",
+    (MODEL_I, 40, 0, None): "a7343eba94197b58a2d5f14e036701fa8b47ffb38d08a2a332bb5a889181f955",
+    (MODEL_I, 8, 2, "deterministic_extras"):
+        "1158d1028e17fd6a7f557e72e6b44af6d512cd67488b5827f7ba55be81c6fd6a",
+    (MODEL_I, 8, 2, "skewed_class_pmf"):
+        "06b34ad0d9ffceeba38ac88178686204bbc1973868016c8cad13750ec54b46d3",
+    (MODEL_I, 7, 1, "deterministic_extras"):
+        "9917421abe4546767d6149efd5d9b244e87e1c4e782c21fe2dde5eb5194871e0",
+    (MODEL_I, 7, 1, "skewed_class_pmf"):
+        "bcd0bf18140ba4cbea794de8cd55729d5941e639fa7463f6aeec6d4a81e477fe",
+}
+
+
+@pytest.mark.parametrize("cell", list(WIDE_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_wide_exact_report_matches_its_pinned_digest(cell):
+    model, K, M, mutation = cell
+    report = audit_exact(model, K, M, mutation=mutation)
+    assert hashlib.sha256(_canonical(report)).hexdigest() == WIDE_DIGESTS[cell]
+
+
 @pytest.mark.parametrize(
     "model,K,M",
     [
