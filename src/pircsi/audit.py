@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from math import comb, erfc, exp, fsum, inf, lcm, lgamma, log, sqrt
 from random import Random
 
@@ -32,6 +32,7 @@ from .protocols import PROTOCOLS
 from .protocol_rp import check_partition, fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
+EXACT_CHUNK_ENTRIES = 1 << 20  # the exact auditor's key and row entries per chunk of supports
 
 
 # Deliberately broken first-model draws, keyed by what they break.  Each maps
@@ -130,26 +131,20 @@ def audit_exact(
 ) -> PosteriorReport:
     """Enumerate the model's structure draw and return the exact posteriors.
 
-    Raises AuditSizeError when scenarios times draw leaves exceed row_guard;
-    switch to audit_montecarlo for such cells.
+    Raises AuditSizeError when scenarios times draw leaves exceed row_guard,
+    or a set's key exceeds 64 bits; switch to audit_montecarlo for such cells.
     """
-    joint, D = exact_joint(model, K, M, row_guard=row_guard, mutation=mutation)
+    fps, table, D = _joint_table(model, K, M, row_guard, mutation)
     fraction = lru_cache(maxsize=None)(Fraction)  # rows share few distinct ratios
-    flat = Fraction(1, K)
-    posteriors, probs = {}, {}
-    # The worst |x/total - 1/K| so far, as num/den: over a row it lies at the
-    # row's min or max, and num/den = (K*x - total)/(K*total) stays integral.
+    totals = table.sum(axis=1)
+    probs = dict(zip(fps, map(fraction, totals.tolist(), repeat(D))))
+    posteriors = dict.fromkeys(fps, (Fraction(1, K),) * K)
+    # The worst |x/total - 1/K| so far as (K*x - total)/(K*total), at a row's min or max
     worst_num, worst_den, worst_fp = 0, 1, None
-    for fp in sorted(joint):
-        row = joint[fp]
-        total = sum(row)
-        probs[fp] = fraction(total, D)
-        lo, hi = min(row), max(row)
-        if lo * K == total == hi * K:
-            posteriors[fp] = (flat,) * K
-            continue
+    for i in np.flatnonzero(table.min(axis=1) != table.max(axis=1)).tolist():
+        row, total, fp = table[i].tolist(), int(totals[i]), fps[i]
         posteriors[fp] = tuple(fraction(x, total) for x in row)
-        num, den = max(hi * K - total, total - lo * K), K * total
+        num, den = max(max(row) * K - total, total - min(row) * K), K * total
         if num * worst_den > worst_num * den:
             worst_num, worst_den, worst_fp = num, den, fp
     worst = Fraction(worst_num, worst_den)
@@ -161,7 +156,8 @@ def exact_joint(
 ) -> tuple[dict, int]:
     """Every (fingerprint, demand) pair the model's structure draw can give,
     as integer weights over one common denominator D: the pair has
-    probability joint[fingerprint][W - 1] / D under a uniform (W, S).
+    probability joint[fingerprint][W - 1] / D under a uniform (W, S), the
+    fingerprints in sorted order.
 
     The draw is enumerated for one scenario only, W=1 with S={2..M+1} (model
     I) or S={1..M} (model II).  Scenario (W, S) takes that law relabelled by
@@ -169,37 +165,81 @@ def exact_joint(
     the other indices to the rest in order.  This is exact while the draw
     treats indices alike, apart from taking them in order from S or from the
     outside indices (as deterministic_extras does); tests compare it with an
-    enumeration of every scenario.
+    enumeration of every scenario.  _joint_table relabels in arrays.
     """
-    mutations = _mutations(model, K, M, mutation)
-    draw = PROTOCOLS[model].draw_structures
-    if model == MODEL_I:
-        S0, scenarios = tuple(range(2, M + 2)), comb(K, M) * (K - M)
-    else:
-        S0, scenarios = tuple(range(1, M + 1)), comb(K, M) * M
-    law = scenario_law(draw, 1, S0, K, mutations, scenarios=scenarios, row_guard=row_guard)
+    fps, table, D = _joint_table(model, K, M, row_guard, mutation)
+    return dict(zip(fps, table.tolist())), D
 
-    universe = range(1, K + 1)
-    images, columns = [], []
-    for S in combinations(universe, M):
-        outside = [i for i in universe if i not in S]
-        for W in outside if model == MODEL_I else S:
-            images.append((0, W, *(i for i in S if i != W), *(i for i in outside if i != W)))
-            columns.append(W - 1)
-    # Under each scenario a set of the law becomes the bit mask of its image:
-    # a Python int, so any K fits, and cheaper to sort and hash than a tuple.
-    bits = np.left_shift(1, np.array(images, dtype=object))
+
+def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | None) -> tuple:
+    """exact_joint's sorted fingerprints, the (F, K) array of their weights
+    (int64, or Python ints once D passes 63 bits), and D.  Per scenario, a
+    set gets the key C(K, s) - 1 minus the colex rank of K minus its image,
+    which sorts as sets do; a pair is its n sorted keys and W - 1 in int64
+    words.  C(K, s) * K >= 2^63 is refused before any scenario is listed."""
+    mutations, draw = _mutations(model, K, M, mutation), PROTOCOLS[model].draw_structures
+    if model == MODEL_I:
+        S0, scenarios, demands = tuple(range(2, M + 2)), comb(K, M) * (K - M), range(M, K)
+    else:
+        S0, scenarios, demands = tuple(range(1, M + 1)), comb(K, M) * M, range(M)
+    law = scenario_law(draw, 1, S0, K, mutations, scenarios=scenarios, row_guard=row_guard)
+    D = scenarios * sum(law.values())
+    dtype = np.int64 if D >> 63 == 0 else object  # no sum of weights reaches D
+
     members = sorted({s for fp in law for s in fp})
-    masks = [bits[:, list(s)].sum(axis=1).tolist() for s in members]
-    at = {s: j for j, s in enumerate(members)}
-    law = [(tuple(at[s] for s in fp), weight) for fp, weight in law.items()]
-    joint: dict = defaultdict(lambda: [0] * K)
-    for *row, column in zip(*masks, columns):
-        for fp, weight in law:
-            joint[tuple(sorted(map(row.__getitem__, fp)))][column] += weight
-    unmask = {m: tuple(i for i in universe if m >> i & 1) for fp in joint for m in fp}
-    joint = {tuple(sorted(map(unmask.__getitem__, fp))): row for fp, row in joint.items()}
-    return joint, scenarios * sum(weight for _, weight in law)
+    n, s = len(next(iter(law))), len(members[0]) if members else 0
+    top, width = comb(K, s), max(n, 1)
+    if top * K >> 63:
+        raise AuditSizeError(f"exact relabelling cannot key C({K}, {s}) sets of {s} in 64 bits")
+    q = width if top**n * K >> 63 == 0 else 1  # keys to a word
+    powers = np.array([top ** (q - 1 - j) * K for j in range(q)], np.int64)
+    at = {m: j for j, m in enumerate(members)}
+    sets = np.array([[at[m] for m in fp] for fp in law], np.int64).reshape(len(law), n)
+    # place[i]: where labels 1..K sit in (S, then the rest) with W at demands[i]
+    place = np.array([[p, *(j for j in range(K) if j != p)] for p in demands], np.int64)
+    labels = place[:, np.array(members, np.int64).reshape(len(members), s) - 1]
+    # colex[j, y] = C(y, j + 1), nondecreasing in y; above the j-th smallest of s, 2^63 - 1
+    colex = [[comb(y, j + 1) if y <= K - s + j else 2**63 - 1 for y in range(K)] for j in range(s)]
+    colex = np.array(colex, np.int64).reshape(s, K)
+
+    supports, total = combinations(range(1, K + 1), M), comb(K, M)
+    step = max(1, EXACT_CHUNK_ENTRIES // (labels.size + len(place) * len(law) * width + M * K))
+    merged, pending = (np.zeros((0, width // q), np.int64), np.zeros(0, dtype)), []
+    for done in range(0, total, step):
+        c = min(step, total - done)
+        S = np.fromiter(chain.from_iterable(islice(supports, c)), np.int64, c * M).reshape(c, M)
+        seq = np.argsort(~(S[:, :, None] == np.arange(1, K + 1)).any(1), 1, kind="stable") + 1
+        y = K - seq[:, labels].reshape(c * len(place), *labels.shape[1:])
+        y.sort(axis=2)
+        keys = top - 1 - sum((colex[j, y[..., j]] for j in range(s)), np.zeros(y.shape[:2], int))
+        rows = np.zeros((len(keys), len(law), width), np.int64)
+        rows[:, :, :n] = np.sort(keys[:, sets], axis=2)
+        rows = rows.reshape(-1, width // q, q) @ powers
+        rows[:, -1] += np.repeat(seq[:, place[:, 0]].ravel() - 1, len(law))
+        pending.append((rows, np.tile(np.array([*law.values()], dtype), len(keys))))
+        if done + c == total or sum(len(r) for r, _ in pending) > len(merged[0]):
+            # Sum the weights of each distinct row, the rows in lexicographic order
+            rows, mass = (np.concatenate(arrays) for arrays in zip(merged, *pending))
+            order = np.lexsort(rows.T[::-1]) if rows.shape[1] > 1 else rows[:, 0].argsort()
+            rows = rows[order]
+            start = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+            merged, pending = (rows[start], np.add.reduceat(mass[order], start)), []
+
+    column, rows = merged[0][:, -1] % K, merged[0] // K  # W - 1, and the fingerprints' words
+    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    table = np.zeros((first.sum(), K), dtype)
+    table[np.cumsum(first) - 1, column] = merged[1]
+    # Unrank each distinct key once: the j-th smallest of K minus its set, j from the top
+    keys = (rows[first][:, :, None] // (powers // K) % top).reshape(len(table), width)[:, :n]
+    rank, at = np.unique(keys, return_inverse=True)
+    rank, image = top - 1 - rank, np.empty((len(rank), s), np.int64)
+    for j in range(s - 1, -1, -1):
+        y = colex[j].searchsorted(rank, "right") - 1
+        rank -= colex[j, y]
+        image[:, s - 1 - j] = K - y
+    image = list(map(tuple, image.tolist()))
+    fps = [tuple(map(image.__getitem__, fp)) for fp in at.reshape(len(table), n).tolist()]
+    return fps, table, D
 
 
 def scenario_law(

@@ -125,6 +125,16 @@ def test_exact_guard_refuses_large_cells_before_listing_a_choice():
         assert time.perf_counter() - start < 1.0
 
 
+def test_exact_guard_refuses_sets_without_a_64_bit_key():
+    # The raised guard admits II(70,35), but its C(70,35) * 35 scenarios
+    # could never be listed: C(70, 34) keys overflow int64, so it is refused
+    # as soon as its one-scenario law is known
+    start = time.perf_counter()
+    with pytest.raises(AuditSizeError, match="64 bits"):
+        audit_exact(MODEL_II, 70, 35, row_guard=10**30)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_exact_runs_the_mutated_draw(mutation):
     report = audit_exact(MODEL_I, 8, 2, mutation=mutation)
@@ -304,6 +314,38 @@ def test_integer_weights_sum_to_the_common_denominator(model, K, M):
     joint, D = exact_joint(model, K, M)
     assert all(type(x) is int and x >= 0 for row in joint.values() for x in row)
     assert sum(map(sum, joint.values())) == D
+
+
+@pytest.mark.parametrize(
+    "model,K,M,mutation", [(MODEL_I, 8, 2, None), (MODEL_I, 8, 2, "skewed_class_pmf"),
+                           (MODEL_II, 8, 5, None)]
+)
+def test_relabelling_in_chunks_matches_one_chunk(monkeypatch, model, K, M, mutation):
+    # A chunk of one support at a time: 28 chunks at I(8,2), 56 at II(8,5),
+    # so both the chunk tallies and their merges run
+    whole = exact_joint(model, K, M, mutation=mutation)
+    chunks = []
+    islice = audit.islice
+    monkeypatch.setattr(audit, "islice", lambda *args: chunks.append(args[1]) or islice(*args))
+    monkeypatch.setattr(audit, "EXACT_CHUNK_ENTRIES", 1)
+    chunked = exact_joint(model, K, M, mutation=mutation)
+    assert len(chunks) >= 3 and set(chunks) == {1}
+    assert chunked == whole and list(chunked[0]) == list(whole[0]) == sorted(whole[0])
+
+
+def test_weights_past_63_bits_stay_exact(monkeypatch):
+    # Law weights scaled by 2^64 push D past int64: the joint then comes in
+    # Python ints, scaled alike, and the report does not move
+    cell = (MODEL_I, 7, 1)
+    joint, D = exact_joint(*cell, mutation="skewed_class_pmf")
+    report = audit_exact(*cell, mutation="skewed_class_pmf")
+    law = audit.scenario_law
+    monkeypatch.setattr(
+        audit, "scenario_law", lambda *a, **kw: {fp: w << 64 for fp, w in law(*a, **kw).items()}
+    )
+    big, big_D = exact_joint(*cell, mutation="skewed_class_pmf")
+    assert big_D == D << 64 and big == {fp: [x << 64 for x in row] for fp, row in joint.items()}
+    assert audit_exact(*cell, mutation="skewed_class_pmf") == report
 
 
 # -------------------------------------------------------------- monte carlo

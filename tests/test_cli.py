@@ -162,6 +162,15 @@ def test_audit_exact_oversized_second_model_cell_guides_to_mc(capsys):
     assert "--mc" in err
 
 
+def test_audit_exact_refuses_sets_without_a_64_bit_key(capsys):
+    # II(70,35) under a raised guard: its 630 fingerprints enumerate at once,
+    # but C(70, 34) sets of 34 indices cannot be keyed in int64
+    code, out, err = _run(capsys, "audit", "--exact", "--model", "II", "--k", "70", "--m", "35",
+                          "--row-guard", str(10**30))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "--mc" in err
+
+
 def test_audit_mc_names_its_worst_bin(capsys):
     code, out, _ = _run(capsys, "audit", "--mc", "--model", "I", "--k", "5", "--m", "1",
                         "--trials", "20000", "--seed", "2", "--mutation", "unshuffled_sets")
