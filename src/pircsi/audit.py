@@ -10,24 +10,24 @@ private iff every posterior over demands is the flat 1/K vector.  The
 Monte-Carlo auditor runs it on chunks of seeded trials and chi-square tests
 the bins instead, which scales to cells the exact auditor cannot touch and
 catches set-order leaks that the order-stripped fingerprint cannot show.
-Both take the deliberately broken first-model draws in MUTATIONS.
+Both take the mutants of MUTATIONS, on either model's draw (_Mutant).
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, islice, repeat
 from math import comb, erfc, exp, fsum, inf, lcm, lgamma, log, sqrt
 from random import Random
 
 import numpy as np
 
-from .draws import RandomDraws
+from .draws import Interpreter, RandomDraws, draws_from
 from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
-from .pmf import Cdf, capacity, rp_distribution
+from .pmf import Cdf, capacity
 from .protocols import PROTOCOLS
 from .protocol_rp import check_partition, fingerprint_of
 
@@ -35,17 +35,33 @@ DEFAULT_ROW_GUARD = 10_000_000
 EXACT_CHUNK_ENTRIES = 1 << 20  # the exact auditor's key and row entries per chunk of supports
 
 
-# Deliberately broken first-model draws, keyed by what they break.  Each maps
-# (K, M) to keyword arguments of protocol_rp.draw_structures.
+# Deliberately broken draws, by what they break: each replaces one primitive
+# of pircsi.draws on every call of either model's draw (see _Mutant).
 MUTATIONS = {
-    "unshuffled_sets": lambda K, M: {"_shuffle_order": False},
-    "deterministic_extras": lambda K, M: {"_deterministic_extras": True},
-    "skewed_class_pmf": lambda K, M: {"_class_pmf": _flat_cdf(rp_distribution(K, M).table)},
+    "unshuffled_sets": ("order", lambda d, T, n: np.arange(n)[None].repeat(T, axis=0)),
+    "deterministic_extras": ("sample", lambda d, pool, k: pool[:, :k]),
+    "skewed_class_pmf": ("choose", lambda d, cdf, count: d.choose(_flat(cdf), count)),
 }
 
 
-def _flat_cdf(table: dict) -> Cdf:
-    return Cdf.of(dict.fromkeys(table, Fraction(1, len(table))))
+def _flat(cdf: Cdf) -> Cdf:
+    """The flat pmf over cdf's outcomes, without Cdf.of's sort and lcm."""
+    return Cdf(len(cdf.outcomes), tuple(range(1, len(cdf.outcomes) + 1)), cdf.outcomes)
+
+
+@dataclass(frozen=True)
+class _Mutant:
+    """The interpreter inner with replacement(inner, *args) for its primitive.  inner's
+    blocks and order are forwarded, so a broken sample or shuffle does not reach them."""
+
+    inner: object
+    primitive: str
+    replacement: object
+
+    def __getattr__(self, name: str):
+        if name == self.primitive:
+            return partial(self.replacement, self.inner)
+        return getattr(self.inner, name)
 
 
 @dataclass(frozen=True)
@@ -113,17 +129,16 @@ class RateReport:
     matches_capacity: bool
 
 
-def _mutations(model: str, K: int, M: int, mutation: str | None) -> dict:
-    """The keyword arguments of the named mutation of the first-model draw,
-    after checking the cell; mutations exist for the first model only."""
+def _draw(model: str, K: int, M: int, mutation: str | None):
+    """The model's draw_structures, after checking the cell; with a named
+    mutation, over a _Mutant of whichever interpreter it is given."""
     check_cell(K, M, model)
+    draw = PROTOCOLS[model].draw_structures
     if mutation is None:
-        return {}
-    if model != MODEL_I:
-        raise ParameterError("builder mutations only exist for the first model")
+        return draw
     if mutation not in MUTATIONS:
         raise ParameterError(f"unknown mutation {mutation!r}")
-    return MUTATIONS[mutation](K, M)
+    return lambda W, S, K, rng: draw(W, S, K, _Mutant(draws_from(rng), *MUTATIONS[mutation]))
 
 
 def audit_exact(
@@ -177,12 +192,12 @@ def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | Non
     set gets the key C(K, s) - 1 minus the colex rank of K minus its image,
     which sorts as sets do; a pair is its n sorted keys and W - 1 in int64
     words.  C(K, s) * K >= 2^63 is refused before any scenario is listed."""
-    mutations, draw = _mutations(model, K, M, mutation), PROTOCOLS[model].draw_structures
+    draw = _draw(model, K, M, mutation)
     if model == MODEL_I:
         S0, scenarios, demands = tuple(range(2, M + 2)), comb(K, M) * (K - M), range(M, K)
     else:
         S0, scenarios, demands = tuple(range(1, M + 1)), comb(K, M) * M, range(M)
-    law = scenario_law(draw, 1, S0, K, mutations, scenarios=scenarios, row_guard=row_guard)
+    law = scenario_law(draw, 1, S0, K, scenarios=scenarios, row_guard=row_guard)
     D = scenarios * sum(law.values())
     dtype = np.int64 if D >> 63 == 0 else object  # no sum of weights reaches D
 
@@ -243,14 +258,7 @@ def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | Non
 
 
 def scenario_law(
-    draw,
-    W: int,
-    S: tuple,
-    K: int,
-    mutations: dict,
-    *,
-    scenarios: int = 1,
-    row_guard: int = DEFAULT_ROW_GUARD,
+    draw, W: int, S: tuple, K: int, *, scenarios: int = 1, row_guard: int = DEFAULT_ROW_GUARD
 ) -> dict:
     """The law of the fingerprint of draw, a model's draw_structures, for
     the one trial (W, S), as integer weights over their sum: the draw runs
@@ -263,7 +271,7 @@ def scenario_law(
     firsts = {}  # fingerprint -> the sets of its first leaf
     demand, support = np.array([W]), np.array([S], np.int64)
     while True:
-        sets = draw(demand, support, K, enum, **mutations)[0][0]
+        sets = draw(demand, support, K, enum)[0][0]
         fp = fingerprint_of(sets)
         masses[enum.den, fp] += enum.num
         firsts.setdefault(fp, sets)
@@ -291,7 +299,7 @@ def _outcomes(cdf: Cdf) -> list:
     return [(k, hi - lo) for k, (lo, hi) in enumerate(zip(lows, cdf.cumulative))]
 
 
-class _Enumeration:
+class _Enumeration(Interpreter):
     """The draw primitives as an enumeration.  Each run of the draw follows
     `path`, its option at each choice point, taking the first option at a new
     one, and next_leaf() advances the path depth first; num/den is the
@@ -398,31 +406,31 @@ def audit_montecarlo(
 
     The trials are drawn in chunks of at most SCREEN_CHUNK_ENTRIES index
     entries, all on one RandomDraws over rng.  Each chunk draws its (W, S)
-    with sample_demand and its index sets with the draw build_query runs,
-    the model's draw_structures, in one call over the whole chunk; the
-    first model's stack is checked by one check_partition.  No bin reads a
-    coefficient, so none is drawn and no field is needed.  Two bin families
-    are tested, both binned by array operations (_Bins): the order-stripped
-    fingerprint, and for each database index the position of the first
-    transmitted set containing it.
-    The second family is what exposes set-order leaks, which the
-    order-stripped fingerprint is blind to by construction.  Bins too thin
-    for the chi-square approximation (expected count below 5) are counted as
-    skipped.  Each bin's p-value is Pearson's statistic against the flat
-    expectation, read off the chi-square survival function with K - 1
-    degrees of freedom by _chisquare_p; the worst bin is the first with the
-    smallest, fingerprint bins before slot bins, each family in the order
-    its bins were first met.  significance, the family's, lies in (0, 1).
+    with sample_demand and its index sets in one call of the model's
+    draw_structures, the draw build_query runs (over a _Mutant of that
+    RandomDraws when a mutation is named); the first model's stack is checked
+    by one check_partition.  No bin reads a coefficient, so none is drawn and
+    no field is needed.  Two bin families are tested, both binned by array
+    operations (_Bins): the order-stripped fingerprint, and for each database
+    index the position of the first transmitted set containing it.  The
+    second family is what exposes set-order leaks, which the order-stripped
+    fingerprint is blind to by construction.  Bins too thin for the
+    chi-square approximation (expected count below 5) are counted as skipped.
+    Each bin's p-value is Pearson's statistic against the flat expectation,
+    read off the chi-square survival function with K - 1 degrees of freedom
+    by _chisquare_p; the worst bin is the first with the smallest,
+    fingerprint bins before slot bins, each family in the order its bins
+    were first met.  significance, the family's, lies in (0, 1).
     """
     if not 0 < significance < 1:
         raise ParameterError(f"significance must lie in (0, 1), got {significance!r}")
-    mutations = _mutations(model, K, M, mutation)
+    draw = _draw(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
     bins = _Bins(K)
     chunk = max(1, SCREEN_CHUNK_ENTRIES // (2 * K))
     for done in range(0, trials, chunk):
         W, S = sample_demand(K, M, model, draws, min(chunk, trials - done))
-        sets = PROTOCOLS[model].draw_structures(W, S, K, draws, **mutations)[0]
+        sets = draw(W, S, K, draws)[0]
         if model == MODEL_I:
             check_partition(sets, K, M)
         bins.add(sets, W)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -67,11 +68,16 @@ def _format_element(row) -> str:
 
 @contextmanager
 def _open_out(path: str | None):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
+    if path not in (None, "-"):
         with open(path, "w", newline="") as fh:
             yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        with open(os.devnull, "w") as null:  # the rest, and the flush at exit, go nowhere
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--seed", type=int, default=0, help="Monte-Carlo sampling seed (--mc)")
     audit.add_argument("--trials", type=int, default=100_000)
     audit.add_argument("--significance", type=float, default=0.01)
-    mutation_help = "a deliberately broken first-model builder (--exact, --mc)"
+    mutation_help = "a deliberately broken structure draw of either model (--exact, --mc)"
     audit.add_argument("--mutation", choices=sorted(MUTATIONS), default=None, help=mutation_help)
     guard_help = "--exact exits 2 once scenarios times draw leaves would exceed this"
     audit.add_argument("--row-guard", type=int, default=DEFAULT_ROW_GUARD, help=guard_help)

@@ -1,16 +1,21 @@
 """The random choices of a query, and their production interpreter.
 
-Each model's draw is written once over four primitives, each acting on T
-trials at a time: choose(cdf, T) (T outcomes of a pmf.Cdf, as their
-positions in cdf.outcomes), and on a 2-d array whose rows are trials
-sample(pool, k) (k distinct items of each row, as a (T, k) array),
-shuffle(seq) (each row permuted in place) and split(seq, size) (the items
-of each row in blocks of size, which divides the row length, as a
-(T, len/size, size) array).  A fifth, coefficients(q, count), gives count
-uniform integers in [1, q) as int64: every coefficient of a query
-(attach_coefficients) and a scenario's C.  RandomDraws interprets all five
-in production, and the exact auditor the first four by enumeration, at
-T = 1.  uniform_words draws a database's words on the same Generator.
+Each model's draw is written once over primitives that act on T trials at
+a time: choose(cdf, T) (T outcomes of a pmf.Cdf, as their positions in
+cdf.outcomes), and on a 2-d array whose rows are trials sample(pool, k) (k
+distinct items of each row, as a (T, k) array), shuffle(seq) (each row
+permuted in place) and split(seq, size) (the items of each row in blocks of
+size, which divides the row length, as a (T, len/size, size) array).
+Interpreter adds blocks(pool, count, size) = split(sample(pool, count *
+size), size), the first model's fills, and order(T, n), T shuffled rows of
+range(n), the set order.  They are primitives of their own so that a mutant
+(audit.MUTATIONS), which breaks one primitive on every call, breaks order
+alone and leaves both whole when it breaks sample or shuffle.
+coefficients(q, count) gives count uniform integers in [1, q) as int64:
+every coefficient of a query and a scenario's C.  RandomDraws interprets
+them all in production, and the exact auditor all but coefficients by
+enumeration, at T = 1.  uniform_words draws a database's words on the
+same Generator.
 """
 
 import threading
@@ -20,7 +25,21 @@ from random import Random
 import numpy as np
 
 
-class RandomDraws:
+class Interpreter:
+    """blocks and order, over an interpreter's sample, shuffle and split."""
+
+    __slots__ = ()
+
+    def blocks(self, pool: np.ndarray, count: int, size: int) -> np.ndarray:
+        return self.split(self.sample(pool, count * size), size)
+
+    def order(self, T: int, n: int) -> np.ndarray:
+        order = np.arange(n)[None].repeat(T, axis=0)
+        self.shuffle(order)
+        return order
+
+
+class RandomDraws(Interpreter):
     """The primitives over a random.Random, which fixes every query in any
     thread or process.  Every draw reads the thread's numpy Generator; the
     Random only seeds it: its PCG64 state is one getrandbits(128) of the

@@ -24,7 +24,7 @@ from .draws import draws_from
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError
 from .field import FieldElement
 from .model import MODEL_I, Database, Scenario, answer_words
-from .pmf import Cdf, rp_distribution
+from .pmf import rp_distribution
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,13 @@ def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, Decoder
     return query, state
 
 
-def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng, **mutations):
+def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
     """The index sets of T >= 1 queries at once, for the (T,) demands W
     outside the (T, M) sorted supports S: a (T, n, M+1) int64 array, row t
     holding query t's sets in transmitted order, and the (T,) demand slots.
     Everything the server sees of a query but its coefficients is drawn here,
     from (W, S) alone.  rng is a random.Random, or another interpreter of the
-    draw primitives (pircsi.draws) such as the exact auditor's; mutations are
-    _draw's underscored keywords, which only the auditors pass."""
+    draw primitives (pircsi.draws), such as the exact auditor's or a mutant."""
     T, M = S.shape
     if not T:
         raise ParameterError("a structure draw needs at least one trial, got T=0")
@@ -133,50 +132,30 @@ def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng, **mutations):
         raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
     if (S == W[:, None]).any():
         raise ParameterError("demand must lie outside the support")
-    demand = np.concatenate([W[:, None], S], axis=1)
+    demand = np.concatenate([W[:, None], S], axis=1)  # the demand sets [W, *S]
     if demand.min() < 1 or demand.max() > K:
         raise ParameterError("scenario indices exceed the database size")
-    return _draw(draws_from(rng), demand, K, **mutations)
-
-
-def _draw(
-    d,
-    demand: np.ndarray,
-    K: int,
-    *,
-    _shuffle_order: bool = True,
-    _deterministic_extras: bool = False,
-    _class_pmf: Cdf | None = None,
-):
-    """draw_structures over the draw primitives of d, for the (T, M+1)
-    demand sets [W, *S].  The underscored keywords deliberately break it
-    and exist only so the auditors can show they catch such defects: no
-    set-order shuffle, the first indices of S and of the outside indices as
-    repeats, and a replacement repeat-class pmf (as a Cdf).  Production
-    callers leave them alone."""
-    T, M = demand.shape[0], demand.shape[1] - 1
-    dist = rp_distribution(K, M)
-    n, l = dist.n, dist.l
-    cdf = dist.cdf if _class_pmf is None else _class_pmf
+    d, dist = draws_from(rng), rp_distribution(K, M)
+    n, l, cdf = dist.n, dist.l, dist.cdf
     sizes = [T]  # trials per repeat class; a pmf of one class needs no draw
     if len(cdf.outcomes) > 1:
         classes = d.choose(cdf, T)
         sizes = np.bincount(classes, minlength=len(cdf.outcomes)).tolist()
-    take = _first if _deterministic_extras else d.sample
     # One mask over [0, K] per trial marks the indices placed so far; 0 is
     # no index, so the unmarked ones are the outside pool, in order.
     trial = np.arange(T)[:, None]
     placed = np.zeros((T, K + 1), bool)
     placed[:, 0] = True
     placed[trial, demand] = True
-    first = demand.copy()  # the demand set, in its own order
-    d.shuffle(first)
+    sets = np.empty((T, n, M + 1), np.int64)  # each query's sets, the demand set first
+    sets[:, 0] = demand
+    d.shuffle(sets[:, 0])  # a view: the demand set in its own order
     # The l repeats sit in one pair of sets: two cover sets sharing r = l
     # outside indices, or the demand set and a partner holding s support
     # indices and W when s = l-1.  Every other set is disjoint from the rest.
     # The trials of one class are drawn together, and the fills of the pair
-    # in one sample, split among its cover sets.
-    others = None  # every set but the demand set, (T, n-1, M+1)
+    # in one call, split among its cover sets.
+    others = sets[:, 1:]  # a view: every set but the demand set
     for k, (s, r) in enumerate(cdf.outcomes):
         if not sizes[k]:
             continue
@@ -186,46 +165,34 @@ def _draw(
         if l:
             rows = trial[: sizes[k]]
             if r:
-                shared = take(_unplaced(mask), r)
+                shared = d.sample(_unplaced(mask), r)
                 mask[rows, shared] = True
                 partners = shared[:, None].repeat(2, axis=1)
             else:
                 W, S = demand[at, :1], demand[at, 1:]
-                partners = np.concatenate([take(S, s), W[:, : l - s]], axis=1)[:, None]
+                partners = np.concatenate([d.sample(S, s), W[:, : l - s]], axis=1)[:, None]
             fill = M + 1 - l
-            fills = d.split(d.sample(_unplaced(mask), len(partners[0]) * fill), fill)
+            fills = d.blocks(_unplaced(mask), len(partners[0]), fill)
             mask[rows, fills.reshape(sizes[k], -1)] = True
             pieces.append(np.concatenate([partners, fills], axis=2))
             d.shuffle(pieces[0].reshape(-1, M + 1))  # a view: each cover set shuffled in place
         pieces.append(d.split(_unplaced(mask), M + 1))
         if any(piece.shape[2] != M + 1 for piece in pieces):
             raise ProtocolError("built a set of the wrong size")
-        drawn = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
-        if sizes[k] == T:
-            others = drawn
-        else:
-            if others is None:
-                others = np.empty((T, n - 1, M + 1), np.int64)
-            others[at] = drawn
-    sets = np.concatenate([first[:, None], others], axis=1)
-    return in_random_order(d, sets) if _shuffle_order else (sets, np.zeros(T, np.int64))
+        others[at] = np.concatenate(pieces, axis=1)
+    return in_random_order(d, sets)
 
 
 def in_random_order(d, sets: np.ndarray):
-    """The (T, n, s) sets of T queries with each query's sets shuffled by
-    d, and the (T,) slots that each query's first set moved to."""
-    order = np.arange(sets.shape[1])[None].repeat(len(sets), axis=0)
-    d.shuffle(order)
+    """The (T, n, s) sets of T queries with each query's sets in the order
+    d.order draws, and the (T,) slots that each query's first set moved to."""
+    order = d.order(len(sets), sets.shape[1])
     return sets[np.arange(len(sets))[:, None], order], order.argmin(axis=1)
 
 
 def _unplaced(placed: np.ndarray) -> np.ndarray:
     """The indices each row of the mask leaves unmarked, in order, as rows."""
     return (~placed.ravel()).nonzero()[0].reshape(len(placed), -1) % placed.shape[1]
-
-
-def _first(pool: np.ndarray, k: int) -> np.ndarray:
-    return pool[:, :k]
 
 
 def attach_coefficients(

@@ -5,11 +5,11 @@ so callers look the module up here instead of branching on the model:
 
     build_query(scenario, K, rng)       draw_structures at T = 1, then attach_coefficients
                                         (protocol_rp's then runs check_partition)
-    draw_structures(W, S, K, rng)       the index sets of T >= 1 queries at once, for (T,)
-                                        demands and (T, M) supports: a (T, n, s) int64
-                                        array in transmitted order and the (T,) demand
-                                        slots (None when no set is sent); the one
-                                        structure draw of the model
+    draw_structures(W, S, K, rng)       the model's one structure draw, with no other knob:
+                                        the index sets of T >= 1 queries for (T,) demands and
+                                        (T, M) supports in transmitted order, (T, n, s) int64,
+                                        and the (T,) demand slots (None when no set is sent);
+                                        rng is a Random or a draws interpreter, mutants included
     attach_coefficients(idx, slot, case_tag, support, scenario, rng)
                                         one query's coefficients; returns (Query,
                                         DecoderState); protocol_rp's, for both models

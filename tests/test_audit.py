@@ -42,7 +42,6 @@ from pircsi.audit import (
     scenario_law,
 )
 from pircsi.protocol_rp import fingerprint_of
-from pircsi.protocols import PROTOCOLS
 
 
 # ------------------------------------------------------------------- exact
@@ -149,11 +148,22 @@ def test_exact_runs_the_mutated_draw(mutation):
         assert max(abs(p - Fraction(1, 8)) for p in row) == report.worst_deviation
 
 
-def test_exact_mutations_are_model_one_only():
-    with pytest.raises(ParameterError):
-        audit_exact(MODEL_II, 5, 2, mutation="unshuffled_sets")
-    with pytest.raises(ParameterError):
-        audit_exact(MODEL_I, 5, 1, mutation="nope")
+def test_exact_refuses_an_unknown_mutation():
+    for model, K, M in [(MODEL_I, 5, 1), (MODEL_II, 5, 2)]:
+        with pytest.raises(ParameterError, match="unknown mutation"):
+            audit_exact(model, K, M, mutation="nope")
+
+
+@pytest.mark.parametrize("K,M,deviations", [(10, 5, (Fraction(9, 10), Fraction(3, 20))),
+                                            (7, 5, (Fraction(6, 7), Fraction(1, 42)))])
+def test_exact_runs_the_mutated_second_model_draw(K, M, deviations):
+    # A mutant replaces one primitive of whichever model's draw it runs
+    # under.  As in the first model, the set order is invisible to the
+    # order-stripped fingerprint, so unshuffled_sets stays flat here.
+    assert audit_exact(MODEL_II, K, M, mutation="unshuffled_sets").uniform
+    for mutation, deviation in zip(("deterministic_extras", "skewed_class_pmf"), deviations):
+        report = audit_exact(MODEL_II, K, M, mutation=mutation)
+        assert not report.uniform and report.worst_deviation == deviation, mutation
 
 
 def test_exact_names_its_worst_fingerprint():
@@ -176,8 +186,7 @@ def test_exact_names_its_worst_fingerprint():
 def _every_scenario_joint(model, K, M, mutation):
     """The reference for the relabelling: the enumerated law of every
     scenario, weighted by the uniform scenario prior."""
-    draw = PROTOCOLS[model].draw_structures
-    mutations = MUTATIONS[mutation](K, M) if mutation else {}
+    draw = audit._draw(model, K, M, mutation)
     scenarios = [
         (W, S)
         for S in combinations(range(1, K + 1), M)
@@ -186,7 +195,7 @@ def _every_scenario_joint(model, K, M, mutation):
     ]
     joint = defaultdict(lambda: [Fraction(0)] * K)
     for W, S in scenarios:
-        law = scenario_law(draw, W, S, K, mutations)
+        law = scenario_law(draw, W, S, K)
         total = sum(law.values()) * len(scenarios)
         for fp, weight in law.items():
             joint[fp][W - 1] += Fraction(weight, total)
@@ -200,7 +209,7 @@ SMALL_CELLS = [(MODEL_I, K, M) for K in range(2, 7) for M in range(K)] + [
 
 @pytest.mark.parametrize("model,K,M", SMALL_CELLS, ids=lambda v: str(v))
 def test_one_scenario_relabelled_equals_every_scenario_enumerated(model, K, M):
-    for mutation in [None, *(sorted(MUTATIONS) if model == MODEL_I else ())]:
+    for mutation in [None, *sorted(MUTATIONS)]:
         joint, D = exact_joint(model, K, M, mutation=mutation)
         relabelled = {fp: [Fraction(x, D) for x in row] for fp, row in joint.items()}
         assert relabelled == _every_scenario_joint(model, K, M, mutation), mutation
@@ -386,11 +395,16 @@ def test_montecarlo_catches_every_mutation(mutation):
     assert report.mutation == mutation
 
 
-def test_montecarlo_mutations_are_model_one_only():
-    with pytest.raises(ParameterError):
-        audit_montecarlo(MODEL_II, 5, 2, 1000, Random(0), mutation="unshuffled_sets")
-    with pytest.raises(ParameterError):
-        audit_montecarlo(MODEL_I, 5, 1, 1000, Random(0), mutation="nope")
+def test_montecarlo_refuses_an_unknown_mutation():
+    for model, K, M in [(MODEL_I, 5, 1), (MODEL_II, 5, 2)]:
+        with pytest.raises(ParameterError, match="unknown mutation"):
+            audit_montecarlo(model, K, M, 1000, Random(0), mutation="nope")
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_montecarlo_catches_every_second_model_mutation(mutation):
+    report = audit_montecarlo(MODEL_II, 10, 5, 20_000, Random(0), mutation=mutation)
+    assert not report.passed and report.mutation == mutation
 
 
 @pytest.mark.parametrize("significance", [0, -1, 1, 1.5, float("nan")])

@@ -27,6 +27,20 @@ def test_entry_point_version():
     assert out.stdout.strip() == "pircsi 0.1.0"
 
 
+def test_a_report_cut_short_by_its_reader_keeps_its_exit_code():
+    # II(12,7)'s exact report is 4.27 MB, far more than a pipe holds, so the
+    # reader closes the pipe while the report is still being written, as
+    # `| head -c 10` does.  The audit passed, so the command exits 0, silently.
+    argv = [sys.executable, "-m", "pircsi.cli", "audit", "--exact", "--model", "II",
+            "--k", "12", "--m", "7"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(60) == 0
+    assert head == b'{\n  "mode"' and err == b""
+
+
 # ---------------------------------------------------------------------- demo
 
 

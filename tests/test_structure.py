@@ -7,6 +7,7 @@ coefficient on its own index, and still decode exactly; the Monte-Carlo
 screen must run the structure draw and nothing else; and the structure draw
 must follow the law the exact auditor enumerates.
 """
+import inspect
 from collections import Counter
 from random import Random
 
@@ -88,6 +89,13 @@ def test_an_empty_batch_is_refused_by_its_trial_count(model_name, K, M):
     assert W.shape == (0,) and S.shape == (0, M)
     with pytest.raises(ParameterError, match="T=0"):
         PROTOCOLS[model_name].draw_structures(W, S, K, Random(0))
+
+
+@pytest.mark.parametrize("module", [protocol_rp, protocol_csi2], ids=lambda m: m.__name__)
+def test_the_structure_draw_takes_no_knobs(module):
+    # A mutant is an interpreter passed as rng (audit._Mutant); the draw
+    # itself has no way to be broken on purpose.
+    assert list(inspect.signature(module.draw_structures).parameters) == ["W", "S", "K", "rng"]
 
 
 def test_every_second_model_case_is_covered():
