@@ -260,29 +260,23 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    ok = True
+    # Every cell is measured before a row is written, so a reader that
+    # leaves early (`| head`) cannot cut the check short.
+    reports = [
+        measure_rate(args.model, K, M)
+        for K in range(args.k_min, args.k_max + 1)
+        for M in (range(0, K) if args.model == MODEL_I else range(1, K + 1))
+    ]
     with _open_out(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["model", "K", "M", "elements_downloaded", "measured_rate", "capacity", "equal"]
         )
-        for K in range(args.k_min, args.k_max + 1):
-            m_values = range(0, K) if args.model == MODEL_I else range(1, K + 1)
-            for M in m_values:
-                rep = measure_rate(args.model, K, M)
-                ok = ok and rep.matches_capacity
-                writer.writerow(
-                    [
-                        rep.model,
-                        rep.K,
-                        rep.M,
-                        rep.elements_downloaded,
-                        _rat(rep.measured_rate),
-                        _rat(rep.capacity),
-                        "true" if rep.matches_capacity else "false",
-                    ]
-                )
-    return 0 if ok else 1
+        for rep in reports:
+            rates = _rat(rep.measured_rate), _rat(rep.capacity)
+            equal = "true" if rep.matches_capacity else "false"
+            writer.writerow([rep.model, rep.K, rep.M, rep.elements_downloaded, *rates, equal])
+    return 0 if all(rep.matches_capacity for rep in reports) else 1
 
 
 # ----------------------------------------------------------------------- pmf

@@ -264,6 +264,30 @@ def test_sweep_model_two_rate_pattern(capsys):
     assert rates == ["inf", "1"] + ["1/2"] * 9 + ["1"]
 
 
+def test_a_sweep_cut_short_by_its_reader_still_checks_every_cell():
+    # The sweep's last cell is made to miss capacity.  Its 820 rows are more
+    # than stdout's buffer holds, and the reader closes the pipe before any
+    # arrives, so a sweep that measured as it wrote would stop at the first
+    # flush and never reach that cell.
+    script = (
+        "import dataclasses, sys\n"
+        "from pircsi import cli\n"
+        "measure = cli.measure_rate\n"
+        "def last_cell_misses(model, K, M):\n"
+        "    rep = measure(model, K, M)\n"
+        "    miss = (K, M) == (40, 39)\n"
+        "    return dataclasses.replace(rep, matches_capacity=False) if miss else rep\n"
+        "cli.measure_rate = last_cell_misses\n"
+        "sys.exit(cli.main(['sweep', '--model', 'I', '--k-min', '1', '--k-max', '40']))\n"
+    )
+    argv = [sys.executable, "-c", script]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(60) == 1
+    assert err == b""
+
+
 def test_sweep_empty_range(capsys):
     code, out, _ = _run(capsys, "sweep", "--model", "I", "--k-min", "9", "--k-max", "3")
     assert code == 0
