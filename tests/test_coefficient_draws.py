@@ -2,6 +2,7 @@
 uniform units mod q from the thread's numpy Generator in one call, with the
 values and end state of one Generator.integers(1, q) per value.  A scenario's
 C and every coefficient of a query come from it, the demand's too."""
+import hashlib
 from random import Random
 
 import numpy as np
@@ -24,6 +25,7 @@ from pircsi import (
 from pircsi.draws import RandomDraws, _thread
 from pircsi.protocol_csi2 import case_for
 from pircsi.protocol_rp import attach_coefficients
+from pircsi.protocols import PROTOCOLS
 
 from conftest import query_of
 
@@ -180,3 +182,38 @@ def test_the_demand_coefficient_map_is_exact(q):
             image.append(c)
             assert (c - c_W) * state.a % q == 1
         assert sorted(image) == [u for u in range(1, q) if u != c_W]
+
+
+def _build_digest(model: str, K: int, M: int) -> str:
+    """sha256 over 50 seeded build_query outputs of the cell: each query's
+    index and coefficient rows, case tag, demand slot, and the decoder's a
+    and b, over GF(5)."""
+    db = Database.random(FieldParams(5), K, Random(K))
+    digest = hashlib.sha256()
+    for seed in range(50):
+        scenario = sample_scenario(db, M, model, Random(seed))
+        query, state = PROTOCOLS[model].build_query(scenario, K, Random(seed))
+        row = (query.idx.tolist(), query.coef.tolist(), query.case_tag)
+        digest.update(repr(row + (state.demand_slot, state.a, state.b)).encode())
+    return digest.hexdigest()
+
+
+# The seeded query stream of both builders, pinned so that a refactor of the
+# query layer must leave every index, coefficient and decoder scalar in place.
+BUILD_DIGESTS = {
+    (MODEL_I, 8, 2): "f062cbf647bd57065bda1406bb16f790a9592e26f1c8047279ae6455588bffca",
+    (MODEL_I, 7, 1): "e9591f79d662704d12c06ab7c54dcaec6ef140b8086c8990bbb5a7313aa723ac",
+    (MODEL_I, 100, 9): "5a7c288287e0ca72da436369e69bae34aef97752a53ceb38688ee0729a04e7e2",
+    (MODEL_I, 12, 0): "2c3e75ac3cd9a9d692ef8f91e735a32942b40e6ae2c7073653ea13ede76612ba",
+    (MODEL_I, 10, 9): "04fd0b2c06c557e95c8472907c81f8702e3b402385f8a745fd4291c30158f9a3",
+    (MODEL_II, 10, 5): "ac0cb19c0a77e1ad36a3cc425d179bf2524a7fd701dd6c16e407cbd2fbb5c2fd",
+    (MODEL_II, 7, 5): "e420c8e710c900a3e3e680511f27534b0a4c3daf493483ef9461d864e824042a",
+    (MODEL_II, 4, 2): "a7378e9cb3e308471c92c4e1a18516d4fa06bd37286b0e3ae4171f6a4c4b0910",
+    (MODEL_II, 6, 6): "a2cab75fd6cdd39694e7ea39f4ae57a6328284a4f8c6fc9f50f57dfac4eb0ab4",
+    (MODEL_II, 5, 1): "9a3ddd4ec07b400dbc9ca18781b8f91b405f727e91a1c03d3bc2f82424199d22",
+}
+
+
+@pytest.mark.parametrize("cell", list(BUILD_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_the_seeded_build_stream_is_pinned(cell):
+    assert _build_digest(*cell) == BUILD_DIGESTS[cell]
