@@ -11,7 +11,8 @@ from pircsi import (
     Database,
     FieldParams,
     MODEL_I,
-    protocol_rp,
+    build_query,
+    decode_answer,
     sample_scenario,
     wire,
 )
@@ -37,7 +38,7 @@ with wire.PirServer(db, port=0) as server:
     print(f"client wants X_{scenario.W} without revealing the index")
     print()
 
-    query, state = protocol_rp.build_query(scenario, K, rng)
+    query, state = build_query(scenario, K, rng)
     print("query on the wire (this is the server's entire view):")
     for pos, (indices, coeffs) in enumerate(zip(query.idx.tolist(), query.coef.tolist()), 1):
         terms = " + ".join(f"{c}*X_{i}" for i, c in zip(indices, coeffs))
@@ -49,7 +50,7 @@ with wire.PirServer(db, port=0) as server:
     answer = wire.fetch(server.address, query, params)
     print(f"answer: {len(answer.words)} field elements")
 
-    decoded = protocol_rp.decode_answer(answer, state)
+    decoded = decode_answer(answer, state)
     print(f"decoded X_{scenario.W}: coefficients {decoded.coeffs}")
     assert list(decoded.coeffs) == db.words[scenario.W - 1].tolist()
     print("matches the server's copy: yes")

@@ -35,12 +35,15 @@ from .pmf import (
     rp_distribution,
     sample_from_pmf,
 )
-from .protocol_rp import (
+from .protocols import (
     Answer,
     DecoderState,
     Query,
     QuerySet,
+    answer_query,
+    build_query,
     canonical_fingerprint,
+    decode_answer,
 )
 from .protocol_csi2 import (
     CASE_DISJOINT,
@@ -94,14 +97,17 @@ __all__ = [
     "SetRuleError",
     "ShapeError",
     "WireParseError",
+    "answer_query",
     "audit_exact",
     "audit_montecarlo",
     "audit_recoverability",
+    "build_query",
     "canonical_fingerprint",
     "capacity",
     "case2_pmf",
     "case3_pmf",
     "case_for",
+    "decode_answer",
     "download_cost",
     "measure_rate",
     "partition_rounds",

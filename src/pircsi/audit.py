@@ -28,8 +28,8 @@ from .errors import AuditSizeError, ParameterError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity
-from .protocols import PROTOCOLS
-from .protocol_rp import check_partition, fingerprint_of
+from .protocol_rp import check_partition
+from .protocols import PROTOCOLS, answer_query, build_query, decode_answer, fingerprint_of
 
 DEFAULT_ROW_GUARD = 10_000_000
 EXACT_CHUNK_ENTRIES = 1 << 20  # the exact auditor's key and row entries per chunk of supports
@@ -614,10 +614,8 @@ def audit_recoverability(
     successes = 0
     for _ in range(trials):
         scenario = sample_scenario(db, M, model, rng)
-        protocol = PROTOCOLS[scenario.model]
-        query, state = protocol.build_query(scenario, K, rng)
-        answer = protocol.answer_query(db, query)
-        decoded = protocol.decode_answer(answer, state)
+        query, state = build_query(scenario, K, rng)
+        decoded = decode_answer(answer_query(db, query), state)
         if list(decoded.coeffs) == db.words[scenario.W - 1].tolist():
             successes += 1
     return RecoverabilityReport(model, K, M, trials, successes, successes == trials)
@@ -629,11 +627,8 @@ def measure_rate(model: str, K: int, M: int) -> RateReport:
     runs over GF(3) with seed 0: no field or seed gives another number."""
     rng = Random(0)
     db = Database.random(FieldParams(3), K, rng)
-    scenario = sample_scenario(db, M, model, rng)
-    protocol = PROTOCOLS[model]
-    query, _ = protocol.build_query(scenario, K, rng)
-    answer = protocol.answer_query(db, query)
-    elements = len(answer.words)
+    query, _ = build_query(sample_scenario(db, M, model, rng), K, rng)
+    elements = len(answer_query(db, query).words)
     measured = inf if elements == 0 else Fraction(1, elements)
     cap = capacity(model, K, M)
     return RateReport(model, K, M, elements, measured, cap, measured == cap)

@@ -28,7 +28,7 @@ from .errors import AuditSizeError, ParameterError, ProtocolError
 from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database, sample_scenario
 from .pmf import case2_pmf, case3_pmf, partition_rounds, rp_distribution
-from .protocols import PROTOCOLS
+from .protocols import answer_query, build_query, decode_answer
 
 _CASE_NAMES = {
     protocol_csi2.CASE_TRIVIAL: "no-query",
@@ -130,29 +130,31 @@ def _print_reveal(query, state, fh) -> None:
         )
 
 
-def _print_outcome(
-    db: Database, query, answer, state, reveal: bool, fh, *, both_parties: bool
-) -> int:
-    """Decode the answer and print it, the reveal line if asked for, the
-    decoded demand and the verdict.  The demand's index is named only under
-    reveal or when one process plays both parties (demo), which also prints
-    the database's copy.  Returns the exit code: 0 when decoding recovered
-    the demand."""
+def _report(db: Database, query, answer, state, reveal: bool, head, *, both_parties: bool) -> int:
+    """Decode the answer and decide the exit code (0 when decoding recovered
+    the demand), so a reader that leaves early (`| head`) cannot change it;
+    then print head(fh), the query, the answer, the reveal line if asked for,
+    the decoded demand and the verdict through _open_out.  The demand's index
+    is named only under reveal or when one process plays both parties (demo),
+    which also prints the database's copy."""
     W = state.scenario.W
-    decoded = PROTOCOLS[state.scenario.model].decode_answer(answer, state)
-    count = len(answer.words)
-    print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
-    for pos, row in enumerate(answer.words.tolist(), start=1):
-        print(f"  A_{pos} = {_format_element(row)}", file=fh)
-    if reveal:
-        _print_reveal(query, state, fh)
-    demand = f"X_{W}" if reveal or both_parties else "X_W"
-    print(f"decoded  {demand} = {_format_element(decoded.coeffs)}", file=fh)
+    decoded = decode_answer(answer, state)
     stored = db.words[W - 1].tolist()
-    if both_parties:
-        print(f"database X_{W} = {_format_element(stored)}", file=fh)
     ok = list(decoded.coeffs) == stored
-    print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
+    with _open_out(None) as fh:
+        head(fh)
+        _print_query(query, fh)
+        count = len(answer.words)
+        print(f"answer: {count} element{'s' if count != 1 else ''}", file=fh)
+        for pos, row in enumerate(answer.words.tolist(), start=1):
+            print(f"  A_{pos} = {_format_element(row)}", file=fh)
+        if reveal:
+            _print_reveal(query, state, fh)
+        demand = f"X_{W}" if reveal or both_parties else "X_W"
+        print(f"decoded  {demand} = {_format_element(decoded.coeffs)}", file=fh)
+        if both_parties:
+            print(f"database X_{W} = {_format_element(stored)}", file=fh)
+        print(f"result: {'PASS' if ok else 'FAIL'}", file=fh)
     return 0 if ok else 1
 
 
@@ -160,22 +162,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
     db = Database.random(FieldParams(args.q, args.ext), args.k, rng)
     scenario = sample_scenario(db, args.m, args.model, rng)
-    protocol = PROTOCOLS[args.model]
-    query, state = protocol.build_query(scenario, args.k, rng)
-    answer = protocol.answer_query(db, query)
+    query, state = build_query(scenario, args.k, rng)
+    answer = answer_query(db, query)
 
-    fh = sys.stdout
-    print(
-        f"model {args.model}  K={args.k}  M={args.m}  field GF({args.q}^{args.ext})  "
-        f"seed={args.seed}",
-        file=fh,
-    )
-    print("database:", file=fh)
-    for i, row in enumerate(db.words.tolist(), start=1):
-        print(f"  X_{i} = {_format_element(row)}", file=fh)
-    _print_scenario(scenario, fh)
-    _print_query(query, fh)
-    return _print_outcome(db, query, answer, state, args.reveal, fh, both_parties=True)
+    def head(fh) -> None:
+        cell = f"model {args.model}  K={args.k}  M={args.m}  field GF({args.q}^{args.ext})"
+        print(f"{cell}  seed={args.seed}", file=fh)
+        print("database:", file=fh)
+        for i, row in enumerate(db.words.tolist(), start=1):
+            print(f"  X_{i} = {_format_element(row)}", file=fh)
+        _print_scenario(scenario, fh)
+
+    return _report(db, query, answer, state, args.reveal, head, both_parties=True)
 
 
 # --------------------------------------------------------------------- audits
@@ -347,15 +345,15 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         return 2
     rng = Random(args.seed)
     scenario = sample_scenario(db, args.m, args.model, rng)
-    query, state = PROTOCOLS[args.model].build_query(scenario, db.K, rng)
+    query, state = build_query(scenario, db.K, rng)
     answer = wire.fetch((host, port), query, db.params)
 
-    fh = sys.stdout
-    print(f"server {host}:{port}  GF({db.params.q}^{db.params.m})  K={db.K}", file=fh)
-    if args.reveal:  # otherwise print only what the server sees, and the decoded value
-        _print_scenario(scenario, fh)
-    _print_query(query, fh)
-    return _print_outcome(db, query, answer, state, args.reveal, fh, both_parties=False)
+    def head(fh) -> None:
+        print(f"server {host}:{port}  GF({db.params.q}^{db.params.m})  K={db.K}", file=fh)
+        if args.reveal:  # otherwise print only what the server sees, and the decoded value
+            _print_scenario(scenario, fh)
+
+    return _report(db, query, answer, state, args.reveal, head, both_parties=False)
 
 
 def _cmd_db_gen(args: argparse.Namespace) -> int:

@@ -15,7 +15,8 @@ coefficients(q, count) gives count uniform integers in [1, q) as int64:
 every coefficient of a query and a scenario's C.  RandomDraws interprets
 them all in production, and the exact auditor all but coefficients by
 enumeration, at T = 1.  uniform_words draws a database's words on the
-same Generator.
+same Generator.  in_random_order and unplaced are the two steps both
+models' draws share: the set order, and the outside pool of a mask.
 """
 
 import threading
@@ -105,3 +106,15 @@ def uniform_words(q: int, shape, rng: Random) -> np.ndarray:
 def draws_from(rng):
     """RandomDraws over a random.Random; any other interpreter as it is."""
     return RandomDraws(rng) if isinstance(rng, Random) else rng
+
+
+def in_random_order(d, sets: np.ndarray):
+    """The (T, n, s) sets of T queries with each query's sets in the order
+    d.order draws, and the (T,) slots that each query's first set moved to."""
+    order = d.order(len(sets), sets.shape[1])
+    return sets[np.arange(len(sets))[:, None], order], order.argmin(axis=1)
+
+
+def unplaced(placed: np.ndarray) -> np.ndarray:
+    """The indices each row of the (T, K+1) mask leaves unmarked, in order, as rows."""
+    return (~placed.ravel()).nonzero()[0].reshape(len(placed), -1) % placed.shape[1]

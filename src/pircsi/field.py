@@ -3,7 +3,7 @@
 A message of GF(q^m) is held as its m coordinates over the base field GF(q),
 in production as a row of m u16 words.  The protocols only add messages and
 scale them by base-field coefficients, which model.answer_words and
-protocol_rp.decode_answer do on word rows, so nothing ever multiplies two
+protocols.decode_answer do on word rows, so nothing ever multiplies two
 messages: (q, m) alone pins down every operation, and two parties that agree
 on (q, m) agree on everything.  Nothing is drawn here: messages come from
 model.Database.random, coefficients from pircsi.draws.  FieldElement is the

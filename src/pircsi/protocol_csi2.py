@@ -15,30 +15,18 @@ The shape of the query depends only on the support size M:
   demand.
 
 Each case downloads 0, 1, or 2 elements, matching the second-model capacity,
-and leaves X_W one linear step from one downloaded element and Y.  The
-coefficients follow protocol_rp's attach_coefficients, and the client decodes
-with its decode_answer; this module re-exports both.
+and leaves X_W one linear step from one downloaded element and Y.  This
+module holds only the case table, the structure draw and the shape rules;
+pircsi.protocols holds what both models share.
 """
 
 from functools import lru_cache
-from random import Random
 
 import numpy as np
 
-from .draws import draws_from
+from .draws import draws_from, in_random_order, unplaced
 from .errors import ParameterError, ShapeError
-from .model import MODEL_II, Database, Scenario, answer_words
 from .pmf import Cdf, case2_pmf, case3_pmf
-from .protocol_rp import (
-    Answer,
-    DecoderState,
-    Query,
-    _unplaced,
-    attach_coefficients,
-    check_set_arrays,
-    decode_answer,
-    in_random_order,
-)
 
 CASE_TRIVIAL = 0
 CASE_SINGLE = 1
@@ -88,24 +76,13 @@ def download_cost(K: int, M: int) -> int:
     return case_shape(case_for(K, M), K)[0]
 
 
-def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, DecoderState]:
-    """Build one query for the given scenario: draw_structures at T = 1,
-    then attach_coefficients over the same draws."""
-    if scenario.model != MODEL_II:
-        raise ParameterError(f"expected a model {MODEL_II} scenario, got {scenario.model!r}")
-    d, S = draws_from(rng), np.array([scenario.S], np.int64)
-    sets, slots = draw_structures(np.array([scenario.W], np.int64), S, K, d)
-    slot = None if slots is None else int(slots[0])
-    return attach_coefficients(sets[0], slot, case_for(K, S.shape[1]), S[0], scenario, d)
-
-
 def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
     """The index sets of T >= 1 queries at once, for the (T,) demands W
     inside the (T, M) supports S (sorted, though any order draws the same
     law): a (T, n, s) int64 array, row t holding query t's sets in
     transmitted order, and the (T,) demand slots, None in the trivial case.
-    The case, and so the shape, follows from (K, M) alone.  rng is as in
-    protocol_rp.draw_structures."""
+    The case, and so the shape, follows from (K, M) alone.  rng is a
+    random.Random or another interpreter of the draw primitives (pircsi.draws)."""
     T, M = S.shape
     if not T:
         raise ParameterError("a structure draw needs at least one trial, got T=0")
@@ -131,7 +108,7 @@ def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
     # so it is marked with S.
     inside = np.zeros((T, K + 1), bool)
     inside[np.arange(T)[:, None], S] = inside[:, 0] = True
-    outside = _unplaced(inside)
+    outside = unplaced(inside)
     others = S[S != W[:, None]].reshape(T, M - 1)  # S without the demand
     sets = np.empty((T, 2, M - (case == CASE_DISJOINT)), np.int64)
     known, cover = sets[:, 0], sets[:, 1]
@@ -178,13 +155,3 @@ def check_sizes(case_tag: int, sizes: list[int], K: int) -> None:
         raise ShapeError(_SIZE_ERRORS[case_tag], "size")
     if n_sets == 2 and sizes[0] != sizes[1]:
         raise ShapeError("paired sets must have equal sizes", "size")
-
-
-def answer_query(db: Database, query: Query) -> Answer:
-    """Refuse a query of the other model, then make the server's calls:
-    check_sizes, check_set_arrays, and the answer kernel."""
-    if query.model != MODEL_II:
-        raise ShapeError(f"expected a model {MODEL_II} query, got {query.model!r}", "case")
-    check_sizes(query.case_tag, query.sizes, db.K)
-    check_set_arrays(query.idx, query.coef, db.K, db.params.q)
-    return Answer(db.params, answer_words(db, query.idx, query.coef))

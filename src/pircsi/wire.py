@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ParameterError, ProtocolError, SetRuleError, ShapeError, WireParseError
 from .field import FieldParams
 from .model import MODEL_I, MODEL_II, Database, answer_words
-from .protocol_rp import Answer, Query, check_set_arrays
-from .protocols import PROTOCOLS
+from .protocols import PROTOCOLS, Answer, Query, check_set_arrays
 
 MSG_QUERY = 0x01
 MSG_ANSWER = 0x02

@@ -22,6 +22,8 @@ from pircsi import (
     audit_exact,
     audit_montecarlo,
     capacity,
+    build_query,
+    decode_answer,
     measure_rate,
     protocol_csi2,
     protocol_rp,
@@ -62,7 +64,7 @@ def test_criterion_1_first_model_capacity_grid():
             for seed in (1, 2):
                 rng = Random(seed)
                 scenario = sample_scenario(db, M, MODEL_I, rng)
-                if len(protocol_rp.build_query(scenario, K, rng)[0].sets) != n:
+                if len(build_query(scenario, K, rng)[0].sets) != n:
                     bad.append((K, M, seed))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 10.0
@@ -263,10 +265,9 @@ def test_criterion_8_wire_protocol():
         db = Database.random(params, K, rng)
         if rng.random() < 0.5:
             scenario = sample_scenario(db, rng.randrange(0, K), MODEL_I, rng)
-            q, _ = protocol_rp.build_query(scenario, K, rng)
         else:
             scenario = sample_scenario(db, rng.randrange(1, K + 1), MODEL_II, rng)
-            q, _ = protocol_csi2.build_query(scenario, K, rng)
+        q, _ = build_query(scenario, K, rng)
         if wire.decode_query(wire.encode_query(q, params), params, K) != q:
             problems.append(f"round trip {trial}")
             break
@@ -282,17 +283,11 @@ def test_criterion_8_wire_protocol():
             crng = Random(seed)
             for _ in range(6):
                 model = crng.choice((MODEL_I, MODEL_II))
-                if model == MODEL_I:
-                    sc = sample_scenario(db, crng.randrange(0, 9), MODEL_I, crng)
-                    q, st = protocol_rp.build_query(sc, 9, crng)
-                    ans = wire.fetch(server.address, q, db.params)
-                    good = protocol_rp.decode_answer(ans, st) == message(db, sc.W)
-                else:
-                    sc = sample_scenario(db, crng.randrange(1, 10), MODEL_II, crng)
-                    q, st = protocol_csi2.build_query(sc, 9, crng)
-                    ans = wire.fetch(server.address, q, db.params)
-                    good = protocol_csi2.decode_answer(ans, st) == message(db, sc.W)
-                if not good:
+                M = crng.randrange(0, 9) if model == MODEL_I else crng.randrange(1, 10)
+                sc = sample_scenario(db, M, model, crng)
+                q, st = build_query(sc, 9, crng)
+                ans = wire.fetch(server.address, q, db.params)
+                if decode_answer(ans, st) != message(db, sc.W):
                     errors.append(seed)
         except Exception as exc:  # noqa: BLE001 - every failure counts
             errors.append((seed, repr(exc)))

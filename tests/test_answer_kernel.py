@@ -16,8 +16,9 @@ from pircsi import (
     MODEL_I,
     MODEL_II,
     ProtocolError,
-    protocol_csi2,
-    protocol_rp,
+    answer_query,
+    build_query,
+    decode_answer,
     sample_scenario,
 )
 
@@ -40,16 +41,15 @@ def _check_against_reference(model, field, K, M, seed):
     rng = Random(seed)
     messages = [tuple(rng.randrange(params.q) for _ in range(params.m)) for _ in range(K)]
     db = Database(params, messages)
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
     scenario = sample_scenario(db, M, model, rng)
-    query, state = protocol.build_query(scenario, K, rng)
-    answer = protocol.answer_query(db, query)
+    query, state = build_query(scenario, K, rng)
+    answer = answer_query(db, query)
     assert len(answer.values) == len(query.sets)
     for qs, got in zip(query.sets, answer.values):
         assert got.params == params
         assert got.coeffs == _reference(messages, qs, params.q)
         assert all(type(w) is int for w in got.coeffs)
-    decoded = protocol.decode_answer(answer, state)
+    decoded = decode_answer(answer, state)
     assert decoded == params.element(messages[scenario.W - 1])
     assert all(type(w) is int for w in decoded.coeffs)
 
@@ -80,9 +80,9 @@ def test_extreme_values_stay_exact():
     db = Database.from_bytes(struct.pack("<III", q, 1, K) + struct.pack("<H", q - 1) * K)
     everything = [(range(1, K + 1), [q - 1] * K)]
     expect = (db.params.element((14,)),)
-    assert protocol_rp.answer_query(db, query_of(everything)).values == expect
+    assert answer_query(db, query_of(everything)).values == expect
     full = query_of(everything, MODEL_II, CASE_FULL)
-    assert protocol_csi2.answer_query(db, full).values == expect
+    assert answer_query(db, full).values == expect
 
 
 def test_database_words_are_read_only():
@@ -123,7 +123,7 @@ def db():
 def test_rejection_text_in_a_lone_set(db, indices, coeffs, message):
     query = query_of([(indices, coeffs)])
     with pytest.raises(ProtocolError) as info:
-        protocol_rp.answer_query(db, query)
+        answer_query(db, query)
     assert str(info.value) == message
 
 
@@ -131,22 +131,22 @@ def test_rejection_text_in_a_lone_set(db, indices, coeffs, message):
 def test_rejection_text_in_the_last_of_several_sets(db, indices, coeffs, message):
     query = query_of([*GOOD, (indices, coeffs)])
     with pytest.raises(ProtocolError) as info:
-        protocol_rp.answer_query(db, query)
+        answer_query(db, query)
     assert str(info.value) == message
     pair = query_of([GOOD[0], (indices, coeffs)], MODEL_II, CASE_DISJOINT)
     with pytest.raises(ProtocolError) as info:
-        protocol_csi2.answer_query(db, pair)
+        answer_query(db, pair)
     assert str(info.value) == message
 
 
 def test_first_fault_in_set_order_is_named(db):
     query = query_of([GOOD[0], ((1, 2, 3), (1, 0, 1)), ((0, 1, 2), (1, 1, 1))])
     with pytest.raises(ProtocolError, match=r"^coefficient 0 is not"):
-        protocol_rp.answer_query(db, query)
+        answer_query(db, query)
 
 
 def test_bool_entries_count_as_ints(db):
     # bool is an int subclass, so True stands for 1 as it always has
     query = query_of([((True, 2), (2, True))])
     plain = query_of([((1, 2), (2, 1))])
-    assert protocol_rp.answer_query(db, query) == protocol_rp.answer_query(db, plain)
+    assert answer_query(db, query) == answer_query(db, plain)

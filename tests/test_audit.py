@@ -41,7 +41,7 @@ from pircsi.audit import (
     exact_joint,
     scenario_law,
 )
-from pircsi.protocol_rp import fingerprint_of
+from pircsi.protocols import fingerprint_of
 
 
 # ------------------------------------------------------------------- exact

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -39,6 +40,36 @@ def test_a_report_cut_short_by_its_reader_keeps_its_exit_code():
         err = proc.stderr.read()
         assert proc.wait(60) == 0
     assert head == b'{\n  "mode"' and err == b""
+
+
+def test_a_demo_cut_short_by_its_reader_keeps_its_exit_code():
+    # I(3000,9)'s transcript is 76 kB, more than a pipe holds, so the reader
+    # closes the pipe while it is still being written, as `| head -c 10`
+    # does.  The round decoded, so the command exits 0, silently.
+    argv = [sys.executable, "-m", "pircsi.cli", "demo", "--model", "I", "--k", "3000",
+            "--m", "9"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(60) == 0
+    assert head == b"model I  K" and err == b""
+
+
+def test_a_fetch_whose_reader_left_keeps_its_exit_code(tmp_path):
+    # The reader closes the pipe before the fetch prints a byte; the round
+    # decoded, so the command exits 0, silently.
+    path = tmp_path / "messages.db"
+    Database.random(FieldParams(3), 50, Random(0)).save(path)
+    with wire.PirServer(Database.load(path), port=0) as server:
+        addr = f"{server.address[0]}:{server.address[1]}"
+        argv = [sys.executable, "-m", "pircsi.cli", "fetch", "--db", str(path), "--addr", addr,
+                "--model", "I", "--m", "4"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(60) == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------- demo

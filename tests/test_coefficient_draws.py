@@ -17,15 +17,12 @@ from pircsi import (
     MODEL_I,
     MODEL_II,
     Scenario,
-    protocol_csi2,
-    protocol_rp,
     sample_scenario,
     side_information,
 )
 from pircsi.draws import RandomDraws, _thread
 from pircsi.protocol_csi2 import case_for
-from pircsi.protocol_rp import attach_coefficients
-from pircsi.protocols import PROTOCOLS
+from pircsi.protocols import PROTOCOLS, attach_coefficients, build_query
 
 from conftest import query_of
 
@@ -136,11 +133,11 @@ def _per_index_build(protocol, scenario, K, rng):
 )
 def test_build_query_matches_a_per_index_reference(model, K, M, field):
     db = Database.random(FieldParams(*field), K, Random(K))
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
+    protocol = PROTOCOLS[model]
     for seed in range(12):
         scenario = sample_scenario(db, M, model, Random(seed))
         rng, loop = Random(seed), Random(seed)
-        built = protocol.build_query(scenario, K, rng)
+        built = build_query(scenario, K, rng)
         state = _thread.bits.state
         assert built == _per_index_build(protocol, scenario, K, loop)
         assert rng.getstate() == loop.getstate()

@@ -16,11 +16,9 @@ from pircsi import (
     MODEL_II,
     Database,
     FieldParams,
-    protocol_csi2,
-    protocol_rp,
+    build_query,
     sample_scenario,
 )
-from pircsi.protocols import PROTOCOLS
 
 BUILDS = 10_000
 
@@ -55,15 +53,11 @@ def _probe_if_one(query) -> int:
 )
 def test_a_guessing_server_does_not_find_the_demand(model, K, M, q, guess):
     db = Database.random(FieldParams(q), K, Random(K))
-    protocol, rng = PROTOCOLS[model], Random(2018)
+    rng = Random(2018)
     hits = 0
     for _ in range(BUILDS):
         scenario = sample_scenario(db, M, model, rng)
-        query, _ = protocol.build_query(scenario, K, rng)
+        query, _ = build_query(scenario, K, rng)
         hits += guess(query) == scenario.W
     z = (hits - BUILDS / K) / math.sqrt(BUILDS * (1 / K) * (1 - 1 / K))
     assert abs(z) <= 4.5, f"{hits} hits in {BUILDS} builds, z = {z:.1f}"
-
-
-def test_both_models_attach_coefficients_by_one_rule():
-    assert protocol_csi2.attach_coefficients is protocol_rp.attach_coefficients

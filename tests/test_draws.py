@@ -18,8 +18,7 @@ from pircsi import (
     FieldParams,
     MODEL_I,
     MODEL_II,
-    protocol_csi2,
-    protocol_rp,
+    build_query,
     sample_scenario,
     wire,
 )
@@ -37,9 +36,8 @@ def _queries(seed: int) -> list[bytes]:
     for model, K, M in CELLS:
         db = Database.random(params, K, Random(K))
         rng = Random(seed)
-        protocol = protocol_rp if model == MODEL_I else protocol_csi2
         for _ in range(3):
-            query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+            query, _ = build_query(sample_scenario(db, M, model, rng), K, rng)
             out.append(wire.encode_query(query, params))
     return out
 
@@ -92,11 +90,10 @@ def test_a_query_sets_the_thread_generator_state_once():
     params = FieldParams(257, 4)
     for model, K, M in CELLS + [(MODEL_II, 8, 8), (MODEL_II, 8, 3), (MODEL_II, 3, 1)]:
         db = Database.random(params, K, Random(K))
-        protocol = protocol_rp if model == MODEL_I else protocol_csi2
         rng = _Counting(1)
         scenario = sample_scenario(db, M, model, rng)
         assert rng.states == 1
-        protocol.build_query(scenario, K, rng)
+        build_query(scenario, K, rng)
         assert rng.states == 2, (model, K, M)
 
 

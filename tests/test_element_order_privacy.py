@@ -17,7 +17,7 @@ import pytest
 from pircsi import MODEL_I, MODEL_II, Database, FieldParams, sample_scenario
 from pircsi.audit import _Mutant
 from pircsi.draws import RandomDraws
-from pircsi.protocols import PROTOCOLS
+from pircsi.protocols import build_query
 
 BUILDS = 2_000
 CELLS = [(MODEL_I, 8, 2), (MODEL_I, 101, 9), (MODEL_II, 10, 5), (MODEL_II, 8, 3), (MODEL_II, 6, 6)]
@@ -32,11 +32,11 @@ def _unshuffled(rng: Random) -> _Mutant:
 def _first_index_z(model, K, M, interpreter) -> float:
     """The z-score of the guessing server's hits over BUILDS seeded builds."""
     db = Database.random(FieldParams(3), K, Random(K))
-    protocol, rng, server = PROTOCOLS[model], Random(2018), Random(1)
+    rng, server = Random(2018), Random(1)
     hits = 0
     for _ in range(BUILDS):
         scenario = sample_scenario(db, M, model, rng)
-        query, _ = protocol.build_query(scenario, K, interpreter(rng))
+        query, _ = build_query(scenario, K, interpreter(rng))
         hits += int(query.idx[server.randrange(len(query.idx)), 0]) == scenario.W
     return (hits - BUILDS / K) / math.sqrt(BUILDS * (1 / K) * (1 - 1 / K))
 

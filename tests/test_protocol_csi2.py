@@ -20,12 +20,10 @@ from pircsi.protocol_csi2 import (
     CASE_OVERLAP,
     CASE_SINGLE,
     CASE_TRIVIAL,
-    answer_query,
-    build_query,
     case_for,
-    decode_answer,
     download_cost,
 )
+from pircsi.protocols import answer_query, build_query, decode_answer
 
 from conftest import answer_of, count_bound, message, query_of
 
@@ -219,15 +217,6 @@ def test_build_is_seed_deterministic(gf3):
 
 
 # ------------------------------------------------------------------- errors
-
-
-def test_build_rejects_wrong_model(gf3):
-    from pircsi import MODEL_I
-
-    db = Database.random(gf3, 5, Random(0))
-    scenario = sample_scenario(db, 2, MODEL_I, Random(1))
-    with pytest.raises(ParameterError):
-        build_query(scenario, 5, Random(2))
 
 
 def test_answer_validation(gf3):

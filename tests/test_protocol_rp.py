@@ -11,7 +11,6 @@ from pircsi import (
     Database,
     FieldParams,
     MODEL_I,
-    MODEL_II,
     ParameterError,
     ProtocolError,
     QuerySet,
@@ -21,7 +20,7 @@ from pircsi import (
 )
 from pircsi.audit import _Enumeration
 from pircsi.draws import RandomDraws
-from pircsi.protocol_rp import (
+from pircsi.protocols import (
     answer_query,
     build_query,
     canonical_fingerprint,
@@ -263,13 +262,6 @@ def test_ordered_fingerprint_sees_the_set_order(gf3):
 
 
 # ------------------------------------------------------------------- errors
-
-
-def test_build_rejects_wrong_model(gf3):
-    db = Database.random(gf3, 5, Random(0))
-    scenario = sample_scenario(db, 2, MODEL_II, Random(1))
-    with pytest.raises(ParameterError):
-        build_query(scenario, 5, Random(2))
 
 
 def test_answer_validation(gf3):

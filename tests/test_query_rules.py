@@ -18,13 +18,15 @@ from pircsi import (
     ProtocolError,
     SetRuleError,
     ShapeError,
+    Scenario,
     WireParseError,
-    protocol_csi2,
-    protocol_rp,
+    protocols,
     sample_scenario,
+    side_information,
     wire,
 )
 from pircsi.protocol_csi2 import CASE_DISJOINT, CASE_TAGS, case_shape
+from pircsi.protocols import PROTOCOLS, answer_query, build_query, decode_answer
 
 from conftest import message, query_of
 
@@ -103,7 +105,6 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
     params, K, model, case, sets = drawn
     blob, offsets = _pack(1 if model == MODEL_I else 2, case, sets, params.m)
     db = Database.random(params, K, Random(0))
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
 
     try:
         parsed, parse_error = wire.decode_query(blob, params, K), None
@@ -114,19 +115,19 @@ def test_property_the_decoder_rejects_exactly_what_answer_query_rejects(drawn):
         # A query's arrays cannot hold sets of different sizes; answer_query
         # would refuse them at its first call that reads sets, check_sizes.
         with pytest.raises(ShapeError) as refused:
-            protocol.check_sizes(case, sizes, K)
+            PROTOCOLS[model].check_sizes(case, sizes, K)
         query, answer, answer_error = None, None, refused.value
     else:
         query = query_of(sets, model, case)
         try:
-            answer, answer_error = protocol.answer_query(db, query), None
+            answer, answer_error = answer_query(db, query), None
         except ProtocolError as exc:
             answer, answer_error = None, exc
 
     assert (parse_error is None) == (answer_error is None), (parse_error, answer_error)
     if answer_error is None:
         assert parsed == query
-        assert protocol.answer_query(db, parsed) == answer
+        assert answer_query(db, parsed) == answer
     elif isinstance(answer_error, SetRuleError):
         slot = (answer_error.set_no, answer_error.slot, answer_error.what == "coefficient")
         assert parse_error.offset == offsets[slot]
@@ -152,9 +153,8 @@ def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
     # a first-model query of one empty set and a disjoint-case query of two
     sets = [((), ())] * n
     query = query_of(sets, model, case)
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
     with pytest.raises(ShapeError, match="empty query set") as refused:
-        protocol.answer_query(Database.random(gf3, 4, Random(0)), query)
+        answer_query(Database.random(gf3, 4, Random(0)), query)
     assert refused.value.part == "size"
     with pytest.raises(ParameterError, match="set 0 is empty"):
         wire.encode_query(query, gf3)
@@ -164,37 +164,36 @@ def test_empty_sets_are_refused_by_every_layer(gf3, model, case, n):
     assert parsed.value.offset == 4
 
 
-@pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
-def test_each_answer_query_refuses_the_other_models_query(gf3, model, M):
-    rng = Random(19)
-    db = Database.random(gf3, 8, rng)
-    own, other = (protocol_rp, protocol_csi2) if model == MODEL_I else (protocol_csi2, protocol_rp)
-    query, _ = own.build_query(sample_scenario(db, M, model, rng), db.K, rng)
-    own.answer_query(db, query)
-    with pytest.raises(ShapeError, match=f"got {model!r}") as refused:
-        other.answer_query(db, query)
+def test_an_unknown_model_is_refused_by_build_and_answer(gf3):
+    # Each looks its model's rules up by the scenario's or the query's own
+    # model; a model with none is a typed refusal, not a KeyError.
+    db = Database.random(gf3, 5, Random(0))
+    scenario = Scenario(1, (2,), (1,), side_information(db, (2,), (1,)), "III")
+    with pytest.raises(ParameterError, match="unknown model 'III'"):
+        build_query(scenario, db.K, Random(1))
+    with pytest.raises(ShapeError, match="unknown model 'III'") as refused:
+        answer_query(db, query_of([((1, 2), (1, 1))], "III"))
     assert refused.value.part == "case"
 
 
 @pytest.mark.parametrize("model,M", [(MODEL_I, 2), (MODEL_II, 3)])
 def test_a_served_fetch_checks_its_sets_once_on_each_side(gf9, monkeypatch, model, M):
     callers = []
-    real = protocol_rp.check_set_arrays
+    real = protocols.check_set_arrays
 
     def counting(*args):
         callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return real(*args)
 
-    for module in (protocol_rp, wire):
+    for module in (protocols, wire):
         monkeypatch.setattr(module, "check_set_arrays", counting)
     rng = Random(18)
     db = Database.random(gf9, 8, rng)
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
     scenario = sample_scenario(db, M, model, rng)
-    query, state = protocol.build_query(scenario, db.K, rng)
+    query, state = build_query(scenario, db.K, rng)
     with wire.PirServer(db, port=0) as server:
         answer = wire.fetch(server.address, query, db.params)
-    assert protocol.decode_answer(answer, state) == message(db, scenario.W)
+    assert decode_answer(answer, state) == message(db, scenario.W)
     # the client's encode, then the server's parse; the answer step checks nothing
     assert callers == [("encode_query", "fetch"), ("decode_query", "_serve")]
 
@@ -228,8 +227,7 @@ def test_encode_query_writes_the_layout_of_the_pack_oracle(model, K, M, q, m, sh
     params = FieldParams(q, m)
     rng = Random(K + M)
     db = Database.random(params, K, rng)
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
-    query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+    query, _ = build_query(sample_scenario(db, M, model, rng), K, rng)
     sizes = {len(qs.indices) for qs in query.sets}
     assert (len(query.sets), sizes.pop() if sizes else None) == shape
     sets = [(qs.indices, qs.coeffs) for qs in query.sets]

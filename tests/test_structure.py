@@ -29,6 +29,7 @@ from pircsi import (
     pmf,
     protocol_csi2,
     protocol_rp,
+    protocols,
     sample_demand,
     sample_scenario,
 )
@@ -42,8 +43,7 @@ from pircsi.protocol_csi2 import (
     CASE_TRIVIAL,
     case_for,
 )
-from pircsi.protocol_rp import fingerprint_of
-from pircsi.protocols import PROTOCOLS
+from pircsi.protocols import PROTOCOLS, fingerprint_of
 
 from conftest import message
 
@@ -56,10 +56,9 @@ MODEL_II_CELLS = [(8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (8, 7), (8, 8)]
 def _split_matches_build(model_name, K, M, seed):
     db = Database.random(FieldParams(5), K, Random(seed))
     scenario = sample_scenario(db, M, model_name, Random(seed + 1))
-    protocol = PROTOCOLS[model_name]
     W, S = np.array([scenario.W]), np.array([scenario.S], np.int64)
-    sets, slots = protocol.draw_structures(W, S, K, Random(seed + 2))
-    query, state = protocol.build_query(scenario, K, Random(seed + 2))
+    sets, slots = PROTOCOLS[model_name].draw_structures(W, S, K, Random(seed + 2))
+    query, state = protocols.build_query(scenario, K, Random(seed + 2))
     # drawn as the (n, s) int64 array the query sends
     assert sets.dtype == np.int64 and sets.shape[0] == 1
     assert np.array_equal(query.idx, sets[0])
@@ -121,8 +120,7 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
     rng = Random(seed)
     db = Database.random(FieldParams(q, m), K, rng)
     scenario = sample_scenario(db, M, model_name, rng)
-    protocol = PROTOCOLS[model_name]
-    query, state = protocol.build_query(scenario, K, rng)
+    query, state = protocols.build_query(scenario, K, rng)
 
     assert all(1 <= c <= q - 1 for qs in query.sets for c in qs.coeffs)
     own = dict(zip(scenario.S, scenario.C))
@@ -140,8 +138,8 @@ def test_property_coefficients_stay_nonzero_and_with_their_index(field, K, model
             assert (c * state.a % q, state.b) == (1, 0)
         else:  # A - Y = (c - c_W) * X_W
             assert (c - c_W) * state.a % q == 1 and (state.a + state.b) % q == 0
-    answer = protocol.answer_query(db, query)
-    assert protocol.decode_answer(answer, state) == message(db, scenario.W)
+    answer = protocols.answer_query(db, query)
+    assert protocols.decode_answer(answer, state) == message(db, scenario.W)
 
 
 # ------------------------------------------------------- the screen's draws
@@ -160,10 +158,10 @@ def test_the_screen_draws_structures_and_nothing_else(monkeypatch, model_name, K
     # Counts are of structures and demands drawn: each model draws a chunk
     # of trials per draw_structures call, and sample_demand a chunk at a time.
     calls = Counter()
+    for name in ("attach_coefficients", "build_query"):
+        monkeypatch.setattr(protocols, name, _counting(calls, name, getattr(protocols, name)))
+    monkeypatch.setattr(audit, "build_query", _counting(calls, "build_query", audit.build_query))
     for module in (protocol_rp, protocol_csi2):
-        for name in ("attach_coefficients", "build_query"):
-            label = f"{module.__name__}.{name}"
-            monkeypatch.setattr(module, name, _counting(calls, label, getattr(module, name)))
         structures = _counting(calls, f"{module.__name__}.draw_structures",
                                module.draw_structures, lambda W, *args, **kwargs: len(W))
         monkeypatch.setattr(module, "draw_structures", structures)

@@ -20,9 +20,11 @@ from pircsi import (
     ParameterError,
     ProtocolError,
     WireParseError,
+    answer_query,
+    build_query,
+    decode_answer,
     field,
     protocol_csi2,
-    protocol_rp,
     sample_scenario,
     wire,
 )
@@ -332,12 +334,11 @@ def _random_query(params, K, rng):
         M = rng.randrange(0, K)
         db = Database.random(params, K, rng)
         scenario = sample_scenario(db, M, MODEL_I, rng)
-        query, _ = protocol_rp.build_query(scenario, K, rng)
     else:
         M = rng.randrange(1, K + 1)
         db = Database.random(params, K, rng)
         scenario = sample_scenario(db, M, MODEL_II, rng)
-        query, _ = protocol_csi2.build_query(scenario, K, rng)
+    query, _ = build_query(scenario, K, rng)
     return query
 
 
@@ -394,14 +395,9 @@ def test_loopback_round_trip(gf9):
         assert params == gf9 and K == 6
         for model, M in ((MODEL_I, 2), (MODEL_II, 3), (MODEL_II, 1)):
             scenario = sample_scenario(db, M, model, rng)
-            if model == MODEL_I:
-                query, state = protocol_rp.build_query(scenario, K, rng)
-                answer = wire.fetch(server.address, query, params)
-                assert protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
-            else:
-                query, state = protocol_csi2.build_query(scenario, K, rng)
-                answer = wire.fetch(server.address, query, params)
-                assert protocol_csi2.decode_answer(answer, state) == message(db, scenario.W)
+            query, state = build_query(scenario, K, rng)
+            answer = wire.fetch(server.address, query, params)
+            assert decode_answer(answer, state) == message(db, scenario.W)
 
 
 def test_fetch_discovers_params_when_omitted(gf3):
@@ -409,9 +405,9 @@ def test_fetch_discovers_params_when_omitted(gf3):
     db = Database.random(gf3, 5, rng)
     with wire.PirServer(db, port=0) as server:
         scenario = sample_scenario(db, 1, MODEL_II, rng)
-        query, state = protocol_csi2.build_query(scenario, 5, rng)
+        query, state = build_query(scenario, 5, rng)
         answer = wire.fetch(server.address, query)
-        assert protocol_csi2.decode_answer(answer, state) == message(db, scenario.W)
+        assert decode_answer(answer, state) == message(db, scenario.W)
 
 
 def test_server_rejects_invalid_queries_and_keeps_serving(gf3):
@@ -462,9 +458,8 @@ def test_property_the_server_replies_as_the_in_process_path(
     db, server = served[field]
     K = db.K
     M = data.draw(st.integers(0, K - 1) if model == MODEL_I else st.integers(1, K))
-    protocol = protocol_rp if model == MODEL_I else protocol_csi2
     rng = Random(seed)
-    query, _ = protocol.build_query(sample_scenario(db, M, model, rng), K, rng)
+    query, _ = build_query(sample_scenario(db, M, model, rng), K, rng)
     payload = bytearray(wire.encode_query(query, db.params))
     if corruption == "byte":
         payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
@@ -482,7 +477,7 @@ def test_property_the_server_replies_as_the_in_process_path(
     else:
         if corruption == "none":
             assert parsed == query
-        expected = wire.encode_answer(protocol.answer_query(db, parsed))
+        expected = wire.encode_answer(answer_query(db, parsed))
         assert wire.encode_frame(*reply) == wire.encode_frame(wire.MSG_ANSWER, expected)
 
 
@@ -570,9 +565,9 @@ def test_concurrent_clients(gf9):
             rng = Random(seed)
             for _ in range(3):
                 scenario = sample_scenario(db, 2, MODEL_I, rng)
-                query, state = protocol_rp.build_query(scenario, 8, rng)
+                query, state = build_query(scenario, 8, rng)
                 answer = wire.fetch(server.address, query, db.params)
-                if protocol_rp.decode_answer(answer, state) != message(db, scenario.W):
+                if decode_answer(answer, state) != message(db, scenario.W):
                     failures.append(seed)
         except Exception as exc:  # noqa: BLE001 - collect everything
             failures.append((seed, exc))
@@ -664,9 +659,9 @@ def _retrieve(db, address, seed, fetches):
     decoded = []
     for _ in range(fetches):
         scenario = sample_scenario(db, 2, MODEL_I, rng)
-        query, state = protocol_rp.build_query(scenario, K, rng)
+        query, state = build_query(scenario, K, rng)
         answer = wire.fetch(address, query, params)
-        decoded.append(protocol_rp.decode_answer(answer, state) == message(db, scenario.W))
+        decoded.append(decode_answer(answer, state) == message(db, scenario.W))
     return decoded
 
 
@@ -707,9 +702,9 @@ def test_a_connection_the_server_closed_is_replaced(gf3, monkeypatch, connection
         params, K = wire.hello(server.address)
         connections.wait_closed(connections.opened[0])  # the server hung up on it
         scenario = sample_scenario(db, 1, MODEL_I, rng)
-        query, state = protocol_rp.build_query(scenario, K, rng)
+        query, state = build_query(scenario, K, rng)
         answer = wire.fetch(server.address, query, params)
-        assert protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
+        assert decode_answer(answer, state) == message(db, scenario.W)
         assert len(connections.opened) == 2
 
 
@@ -720,7 +715,7 @@ def test_a_stopped_server_answers_nothing_more(gf3, monkeypatch):
         address = server.address
         params, K = wire.hello(address)
     scenario = sample_scenario(db, 1, MODEL_I, rng)
-    query, _ = protocol_rp.build_query(scenario, K, rng)
+    query, _ = build_query(scenario, K, rng)
 
     # The stopped server hung up on the kept connection and listens no more:
     # the fetch fails as a fresh connection would, after one attempt.
@@ -758,7 +753,7 @@ def _scripted_server(listener, db, plans, after):
                     conn.sendall(wire.encode_frame(wire.MSG_HELLO, wire.encode_hello(db.params, db.K)))
                     continue
                 query = wire.decode_query(payload, db.params, db.K)
-                body = wire.encode_answer(protocol_rp.answer_query(db, query))
+                body = wire.encode_answer(answer_query(db, query))
                 frame = wire.encode_frame(wire.MSG_ANSWER, body)
                 conn.sendall(frame if step == "answer" else frame[: len(frame) // 2])
             after.append(_read_frame(conn))
@@ -784,8 +779,8 @@ def _run_script(db, plans, client):
 
 def _one_retrieval(db, rng):
     scenario = sample_scenario(db, 1, MODEL_I, rng)
-    query, state = protocol_rp.build_query(scenario, db.K, rng)
-    return query, lambda answer: protocol_rp.decode_answer(answer, state) == message(db, scenario.W)
+    query, state = build_query(scenario, db.K, rng)
+    return query, lambda answer: decode_answer(answer, state) == message(db, scenario.W)
 
 
 @pytest.mark.parametrize(
