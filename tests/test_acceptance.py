@@ -21,8 +21,8 @@ from pircsi import (
     MODEL_II,
     audit_exact,
     audit_montecarlo,
-    capacity,
     build_query,
+    capacity,
     decode_answer,
     measure_rate,
     protocol_csi2,

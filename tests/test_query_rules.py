@@ -16,9 +16,9 @@ from pircsi import (
     MODEL_II,
     ParameterError,
     ProtocolError,
+    Scenario,
     SetRuleError,
     ShapeError,
-    Scenario,
     WireParseError,
     protocols,
     sample_scenario,
