@@ -15,7 +15,7 @@ import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import inf, sqrt
+from math import comb, inf, sqrt
 from pathlib import Path
 from random import Random
 
@@ -309,6 +309,130 @@ def test_wide_exact_report_matches_its_pinned_digest(cell):
     model, K, M, mutation = cell
     report = audit_exact(model, K, M, mutation=mutation)
     assert hashlib.sha256(_canonical(report)).hexdigest() == WIDE_DIGESTS[cell]
+
+
+def _law_text(model, K, M, mutation) -> str:
+    """The normalised scenario_law of the representative scenario (W = 1,
+    S as _joint_table takes it), one fingerprint and its probability a line,
+    the fingerprints sorted."""
+    S = tuple(range(2, M + 2)) if model == MODEL_I else tuple(range(1, M + 1))
+    scenarios = comb(K, M) * (K - M if model == MODEL_I else M)
+    law = scenario_law(audit._draw(model, K, M, mutation), 1, S, K, scenarios=scenarios)
+    total = sum(law.values())
+    return "\n".join(f"{fp} {_ratio(Fraction(w, total))}" for fp, w in sorted(law.items()))
+
+
+# SHA-256 of each cell's four normalised laws (honest, then each mutant in
+# sorted order), recorded from the per-leaf enumerator: every I(K<=9) and
+# II(K<=10) cell, all within the default guard.
+LAW_DIGESTS = {
+    (MODEL_I, 1, 0): "8c64b550da21c103d1f0d57be27791ed83368a8e2189123d64070fe782052ee3",
+    (MODEL_I, 2, 0): "ec2050879a4af8a72dc3785df4ba0f32f9a96e0beda1ddfe39f421ac07d0325e",
+    (MODEL_I, 2, 1): "c98bf96a9d27a69536fc27b05684d3494878c4412ca35a73a834e02befe0ccae",
+    (MODEL_I, 3, 0): "85c7069fba5b45e960c000ca9eac00b62a9bac06b574ab03aa0d867793ac86af",
+    (MODEL_I, 3, 1): "769395840cdea0a7d2b009b59e435c223a59d5fe6d14349f24ff65b7c65fba91",
+    (MODEL_I, 3, 2): "5074b2962c6ba1dee0fed5d3e89c5db8eb69c6027ce9b834aa6ac2b8081eab5d",
+    (MODEL_I, 4, 0): "ff43c4ddcd29a27ad508c5951200ef2dcda74fd6065724bc31bed16105f2471d",
+    (MODEL_I, 4, 1): "67d8d4154257e442da72c33424c385c45ddac7b759056e7bd6c0fc5b378c4e45",
+    (MODEL_I, 4, 2): "955be1bdfa219d852a91f55c2e1669edc8f906e508469d3dcfa417d4ea5fa051",
+    (MODEL_I, 4, 3): "e2aa0503a26e5079a61667998be7b3a1cc442dfad60bbfb299580bac765970b3",
+    (MODEL_I, 5, 0): "e90ff9d75a7314f75ee01f65755df2e77b08dfd89b303d32f7c7e9528de54081",
+    (MODEL_I, 5, 1): "731ff95b02b73e9a44abb07e5fbbc91f10da66c51dedc947a0d68230f762f14b",
+    (MODEL_I, 5, 2): "efe9d76ff2d87d19616daaac6e4298cc4ccb8f5f5511f62fc0a247f359d86b65",
+    (MODEL_I, 5, 3): "0c8237138f3f37b3dc8631e918d6760ab756fca0a7cf7c3978748d4b275ff5b2",
+    (MODEL_I, 5, 4): "423b3c22352accfbd94e21b754e74107f9c0b82ce33911db08224a7f72ad806f",
+    (MODEL_I, 6, 0): "d4bdbf747b28078f938a0b880a48b41cd4dba93d484fd69beba79cf77c580a63",
+    (MODEL_I, 6, 1): "ea6b721624598884ab8955015b8ef3773bb9ccf0bd9e20596820e461036bda52",
+    (MODEL_I, 6, 2): "f36dce3cc1b57398c11617e014107c4c468aca89e1f5be24acdfb604c12ecfff",
+    (MODEL_I, 6, 3): "c4c639234ade7fe59cdf9895dde8e0c333052f480ef214064371d8378f0ca153",
+    (MODEL_I, 6, 4): "67a28109d2afd33e753125dd9a547970fdeaa29c37a3672acd5dfa50ed36d914",
+    (MODEL_I, 6, 5): "57ea1e9b913e44c2e8f3ae0a61c99dfcfe29a1d78a876337ae50d2cadd851593",
+    (MODEL_I, 7, 0): "9e165b8b9edf8407b5063ac2299be5b168ce5ec6d0c996dba6414478b90aaba1",
+    (MODEL_I, 7, 1): "864c49e1e53cf3722e78f102c2f8730a8504a378602323f1a66eb2b324193185",
+    (MODEL_I, 7, 2): "0302556bb92faec29f3504400ea92b6e90b9a25df9142346fe5f1089916f8541",
+    (MODEL_I, 7, 3): "c5958a69cc46f7d5cbba74fa48e9b6eb801cdffe8de01fd8e7bbb2774206e89b",
+    (MODEL_I, 7, 4): "7abdbdd0f046943fd2955293c4478ca2c793515f8c15fa4f3838dba69a4b90b2",
+    (MODEL_I, 7, 5): "bc4eb8cbfb4dd20dd35f4ded92d79c5b19e95cfea99ff174242a26f1a65ed40a",
+    (MODEL_I, 7, 6): "c2d1e417da4bbf8f2af974484053f0531ec6226816ab0e577f805b80f87eb593",
+    (MODEL_I, 8, 0): "72cabb21e55e08db43119017bb0159933ad5ed1e69a6db29b4bdd110b87fbb4c",
+    (MODEL_I, 8, 1): "7ecd4a4b3013584e362a7aaaf528cb23fcfccdef7726983f2b5aebcacd764d8b",
+    (MODEL_I, 8, 2): "f7a6ebcc021dfa504767477bcf94cadd1b8352f6c07377e345d96b18fbf227b0",
+    (MODEL_I, 8, 3): "7d82ca253aa414f110ea3b891acfdb1a50c7c3c7e3857feeccade821d71d0a2c",
+    (MODEL_I, 8, 4): "08f6d7d17c2733b0abd861db47c02a85ea8720222d485159785ba7996dc94d9a",
+    (MODEL_I, 8, 5): "88908fad75a5c904ad6524c34dc14e23db9d360ac774328dd07e95fe54b815d5",
+    (MODEL_I, 8, 6): "6976a6ad87b166577668864fbd3c415d31588c660bb04dbea74b9300aa619461",
+    (MODEL_I, 8, 7): "81b6b415b8e88ed7df79bc4f7c27a964fc0953f170f10388a19c28ff9b5ae55d",
+    (MODEL_I, 9, 0): "99c04fc31612e4e245f169e7256dda6de3124a7825b6afba46c4986b53849702",
+    (MODEL_I, 9, 1): "9d8affcf3a210050c908636588d8410087d689bb7ddfe5776c58ee266420f7c2",
+    (MODEL_I, 9, 2): "a7b9ece0cf726fb9276b332bcd391033943c3d891cc7f92569933029eeb533d3",
+    (MODEL_I, 9, 3): "747f24fb9fa9c636f0fbec0151d8dc04f1f41f21c649307683fe8d299374e921",
+    (MODEL_I, 9, 4): "f2c821992cf6bc26391289741e330bdd626c92130bfbd192db198fee309c5609",
+    (MODEL_I, 9, 5): "f79e84fd83b15c00097700bdab408c6dcbb05e2e5786d9035172c96d254a5997",
+    (MODEL_I, 9, 6): "d24a1b1330c5b98ac4320742d51f60f088a902a402f7356ea6cde071abb9e6e7",
+    (MODEL_I, 9, 7): "14f63299f864a71128410d47c6444978946f1c89081984ee55f14a6b9862d8b8",
+    (MODEL_I, 9, 8): "2c00693bd3884483dbb790b9b8c9d3e2e933e9c9fd3bab70e2e7f24fc905f993",
+    (MODEL_II, 1, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 2, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 2, 2): "2542a6c3cddeb6f64afa022e7f229dba8f2136863411bbca20712d2fa39c54c0",
+    (MODEL_II, 3, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 3, 2): "695d7175fcdb150307cb27f8614e1cd7a7e7b515a0d9b43c5786d02683ce881d",
+    (MODEL_II, 3, 3): "5074b2962c6ba1dee0fed5d3e89c5db8eb69c6027ce9b834aa6ac2b8081eab5d",
+    (MODEL_II, 4, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 4, 2): "9f51d6dd1beebad8a8c5c825857849e58e3af6cc810d574d04e172850452d391",
+    (MODEL_II, 4, 3): "955be1bdfa219d852a91f55c2e1669edc8f906e508469d3dcfa417d4ea5fa051",
+    (MODEL_II, 4, 4): "e2aa0503a26e5079a61667998be7b3a1cc442dfad60bbfb299580bac765970b3",
+    (MODEL_II, 5, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 5, 2): "1dab815aa1e997ac8cc3794970dbf23bef91279f26c3c79252698b85f8aa4937",
+    (MODEL_II, 5, 3): "efe9d76ff2d87d19616daaac6e4298cc4ccb8f5f5511f62fc0a247f359d86b65",
+    (MODEL_II, 5, 4): "0c8237138f3f37b3dc8631e918d6760ab756fca0a7cf7c3978748d4b275ff5b2",
+    (MODEL_II, 5, 5): "423b3c22352accfbd94e21b754e74107f9c0b82ce33911db08224a7f72ad806f",
+    (MODEL_II, 6, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 6, 2): "6505443f1ffc6bede6c76e66cce0db33d93cbe9d1fb08e3edb1d2e7dfcfb137a",
+    (MODEL_II, 6, 3): "600cc80a75e2be9753cbf023e301b6f65e1eaa54c549b4414ea6a748b1c5107d",
+    (MODEL_II, 6, 4): "c4c639234ade7fe59cdf9895dde8e0c333052f480ef214064371d8378f0ca153",
+    (MODEL_II, 6, 5): "67a28109d2afd33e753125dd9a547970fdeaa29c37a3672acd5dfa50ed36d914",
+    (MODEL_II, 6, 6): "57ea1e9b913e44c2e8f3ae0a61c99dfcfe29a1d78a876337ae50d2cadd851593",
+    (MODEL_II, 7, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 7, 2): "267605fb89981a97cf18779a9f1a8a553787cb1a7d62ef327462fcc7eb5f37a0",
+    (MODEL_II, 7, 3): "e521bd09001a7b8f4fa513db5cb7bd876baff1cc4a10af493727fed65973b41c",
+    (MODEL_II, 7, 4): "c5958a69cc46f7d5cbba74fa48e9b6eb801cdffe8de01fd8e7bbb2774206e89b",
+    (MODEL_II, 7, 5): "7abdbdd0f046943fd2955293c4478ca2c793515f8c15fa4f3838dba69a4b90b2",
+    (MODEL_II, 7, 6): "bc4eb8cbfb4dd20dd35f4ded92d79c5b19e95cfea99ff174242a26f1a65ed40a",
+    (MODEL_II, 7, 7): "c2d1e417da4bbf8f2af974484053f0531ec6226816ab0e577f805b80f87eb593",
+    (MODEL_II, 8, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 8, 2): "ed2e0aa38f87172c6171b9258781654ac30b5fc20b023684d2626d1085c16800",
+    (MODEL_II, 8, 3): "8056b02ee4b23b40556a4eee0331d97565517cdf95806ffa44324718f2b1ace7",
+    (MODEL_II, 8, 4): "ab617669f606e810a2ffcc8a0a812269dc0086cebccab031dc71152177edcc2d",
+    (MODEL_II, 8, 5): "08f6d7d17c2733b0abd861db47c02a85ea8720222d485159785ba7996dc94d9a",
+    (MODEL_II, 8, 6): "88908fad75a5c904ad6524c34dc14e23db9d360ac774328dd07e95fe54b815d5",
+    (MODEL_II, 8, 7): "6976a6ad87b166577668864fbd3c415d31588c660bb04dbea74b9300aa619461",
+    (MODEL_II, 8, 8): "81b6b415b8e88ed7df79bc4f7c27a964fc0953f170f10388a19c28ff9b5ae55d",
+    (MODEL_II, 9, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 9, 2): "9c6b8d3441283e67a03b82e89e389a5d352b851b6881f449479d1cbd40c91ddf",
+    (MODEL_II, 9, 3): "7fbbb12bcf360ffe7f4c0843b3977194f52dffaef77011c8450fb206cfa281b9",
+    (MODEL_II, 9, 4): "7e8ce43c555d89e4b09c0ba570c461abf1293246b2f9bbd904962bc01f4716ad",
+    (MODEL_II, 9, 5): "f2c821992cf6bc26391289741e330bdd626c92130bfbd192db198fee309c5609",
+    (MODEL_II, 9, 6): "f79e84fd83b15c00097700bdab408c6dcbb05e2e5786d9035172c96d254a5997",
+    (MODEL_II, 9, 7): "d24a1b1330c5b98ac4320742d51f60f088a902a402f7356ea6cde071abb9e6e7",
+    (MODEL_II, 9, 8): "14f63299f864a71128410d47c6444978946f1c89081984ee55f14a6b9862d8b8",
+    (MODEL_II, 9, 9): "2c00693bd3884483dbb790b9b8c9d3e2e933e9c9fd3bab70e2e7f24fc905f993",
+    (MODEL_II, 10, 1): "c8c199dada8a28e6c9b26f088f0fd26eb380d6d889389003ad3e8355300f77ab",
+    (MODEL_II, 10, 2): "201eca6d1ab767c2d5d7fbece96db45439f7b4d67f6f52d636cbcc0384a071b3",
+    (MODEL_II, 10, 3): "6120b7057f95da443a7e5874cd871f4d8df93af958b21aeda59e72b508dea455",
+    (MODEL_II, 10, 4): "fc759c30deb48289f4a9acb0766b3f24af9a5862970addd933a9400fffa327c4",
+    (MODEL_II, 10, 5): "dacc19662584635fa8ae2ea478eb15004342ac17966779b93e479cc5ec931076",
+    (MODEL_II, 10, 6): "7e47d52f281e9286273b448c132ee97806830d3c09c8ab7b99a7a5f7f12ee3e5",
+    (MODEL_II, 10, 7): "8692ed979eb5c90a338766040ce1d9c2c49b8dca992f2fc7e06c0518aab425b4",
+    (MODEL_II, 10, 8): "bf7c16c90a96a0a0b4413b8e4e514de75dc938f8ff08d15d585223405581fbab",
+    (MODEL_II, 10, 9): "77973702263dc4a80f13858d66ba0dde334d79c54f21fc80f6cb8eaaee3d654d",
+    (MODEL_II, 10, 10): "ba875e8c228edf8a7a564000e56c3d10ada06aa6215c4fb79727d889c4569298",
+}
+
+
+@pytest.mark.parametrize("cell", list(LAW_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_scenario_law_matches_its_pinned_digest(cell):
+    text = "\n\n".join(_law_text(*cell, mutation) for mutation in [None, *sorted(MUTATIONS)])
+    assert hashlib.sha256(text.encode()).hexdigest() == LAW_DIGESTS[cell]
 
 
 @pytest.mark.parametrize(
