@@ -1,16 +1,16 @@
 """Privacy, recoverability, and rate verification.
 
 Both privacy auditors run each model's one structure draw, draw_structures,
-the draw build_query runs at T = 1.  The exact auditor runs it at T = 1
-under an enumerating interpreter of the draw primitives (pircsi.draws), for
-one representative scenario, with exact integer weights.  The builders treat
-indices symmetrically, so every other scenario's law is that one relabelled;
-Bayes' rule per query fingerprint gives the posteriors, and the protocol is
-private iff every posterior over demands is the flat 1/K vector.  The
-Monte-Carlo auditor runs it on chunks of seeded trials and chi-square tests
-the bins instead, which scales to cells the exact auditor cannot touch and
-catches set-order leaks that the order-stripped fingerprint cannot show.
-Both take the mutants of MUTATIONS, on either model's draw (_Mutant).
+the draw build_query runs at T = 1.  The exact auditor runs it under an
+enumerating interpreter of the draw primitives (pircsi.draws), a row per
+leaf of one representative scenario, with exact integer weights.  The
+builders treat indices symmetrically, so every other scenario's law is that
+one relabelled; Bayes' rule per query fingerprint gives the posteriors, and
+the protocol is private iff every posterior over demands is the flat 1/K
+vector.  The Monte-Carlo auditor runs it on chunks of seeded trials and
+chi-square tests the bins instead, which scales to cells the exact auditor
+cannot touch and catches set-order leaks that the order-stripped fingerprint
+cannot show.  Both take the mutants of MUTATIONS, on either model's draw.
 """
 
 from collections import defaultdict
@@ -18,21 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice, repeat
-from math import comb, erfc, exp, fsum, inf, lcm, lgamma, log, sqrt
+from math import comb, erfc, exp, fsum, inf, lcm, lgamma, log, prod, sqrt
 from random import Random
 
 import numpy as np
 
 from .draws import Interpreter, RandomDraws, draws_from
-from .errors import AuditSizeError, ParameterError
+from .errors import AuditSizeError, ParameterError, ProtocolError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity
 from .protocol_rp import check_partition
-from .protocols import PROTOCOLS, answer_query, build_query, decode_answer, fingerprint_of
+from .protocols import PROTOCOLS, answer_query, build_query, decode_answer
 
 DEFAULT_ROW_GUARD = 10_000_000
-EXACT_CHUNK_ENTRIES = 1 << 20  # the exact auditor's key and row entries per chunk of supports
+EXACT_CHUNK_ENTRIES = 1 << 20  # the exact auditor's entries per chunk of supports or batch rows
 
 
 # Deliberately broken draws, by what they break: each replaces one primitive
@@ -146,8 +146,8 @@ def audit_exact(
 ) -> PosteriorReport:
     """Enumerate the model's structure draw and return the exact posteriors.
 
-    Raises AuditSizeError when scenarios times draw leaves exceed row_guard,
-    or a set's key exceeds 64 bits; switch to audit_montecarlo for such cells.
+    Raises AuditSizeError when scenarios times draw leaves exceed row_guard
+    (at least 1), or a set's key exceeds 64 bits; switch to audit_montecarlo.
     """
     fps, table, D = _joint_table(model, K, M, row_guard, mutation)
     fraction = lru_cache(maxsize=None)(Fraction)  # rows share few distinct ratios
@@ -260,25 +260,37 @@ def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | Non
 def scenario_law(
     draw, W: int, S: tuple, K: int, *, scenarios: int = 1, row_guard: int = DEFAULT_ROW_GUARD
 ) -> dict:
-    """The law of the fingerprint of draw, a model's draw_structures, for
-    the one trial (W, S), as integer weights over their sum: the draw runs
-    once per leaf of its choice tree under _Enumeration.  Raises
-    AuditSizeError once scenarios times the leaves would exceed row_guard,
-    and ProtocolError when the first leaf of a first-model fingerprint (W
-    outside S) fails check_partition."""
-    enum = _Enumeration(scenarios, row_guard)
+    """The law of the fingerprint of draw, a model's draw_structures, for the
+    one trial (W, S), as integer weights over their sum.  Under _Enumeration
+    the draw runs twice per path of choose outcomes: a survey that counts its
+    leaves, then one row per leaf, in chunks of at most EXACT_CHUNK_ENTRIES
+    entries.  Raises AuditSizeError once scenarios times the leaves exceed
+    row_guard, before their rows are drawn, and ProtocolError when a chunk of
+    a first-model draw (W outside S) fails check_partition."""
+    if row_guard < 1:
+        raise ParameterError(f"row_guard must be at least 1, got {row_guard!r}")
+    enum, leaves, dtype = _Enumeration(), 0, np.min_scalar_type(K)
     masses: dict = defaultdict(int)  # (denominator, fingerprint) -> numerator
-    firsts = {}  # fingerprint -> the sets of its first leaf
-    demand, support = np.array([W]), np.array([S], np.int64)
+    step = max(1, EXACT_CHUNK_ENTRIES // (2 * K))  # rows of 2K entries a chunk
     while True:
-        sets = draw(demand, support, K, enum)[0][0]
-        fp = fingerprint_of(sets)
-        masses[enum.den, fp] += enum.num
-        firsts.setdefault(fp, sets)
-        if not enum.next_leaf():
+        enum.run(draw, W, S, K)
+        count = prod(enum.widths)
+        leaves += count
+        if scenarios * leaves > row_guard:
+            raise AuditSizeError(
+                f"exact enumeration needs more than {row_guard} rows "
+                f"({scenarios} scenarios times {leaves} or more draw leaves)"
+            )
+        for done in range(0, count, step):
+            sets = enum.run(draw, W, S, K, np.arange(done, min(done + step, count)))
+            if W not in S:
+                check_partition(sets, K, len(S))
+            found, times = np.unique(_fingerprints(sets, dtype), return_counts=True)
+            found = found.view(dtype).reshape(len(found), -1)[:, :-1]
+            for fp, c in zip(found.reshape(len(times), *sets.shape[1:]).tolist(), times.tolist()):
+                masses[enum.den * count, tuple(map(tuple, fp))] += enum.num * c
+        if not enum.next_path():
             break
-    if W not in S:
-        check_partition(np.stack(list(firsts.values())), K, len(S))
     D = lcm(*(den for den, _ in masses))
     law: dict = defaultdict(int)
     for (den, fp), num in masses.items():
@@ -289,100 +301,101 @@ def scenario_law(
 
 
 @lru_cache(maxsize=64)
-def _combinations(n: int, k: int) -> tuple:
-    return tuple(combinations(range(n), k))
-
-
-def _outcomes(cdf: Cdf) -> list:
-    """Each outcome's position in cdf.outcomes and its mass."""
-    lows = (0, *cdf.cumulative)
-    return [(k, hi - lo) for k, (lo, hi) in enumerate(zip(lows, cdf.cumulative))]
+def _combinations(n: int, k: int) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
 
 
 class _Enumeration(Interpreter):
-    """The draw primitives as an enumeration.  Each run of the draw follows
-    `path`, its option at each choice point, taking the first option at a new
-    one, and next_leaf() advances the path depth first; num/den is the
-    product of the weights the run took.  It enumerates one trial: each
-    model's draw runs on it at T = 1, so its arrays hold one row, and
-    choose(cdf, 1) gives that row's outcome as its position in cdf.outcomes.
+    """The draw primitives as an enumeration of one trial.  Only choose is
+    walked depth first: a run takes outcome k of path[i] = [k, of] at its
+    i-th choose (0 at a new one), next_path() advances the path, and num/den
+    is the product of the choose weights the run took.  A path's survey
+    (T = 1) lets sample and split take their first option and records the
+    widths of its choice points of more options, each option weighing
+    1/width: a sample's combinations, and the mates of each block split
+    peels.  Its batch run gives row r of `rows`, a range of the widths'
+    product, the options ranked by r's mixed-radix digits.  So sample lists
+    each combination once, split each unordered partition, and shuffle
+    nothing: sound only for a fingerprint blind to element, set and block
+    order, as fingerprint_of is.  Rows that a draw parts by values of its
+    own are not one leaf each: a primitive on other rows than the run's, or
+    other choice points than the survey's, is refused."""
 
-    sample lists each combination once, in pool order; shuffle leaves its
-    sequence alone; split lets the block of the first remaining item take
-    each choice of mates once.  So a run shows no element order, set order, or
-    order of equal blocks: sound only for a fingerprint that strips all three,
-    as fingerprint_of does.
-    """
+    __slots__ = ("path", "depth", "num", "den", "widths", "rows", "point", "T")
 
-    __slots__ = ("path", "listed", "depth", "num", "den", "leaves", "scenarios", "row_guard")
+    def __init__(self):
+        self.path = []
 
-    def __init__(self, scenarios: int, row_guard: int):
-        self.path, self.listed, self.leaves = [], [], 0
-        self.scenarios, self.row_guard = scenarios, row_guard
-        self.depth, self.num, self.den = 0, 1, 1
+    def run(self, draw, W: int, S: tuple, K: int, rows=None) -> np.ndarray:
+        """The sets of the path's survey run (rows None) or of its batch rows."""
+        self.T = 1 if rows is None else len(rows)
+        self.depth, self.num, self.den, self.rows, self.point = 0, 1, 1, rows, 0
+        self.widths = [] if rows is None else self.widths
+        sets = draw(np.full(self.T, W), np.array([S] * self.T, np.int64), K, self)[0]
+        if (self.depth, self.point) != (len(self.path), len(self.widths)):
+            self._refuse("fewer choice points than its survey")
+        return sets
 
-    def _guard(self, leaves: int) -> None:
-        if self.scenarios * leaves > self.row_guard:
-            raise AuditSizeError(
-                f"exact enumeration needs more than {self.row_guard} rows "
-                f"({self.scenarios} scenarios times {leaves} or more draw leaves)"
-            )
+    def _refuse(self, what: str):
+        raise ProtocolError(f"the exact enumeration draws every row of a run alike, got {what}")
 
-    def _pick(self, width: int, options, *args):
-        """This run's option at its next choice point, of `width` listed by
-        options(*args): once per path, after the guard."""
-        depth = self.depth
-        self.depth += 1
-        if depth < len(self.path):
-            return self.listed[depth][self.path[depth]]
-        self._guard(self.leaves + width)
-        self.listed.append(options(*args))
-        self.path.append(0)
-        return self.listed[depth][0]
+    def _option(self, width: int, T: int):
+        """The rank of each row's option at the run's next choice point of
+        `width` options; None where every row takes the first."""
+        if T != self.T:
+            self._refuse(f"a primitive on {T} rows of {self.T}")
+        if width == 1:
+            return None
+        point, self.point = self.point, self.point + 1
+        if self.rows is None:
+            self.widths.append(width)
+            return None
+        if self.widths[point : point + 1] != [width]:
+            self._refuse(f"{width} options at choice point {point}, unlike its survey")
+        return self.rows // prod(self.widths[point + 1 :]) % width
 
-    def next_leaf(self) -> bool:
-        """Count the run just ended and set up the next; False when none is left."""
-        self.leaves += 1
-        self._guard(self.leaves)
-        self.depth, self.num, self.den = 0, 1, 1
-        path, listed = self.path, self.listed
-        while path and path[-1] + 1 == len(listed[-1]):
-            path.pop()
-            listed.pop()
-        if path:
-            path[-1] += 1
-        return bool(path)
+    def next_path(self) -> bool:
+        """Advance to the next path of choose outcomes; False when none is left."""
+        while self.path and self.path[-1][0] + 1 == self.path[-1][1]:
+            self.path.pop()
+        if self.path:
+            self.path[-1][0] += 1
+        return bool(self.path)
 
     def choose(self, cdf: Cdf, count: int):
-        k = 0
-        if len(cdf.outcomes) > 1:
-            k, mass = self._pick(len(cdf.outcomes), _outcomes, cdf)
-            self.num *= mass
-            self.den *= cdf.denom
+        self._option(1, count)  # every row of the run
+        depth, self.depth = self.depth, self.depth + 1
+        if depth == len(self.path):
+            if self.rows is not None:
+                self._refuse("a choose its survey did not meet")
+            self.path.append([0, len(cdf.outcomes)])
+        k = self.path[depth][0]
+        self.num *= cdf.cumulative[k] - (k and cdf.cumulative[k - 1])
+        self.den *= cdf.denom
         return np.full(count, k)
 
-    def _combination(self, n: int, k: int):
-        width = comb(n, k)
-        if width == 1:
-            return range(k)
-        self.den *= width
-        return self._pick(width, _combinations, n, k)
-
     def sample(self, pool: np.ndarray, k: int):
-        return pool[:, list(self._combination(pool.shape[1], k))]
+        rank = self._option(comb(pool.shape[1], k), len(pool))
+        if rank is None:
+            return pool[:, :k]
+        return np.take_along_axis(pool, _combinations(pool.shape[1], k)[rank], axis=1)
 
     def shuffle(self, seq) -> None:
         pass
 
     def split(self, seq: np.ndarray, size: int) -> np.ndarray:
-        """The blocks of the one trial row of seq, as a (1, blocks, size) array."""
-        rest, blocks = seq[0].tolist(), []
-        while rest:
-            first, *others = rest
-            mates = self._combination(len(others), size - 1)
-            blocks.append([first, *(others[j] for j in mates)])
-            rest = [x for j, x in enumerate(others) if j not in mates]
-        return np.array(blocks, np.int64).reshape(1, -1, size)
+        T, rest = len(seq), seq
+        blocks = np.empty((T, seq.shape[1] // size, size), np.int64)
+        for block in blocks.transpose(1, 0, 2):
+            rank = self._option(comb(rest.shape[1] - 1, size - 1), T)
+            if rank is None:
+                block[:], rest = rest[:, :size], rest[:, size:]
+                continue
+            mates = _combinations(rest.shape[1] - 1, size - 1)[rank] + 1  # places in rest
+            block[:, 0], block[:, 1:] = rest[:, 0], np.take_along_axis(rest, mates, axis=1)
+            left = (np.arange(1, rest.shape[1])[:, None] != mates[:, None]).all(axis=2)
+            rest = rest[:, 1:][left].reshape(T, -1)
+        return blocks
 
 
 # A screen draws its trials in chunks of at most this many index entries,
@@ -420,10 +433,13 @@ def audit_montecarlo(
     read off the chi-square survival function with K - 1 degrees of freedom
     by _chisquare_p; the worst bin is the first with the smallest,
     fingerprint bins before slot bins, each family in the order its bins
-    were first met.  significance, the family's, lies in (0, 1).
+    were first met.  significance, the family's, lies in (0, 1), and trials
+    is at least 1.
     """
     if not 0 < significance < 1:
         raise ParameterError(f"significance must lie in (0, 1), got {significance!r}")
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials!r}")
     draw = _draw(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
     bins = _Bins(K)
@@ -460,13 +476,25 @@ def audit_montecarlo(
     )
 
 
+def _fingerprints(sets: np.ndarray, dtype) -> np.ndarray:
+    """Each fingerprint of a (T, n, s) stack of index sets as an opaque item:
+    the sets, each sorted, in sorted order, as a row of a (T, n*s + 1) array
+    of dtype whose last column stays 0, so that a query with no sets has one."""
+    T, n, s = sets.shape
+    inside = np.sort(sets, axis=2)
+    if n > 1:  # sort the sets of each trial: column 0 is the primary key
+        order = np.lexsort(inside.transpose(2, 0, 1)[::-1], axis=-1)
+        inside = np.take_along_axis(inside, order[:, :, None], axis=1)
+    rows = np.zeros((T, n * s + 1), dtype)
+    rows[:, :-1] = inside.reshape(T, n * s)
+    return rows.view(np.dtype((np.void, rows.strides[0])))[:, 0]
+
+
 class _Bins:
     """Both bin families of a screen, filled chunk by chunk from (T, n, s)
     arrays of index sets, each bin under an integer key.  A fingerprint
-    bin's key is its number in the order the fingerprints were first met;
-    a fingerprint is the query's sets, each sorted, in sorted order, as one
-    row of a (T, n*s + 1) array read as an opaque item (the last column
-    stays 0, so that a query with no sets has one too).  A slot bin (j, pos)
+    bin's key is its number in the order the fingerprints were first met,
+    its fingerprint a row of _fingerprints.  A slot bin (j, pos)
     has the key (j - 1) * (n + 1) + pos + 1; pos is found for every index of
     a chunk by n scatters, the last set first, so the first set holding j
     writes last."""
@@ -480,14 +508,9 @@ class _Bins:
     def add(self, sets: np.ndarray, W: np.ndarray) -> None:
         T, n, s = sets.shape
         self.shape = n, s
-        inside = np.sort(sets, axis=2)
-        if n > 1:  # sort the sets of each trial: column 0 is the primary key
-            order = np.lexsort(inside.transpose(2, 0, 1)[::-1], axis=-1)
-            inside = np.take_along_axis(inside, order[:, :, None], axis=1)
-        rows = np.zeros((T, n * s + 1), self.dtype)
-        rows[:, :-1] = inside.reshape(T, n * s)
-        items = rows.view(np.dtype((np.void, rows.strides[0])))[:, 0]
-        found, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+        found, first, inverse = np.unique(
+            _fingerprints(sets, self.dtype), return_index=True, return_inverse=True
+        )
         found = found.tolist()
         for j in np.argsort(first).tolist():
             self.numbers.setdefault(found[j], len(self.numbers))
@@ -608,8 +631,10 @@ def _chisquare_p(counts) -> float:
 def audit_recoverability(
     params: FieldParams, model: str, K: int, M: int, trials: int, rng: Random
 ) -> RecoverabilityReport:
-    """Full build/answer/decode loops against a random database; passes only
-    when every single decode returns the demanded message exactly."""
+    """trials >= 1 full build/answer/decode loops against a random database;
+    passes only when every single decode returns the demanded message exactly."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials!r}")
     db = Database.random(params, K, rng)
     successes = 0
     for _ in range(trials):

@@ -14,7 +14,7 @@ alone and leaves both whole when it breaks sample or shuffle.
 coefficients(q, count) gives count uniform integers in [1, q) as int64:
 every coefficient of a query and a scenario's C.  RandomDraws interprets
 them all in production, and the exact auditor all but coefficients by
-enumeration, at T = 1.  uniform_words draws a database's words on the
+enumeration, a row per leaf.  uniform_words draws a database's words on the
 same Generator.  in_random_order and unplaced are the two steps both
 models' draws share: the set order, and the outside pool of a mask.
 """

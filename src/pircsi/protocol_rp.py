@@ -91,7 +91,7 @@ def check_partition(idx: np.ndarray, K: int, M: int) -> None:
     set, that cover [1, K] with no index thrice and l = n(M+1) - K,
     n = ceil(K/(M+1)), twice.  Raises ProtocolError.  build_query runs it
     once per query, the screen on each chunk's stack of structures, and the
-    exact auditor on the first leaf of each fingerprint."""
+    exact auditor on each chunk of its rows, one row per leaf."""
     if idx.shape[-1] != M + 1:
         raise ProtocolError("built a set of the wrong size")
     rows = np.sort(idx, axis=-1)

@@ -19,6 +19,7 @@ from math import comb, inf, sqrt
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from scipy.stats import chi2, chisquare
 
@@ -28,6 +29,7 @@ from pircsi import (
     MODEL_I,
     MODEL_II,
     ParameterError,
+    ProtocolError,
     audit_exact,
     audit_montecarlo,
     measure_rate,
@@ -122,6 +124,61 @@ def test_exact_guard_refuses_large_cells_before_listing_a_choice():
         with pytest.raises(AuditSizeError):
             audit_exact(model, K, M)
         assert time.perf_counter() - start < 1.0
+
+
+def test_exact_guard_refuses_before_drawing_the_rows():
+    # A path's survey counts its leaves, so a cell past the guard is refused
+    # before any of its rows is drawn, not after listing up to the guard.
+    for K in (14, 13):
+        start = time.perf_counter()
+        with pytest.raises(AuditSizeError):
+            audit_exact(MODEL_I, K, 2)
+        assert time.perf_counter() - start < 0.1, K
+
+
+def _parted_draw(W, S, K, d):
+    """One set of two indices: the first drawn for every trial, the second
+    only for the trials whose first index is at most K // 2."""
+    pool = np.arange(1, K + 1)[None].repeat(len(W), axis=0)
+    sets = d.sample(pool, 1)[:, None].repeat(2, axis=2)
+    low = (sets[:, 0, 0] <= K // 2).nonzero()[0]
+    sets[low, 0, 1:] = d.sample(pool[low], 1)
+    return sets, None
+
+
+def _widening_draw(W, S, K, d):
+    """One set of two indices, the second drawn from as many indices as the
+    largest first index of any trial."""
+    pool = np.arange(1, K + 1)[None].repeat(len(W), axis=0)
+    first = d.sample(pool, 1)
+    return np.concatenate([first, d.sample(pool[:, : first.max()], 1)], axis=1)[:, None], None
+
+
+@pytest.mark.parametrize("draw", [_parted_draw, _widening_draw], ids=lambda f: f.__name__)
+def test_the_enumeration_refuses_rows_drawn_unalike(draw):
+    # Each row of a batch run is one leaf only if every row takes the same
+    # primitives with the same widths as the path's survey; a draw that parts
+    # its trials by values of its own is refused, not given a wrong law.
+    with pytest.raises(ProtocolError, match="every row of a run alike"):
+        scenario_law(draw, 1, (2,), 6)
+
+
+def test_the_exact_batch_works_in_bounded_memory(monkeypatch):
+    # I(14,1) has one path of 10,395 leaves, a batch row each.  In chunks of
+    # 2^12 entries its peak beyond the law it returns stays below the law's
+    # own size and a quarter of that of one chunk of every row (2^20 entries).
+    draw, beyond = audit._draw(MODEL_I, 14, 1, None), {}
+    for entries in (1 << 12, 1 << 20):
+        monkeypatch.setattr(audit, "EXACT_CHUNK_ENTRIES", entries)
+        tracemalloc.start()
+        try:
+            law = scenario_law(draw, 1, (2,), 14)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond[entries] = peak - held
+    assert len(law) == 10_395
+    assert beyond[1 << 12] < held and 4 * beyond[1 << 12] < beyond[1 << 20], (beyond, held)
 
 
 def test_exact_guard_refuses_sets_without_a_64_bit_key():
@@ -543,6 +600,18 @@ def test_montecarlo_refuses_a_significance_outside_the_unit_interval(significanc
 def test_montecarlo_needs_enough_trials_per_bin():
     with pytest.raises(AuditSizeError):
         audit_montecarlo(MODEL_I, 8, 2, 30, Random(0))
+
+
+@pytest.mark.parametrize("count", [0, -4])
+def test_the_auditors_refuse_counts_below_one(count):
+    # A count below 1 is no audit: 0 of 0 decodes would pass, a guard of 0
+    # refuse every cell, and a screen of no trials fail for want of samples.
+    with pytest.raises(ParameterError, match=f"^trials must be at least 1, got {count}$"):
+        audit_recoverability(FieldParams(3), MODEL_I, 5, 1, count, Random(0))
+    with pytest.raises(ParameterError, match=f"^trials must be at least 1, got {count}$"):
+        audit_montecarlo(MODEL_I, 5, 1, count, Random(0))
+    with pytest.raises(ParameterError, match=f"^row_guard must be at least 1, got {count}$"):
+        audit_exact(MODEL_I, 5, 1, row_guard=count)
 
 
 def _reference_bins(drawn, K: int) -> list:

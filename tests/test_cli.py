@@ -242,6 +242,16 @@ def test_audit_mc_out_of_range_significance_exits_two(capsys, significance):
     assert err.startswith("error: significance") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode,flag,value", [("--mc", "--trials", "0"), ("--mc", "--trials", "-4"),
+                                             ("--exact", "--row-guard", "0")])
+def test_audit_counts_below_one_exit_two(capsys, mode, flag, value):
+    code, out, err = _run(capsys, "audit", mode, "--model", "I", "--k", "8", "--m", "2",
+                          flag, value)
+    assert code == 2 and out == ""
+    name = flag[2:].replace("-", "_")
+    assert err == f"error: {name} must be at least 1, got {value}\n"
+
+
 def test_audit_mc_honest_and_mutated(capsys):
     base = ("audit", "--mc", "--model", "I", "--k", "5", "--m", "1",
             "--trials", "20000", "--seed", "2")
