@@ -1,4 +1,5 @@
 """Command surface: exit codes, transcript determinism, and report schemas."""
+import hashlib
 import json
 import re
 import subprocess
@@ -273,6 +274,24 @@ def test_audit_rate_cell(capsys):
     assert report["elements_downloaded"] == 2
     assert report["measured_rate"] == "1/2" == report["capacity"]
     assert report["matches_capacity"] is True
+
+
+# SHA-256 of the whole `audit --exact --model I` report, byte for byte: a
+# private cell, whose posterior rows are all flat, and a mutant whose rows are not.
+EXACT_REPORT_DIGESTS = {
+    ("--k", "9", "--m", "1"): "51074a407dae77f58820471fdfceb68ff845457c45a192695448304ea335d4c7",
+    ("--k", "7", "--m", "1", "--mutation", "skewed_class_pmf"): (
+        "0b109ca36a8c4cec600a3693557f5c929825a279802b6b9041318ac2e88a51ca"
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", list(EXACT_REPORT_DIGESTS), ids=" ".join)
+def test_audit_exact_report_bytes_are_pinned(tmp_path, capsys, cell):
+    path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "audit", "--exact", "--model", "I", *cell, "--out", str(path))
+    assert code == ("--mutation" in cell) and out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXACT_REPORT_DIGESTS[cell]
 
 
 def test_audit_writes_report_files(tmp_path, capsys):
