@@ -28,7 +28,6 @@ from .errors import AuditSizeError, ParameterError, ProtocolError
 from .field import FieldParams
 from .model import MODEL_I, Database, check_cell, sample_demand, sample_scenario
 from .pmf import Cdf, capacity
-from .protocol_rp import check_partition
 from .protocols import PROTOCOLS, answer_query, build_query, decode_answer
 
 DEFAULT_ROW_GUARD = 10_000_000
@@ -265,8 +264,8 @@ def scenario_law(
     the draw runs twice per path of choose outcomes: a survey that counts its
     leaves, then one row per leaf, in chunks of at most EXACT_CHUNK_ENTRIES
     entries.  Raises AuditSizeError once scenarios times the leaves exceed
-    row_guard, before their rows are drawn, and ProtocolError when a chunk of
-    a first-model draw (W outside S) fails check_partition."""
+    row_guard, before their rows are drawn.  The draw checks what it draws
+    (the first model's partition guard), and its ProtocolError passes through."""
     if row_guard < 1:
         raise ParameterError(f"row_guard must be at least 1, got {row_guard!r}")
     enum, leaves, dtype = _Enumeration(), 0, np.min_scalar_type(K)
@@ -283,8 +282,6 @@ def scenario_law(
             )
         for done in range(0, count, step):
             sets = enum.run(draw, W, S, K, np.arange(done, min(done + step, count)))
-            if W not in S:
-                check_partition(sets, K, len(S))
             found, times = np.unique(_fingerprints(sets, dtype), return_counts=True)
             found = found.view(dtype).reshape(len(found), -1)[:, :-1]
             for fp, c in zip(found.reshape(len(times), *sets.shape[1:]).tolist(), times.tolist()):
@@ -420,15 +417,15 @@ def audit_montecarlo(
     The trials are drawn in chunks of at most SCREEN_CHUNK_ENTRIES index
     entries, all on one RandomDraws over rng.  Each chunk draws its (W, S)
     with sample_demand and its index sets in one call of the model's
-    draw_structures, the draw build_query runs (over a _Mutant of that
-    RandomDraws when a mutation is named); the first model's stack is checked
-    by one check_partition.  No bin reads a coefficient, so none is drawn and
-    no field is needed.  Two bin families are tested, both binned by array
-    operations (_Bins): the order-stripped fingerprint, and for each database
-    index the position of the first transmitted set containing it.  The
-    second family is what exposes set-order leaks, which the order-stripped
-    fingerprint is blind to by construction.  Bins too thin for the
-    chi-square approximation (expected count below 5) are counted as skipped.
+    draw_structures, the draw build_query runs, guard included (over a
+    _Mutant of that RandomDraws when a mutation is named).  No bin reads a
+    coefficient, so none is drawn and no field is needed.  Two bin families
+    are tested, both binned by array operations (_Bins): the order-stripped
+    fingerprint, and for each database index the position of the first
+    transmitted set containing it.  The second family is what exposes
+    set-order leaks, which the order-stripped fingerprint is blind to by
+    construction.  Bins too thin for the chi-square approximation (expected
+    count below 5) are counted as skipped.
     Each bin's p-value is Pearson's statistic against the flat expectation,
     read off the chi-square survival function with K - 1 degrees of freedom
     by _chisquare_p; the worst bin is the first with the smallest,
@@ -446,10 +443,7 @@ def audit_montecarlo(
     chunk = max(1, SCREEN_CHUNK_ENTRIES // (2 * K))
     for done in range(0, trials, chunk):
         W, S = sample_demand(K, M, model, draws, min(chunk, trials - done))
-        sets = draw(W, S, K, draws)[0]
-        if model == MODEL_I:
-            check_partition(sets, K, M)
-        bins.add(sets, W)
+        bins.add(draw(W, S, K, draws)[0], W)
 
     min_count = 5 * K  # expected >= 5 per cell under the flat hypothesis
     keys, rows, skipped = bins.tested(min_count)

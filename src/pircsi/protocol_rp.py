@@ -25,20 +25,19 @@ def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
     outside the (T, M) sorted supports S: a (T, n, M+1) int64 array, row t
     holding query t's sets in transmitted order, and the (T,) demand slots.
     Everything the server sees of a query but its coefficients is drawn here,
-    from (W, S) alone.  rng is a random.Random, or another interpreter of the
-    draw primitives (pircsi.draws), such as the exact auditor's or a mutant."""
+    from (W, S) alone, and check_partition guards the whole stack before its
+    sets are put in order.  rng is a random.Random, or another interpreter of
+    the draw primitives (pircsi.draws), such as the exact auditor's or a mutant."""
     T, M = S.shape
     if not T:
         raise ParameterError("a structure draw needs at least one trial, got T=0")
-    if not 0 <= M < K:
-        raise ParameterError(f"need 0 <= M < K, got M={M}, K={K}")
+    dist = rp_distribution(K, M)
     if (S == W[:, None]).any():
         raise ParameterError("demand must lie outside the support")
     demand = np.concatenate([W[:, None], S], axis=1)  # the demand sets [W, *S]
     if demand.min() < 1 or demand.max() > K:
         raise ParameterError("scenario indices exceed the database size")
-    d, dist = draws_from(rng), rp_distribution(K, M)
-    n, l, cdf = dist.n, dist.l, dist.cdf
+    d, n, l, cdf = draws_from(rng), dist.n, dist.l, dist.cdf
     sizes = [T]  # trials per repeat class; a pmf of one class needs no draw
     if len(cdf.outcomes) > 1:
         classes = d.choose(cdf, T)
@@ -82,6 +81,7 @@ def draw_structures(W: np.ndarray, S: np.ndarray, K: int, rng):
         if any(piece.shape[2] != M + 1 for piece in pieces):
             raise ProtocolError("built a set of the wrong size")
         others[at] = np.concatenate(pieces, axis=1)
+    check_partition(sets, K, M)
     return in_random_order(d, sets)
 
 
@@ -89,9 +89,10 @@ def check_partition(idx: np.ndarray, K: int, M: int) -> None:
     """The first model's construction guard on a query's (n, s) index array,
     or on a (T, n, s) stack of them: sets of M+1 indices, none twice in one
     set, that cover [1, K] with no index thrice and l = n(M+1) - K,
-    n = ceil(K/(M+1)), twice.  Raises ProtocolError.  build_query runs it
-    once per query, the screen on each chunk's stack of structures, and the
-    exact auditor on each chunk of its rows, one row per leaf."""
+    n = ceil(K/(M+1)), twice.  Raises ProtocolError.  draw_structures runs
+    it on every stack it draws, so every caller of the draw is guarded: a
+    query of build_query, a chunk of the screen, and each survey and chunk
+    of batch rows of the exact auditor."""
     if idx.shape[-1] != M + 1:
         raise ProtocolError("built a set of the wrong size")
     rows = np.sort(idx, axis=-1)

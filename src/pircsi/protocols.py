@@ -113,18 +113,13 @@ class DecoderState:
 
 def build_query(scenario: Scenario, K: int, rng: Random) -> tuple[Query, DecoderState]:
     """Build one query for the given scenario: its model's draw_structures at
-    T = 1, the first model's check_partition on the drawn sets, then
-    attach_coefficients over the same draws."""
+    T = 1, then attach_coefficients over the same draws."""
     protocol = PROTOCOLS.get(scenario.model)
     if protocol is None:
         raise ParameterError(f"unknown model {scenario.model!r}")
     d, S = draws_from(rng), np.array([scenario.S], np.int64)
     sets, slots = protocol.draw_structures(np.array([scenario.W], np.int64), S, K, d)
-    if scenario.model == MODEL_I:
-        protocol_rp.check_partition(sets[0], K, S.shape[1])
-        case_tag = 0
-    else:
-        case_tag = protocol_csi2.case_for(K, S.shape[1])
+    case_tag = 0 if scenario.model == MODEL_I else protocol_csi2.case_for(K, S.shape[1])
     slot = None if slots is None else int(slots[0])
     return attach_coefficients(sets[0], slot, case_tag, S[0], scenario, d)
 

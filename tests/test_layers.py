@@ -1,12 +1,13 @@
 """The query layer is written once.  pircsi.protocols holds everything both
 models share; each model module holds only its own draw and shape rules and
-imports neither the other model nor the layer above it."""
+imports neither the other model nor the layer above it.  The first model's
+draw runs its own partition guard, so no layer above names it."""
 import ast
 from pathlib import Path
 
 import pytest
 
-from pircsi import protocol_csi2, protocol_rp, protocols
+from pircsi import audit, protocol_csi2, protocol_rp, protocols
 
 MODEL_MODULES = [protocol_rp, protocol_csi2]
 OWN_FUNCTIONS = {
@@ -53,3 +54,26 @@ def test_a_model_module_defines_only_its_draw_and_shape_rules(module):
 @pytest.mark.parametrize("name", ["build_query", "answer_query", "decode_answer"])
 def test_the_names_the_benchmark_reads_are_the_one_functions(module, name):
     assert getattr(module, name) is getattr(protocols, name)
+
+
+def _identifiers(module) -> set[str]:
+    """Every name, attribute and imported name in the module's source."""
+    names = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", [audit, protocols], ids=lambda m: m.__name__)
+def test_no_layer_above_the_draw_runs_the_partition_guard(module):
+    assert "check_partition" not in _identifiers(module)
+
+
+def test_the_auditor_never_tells_the_models_apart_by_the_demand():
+    compares = [node for node in ast.walk(_tree(audit)) if isinstance(node, ast.Compare)]
+    assert "W not in S" not in map(ast.unparse, compares)

@@ -16,6 +16,7 @@ from pircsi import (
     QuerySet,
     audit_exact,
     audit_montecarlo,
+    protocol_rp,
     sample_scenario,
 )
 from pircsi.audit import _Enumeration
@@ -327,15 +328,21 @@ def _build_one(gf3):
 
 
 @pytest.mark.parametrize("fault", sorted(GUARD_TEXTS))
-@pytest.mark.parametrize("caller", ["build_query", "audit_montecarlo", "audit_exact"])
+@pytest.mark.parametrize(
+    "caller", ["draw_structures", "build_query", "audit_montecarlo", "audit_exact"]
+)
 def test_the_partition_guard_refuses_a_broken_split(monkeypatch, gf3, caller, fault):
-    # The guard runs once per query in build_query, on each chunk's stack of
-    # drawn structures in the screen, and on the first leaf of each
-    # fingerprint in the exact auditor, which interprets split itself.  A
-    # block of the wrong size is refused where the draw assembles the sets.
+    # The draw runs the guard on every stack it builds, so each caller of the
+    # draw refuses a broken split with the guard's text: build_query, the
+    # screen on each chunk, and the exact auditor, which interprets split
+    # itself, on each survey and batch run.  A block of the wrong size is
+    # refused where the draw assembles the sets.
     interpreter = _Enumeration if caller == "audit_exact" else RandomDraws
     monkeypatch.setattr(interpreter, "split", _broken_split(interpreter.split, fault))
     run = {
+        "draw_structures": lambda: protocol_rp.draw_structures(
+            np.array([1]), np.array([[2, 3]]), 12, Random(0)
+        ),
         "build_query": lambda: _build_one(gf3),
         "audit_montecarlo": lambda: audit_montecarlo(MODEL_I, 12, 2, 20, Random(0)),
         "audit_exact": lambda: audit_exact(MODEL_I, 12, 2),
