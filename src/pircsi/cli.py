@@ -39,11 +39,6 @@ _CASE_NAMES = {
 }
 
 
-def _rat(value) -> str:
-    # Fraction formats as "a/b" or "a"; the query-free cell has infinite rate.
-    return "inf" if value == float("inf") else str(Fraction(value))
-
-
 def _rat_pair(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
@@ -81,8 +76,8 @@ def _open_out(path: str | None):
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2)
+    with _open_out(path) as fh:  # streamed: no copy of the whole document is built
+        fh.writelines(json.JSONEncoder(indent=2).iterencode(payload))
         fh.write("\n")
 
 
@@ -180,15 +175,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _fingerprint_json(report) -> list:
-    rows = []
+    """One row per fingerprint, its Fractions as "a/b" or "a".  Each distinct
+    posterior row is formatted once: every flat one is the same tuple."""
+    rows, formatted = [], {}
     for fp in sorted(report.posteriors):
-        rows.append(
-            {
-                "sets": [list(s) for s in fp],
-                "probability": _rat(report.fingerprint_probs[fp]),
-                "posterior": [_rat(p) for p in report.posteriors[fp]],
-            }
-        )
+        posterior = report.posteriors[fp]
+        if id(posterior) not in formatted:
+            formatted[id(posterior)] = list(map(str, posterior))
+        probability = str(report.fingerprint_probs[fp])
+        rows.append({"sets": fp, "probability": probability, "posterior": formatted[id(posterior)]})
     return rows
 
 
@@ -200,15 +195,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             )
         except AuditSizeError as exc:
             raise AuditSizeError(f"{exc}; rerun with --mc for a statistical audit") from None
-        worst = report.worst_fingerprint
         payload = {
             "mode": "exact",
             "model": report.model,
             "K": report.K,
             "M": report.M,
             "uniform": report.uniform,
-            "worst_deviation": _rat(report.worst_deviation),
-            "worst_fingerprint": None if worst is None else [list(s) for s in worst],
+            "worst_deviation": str(report.worst_deviation),
+            "worst_fingerprint": report.worst_fingerprint,
             "fingerprints": _fingerprint_json(report),
         }
         _emit_json(payload, args.out)
@@ -249,8 +243,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         "K": report.K,
         "M": report.M,
         "elements_downloaded": report.elements_downloaded,
-        "measured_rate": _rat(report.measured_rate),
-        "capacity": _rat(report.capacity),
+        "measured_rate": str(report.measured_rate),  # a Fraction, or inf as "inf"
+        "capacity": str(report.capacity),
         "matches_capacity": report.matches_capacity,
     }
     _emit_json(payload, args.out)
@@ -271,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ["model", "K", "M", "elements_downloaded", "measured_rate", "capacity", "equal"]
         )
         for rep in reports:
-            rates = _rat(rep.measured_rate), _rat(rep.capacity)
+            rates = str(rep.measured_rate), str(rep.capacity)
             equal = "true" if rep.matches_capacity else "false"
             writer.writerow([rep.model, rep.K, rep.M, rep.elements_downloaded, *rates, equal])
     return 0 if all(rep.matches_capacity for rep in reports) else 1
@@ -489,10 +483,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AuditSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+    except (AuditSizeError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolError, OSError) as exc:

@@ -13,7 +13,7 @@ from math import inf, lcm
 from random import Random
 
 from .errors import ParameterError
-from .model import MODEL_I, MODEL_II
+from .model import MODEL_I, check_cell
 
 
 def partition_rounds(K: int, M: int) -> tuple[int, int]:
@@ -90,18 +90,15 @@ def capacity(model: str, K: int, M: int):
     """
     if K < 1:
         raise ParameterError(f"K must be positive, got {K}")
+    check_cell(K, M, model)
     if model == MODEL_I:
         n, _ = partition_rounds(K, M)
         return Fraction(1, n)
-    if model == MODEL_II:
-        if not 1 <= M <= K:
-            raise ParameterError(f"model II needs 1 <= M <= K, got M={M}, K={K}")
-        if M == 1:
-            return inf
-        if M == 2 or M == K:
-            return Fraction(1)
-        return Fraction(1, 2)
-    raise ParameterError(f"unknown model {model!r}")
+    if M == 1:
+        return inf
+    if M == 2 or M == K:
+        return Fraction(1)
+    return Fraction(1, 2)
 
 
 @dataclass(frozen=True)
