@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb, inf, sqrt
@@ -612,6 +613,90 @@ def test_the_auditors_refuse_counts_below_one(count):
         audit_montecarlo(MODEL_I, 5, 1, count, Random(0))
     with pytest.raises(ParameterError, match=f"^row_guard must be at least 1, got {count}$"):
         audit_exact(MODEL_I, 5, 1, row_guard=count)
+
+
+# SHA-256 of every field of a screen's MonteCarloReport, per (cell, mutation,
+# seed), recorded before the screen's bins were reworked: 20,000 trials of
+# I(8,2) and II(10,5) (two chunks each), 6,000 of I(101,9), where nearly
+# every trial meets a new fingerprint, and 8,400 of II(1000,600), about the
+# fewest that fill a bin.  Moving any count, bin key, bin order or verdict
+# changes the digest.
+SCREEN_TRIALS = {(MODEL_I, 8, 2): 20_000, (MODEL_II, 10, 5): 20_000,
+                 (MODEL_I, 101, 9): 6_000, (MODEL_II, 1000, 600): 8_400}
+SCREEN_DIGESTS = {
+    (MODEL_I, 8, 2, None, 0): "64a70df0653e534bc74b9cb7069187a0b354121d7ac1c498a8774d210dbff367",
+    (MODEL_I, 8, 2, None, 1): "3219c4228f7c19902771689bf64eae89c810671a727bb91e3790cb6ca29a3a23",
+    (MODEL_I, 8, 2, "deterministic_extras", 0):
+        "52a65a8584ff7a4c04f2fb35e7c8743f89a260baa6dbe0f8af8c010f0d9d6d92",
+    (MODEL_I, 8, 2, "deterministic_extras", 1):
+        "cc698a8094283435e05d4292592b702e8d1c4f197e97328f61606c1ab6d75541",
+    (MODEL_I, 8, 2, "skewed_class_pmf", 0):
+        "afc130549e1248b1832cfce4a7530350ebfcc6fd3d03b864e92571916ada7241",
+    (MODEL_I, 8, 2, "skewed_class_pmf", 1):
+        "8c818908ac25326f3083bcc5f540993dad69c3633a34d2d076acb2f0fce26232",
+    (MODEL_I, 8, 2, "unshuffled_sets", 0):
+        "db2236bce36e90b7ffc452f511b9431a322c0d865ce37b18800481445c658d63",
+    (MODEL_I, 8, 2, "unshuffled_sets", 1):
+        "9731327f8505ba95e8a2ed0867ddd3b7b611c4e895bf54ba778f127d85f728a4",
+    (MODEL_II, 10, 5, None, 0): "ff0a5859db65d5da7ce02df7388e726a66b497095ecc6bc289e7b29f8319ff1a",
+    (MODEL_II, 10, 5, None, 1): "04b307532ee296871167a5ac079ca1bff81ea766bfe751cb8bec0d24fa39b48f",
+    (MODEL_II, 10, 5, "deterministic_extras", 0):
+        "953b00054bad7df61ba475c520838de3ba0a64a45f04bb8f503e55638e057226",
+    (MODEL_II, 10, 5, "deterministic_extras", 1):
+        "52359002eb264a8cdddbfbfc39bf970075ef89c1893d81d3460d56526fda726d",
+    (MODEL_II, 10, 5, "skewed_class_pmf", 0):
+        "6c0776bc2996f4e41224a9d525476700b17e264c65c8ae42ae467fe737e8daed",
+    (MODEL_II, 10, 5, "skewed_class_pmf", 1):
+        "d7b405d602c5f6a9cd4f59f04463687504e670f142a2b4c384ef57191f63c12b",
+    (MODEL_II, 10, 5, "unshuffled_sets", 0):
+        "594e1f4bb51b36657ab1b8775fbc77ced826d83bf41a2e3ef0a54b3582943f8f",
+    (MODEL_II, 10, 5, "unshuffled_sets", 1):
+        "1c3c0a6ff913a5fd94d6bba4dbfceea818c2f39e588caa28f84776f68c54a123",
+    (MODEL_I, 101, 9, None, 0): "c09f0bb6d758c3f2698b8d08eac1771dcb554fa405a49123f85ca2cfdf6e0fe0",
+    (MODEL_I, 101, 9, None, 1): "1277adbddd149ae05bcdbf37b078e651d5f90516b680ea34d403b34729383149",
+    (MODEL_I, 101, 9, "deterministic_extras", 0):
+        "eee5bc50456c956b5239997bdac9a02f843acfb5b5bae397d1fd7ec948392982",
+    (MODEL_I, 101, 9, "deterministic_extras", 1):
+        "4b9ece005c40f308740330f886a3bee1c01ce011d60b9db350c78f6ddd7c17c8",
+    (MODEL_I, 101, 9, "skewed_class_pmf", 0):
+        "397b24fb1da860c267d8086eaf9e1023572e9ad7c4acb2bcc66f2d52ca71e6fb",
+    (MODEL_I, 101, 9, "skewed_class_pmf", 1):
+        "e03e0ebe800db4674cadd073aeb21f28b495ab87016cc082c67bf7af07107b8d",
+    (MODEL_I, 101, 9, "unshuffled_sets", 0):
+        "a66e2eb9ac1ca37c3b6b0d3674c2780f186f96e2834423d4ece040e555b6604b",
+    (MODEL_I, 101, 9, "unshuffled_sets", 1):
+        "b1f2373beee7a5ee0e8d3d1fed0245f4ed6f3dba427dc1115a02eca72d195123",
+    (MODEL_II, 1000, 600, None, 0):
+        "09cf62a2e38cdac702a39619ac065c029297dd2a213da4e07b812d000a366116",
+    (MODEL_II, 1000, 600, None, 1):
+        "1d034b727523ef57204f9b4cb7a68b997ee3a3c0417d00c1d135c5ac23e9beaa",
+    (MODEL_II, 1000, 600, "deterministic_extras", 0):
+        "caef930172713612ac742e30e9a01d107dbedd99d951fe77f46316e18246086b",
+    (MODEL_II, 1000, 600, "deterministic_extras", 1):
+        "6df4ca95b597cc85303e6bc5a62ca8c2e25231b6a25b2b5ddd45e8b1b6ab9835",
+    (MODEL_II, 1000, 600, "skewed_class_pmf", 0):
+        "f5940bf9f28547841ac1633a3ce0917f982fd748b19813ff05227a46f3442df4",
+    (MODEL_II, 1000, 600, "skewed_class_pmf", 1):
+        "124acc29d3c6eeeaac607e38881d88a15b49bab9842a12847a58a7056b4642ba",
+    (MODEL_II, 1000, 600, "unshuffled_sets", 0):
+        "383a986b213acae1437436efb0b7793addaeb9924be0dd69a23cfb4b2f162cd0",
+    (MODEL_II, 1000, 600, "unshuffled_sets", 1):
+        "a83b2c99f050019b8e74d829ac91373674e9713431edfc3770e53eafae9abfb5",
+}
+
+
+def _screen_canonical(report) -> bytes:
+    """Every field of a MonteCarloReport, worst_bin's included; its floats
+    to 12 significant digits, so that no libm's last bit can move them."""
+    fields = (f"{v:.11e}" if isinstance(v, float) else v for v in astuple(report))
+    return repr(tuple(fields)).encode()
+
+
+@pytest.mark.parametrize("case", list(SCREEN_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_screen_report_matches_its_pinned_digest(case):
+    *cell, mutation, seed = case
+    report = audit_montecarlo(*cell, SCREEN_TRIALS[tuple(cell)], Random(seed), mutation=mutation)
+    assert hashlib.sha256(_screen_canonical(report)).hexdigest() == SCREEN_DIGESTS[case]
 
 
 def _reference_bins(drawn, K: int) -> list:
