@@ -179,7 +179,10 @@ def exact_joint(
     the other indices to the rest in order.  This is exact while the draw
     treats indices alike, apart from taking them in order from S or from the
     outside indices (as deterministic_extras does); tests compare it with an
-    enumeration of every scenario.  _joint_table relabels in arrays.
+    enumeration of every scenario.  The relabelling is sigma_S after rho_p:
+    rho_p moves label 1 to the p-th place W can take, the labels placed
+    between one place back, and sigma_S sends the places to S, then the rest,
+    in order.  _joint_table folds each rho_p into the law once, in arrays.
     """
     fps, table, D = _joint_table(model, K, M, row_guard, mutation)
     return dict(zip(fps, table.tolist())), D
@@ -187,8 +190,11 @@ def exact_joint(
 
 def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | None) -> tuple:
     """exact_joint's sorted fingerprints, the (F, K) array of their weights
-    (int64, or Python ints once D passes 63 bits), and D.  Per scenario, a
-    set gets the key C(K, s) - 1 minus the colex rank of K minus its image,
+    (int64, or Python ints once D passes 63 bits), and D.  The folded law is
+    the law's P copies, one per place of W (P = K - M outside S in model I,
+    M in S in model II), each in places and carrying W's place; its distinct
+    sets of places are listed once.  Per support, sigma_S maps only those;
+    a set gets the key C(K, s) - 1 minus the colex rank of K minus its image,
     which sorts as sets do; a pair is its n sorted keys and W - 1 in int64
     words.  C(K, s) * K >= 2^63 is refused before any scenario is listed."""
     draw = _draw(model, K, M, mutation)
@@ -209,35 +215,42 @@ def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | Non
     powers = np.array([top ** (q - 1 - j) * K for j in range(q)], np.int64)
     at = {m: j for j, m in enumerate(members)}
     sets = np.array([[at[m] for m in fp] for fp in law], np.int64).reshape(len(law), n)
-    # place[i]: where labels 1..K sit in (S, then the rest) with W at demands[i]
+    # The fold: place[i] is rho_p for p = demands[i], labels 1..K to places
     place = np.array([[p, *(j for j in range(K) if j != p)] for p in demands], np.int64)
     labels = place[:, np.array(members, np.int64).reshape(len(members), s) - 1]
+    labels = np.sort(labels, axis=2).reshape(len(place) * len(members), s)
+    labels, image = np.unique(labels, axis=0, return_inverse=True)
+    folded = image.reshape(len(place), len(members))[:, sets].reshape(len(place) * len(law), n)
+    demand = np.repeat(place[:, 0], len(law))  # W's place in each folded row
+    mass = np.tile(np.array([*law.values()], dtype), len(place))
     # colex[j, y] = C(y, j + 1), nondecreasing in y; above the j-th smallest of s, 2^63 - 1
     colex = [[comb(y, j + 1) if y <= K - s + j else 2**63 - 1 for y in range(K)] for j in range(s)]
     colex = np.array(colex, np.int64).reshape(s, K)
 
     supports, total = combinations(range(1, K + 1), M), comb(K, M)
-    step = max(1, EXACT_CHUNK_ENTRIES // (labels.size + len(place) * len(law) * width + M * K))
+    step = max(1, EXACT_CHUNK_ENTRIES // (labels.size + len(folded) * width + K))
     merged, pending = (np.zeros((0, width // q), np.int64), np.zeros(0, dtype)), []
     for done in range(0, total, step):
         c = min(step, total - done)
         S = np.fromiter(chain.from_iterable(islice(supports, c)), np.int64, c * M).reshape(c, M)
         seq = np.argsort(~(S[:, :, None] == np.arange(1, K + 1)).any(1), 1, kind="stable") + 1
-        y = K - seq[:, labels].reshape(c * len(place), *labels.shape[1:])
-        y.sort(axis=2)
-        keys = top - 1 - sum((colex[j, y[..., j]] for j in range(s)), np.zeros(y.shape[:2], int))
-        rows = np.zeros((len(keys), len(law), width), np.int64)
-        rows[:, :, :n] = np.sort(keys[:, sets], axis=2)
-        rows = rows.reshape(-1, width // q, q) @ powers
-        rows[:, -1] += np.repeat(seq[:, place[:, 0]].ravel() - 1, len(law))
-        pending.append((rows, np.tile(np.array([*law.values()], dtype), len(keys))))
+        y = _sorted([K - seq[:, labels[:, j]] for j in range(s)])
+        keys = top - 1 - sum(map(colex.__getitem__, enumerate(y)), np.zeros((c, len(labels)), int))
+        keys = _sorted([keys[:, folded[:, j]] for j in range(n)])
+        if q == width:  # one word a row
+            rows = sum(map(np.multiply, keys, powers), np.zeros((c, len(folded)), int))
+        else:
+            rows = np.stack(keys, axis=2) * K
+        rows = rows.reshape(c * len(folded), width // q)
+        rows[:, -1] += (seq[:, demand] - 1).ravel()
+        pending.append((rows, np.tile(mass, c)))
         if done + c == total or sum(len(r) for r, _ in pending) > len(merged[0]):
             # Sum the weights of each distinct row, the rows in lexicographic order
-            rows, mass = (np.concatenate(arrays) for arrays in zip(merged, *pending))
+            rows, weights = (np.concatenate(arrays) for arrays in zip(merged, *pending))
             order = np.lexsort(rows.T[::-1]) if rows.shape[1] > 1 else rows[:, 0].argsort()
             rows = rows[order]
             start = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-            merged, pending = (rows[start], np.add.reduceat(mass[order], start)), []
+            merged, pending = (rows[start], np.add.reduceat(weights[order], start)), []
 
     column, rows = merged[0][:, -1] % K, merged[0] // K  # W - 1, and the fingerprints' words
     first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
@@ -252,7 +265,8 @@ def _joint_table(model: str, K: int, M: int, row_guard: int, mutation: str | Non
         rank -= colex[j, y]
         image[:, s - 1 - j] = K - y
     image = list(map(tuple, image.tolist()))
-    fps = [tuple(map(image.__getitem__, fp)) for fp in at.reshape(len(table), n).tolist()]
+    columns = (map(image.__getitem__, column) for column in at.reshape(len(table), n).T.tolist())
+    fps = list(zip(*columns)) if n else [()] * len(table)
     return fps, table, D
 
 
@@ -295,6 +309,19 @@ def scenario_law(
     if sum(law.values()) != D:
         raise AssertionError(f"leaf weights sum to {sum(law.values())}/{D}, not 1")
     return {fp: weight for fp, weight in law.items() if weight}
+
+
+def _sorted(columns: list) -> list:
+    """Equal-shaped arrays, sorted across: the i-th holds the i-th smallest at
+    each entry.  Up to 8 arrays are sorted by min-max exchanges (odd-even
+    transposition), far faster than np.sort on rows so short; more by np.sort."""
+    if len(columns) > 8:
+        return list(np.moveaxis(np.sort(np.stack(columns, axis=-1), axis=-1), -1, 0))
+    columns = list(columns)
+    for r in range(len(columns)):
+        for i in range(r % 2, len(columns) - 1, 2):
+            columns[i : i + 2] = np.minimum(*columns[i : i + 2]), np.maximum(*columns[i : i + 2])
+    return columns
 
 
 @lru_cache(maxsize=64)
@@ -439,11 +466,12 @@ def audit_montecarlo(
         raise ParameterError(f"trials must be at least 1, got {trials!r}")
     draw = _draw(model, K, M, mutation)
     draws = RandomDraws(rng)  # one interpreter for every trial, over the same rng
-    bins = _Bins(K)
-    chunk = max(1, SCREEN_CHUNK_ENTRIES // (2 * K))
+    chunk, bins = max(1, SCREEN_CHUNK_ENTRIES // (2 * K)), None
     for done in range(0, trials, chunk):
         W, S = sample_demand(K, M, model, draws, min(chunk, trials - done))
-        bins.add(draw(W, S, K, draws)[0], W)
+        sets = draw(W, S, K, draws)[0]
+        bins = bins or _Bins(K, *sets.shape[1:], chunk)  # every chunk's sets are (n, s)
+        bins.add(sets, W)
 
     min_count = 5 * K  # expected >= 5 per cell under the flat hypothesis
     keys, rows, skipped = bins.tested(min_count)
@@ -487,24 +515,35 @@ def _fingerprints(sets: np.ndarray, dtype) -> np.ndarray:
 class _Bins:
     """Both bin families of a screen, filled chunk by chunk from (T, n, s)
     arrays of index sets, each bin under an integer key.  A fingerprint
-    bin's key is its number in the order the fingerprints were first met,
-    its fingerprint a row of _fingerprints.  A slot bin (j, pos)
-    has the key (j - 1) * (n + 1) + pos + 1; pos is found for every index of
-    a chunk by n scatters, the last set first, so the first set holding j
-    writes last."""
+    bin's key is its number in the order the fingerprints were first met.
+    A slot bin (j, pos) has the key (j - 1) * (n + 1) + pos + 1; pos is found
+    for every index of a chunk by n scatters, the last set first, so the
+    first set holding j writes last.  Two size rules, read off (K, n, s) and
+    the chunk (trials a chunk), pick the forms.  While 0 < n s and
+    (K + 1)^(n s) < 2^63, a fingerprint is one int64 code: its sets, each
+    sorted, in sorted order, as base K + 1 digits; past that, a row of
+    _fingerprints, as bytes.  While (n + 1) K <= 4 chunk, so that the dense
+    (K(n + 1), K) table of slot pairs is at most four chunks' slot entries,
+    np.bincount counts the slot pairs into it; past that, a sorting _Family
+    counts them, as it always counts fingerprint pairs."""
 
-    def __init__(self, K: int):
-        self.K, self.dtype = K, np.min_scalar_type(K)  # the dtype of a fingerprint row
-        self.fingerprints, self.slots = _Family(K), _Family(K)
-        self.numbers = {}  # fingerprint row (bytes) -> key
-        self.shape = 0, 0  # (n, s) of the sets
+    def __init__(self, K: int, n: int, s: int, chunk: int):
+        self.K, self.shape, self.dtype = K, (n, s), np.min_scalar_type(K)
+        self.fingerprints = _Family(K)
+        self.slots = _Family(K, K * (n + 1) if (n + 1) * K <= 4 * chunk else 0)
+        self.numbers = {}  # fingerprint (int code, or row bytes) -> key
+        self.powers = None  # the place values of a code's n s digits, if codes fit
+        if n * s and (K + 1) ** (n * s) >> 63 == 0:
+            self.powers = (K + 1) ** np.arange(n * s - 1, -1, -1, dtype=np.int64)
 
     def add(self, sets: np.ndarray, W: np.ndarray) -> None:
         T, n, s = sets.shape
-        self.shape = n, s
-        found, first, inverse = np.unique(
-            _fingerprints(sets, self.dtype), return_index=True, return_inverse=True
-        )
+        if self.powers is None:
+            found = _fingerprints(sets, self.dtype)
+        else:  # each set's code, then the codes in order: the sets in sorted order
+            found = sum(map(np.multiply, _sorted(list(sets.transpose(2, 0, 1))), self.powers[-s:]))
+            found = sum(map(np.multiply, _sorted(list(found.T)), self.powers[s - 1 :: s]))
+        found, first, inverse = np.unique(found, return_index=True, return_inverse=True)
         found = found.tolist()
         for j in np.argsort(first).tolist():
             self.numbers.setdefault(found[j], len(self.numbers))
@@ -532,9 +571,12 @@ class _Bins:
                 if family == "slot":
                     j, pos = divmod(key, n + 1)
                     keys.append((family, (j + 1, pos - 1)))
-                else:
-                    row = np.frombuffer(rows[key], self.dtype)[:-1].reshape(n, s)
-                    keys.append((family, tuple(map(tuple, row.tolist()))))
+                    continue
+                if self.powers is None:
+                    row = np.frombuffer(rows[key], self.dtype)[:-1]
+                else:  # the code's digits
+                    row = rows[key] // self.powers % (self.K + 1)
+                keys.append((family, tuple(map(tuple, row.reshape(n, s).tolist()))))
             counts += table.tolist()
         return keys, counts, skipped
 
@@ -547,13 +589,15 @@ class _Family:
     codes wait in a pending list and are merged into the sorted table only
     once they outnumber it, so every code is sorted a bounded number of
     times and a screen's time stays O(n log n) in its trials however many
-    bins it meets."""
+    bins it meets.  With size > 0, its keys lie below size, and a dense
+    (size, K) table counts the pairs by np.bincount instead of any sort."""
 
-    def __init__(self, K: int):
+    def __init__(self, K: int, size: int = 0):
         self.K, self.keys = K, []
         self.rank = np.zeros(0, np.int64)  # rank[key]: the bin's place in keys, -1 if unmet
         self.codes = self.counts = np.zeros(0, np.int64)
         self.pending, self.pending_size = [], 0
+        self.table = np.zeros(size * K, np.int64) if size else None  # [key * K + w]
 
     def add(self, keys: np.ndarray, w: np.ndarray) -> None:
         """One sample per entry of the 1-d arrays keys (each at least 0) and w (W - 1)."""
@@ -573,6 +617,9 @@ class _Family:
             new = new[np.argsort(first[new])] + low
             self.rank[new] = np.arange(len(self.keys), len(self.keys) + len(new))
             self.keys += new.tolist()
+        if self.table is not None:
+            self.table += np.bincount(keys * self.K + w, minlength=len(self.table))
+            return
         codes, counts = np.unique(self.rank[keys] * self.K + w, return_counts=True)
         self.pending.append((codes, counts))
         self.pending_size += len(codes)
@@ -590,6 +637,10 @@ class _Family:
     def tested(self, min_count: int) -> tuple[np.ndarray, np.ndarray]:
         """The keys of the bins holding at least min_count samples, in rank
         order, and their counts per demand as a (bins, K) array."""
+        if self.table is not None:
+            table = self.table.reshape(-1, self.K)[self.keys]
+            tested = table.sum(axis=1) >= min_count
+            return np.array(self.keys, np.int64)[tested], table[tested]
         self._merge()
         ranks, w = np.divmod(self.codes, self.K)
         tested = np.bincount(ranks, self.counts, len(self.keys)) >= min_count

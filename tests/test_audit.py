@@ -733,11 +733,13 @@ def _reference_worst(bins: list, K: int) -> Bin:
     [(MODEL_I, 5, 1, None), (MODEL_I, 7, 1, None), (MODEL_I, 8, 2, None),
      *((MODEL_I, 8, 2, name) for name in sorted(MUTATIONS)),
      (MODEL_II, 6, 3, None), (MODEL_II, 10, 5, None), (MODEL_II, 5, 1, None),
-     (MODEL_II, 6, 2, None), (MODEL_II, 5, 5, None)],
+     (MODEL_II, 6, 2, None), (MODEL_II, 5, 5, None), (MODEL_I, 30, 2, None)],
     ids=str,
 )
 def test_array_bins_match_the_per_trial_reference(monkeypatch, model, K, M, mutation):
     # Small chunks, so that bins first met in a later chunk are ranked too.
+    # I(30,2) is past both of _Bins's size rules: its 10 sets of 3 need 31^30
+    # codes, and its (330, 30) slot table is more than four chunks' entries.
     monkeypatch.setattr(audit, "SCREEN_CHUNK_ENTRIES", 64 * 2 * K)
     drawn, filled = [], []
     add = audit._Bins.add
@@ -750,45 +752,64 @@ def test_array_bins_match_the_per_trial_reference(monkeypatch, model, K, M, muta
     monkeypatch.setattr(audit._Bins, "add", recording)
     report = audit_montecarlo(model, K, M, 3_000, Random(4), mutation=mutation)
     assert len(drawn) == -(-3_000 // 64) and len({id(bins) for bins in filled}) == 1
+    if K == 30:  # the fingerprints are rows, and a sorting family counts the slots
+        assert filled[0].powers is None and filled[0].slots.table is None
     reference = _reference_bins(drawn, K)
     keys, counts, skipped = filled[0].tested(0)
     assert list(zip(keys, counts)) == reference and skipped == 0
     assert report.worst_bin == _reference_worst(reference, K)
 
 
+def _screen_peak(model, K, M, trials) -> tuple[int, int]:
+    """The traced peak of one screen, in bytes, and the bins it met."""
+    tracemalloc.start()
+    try:
+        report = audit_montecarlo(model, K, M, trials, Random(0))
+        return tracemalloc.get_traced_memory()[1], report.tests + report.skipped_bins
+    finally:
+        tracemalloc.stop()
+
+
 def test_the_screen_works_in_bounded_memory():
     # I(8,2) has 840 reachable fingerprints, so past 100,000 trials the bin
     # tables stop growing: only a draw of all the trials at once could grow.
-    peaks = []
-    for trials in (100_000, 400_000):
-        tracemalloc.start()
-        try:
-            audit_montecarlo(MODEL_I, 8, 2, trials, Random(0))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    (low, _), (high, _) = (_screen_peak(MODEL_I, 8, 2, trials) for trials in (100_000, 400_000))
+    assert high <= 1.5 * low, (low, high)
+    # At I(101,9) every chunk meets new fingerprints, so the tables grow, but
+    # only by what each new bin needs (about 250 bytes); bins that kept their
+    # chunks' index sets alive would grow by about a kilobyte a bin.
+    (low, met_low), (high, met_high) = (_screen_peak(MODEL_I, 101, 9, t) for t in (10_000, 40_000))
+    assert met_high - met_low >= 29_000  # nearly every trial meets a new fingerprint
+    assert high - low <= 512 * (met_high - met_low), (low, high, met_low, met_high)
 
 
 def test_the_screen_sorts_each_bin_code_a_bounded_number_of_times(monkeypatch):
     # At I(101,9) nearly every trial meets a new fingerprint, so a table
     # re-sorted after every chunk would sort each code once per later chunk,
     # and the screen's time would grow with the square of its trials.  The
-    # merges of each family together may sort at most three times the codes
-    # its chunks add.
-    added, sorted_codes = Counter(), Counter()
-    merge = audit._Family._merge
+    # merges of each family that sorts may sort at most three times the codes
+    # its chunks add.  The slot family's (101 * 12, 101) table is at most
+    # four chunks' entries, so it is counted densely and never sorted.
+    added, sorted_codes, created = Counter(), Counter(), []
+    init, merge = audit._Family.__init__, audit._Family._merge
+
+    def recording_init(self, *args):
+        init(self, *args)
+        created.append(self)
 
     def counting_merge(self):
         added[id(self)] += self.pending_size
         sorted_codes[id(self)] += len(self.codes) + self.pending_size
         merge(self)
 
+    monkeypatch.setattr(audit._Family, "__init__", recording_init)
     monkeypatch.setattr(audit._Family, "_merge", counting_merge)
     trials = 20_000
     assert trials // max(1, audit.SCREEN_CHUNK_ENTRIES // (2 * 101)) >= 10  # many chunks
     audit_montecarlo(MODEL_I, 101, 9, trials, Random(0))
-    assert len(added) == 2  # both families
+    fingerprints, slots = created  # in the order _Bins makes them
+    assert fingerprints.table is None and slots.table is not None
+    assert list(added) == [id(fingerprints)]
     for family in added:
         assert sorted_codes[family] <= 3 * added[family], (sorted_codes, added)
 
