@@ -532,9 +532,8 @@ class _Bins:
         self.fingerprints = _Family(K)
         self.slots = _Family(K, K * (n + 1) if (n + 1) * K <= 4 * chunk else 0)
         self.numbers = {}  # fingerprint (int code, or row bytes) -> key
-        self.powers = None  # the place values of a code's n s digits, if codes fit
-        if n * s and (K + 1) ** (n * s) >> 63 == 0:
-            self.powers = (K + 1) ** np.arange(n * s - 1, -1, -1, dtype=np.int64)
+        fits = n * s and (K + 1) ** (n * s) >> 63 == 0  # else rows of _fingerprints
+        self.powers = (K + 1) ** np.arange(n * s - 1, -1, -1, dtype=np.int64) if fits else None
 
     def add(self, sets: np.ndarray, W: np.ndarray) -> None:
         T, n, s = sets.shape
