@@ -106,6 +106,9 @@ def encode_query(query: Query, params: FieldParams) -> bytes:
         raise SetRuleError(text, k, j, fault.what, v) from None
     if n > 0xFFFF or s > 0xFFFF:
         raise ParameterError("a query carries at most 65,535 sets of at most 65,535 indices")
+    length = 4 + n * (2 + 4 * s + 2 * m * s)  # refused before any of it is built
+    if length > MAX_FRAME_BYTES:
+        raise ParameterError(f"payload of {length} bytes exceeds the frame cap")
     # The checks above bound every cast.
     frame = np.zeros(n, dtype=_set_records(s, m))
     frame["size"] = s
@@ -128,9 +131,9 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     arbitrary bytes: every failure is a WireParseError carrying the byte
     offset, never a crash.  Framing faults come first, then the model's
     shape, then the first set-rule fault in byte order; a query this returns
-    is well formed.  A payload of n sets of one size whose coefficients are
-    all scalars is read as one record array; any other is walked set by set
-    to find its first fault."""
+    is well formed.  Its arrays are always read as one record array
+    (_read_records); a payload that is not one is walked set by set
+    (_walk_sets) only to find its first fault."""
     end = len(data)
     if not end:
         raise WireParseError("truncated model byte", 0)
@@ -141,56 +144,52 @@ def decode_query(data: bytes, params: FieldParams, K: int) -> Query:
     if end < 4:
         raise WireParseError("truncated set count", 2)
     model, case_byte, n_sets = _MODELS[data[0]], data[1], data[2] | data[3] << 8
-    sizes, starts, idx, coef = _read_records(data, n_sets, params.m) or _walk_sets(
-        data, n_sets, params
-    )
+    sets = _read_records(data, n_sets, params.m)
+    sizes = _walk_sets(data, n_sets, params) if sets is None else [sets["idx"].shape[1]] * n_sets
 
     try:
         PROTOCOLS[model].check_sizes(case_byte, sizes, K)
     except ShapeError as fault:  # the case byte, the set count, the first set's size
         raise WireParseError(str(fault), {"case": 1, "count": 2, "size": 4}[fault.part]) from None
-    shape = (len(sizes), sizes[0] if sizes else 0)  # check_sizes left one set size only
-    idx = idx.astype(np.int64).reshape(shape)
-    coef = coef.astype(np.int64).reshape(shape)
+    if sets is None:  # check_sizes refuses sets of two sizes, so the walk met none
+        sets = np.zeros(0, _set_records(0, params.m))
+    idx = sets["idx"].astype(np.int64)
+    coef = sets["coef"][..., 0].astype(np.int64)
     try:
         check_set_arrays(idx, coef, K, params.q)
     except SetRuleError as fault:
         k, j = fault.set_no, fault.slot
-        if fault.what == "coefficient":
-            at = starts[k] + 4 * sizes[k] + params.element_bytes * j
-        else:
-            at = starts[k] + 4 * j
+        at = 6 + k * sets.itemsize  # set k's indices, then its coefficients
+        at += 4 * idx.shape[1] + params.element_bytes * j if fault.what == "coefficient" else 4 * j
         text = _PARSE_ERRORS[fault.what].format(v=fault.value, K=K, top=params.q - 1)
         raise WireParseError(text, at) from None
     return Query(idx, coef, model, case_byte)
 
 
 def _read_records(data: bytes, n_sets: int, m: int):
-    """The sets of a payload that holds exactly n_sets nonempty sets of its
-    first set's size, with no coefficient word set above word 0, as
-    decode_query's (sizes, starts, indices, coefficients), each set's
-    indices and coefficients a row of u32 or u16 words; None for any other
-    payload."""
+    """The payload's sets as one array of _set_records(s, m) if it holds
+    exactly n_sets nonempty sets of its first set's size s, with no
+    coefficient word set above word 0; None for any other payload.  The
+    length is compared first, so only a dtype that fits the payload is built."""
     if not n_sets or len(data) < 6:
         return None
     s = data[4] | data[5] << 8
-    record = _set_records(s, m)
-    if not s or len(data) != 4 + n_sets * record.itemsize:
+    if not s or len(data) != 4 + n_sets * (2 + 4 * s + 2 * m * s):
         return None
-    sets = np.frombuffer(data, record, n_sets, 4)
+    sets = np.frombuffer(data, _set_records(s, m), n_sets, 4)
     if (sets["size"] != s).any() or sets["coef"][..., 1:].any():
         return None
-    return [s] * n_sets, range(6, len(data), record.itemsize), sets["idx"], sets["coef"][..., 0]
+    return sets
 
 
-def _walk_sets(data: bytes, n_sets: int, params: FieldParams):
-    """decode_query's (sizes, starts, indices, coefficients) of a payload
-    walked set by set, the indices and coefficients as flat u32 and u16
-    words.  Raises WireParseError for its first framing fault or a
-    coefficient word set above word 0, whichever comes first in byte order.
-    Python walks only the set headers; numpy the rest."""
+def _walk_sets(data: bytes, n_sets: int, params: FieldParams) -> list[int]:
+    """The set sizes of a payload that _read_records refused, walked set by
+    set only to locate its first fault.  Raises WireParseError for its first
+    framing fault or a coefficient word set above word 0, whichever comes
+    first in byte order.  Python walks only the set headers; numpy scans the
+    coefficient words of the whole sets at once."""
     end, width, pos = len(data), params.element_bytes, 4
-    sizes, starts, index_runs, coef_runs = [], [], [], []
+    sizes, coef_runs = [], []
     try:
         for _ in range(n_sets):
             if pos + 2 > end:
@@ -205,8 +204,6 @@ def _walk_sets(data: bytes, n_sets: int, params: FieldParams):
             if pos > end:
                 raise WireParseError("truncated coefficient", at + (end - at) // width * width)
             sizes.append(size)
-            starts.append(idx_at)
-            index_runs.append(data[idx_at:at])
             coef_runs.append(data[at:pos])
         if pos != end:
             raise WireParseError("trailing bytes after the query", pos)
@@ -218,13 +215,15 @@ def _walk_sets(data: bytes, n_sets: int, params: FieldParams):
     words = np.frombuffer(b"".join(coef_runs), dtype="<u2").reshape(-1, params.m)
     high = words[:, 1:].any(axis=1)
     if high.any():
-        flat = int(high.argmax())
-        k = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))  # its set
-        at = starts[k] + 4 * sizes[k] + width * (flat - sum(sizes[:k]))
+        flat = int(high.argmax())  # counted over the coefficients of all sets
+        ends = np.cumsum(sizes)
+        k = int(np.searchsorted(ends, flat, side="right"))  # its set
+        # past the head, k + 1 size fields, sets 0..k's indices, flat coefficients
+        at = 6 + 2 * k + 4 * int(ends[k]) + width * flat
         raise WireParseError("coefficient is not a base-field scalar", at)
     if framing is not None:
         raise framing
-    return sizes, starts, np.frombuffer(b"".join(index_runs), dtype="<u4"), words[:, 0]
+    return sizes
 
 
 # -- answer payloads --------------------------------------------------------

@@ -5,9 +5,11 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from contextlib import ExitStack
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from pircsi import (
     MODEL_II,
     ParameterError,
     ProtocolError,
+    Query,
     WireParseError,
     answer_query,
     build_query,
@@ -266,6 +269,26 @@ def test_encode_query_refuses_a_case_tag_outside_the_byte(gf3, case_tag):
     assert f"case tag {case_tag}" in str(info.value)
 
 
+@pytest.mark.parametrize("m", [1024, 20_000])
+def test_encode_query_refuses_a_payload_over_the_frame_cap_before_building_it(m):
+    # One set of the indices 1..65,535: at m = 1024 its payload of 134 MB
+    # was once built in full (a 403 MB peak) only for encode_frame to
+    # refuse it, and at m = 20,000 it escaped as a bare ValueError.
+    params = FieldParams(3, m)
+    idx = np.arange(1, 0x10000, dtype=np.int64).reshape(1, -1)
+    query = Query(idx, np.ones_like(idx))
+    length = 4 + 2 + 0xFFFF * (4 + 2 * m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as info:
+            wire.encode_query(query, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"payload of {length} bytes exceeds the frame cap"
+    assert peak < 4 << 20
+
+
 def test_decode_query_rejects_bad_shapes(gf3):
     # unequal set sizes in a first-model query
     blob = bytes.fromhex(
@@ -314,6 +337,26 @@ def test_widest_set_parses_in_linear_time(gf3):
     assert f"repeated index {K} inside a set" in str(info.value)
 
 
+def test_the_walk_locates_a_fault_in_the_last_of_65535_sets_in_linear_time(gf9):
+    # 65,535 one-index sets over GF(9), 10 bytes each: a 655,354-byte
+    # payload, under the frame cap.  A high word or a second set size sends
+    # it down the set-by-set walk.
+    n = 0xFFFF
+    blob = wire.encode_query(query_of([((1,), (1,))] * n), gf9)
+    assert len(blob) == 4 + 10 * n
+    high = blob[:-2] + struct.pack("<H", 1)  # the last coefficient's high word
+    wider = blob[:-10] + struct.pack("<HII4H", 2, 1, 2, 1, 0, 1, 0)  # a last set of two
+    for payload, offset, text in [
+        (high, len(blob) - 4, "coefficient is not a base-field scalar"),
+        (wider, 4, "first-model sets must share one size"),
+    ]:
+        t0 = time.perf_counter()
+        with pytest.raises(WireParseError) as info:
+            wire.decode_query(payload, gf9, 2)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(info.value) == f"{text} (at byte {offset})"
+
+
 def test_random_bytes_never_crash_the_decoder(gf3):
     rng = Random(0)
     for _ in range(20_000):
@@ -324,6 +367,61 @@ def test_random_bytes_never_crash_the_decoder(gf3):
             continue
         # the rare structurally valid blob must re-encode identically
         assert wire.encode_query(query, gf3) == blob
+
+
+@st.composite
+def _near_valid_payloads(draw):
+    """(params, K, payload): a valid query payload over GF(3) or GF(9), of
+    either model and possibly of no sets, that one fault may break: a last
+    set of another size, a high coefficient word, a set-rule fault, another
+    case byte, a cut, or a trailing byte."""
+    params = draw(st.sampled_from([FieldParams(3), FieldParams(3, 2)]))
+    K, model_byte = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
+    size = draw(st.integers(1, K))
+    if model_byte == 1:
+        case, n = 0, draw(st.integers(0, 3))
+    else:
+        case = draw(st.sampled_from(protocol_csi2.CASE_TAGS))
+        n, fixed = protocol_csi2.case_shape(case, K)
+        size = fixed or size
+    fault = draw(st.sampled_from(["none", "none", "mixed", "high", "rule", "case", "cut", "trail"]))
+    if fault == "case":
+        case = draw(st.integers(0, 255))
+    blob = bytearray(struct.pack("<BBH", model_byte, case, n))
+    for k in range(n):
+        last = k == n - 1
+        s = size + (fault == "mixed" and last)
+        indices = draw(st.permutations(range(1, max(K, s) + 1)))[:s]
+        coeffs = [draw(st.integers(1, 2)) for _ in range(s)]
+        high = [0] * s
+        j = draw(st.integers(0, s - 1))
+        if fault == "rule" and last:
+            if draw(st.booleans()):
+                indices[j] = draw(st.integers(0, K + 1))
+            else:
+                coeffs[j] = draw(st.sampled_from([0, 3]))
+        high[j] = int(fault == "high" and last)
+        blob += struct.pack(f"<H{s}I", s, *indices)
+        for c, h in zip(coeffs, high):
+            blob += struct.pack(f"<{params.m}H", c, *[h] * (params.m - 1))
+    if fault == "cut":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif fault == "trail":
+        blob.append(draw(st.integers(0, 255)))
+    return params, K, bytes(blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_valid_payloads())
+def test_property_an_accepted_payload_is_its_query_encoded(case):
+    # One parser: whatever decode_query accepts, by whichever path, is
+    # written back byte for byte by encode_query.
+    params, K, blob = case
+    try:
+        query = wire.decode_query(blob, params, K)
+    except WireParseError:
+        return
+    assert wire.encode_query(query, params) == blob
 
 
 # ---------------------------------------------------------------- round trips
@@ -509,6 +607,27 @@ def test_connection_survives_a_parse_error(gf3):
             msg_type, body = _read_frame(sock)
             assert msg_type == wire.MSG_HELLO
             assert wire.decode_hello(body) == (gf3, 4)
+
+
+@pytest.mark.parametrize("m", [16_383, 20_000])
+def test_a_size_field_too_wide_for_a_record_gets_an_error_frame(m, capfd):
+    # Over m words the size field 65,535 names a set record of 2 + 4s + 2ms
+    # bytes: 2.1 GB, past a C int, at m = 16,383 (once a negative record
+    # size) and 2.6 GB at m = 20,000 (once a bare ValueError, which the
+    # server printed as a traceback before hanging up without a reply).
+    params = FieldParams(3, m)
+    payload = bytes.fromhex("01000100ffff")
+    with pytest.raises(WireParseError) as info:
+        wire.decode_query(payload, params, 2)
+    assert str(info.value) == "truncated index (at byte 6)"
+    db = Database.random(params, 2, Random(22))
+    with wire.PirServer(db, port=0) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(wire.encode_frame(wire.MSG_QUERY, payload))
+            assert _read_frame(sock) == (wire.MSG_ERROR, b"truncated index (at byte 6)")
+            sock.sendall(wire.encode_frame(wire.MSG_HELLO, b""))  # the connection stays open
+            assert _read_frame(sock) == (wire.MSG_HELLO, wire.encode_hello(params, 2))
+    assert capfd.readouterr().err == ""
 
 
 def test_oversized_frame_closes_the_connection(gf3):
